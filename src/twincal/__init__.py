@@ -72,6 +72,7 @@ from .simulate import (
     KIND_PDC,
     ExperimentConfig,
     Frame,
+    Stack,
     generate_stack,
     inject_cosmic_ray,
     iter_stack,

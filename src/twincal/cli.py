@@ -55,6 +55,15 @@ def _load_config(args):
     return cfg, params
 
 
+def _read_stack(path) -> simulate.Stack:
+    """Read a stack file, warning when no sidecar vouched for its config."""
+    stack, _ = io.read_stack(path)
+    if not stack.digest_verified:
+        print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
+              "the config digest was not verified", file=sys.stderr)
+    return stack
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -71,10 +80,11 @@ def cmd_simulate(args) -> int:
     doc = io.run_config_to_dict(cfg, params)
 
     n_pdc = params.z_batches * params.frames_per_batch
-    frames = list(simulate.iter_stack(cfg, n_pdc, simulate.KIND_PDC))
+    pdc = simulate.generate_stack(cfg, n_pdc, simulate.KIND_PDC)
     pdc_path = out / "pdc.tbs"
-    io.write_stack(pdc_path, frames, doc)
-    energies = np.array([f.pulse_energy for f in frames])
+    io.write_stack(pdc_path, pdc, doc)
+    energies = pdc.pulse_energy
+    del pdc  # free the rendered frames before rendering the background
     _say(args, f"wrote {pdc_path} ({n_pdc} frames), digest "
                f"{io.config_digest(doc).hex()}")
     _say(args, f"pulse energy mean {energies.mean():.4f}, "
@@ -84,7 +94,8 @@ def cmd_simulate(args) -> int:
         n_bg = params.z_batches * params.background_frames_per_batch
         bg_path = out / "background.tbs"
         io.write_stack(bg_path,
-                       simulate.iter_stack(cfg, n_bg, simulate.KIND_BACKGROUND),
+                       simulate.generate_stack(cfg, n_bg,
+                                               simulate.KIND_BACKGROUND),
                        doc)
         _say(args, f"wrote {bg_path} ({n_bg} frames), digest "
                    f"{io.config_digest(doc).hex()}")
@@ -94,9 +105,9 @@ def cmd_simulate(args) -> int:
 def cmd_find_cs(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
-    frames, _ = io.read_stack(args.stack)
-    result = estimate.sigma_spatial_map(frames, params.region_s, cfg.geometry,
-                                        params.cs_search_extent)
+    stack = _read_stack(args.stack)
+    result = estimate.sigma_spatial_map(stack.counts, params.region_s,
+                                        cfg.geometry, params.cs_search_extent)
     io.write_cs_map_csv(out / "cs_map.csv", result)
     _say(args, f"spatial-map minimum at offset {result.argmin}, "
                f"value {result.min_value:.6g}"
@@ -109,10 +120,8 @@ def cmd_area_scan(args) -> int:
     out = _outdir(args)
     if not params.areas:
         raise ConfigError("analysis.areas is empty; nothing to scan")
-    pdc, _ = io.read_stack(args.pdc)
-    bg = None
-    if args.background:
-        bg, _ = io.read_stack(args.background)
+    pdc = _read_stack(args.pdc).counts
+    bg = _read_stack(args.background).counts if args.background else None
     anchor = params.region_s.center
     points = estimate.area_scan(pdc, bg, cfg.geometry, anchor, params.areas,
                                 cell_px=cfg.modes.coherence_cell_px,
@@ -122,25 +131,31 @@ def cmd_area_scan(args) -> int:
     return 0
 
 
-def _calibrate(cfg, params, pdc_frames, bg_frames, quiet=True):
-    """Shared calibration chain: filter, locate, batch, estimate."""
+def _calibrate(cfg, params, pdc_frames, bg_frames):
+    """Shared calibration chain: filter, locate, batch, estimate.
+
+    The stacks are (frames, rows, cols) count arrays; ``bg_frames`` may
+    be None.  A background stack that is empty, or loses every frame to
+    the filter, is treated as absent.
+    """
     ddof = params.variance_ddof
 
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
         pdc_frames, mad_k=params.cosmic_mad_k)
-    bg_kept, bg_dropped = [], []
-    if bg_frames:
+    bg_kept, bg_dropped = None, []
+    if bg_frames is not None and len(bg_frames):
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
             bg_frames, mad_k=params.cosmic_mad_k)
+        if not len(bg_kept):
+            bg_kept = None
 
-    probe = pdc_kept[:min(20, len(pdc_kept))]
-    cs_map = estimate.sigma_spatial_map(probe, params.region_s, cfg.geometry,
-                                        params.cs_search_extent)
+    cs_map = estimate.sigma_spatial_map(pdc_kept[:20], params.region_s,
+                                        cfg.geometry, params.cs_search_extent)
     region_i = cfg.geometry.conjugate_region(params.region_s,
                                              shift=cs_map.argmin)
 
     series = estimate.build_series(pdc_kept, params.region_s, region_i,
-                                   bg_kept or None)
+                                   bg_kept)
     z = params.z_batches
     summary = estimate.repeat_experiment(series.batches(z), ddof=ddof)
     ratio, thermal = estimate.excess_noise(
@@ -159,7 +174,8 @@ def _calibrate(cfg, params, pdc_frames, bg_frames, quiet=True):
             excess_noise_ratio=ratio, thermal_excess=thermal,
             discarded_pdc=len(pdc_dropped),
             discarded_background=len(bg_dropped),
-            cs_offset=cs_map.argmin))
+            cs_offset=cs_map.argmin, cs_map_min=cs_map.min_value,
+            cs_curvature=cs_map.curvature, cs_ties=cs_map.ties))
     if params.tau_s != 1.0:
         result.eta_s_true = estimate.correct_for_transmittance(
             result.eta_s, params.tau_s)
@@ -180,6 +196,9 @@ def _print_calibration(args, result, summary) -> None:
                f"(thermal level {d.thermal_excess:.4g}), "
                f"discarded {d.discarded_pdc}+{d.discarded_background} frames, "
                f"cs offset {d.cs_offset}")
+    curvature = "n/a" if d.cs_curvature is None else f"{d.cs_curvature:.4g}"
+    _say(args, f"centre search: map minimum {d.cs_map_min:.6g}, "
+               f"curvature {curvature}, ties {d.cs_ties}")
     _say(args, f"type B: balance residual < {d.type_b_balance_residual:g}, "
                f"cs alignment bias {d.type_b_cs_bias_relative:.1%}")
     if result.eta_s_true is not None:
@@ -189,10 +208,8 @@ def _print_calibration(args, result, summary) -> None:
 def cmd_calibrate(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
-    pdc, _ = io.read_stack(args.pdc)
-    bg = None
-    if args.background:
-        bg, _ = io.read_stack(args.background)
+    pdc = _read_stack(args.pdc).counts
+    bg = _read_stack(args.background).counts if args.background else None
     result, summary = _calibrate(cfg, params, pdc, bg)
     io.write_calibration_csv(out / "calibration.csv", result)
     io.write_batches_csv(out / "batches.csv", summary)
@@ -209,8 +226,8 @@ def cmd_reproduce_table1(args) -> int:
     n = params.z_batches * params.frames_per_batch
     m = params.z_batches * params.background_frames_per_batch
     _say(args, f"generating {n} illuminated + {m} background frames ...")
-    pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC)
-    bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND)
+    pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
+    bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
     result, summary = _calibrate(cfg, params, pdc, bg)
     io.write_calibration_csv(out / "calibration.csv", result)
@@ -274,7 +291,7 @@ def cmd_selftest(args) -> int:
                                        read_noise_std=0.0))
     region_s = cfg.signal_region()
     region_i = cfg.geometry.conjugate_region(region_s)
-    frames = simulate.generate_stack(cfg, 600)
+    frames = simulate.generate_stack(cfg, 600).counts
     series = estimate.build_series(frames, region_s, region_i)
     sigma = estimate.estimate_sigma_alpha(series)
     u = estimate.propagate_type_a(series).u_sigma
@@ -308,7 +325,7 @@ def cmd_selftest(args) -> int:
 
     # Symmetry-centre recovery of an injected offset.
     cfg_cs = dataclasses.replace(cfg, cs_offset=(2.0, -1.0), master_seed=seed + 1)
-    frames_cs = simulate.generate_stack(cfg_cs, 20)
+    frames_cs = simulate.generate_stack(cfg_cs, 20).counts
     inner = estimate.anchored_region(region_s.center, (3, 6))
     cs_map = estimate.sigma_spatial_map(frames_cs, inner, cfg.geometry, (3, 3))
     check("symmetry-centre search", cs_map.argmin == (2, -1),
@@ -317,7 +334,7 @@ def cmd_selftest(args) -> int:
     # Determinism and stack round trip.
     a = simulate.generate_stack(cfg, 5)
     b = simulate.generate_stack(cfg, 5, workers=3)
-    same = all(np.array_equal(x.counts, y.counts) for x, y in zip(a, b))
+    same = np.array_equal(a.counts, b.counts)
     check("deterministic streams", same)
 
     import tempfile
@@ -326,7 +343,7 @@ def cmd_selftest(args) -> int:
         doc = io.run_config_to_dict(cfg, presets.reference_analysis(2, 10, 10))
         io.write_stack(path, a, doc)
         back, _ = io.read_stack(path)
-        ok_rt = all(np.array_equal(x.counts, y.counts) for x, y in zip(a, back))
+        ok_rt = np.array_equal(a.counts, back.counts)
         check("stack round trip", ok_rt)
 
     failures = [name for name, ok, _ in checks if not ok]

@@ -11,12 +11,14 @@ Conventions
   assumes unbiased moments).
 * Negative noise-reduction values are possible through sampling noise and
   are returned as-is (clamping would bias the efficiency upward).
+* Frame stacks are (frames, rows, cols) count arrays, float64 or u32;
+  region blocks are cast to float64 before any difference.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,33 +113,32 @@ class NoiseReductionEstimate:
     n_frames: int
 
 
-def region_sum(frame, region: Region) -> float:
-    """Sum of superpixel counts over a region; bounds-checked."""
-    counts = frame.counts if hasattr(frame, "counts") else np.asarray(frame)
+def region_sum(counts: np.ndarray, region: Region):
+    """Sum of superpixel counts over a region, per frame; bounds-checked.
+
+    ``counts`` is one frame or a stack.  The float64 sums of integral
+    counts are exact whatever the input dtype.
+    """
     r0, c0 = region.origin
     h, w = region.extent
-    if r0 < 0 or c0 < 0 or r0 + h > counts.shape[0] or c0 + w > counts.shape[1]:
+    rows, cols = counts.shape[-2:]
+    if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
         raise GeometryError(
             f"region {region.origin}+{region.extent} leaves the frame "
-            f"{counts.shape}")
-    return float(counts[r0:r0 + h, c0:c0 + w].sum())
+            f"{(rows, cols)}")
+    return counts[..., r0:r0 + h, c0:c0 + w].sum(axis=(-2, -1),
+                                                  dtype=np.float64)
 
 
-def build_series(pdc_frames, region_s: Region, region_i: Region,
-                 bg_frames=None) -> RegionPairSeries:
-    """Integrate a conjugate region pair over frame stacks (streaming)."""
-    n_s, n_i = [], []
-    for frame in pdc_frames:
-        n_s.append(region_sum(frame, region_s))
-        n_i.append(region_sum(frame, region_i))
+def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
+                 bg_frames: np.ndarray | None = None) -> RegionPairSeries:
+    """Integrate a conjugate region pair over (frames, rows, cols) stacks."""
     kwargs = {}
     if bg_frames is not None:
-        m_s, m_i = [], []
-        for frame in bg_frames:
-            m_s.append(region_sum(frame, region_s))
-            m_i.append(region_sum(frame, region_i))
-        kwargs = {"m_s": np.array(m_s), "m_i": np.array(m_i)}
-    return RegionPairSeries(np.array(n_s), np.array(n_i), **kwargs)
+        kwargs = {"m_s": region_sum(bg_frames, region_s),
+                  "m_i": region_sum(bg_frames, region_i)}
+    return RegionPairSeries(region_sum(pdc_frames, region_s),
+                            region_sum(pdc_frames, region_i), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +235,18 @@ def noise_reduction_estimate(series: RegionPairSeries, variant: str,
 def eta_from_sigma(alpha_b: float, sigma_ab: float) -> tuple[float, float]:
     """Invert the balanced noise-reduction relation to the efficiencies.
 
-    eta_s = (1 + alpha_b)/2 - sigma_ab and eta_i = alpha_b * eta_s.
-    Values outside (0, 1] are physically impossible and flagged.
+    eta_s = (1 + alpha_b)/2 - sigma_ab and, since alpha_b estimates the
+    efficiency ratio eta_s/eta_i, eta_i = eta_s / alpha_b.  Values of
+    eta_s outside (0, 1] are physically impossible and flagged.
     """
+    if not alpha_b > 0.0:
+        raise DegenerateDataError(
+            f"balancing factor {alpha_b:.6g} is not positive; eta_i undefined")
     eta_s = 0.5 * (1.0 + alpha_b) - sigma_ab
     if not 0.0 < eta_s <= 1.0:
         warnings.warn(f"recovered eta_s = {eta_s:.6g} lies outside (0, 1]",
                       stacklevel=2)
-    return eta_s, alpha_b * eta_s
+    return eta_s, eta_s / alpha_b
 
 
 def correct_for_transmittance(eta: float, tau: float) -> float:
@@ -280,7 +285,7 @@ def excess_noise(series: RegionPairSeries, m_tot: int | None = None):
 # Cosmic-ray rejection
 # ---------------------------------------------------------------------------
 
-def cosmic_ray_filter(frames, mad_k: float = 10.0):
+def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     """Discard frames containing superpixels far above their stack statistics.
 
     Per superpixel the threshold is median + mad_k * scale across the
@@ -289,19 +294,26 @@ def cosmic_ray_filter(frames, mad_k: float = 10.0):
     all superpixels) and at one count: with few frames a single pixel's
     sample MAD fluctuates far below the true dispersion, and an unfloored
     threshold would flag ordinary shot noise.
+
+    ``frames`` is a (frames, rows, cols) count array.  Returns the kept
+    frames (``frames`` itself when none is discarded, else a copy) and
+    the discarded frame indices as a list.
     """
-    frames = list(frames)
     if len(frames) < 3:
         raise DegenerateDataError("need at least 3 frames to filter")
-    stack = np.stack([f.counts for f in frames])
-    median = np.median(stack, axis=0)
-    scale = 1.4826 * np.median(np.abs(stack - median), axis=0)
+    # Per-superpixel statistics run along the contiguous rows of one
+    # (pixels, frames) copy.  The medians reorder rows in place, which
+    # changes neither a row's median nor its absolute deviations.
+    lanes = frames.reshape(len(frames), -1).T.astype(np.float64, order="C")
+    median = np.median(lanes, axis=1, overwrite_input=True)
+    lanes -= median[:, None]
+    np.abs(lanes, out=lanes)
+    scale = 1.4826 * np.median(lanes, axis=1, overwrite_input=True)
     floor = max(float(np.median(scale)), 1.0)
     threshold = median + mad_k * np.maximum(scale, floor)
-    bad = np.any(stack > threshold, axis=(1, 2))
-    kept = [f for f, b in zip(frames, bad) if not b]
-    discarded = [i for i, b in enumerate(bad) if b]
-    return kept, discarded
+    bad = np.any(frames > threshold.reshape(frames.shape[1:]), axis=(1, 2))
+    kept = frames[~bad] if bad.any() else frames
+    return kept, np.flatnonzero(bad).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +360,27 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     for shift in shifts:
         geometry.conjugate_region(region_s, shift=shift)
     base = geometry.conjugate_region(region_s)
-
-    h, w = region_s.extent
-    sums = np.zeros((2 * er + 1, 2 * ec + 1))
-    n_frames = 0
-    for frame in frames:
-        counts = frame.counts
-        sig = counts[region_s.row_slice, region_s.col_slice]
-        for k, (dr, dc) in enumerate(shifts):
-            r0, c0 = base.origin[0] + dr, base.origin[1] + dc
-            # Conjugate pairing reverses both axes of the idler block.
-            idl = counts[r0:r0 + h, c0:c0 + w][::-1, ::-1]
-            diff = sig - idl
-            denom = float(sig.sum() + idl.sum())
-            if denom <= 0.0:
-                raise DegenerateDataError("empty region pair in spatial map")
-            value = float(np.var(diff)) * diff.size / denom
-            sums[k // (2 * ec + 1), k % (2 * ec + 1)] += value
-        n_frames += 1
-    if n_frames == 0:
+    if len(frames) == 0:
         raise DegenerateDataError("no frames supplied")
-    values = sums / n_frames
 
-    flat = values.reshape(-1)
+    # ``window`` spans every candidate idler block of the search.
+    h, w = region_s.extent
+    r0, c0 = base.origin
+    sig = frames[:, region_s.row_slice, region_s.col_slice].astype(float)
+    window = frames[:, r0 - er:r0 + h + er, c0 - ec:c0 + w + ec].astype(float)
+    sig_sum = sig.sum(axis=(1, 2))
+    per_frame = np.empty((len(frames), len(shifts)))
+    for k, (dr, dc) in enumerate(shifts):
+        # Conjugate pairing reverses both axes of the idler block.
+        idl = window[:, er + dr:er + dr + h, ec + dc:ec + dc + w][:, ::-1, ::-1]
+        denom = sig_sum + idl.sum(axis=(1, 2))
+        if np.any(denom <= 0.0):
+            raise DegenerateDataError("empty region pair in spatial map")
+        per_frame[:, k] = np.var(sig - idl, axis=(1, 2)) * (h * w) / denom
+    # Summing down the frame axis adds the frames in order, as a running
+    # per-shift total would.
+    flat = per_frame.sum(axis=0) / len(frames)
+    values = flat.reshape(2 * er + 1, 2 * ec + 1)
     best = float(flat.min())
     ties = [shifts[i] for i in np.flatnonzero(flat == best)]
     argmin = ties[0]  # row-major order; first wins on exact ties
@@ -431,25 +441,9 @@ def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
         geometry.validate_region(region_s)
         pairs.append((region_s, geometry.conjugate_region(region_s)))
 
-    def collect(frames):
-        sums = [([], []) for _ in pairs]
-        for frame in frames:
-            for (region_s, region_i), (acc_s, acc_i) in zip(pairs, sums):
-                acc_s.append(region_sum(frame, region_s))
-                acc_i.append(region_sum(frame, region_i))
-        return sums
-
-    pdc_sums = collect(pdc_frames)
-    bg_sums = collect(bg_frames) if bg_frames is not None else None
-
     points = []
-    for k, extent in enumerate(areas):
-        kwargs = {}
-        if bg_sums is not None:
-            kwargs = {"m_s": np.array(bg_sums[k][0]),
-                      "m_i": np.array(bg_sums[k][1])}
-        series = RegionPairSeries(np.array(pdc_sums[k][0]),
-                                  np.array(pdc_sums[k][1]), **kwargs)
+    for extent, (region_s, region_i) in zip(areas, pairs):
+        series = build_series(pdc_frames, region_s, region_i, bg_frames)
         sigma_a = estimate_sigma_alpha(series, ddof=ddof)
         sigma_ab = None
         if series.has_background:
@@ -650,6 +644,9 @@ class CalibrationDiagnostics:
     discarded_pdc: int
     discarded_background: int
     cs_offset: tuple[int, int]
+    cs_map_min: float = float("nan")     # spatial-map value at cs_offset
+    cs_curvature: float | None = None    # its discrete Laplacian, if interior
+    cs_ties: list[tuple[int, int]] = field(default_factory=list)
     type_b_balance_residual: float = TYPE_B_BALANCE_RESIDUAL
     type_b_cs_bias_relative: float = TYPE_B_CS_BIAS_RELATIVE
 

@@ -12,6 +12,11 @@ Stack file layout (little endian)::
     digest  32s  SHA-256 of the JSON sidecar written next to the stack
     payload count * rows * cols u32 counts, row-major, frame-major
 
+``read_stack`` returns the payload as a read-only ``<u4`` array of shape
+(count, rows, cols) viewing the bytes read from the file: no per-frame
+copies and no conversion to float.  Analysis code casts the region
+blocks it needs to float64 itself.
+
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
 (sorted keys), so identical inputs produce byte-identical files.
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,7 +53,7 @@ from .model import (
     PulseModel,
     Region,
 )
-from .simulate import ExperimentConfig, Frame, KIND_BACKGROUND, KIND_PDC
+from .simulate import ExperimentConfig, KIND_BACKGROUND, KIND_PDC, Stack
 
 _MAGIC = b"TBFS"
 _VERSION = 1
@@ -77,43 +81,41 @@ def config_digest(config: dict) -> bytes:
 # Stack files
 # ---------------------------------------------------------------------------
 
-def write_stack(path, frames, config: dict) -> None:
+def write_stack(path, stack: Stack, config: dict) -> None:
     """Write a frame stack and its JSON sidecar.
 
     Counts must already be integral (the simulator quantises) and fit in
     an unsigned 32-bit word.
     """
-    frames = list(frames)
-    if not frames:
+    counts = stack.counts
+    if stack.kind not in _KIND_TO_CODE:
+        raise StackFormatError(f"unknown frame kind {stack.kind!r}")
+    count, rows, cols = counts.shape
+    if counts.size == 0:
         raise StackFormatError("cannot write an empty stack")
-    kind = frames[0].kind
-    rows, cols = frames[0].counts.shape
-    if kind not in _KIND_TO_CODE:
-        raise StackFormatError(f"unknown frame kind {kind!r}")
-    payload = np.empty((len(frames), rows, cols), dtype=np.uint32)
-    for k, frame in enumerate(frames):
-        if frame.kind != kind or frame.counts.shape != (rows, cols):
-            raise StackFormatError("frames disagree on kind or shape")
-        counts = frame.counts
-        if np.any(counts < 0) or np.any(counts > 0xFFFFFFFF):
-            raise StackFormatError("counts outside the u32 range")
-        if not np.array_equal(counts, np.rint(counts)):
-            raise StackFormatError("counts must be integral")
-        payload[k] = counts.astype(np.uint32)
+    if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
+        raise StackFormatError("counts outside the u32 range")
+    payload = np.ascontiguousarray(counts, dtype="<u4")
+    if not np.array_equal(payload, counts):
+        raise StackFormatError("counts must be integral")
 
     digest = config_digest(config)
-    header = _HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[kind], 0,
-                          rows, cols, len(frames), digest)
+    header = _HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[stack.kind], 0,
+                          rows, cols, count, digest)
     path = Path(path)
-    path.write_bytes(header + payload.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
     sidecar_path(path).write_bytes(config_bytes(config))
 
 
-def read_stack(path) -> tuple[list[Frame], str]:
-    """Read a frame stack; returns (frames, config digest hex).
+def read_stack(path) -> tuple[Stack, str]:
+    """Read a frame stack; returns (stack, config digest hex).
 
-    The sidecar, when present, is verified against the stored digest.
-    Pulse energies are not persisted and come back as NaN.
+    The sidecar, when present, is verified against the stored digest;
+    ``stack.digest_verified`` records whether that check ran.  The counts
+    are a read-only u32 view of the file's bytes.  Pulse energies are not
+    persisted and come back as NaN.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -127,25 +129,24 @@ def read_stack(path) -> tuple[list[Frame], str]:
     if kind_code not in _CODE_TO_KIND:
         raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
     expected = count * rows * cols * 4
-    body = raw[_HEADER.size:]
-    if len(body) < expected:
+    body = len(raw) - _HEADER.size
+    if body < expected:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {len(body)} bytes, header declares {expected}")
-    if len(body) > expected:
-        raise CorruptHeaderError(f"{path}: {len(body) - expected} trailing bytes")
+            f"{path}: payload holds {body} bytes, header declares {expected}")
+    if body > expected:
+        raise CorruptHeaderError(f"{path}: {body - expected} trailing bytes")
 
     side = sidecar_path(path)
-    if side.exists():
+    verified = side.exists()
+    if verified:
         if hashlib.sha256(side.read_bytes()).digest() != digest:
             raise DigestMismatchError(
                 f"{path}: sidecar does not match the stored config digest")
 
-    counts = np.frombuffer(body, dtype="<u4").reshape(count, rows, cols)
-    kind = _CODE_TO_KIND[kind_code]
-    frames = [Frame(counts=counts[k].astype(np.float64), pulse_index=k,
-                    pulse_energy=math.nan, kind=kind)
-              for k in range(count)]
-    return frames, digest.hex()
+    counts = np.frombuffer(raw, dtype="<u4", offset=_HEADER.size)
+    stack = Stack(counts=counts.reshape(count, rows, cols),
+                  kind=_CODE_TO_KIND[kind_code], digest_verified=verified)
+    return stack, digest.hex()
 
 
 # ---------------------------------------------------------------------------

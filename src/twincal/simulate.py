@@ -125,6 +125,28 @@ class Frame:
     kind: str = KIND_PDC
 
 
+@dataclass
+class Stack:
+    """A frame stack as one array: ``counts`` has shape (frames, rows, cols).
+
+    ``pulse_energy`` holds one relative energy per frame (NaN where it is
+    not known, as for stacks read from a file).  ``digest_verified`` is
+    true only for a stack read from a file whose JSON sidecar matched the
+    digest stored in its header.
+    """
+
+    counts: np.ndarray
+    kind: str = KIND_PDC
+    pulse_energy: np.ndarray | None = None
+    digest_verified: bool = False
+
+    def __post_init__(self) -> None:
+        if self.counts.ndim != 3:
+            raise DomainError("stack counts must have shape (frames, rows, cols)")
+        if self.pulse_energy is None:
+            self.pulse_energy = np.full(len(self.counts), math.nan)
+
+
 def _round_half_away(x: float) -> int:
     """Round to the nearest integer, ties away from zero.
 
@@ -266,7 +288,7 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
 
 
 def generate_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC,
-                   workers: int = 1) -> list[Frame]:
+                   workers: int = 1) -> Stack:
     """Materialise a stack of mutually independent frames.
 
     The result does not depend on ``workers``: each frame is generated
@@ -279,8 +301,18 @@ def generate_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC,
         raise ResourceError(
             f"stack of {count} frames x {cfg.geometry.shape} superpixels "
             f"({total} elements) is too large to materialise; use iter_stack")
+    stack = Stack(counts=np.empty((count,) + cfg.geometry.shape),
+                  kind=kind, pulse_energy=np.empty(count))
+
+    def render_into(k: int) -> None:
+        frame = render_frame(cfg, k, kind=kind)
+        stack.counts[k] = frame.counts
+        stack.pulse_energy[k] = frame.pulse_energy
+
     if workers <= 1:
-        return [render_frame(cfg, k, kind=kind) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda k: render_frame(cfg, k, kind=kind), range(count)))
+        for k in range(count):
+            render_into(k)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(render_into, range(count)))
+    return stack

@@ -36,7 +36,7 @@ from twincal.model import predict_covariance, predict_variance
 from twincal.presets import reference_experiment
 from twincal.simulate import (
     KIND_BACKGROUND,
-    Frame,
+    Stack,
     generate_stack,
     iter_stack,
     render_frame,
@@ -62,7 +62,7 @@ def balanced_series():
     region_s = cfg.signal_region()
     region_i = cfg.geometry.conjugate_region(region_s)
     start = time.time()
-    series = build_series(iter_stack(cfg, 2000), region_s, region_i)
+    series = build_series(generate_stack(cfg, 2000).counts, region_s, region_i)
     return cfg, series, time.time() - start
 
 
@@ -73,8 +73,9 @@ def reference_series():
     region_s = cfg.signal_region()
     region_i = cfg.geometry.conjugate_region(region_s)
     start = time.time()
-    series = build_series(iter_stack(cfg, 4000), region_s, region_i,
-                          iter_stack(cfg, 4000, KIND_BACKGROUND))
+    series = build_series(generate_stack(cfg, 4000).counts, region_s,
+                          region_i,
+                          generate_stack(cfg, 4000, KIND_BACKGROUND).counts)
     return cfg, series, time.time() - start
 
 
@@ -122,7 +123,7 @@ def test_criterion_03_jitter_excess_noise():
     cfg = make_config(eta_s=0.72, eta_i=0.53, mu=262710 / (2e5 * 0.72),
                       jitter=0.10, seed=1003)
     region_s = cfg.signal_region()
-    series = build_series(iter_stack(cfg, 2000), region_s,
+    series = build_series(generate_stack(cfg, 2000).counts, region_s,
                           cfg.geometry.conjugate_region(region_s))
     ratio, _ = excess_noise(series)
     raw = estimate_sigma_raw(series)
@@ -168,7 +169,7 @@ def test_criterion_05_symmetry_centre_search():
                           seed=1005)
         from twincal.estimate import anchored_region
         region = anchored_region(cfg.signal_region().center, (5, 5))
-        frames = generate_stack(cfg, 20)
+        frames = generate_stack(cfg, 20).counts
         cs_map = sigma_spatial_map(frames, region, cfg.geometry, (3, 3))
         ring = [cs_map.values[i, j] for i in range(7) for j in range(7)
                 if max(abs(i - 3), abs(j - 3)) == 3]
@@ -196,8 +197,8 @@ def test_criterion_06_area_scan():
     stream = iter_stack(cfg, groups * per_group)
     curves = np.array([
         [p.sigma_alpha for p in area_scan(
-            itertools.islice(stream, per_group), None, cfg.geometry,
-            anchor, areas, cell_px=2)]
+            np.stack([f.counts for f in itertools.islice(stream, per_group)]),
+            None, cfg.geometry, anchor, areas, cell_px=2)]
         for _ in range(groups)])
     mean = curves.mean(axis=0)
 
@@ -229,8 +230,9 @@ def test_criterion_07_partition_invariance():
         cfg = dataclasses.replace(base, master_seed=700 + r)
         region_s = cfg.signal_region()
         region_i = cfg.geometry.conjugate_region(region_s)
-        series = build_series(iter_stack(cfg, 4000), region_s, region_i,
-                              iter_stack(cfg, 4000, KIND_BACKGROUND))
+        series = build_series(generate_stack(cfg, 4000).counts, region_s,
+                              region_i,
+                              generate_stack(cfg, 4000, KIND_BACKGROUND).counts)
         for z, n in partitions:
             summary = repeat_experiment(series.batches(z))
             sems[(z, n)].append(summary.u_sigma_empirical)
@@ -300,14 +302,13 @@ def test_criterion_10_determinism_and_format(tmp_path):
     round_trips = 0
     for _ in range(100):
         rows, cols, count = rng.integers(1, 9, 3)
-        frames = [Frame(rng.integers(0, 2 ** 32, (rows, cols),
-                                     dtype=np.uint64).astype(float), k, 1.0)
-                  for k in range(count)]
+        stack = Stack(np.stack([rng.integers(0, 2 ** 32, (rows, cols),
+                                             dtype=np.uint64).astype(float)
+                                for _ in range(count)]))
         path = tmp_path / "rt.tbs"
-        write_stack(path, frames, doc)
+        write_stack(path, stack, doc)
         back, _ = read_stack(path)
-        round_trips += all(np.array_equal(a.counts, b.counts)
-                           for a, b in zip(frames, back))
+        round_trips += np.array_equal(stack.counts, back.counts)
     ok = identical and round_trips == 100
     report(10, ok, f"parallel generation byte-identical: {identical}; "
                    f"read-after-write identity on {round_trips}/100 "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from twincal.cli import main
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
-from twincal.simulate import generate_stack, inject_cosmic_ray
+from twincal.simulate import Frame, generate_stack, inject_cosmic_ray
 from twincal import io as tio
 
 from test_simulate import make_config
@@ -37,7 +38,7 @@ def test_simulate_writes_stacks_and_sidecars(run_dir, capsys):
     assert "digest" in stdout
     pdc, _ = read_stack(out / "pdc.tbs")
     bg, _ = read_stack(out / "background.tbs")
-    assert len(pdc) == 480 and len(bg) == 480
+    assert len(pdc.counts) == 480 and len(bg.counts) == 480
     # logged pulse-energy std reflects the configured 10% jitter
     std_line = [l for l in stdout.splitlines() if "pulse energy" in l][0]
     logged_std = float(std_line.rsplit("std ", 1)[1])
@@ -90,6 +91,9 @@ def test_calibrate_recovers_ground_truth(run_dir, capsys):
                  "--background", str(out / "background.tbs")]) == 0
     stdout = capsys.readouterr().out
     assert "eta_s" in stdout
+    search = re.search(r"centre search: map minimum (\S+), curvature (\S+), "
+                       r"ties \[\(0, 0\)\]", stdout)
+    assert search and 0.0 < float(search[1]) < float(search[2])
     header, row = (out / "calibration.csv").read_text().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert abs(float(values["eta_s"]) - 0.613) < 4 * float(values["u_eta_s"])
@@ -103,9 +107,11 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
     out = tmp_path / "out"
     clean = generate_stack(cfg, params.z_batches * params.frames_per_batch)
     rng = np.random.default_rng(3)
-    spiked_at = sorted(int(i) for i in rng.choice(len(clean), 6, replace=False))
+    spiked_at = sorted(int(i) for i in
+                       rng.choice(len(clean.counts), 6, replace=False))
     for k in spiked_at:
-        clean[k] = inject_cosmic_ray(clean[k], rng)
+        clean.counts[k] = inject_cosmic_ray(Frame(clean.counts[k], k, 1.0),
+                                            rng).counts
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch,
                         kind="background")
@@ -166,6 +172,36 @@ def test_missing_stack_exit_code(run_dir, capsys):
     code = main(["find-cs", "--config", str(config), "--out", str(out),
                  "--stack", str(tmp_path / "missing.tbs")])
     assert code == 3
+
+
+def test_missing_sidecar_warns_but_runs(run_dir, capsys):
+    tmp_path, config = run_dir
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+    tio.sidecar_path(out / "pdc.tbs").unlink()
+    capsys.readouterr()
+    assert main(["find-cs", "--config", str(config), "--out", str(out),
+                 "--stack", str(out / "pdc.tbs"), "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "not verified" in err
+    assert main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"),
+                 "--background", str(out / "background.tbs"),
+                 "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("not verified") == 1  # the background sidecar is intact
+
+
+def test_tampered_sidecar_exit_code(run_dir, capsys):
+    tmp_path, config = run_dir
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+    side = tio.sidecar_path(out / "pdc.tbs")
+    side.write_text(side.read_text().replace("0.613", "0.614"))
+    code = main(["area-scan", "--config", str(config), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"), "--quiet"])
+    assert code == 3
+    assert "error[StackFormatError]" in capsys.readouterr().err
 
 
 def test_geometry_error_exit_code(run_dir, tmp_path, capsys):

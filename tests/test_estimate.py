@@ -34,7 +34,6 @@ from twincal.simulate import (
     Frame,
     generate_stack,
     inject_cosmic_ray,
-    iter_stack,
     render_frame,
 )
 
@@ -53,15 +52,15 @@ def poisson_series(mean=10_000.0, n=4000, seed=0, background=False):
 
 class TestRegionSum:
     def test_zero_frame(self):
-        frame = Frame(np.zeros((6, 10)), 0, 1.0)
+        frame = np.zeros((6, 10))
         assert region_sum(frame, Region((1, 1), (2, 3))) == 0.0
 
     def test_all_ones_region(self):
-        frame = Frame(np.ones((10, 20)), 0, 1.0)
+        frame = np.ones((10, 20))
         assert region_sum(frame, Region((2, 4), (5, 8))) == 40.0
 
     def test_bounds_error(self):
-        frame = Frame(np.ones((6, 10)), 0, 1.0)
+        frame = np.ones((6, 10))
         with pytest.raises(GeometryError):
             region_sum(frame, Region((4, 8), (3, 3)))
 
@@ -80,7 +79,7 @@ class TestAlpha:
     def test_balanced_simulation(self):
         cfg = make_config(seed=101)
         rs = cfg.signal_region()
-        series = build_series(iter_stack(cfg, 2000), rs,
+        series = build_series(generate_stack(cfg, 2000).counts, rs,
                               cfg.geometry.conjugate_region(rs))
         alpha = estimate_alpha(series)
         u = propagate_type_a(series).u_alpha
@@ -155,8 +154,8 @@ class TestBackgroundCorrected:
                           straylight=30.0, read_noise=2.0, seed=105)
         rs = cfg.signal_region()
         ri = cfg.geometry.conjugate_region(rs)
-        series = build_series(iter_stack(cfg, 3000), rs, ri,
-                              iter_stack(cfg, 3000, KIND_BACKGROUND))
+        series = build_series(generate_stack(cfg, 3000).counts, rs, ri,
+                              generate_stack(cfg, 3000, KIND_BACKGROUND).counts)
         alpha_b = estimate_alpha_b(series)
         u = propagate_type_a(series).u_alpha
         assert abs(alpha_b - 1.0) < 3 * u
@@ -169,7 +168,7 @@ class TestEtaInversion:
     def test_reference_point(self):
         eta_s, eta_i = eta_from_sigma(0.99416, 0.384)
         assert eta_s == pytest.approx(0.613, abs=1e-4)
-        assert eta_i == pytest.approx(0.99416 * eta_s, rel=1e-12)
+        assert eta_i == pytest.approx(eta_s / 0.99416, rel=1e-12)
 
     def test_trivial_points(self):
         assert eta_from_sigma(1.0, 0.0) == (1.0, 1.0)
@@ -179,7 +178,7 @@ class TestEtaInversion:
 
     def test_definitional_ratio(self):
         eta_s, eta_i = eta_from_sigma(0.9876, 0.3)
-        assert eta_i / eta_s == pytest.approx(0.9876, abs=1e-12)
+        assert eta_s / eta_i == pytest.approx(0.9876, abs=1e-12)
 
 
 class TestTransmittance:
@@ -213,7 +212,7 @@ class TestExcessNoise:
         # the reported thermal comparison level is the per-arm <N>/m_tot.
         cfg = make_config(eta_s=0.6, eta_i=0.6, mu=0.1, seed=106)
         rs = cfg.signal_region()
-        series = build_series(iter_stack(cfg, 3000), rs,
+        series = build_series(generate_stack(cfg, 3000).counts, rs,
                               cfg.geometry.conjugate_region(rs))
         m_tot = cfg.modes.total_modes(cfg.modes.spatial_modes)
         ratio, thermal = excess_noise(series, m_tot)
@@ -226,7 +225,7 @@ class TestExcessNoise:
         from twincal.presets import reference_experiment
         cfg = reference_experiment(master_seed=107)
         rs = cfg.signal_region()
-        series = build_series(iter_stack(cfg, 800), rs,
+        series = build_series(generate_stack(cfg, 800).counts, rs,
                               cfg.geometry.conjugate_region(rs))
         ratio, _ = excess_noise(series)
         assert 1e3 < ratio < 1e4
@@ -239,7 +238,7 @@ class TestBalancingKillsJitter:
         cfg = make_config(eta_s=0.72, eta_i=0.53, mu=1.80, jitter=0.10,
                           seed=108)
         rs = cfg.signal_region()
-        series = build_series(iter_stack(cfg, 2000), rs,
+        series = build_series(generate_stack(cfg, 2000).counts, rs,
                               cfg.geometry.conjugate_region(rs))
         raw = estimate_sigma_raw(series)
         alpha = estimate_alpha(series)
@@ -262,9 +261,9 @@ class TestBackgroundCorrectionUnbiased:
         rs = quiet.signal_region()
         ri = quiet.geometry.conjugate_region(rs)
         n = 5000
-        s_quiet = build_series(iter_stack(quiet, n), rs, ri)
-        s_noisy = build_series(iter_stack(noisy, n), rs, ri,
-                               iter_stack(noisy, n, KIND_BACKGROUND))
+        s_quiet = build_series(generate_stack(quiet, n).counts, rs, ri)
+        s_noisy = build_series(generate_stack(noisy, n).counts, rs, ri,
+                               generate_stack(noisy, n, KIND_BACKGROUND).counts)
 
         deltas = []
         for bq, bn in zip(s_quiet.batches(10), s_noisy.batches(10)):
@@ -285,23 +284,23 @@ class TestCosmicFilter:
         for seed in range(1000):
             cfg = make_config(straylight=200.0, read_noise=3.0,
                               seed=20_000 + seed)
-            frames = generate_stack(cfg, 5, KIND_BACKGROUND)
+            frames = generate_stack(cfg, 5, KIND_BACKGROUND).counts
             _, discarded = cosmic_ray_filter(frames)
             flagged += bool(discarded)
         assert flagged <= 10  # >= 99% clean
 
     def test_identical_frames_not_discarded(self):
-        frames = [Frame(np.full((4, 6), 7.0), k, 1.0) for k in range(5)]
+        frames = np.full((5, 4, 6), 7.0)
         kept, discarded = cosmic_ray_filter(frames)
         assert discarded == [] and len(kept) == 5
 
     def test_round_trip_with_injection(self):
         cfg = make_config(straylight=300.0, read_noise=4.0, mu=2.0, seed=110)
-        frames = generate_stack(cfg, 60)
+        frames = generate_stack(cfg, 60).counts
         rng = np.random.default_rng(5)
         spiked_at = [7, 23, 41]
         for k in spiked_at:
-            frames[k] = inject_cosmic_ray(frames[k], rng)
+            frames[k] = inject_cosmic_ray(Frame(frames[k], k, 1.0), rng).counts
         kept, discarded = cosmic_ray_filter(frames)
         assert discarded == spiked_at
         assert len(kept) == 57
@@ -310,19 +309,20 @@ class TestCosmicFilter:
         # hardest case for the threshold: pump jitter swings whole frames
         # and spikes may land on bright emission pixels; 10^3 frames
         from twincal.presets import reference_experiment
-        frames = list(iter_stack(reference_experiment(master_seed=73), 1000))
+        frames = generate_stack(reference_experiment(master_seed=73),
+                                1000).counts
         rng = np.random.default_rng(6)
         spiked_at = sorted(int(k) for k in
                            rng.choice(1000, 12, replace=False))
         for k in spiked_at:
-            frames[k] = inject_cosmic_ray(frames[k], rng)
+            frames[k] = inject_cosmic_ray(Frame(frames[k], k, 1.0), rng).counts
         kept, discarded = cosmic_ray_filter(frames)
         assert discarded == spiked_at
         assert len(kept) == 988
 
     def test_needs_three_frames(self):
         with pytest.raises(DegenerateDataError):
-            cosmic_ray_filter([Frame(np.zeros((2, 2)), 0, 1.0)] * 2)
+            cosmic_ray_filter(np.zeros((2, 2, 2)))
 
 
 class TestSpatialMap:
@@ -335,7 +335,7 @@ class TestSpatialMap:
                           cs=(9.0, 17.5), straylight=20.0, read_noise=4.0,
                           cs_offset=offset, seed=seed)
         region = anchored_region(cfg.signal_region().center, (5, 5))
-        stack = generate_stack(cfg, frames)
+        stack = generate_stack(cfg, frames).counts
         return sigma_spatial_map(stack, region, cfg.geometry, (3, 3))
 
     def test_centred_configuration(self):
@@ -363,7 +363,7 @@ class TestSpatialMap:
         cfg = make_config(seed=114)
         region = cfg.signal_region()
         with pytest.raises(GeometryError):
-            sigma_spatial_map(generate_stack(cfg, 3), region, cfg.geometry,
+            sigma_spatial_map(generate_stack(cfg, 3).counts, region, cfg.geometry,
                               (0, 6))
 
     def test_curvature_reported_at_interior_minimum(self):
@@ -385,7 +385,7 @@ class TestAreaScan:
         # correlation, large ones approach the plain 1 - eta asymptote
         anchor = cfg.signal_region().center
         areas = [(1, 1), (3, 3), (5, 5), (9, 9), (15, 19)]
-        pdc = generate_stack(cfg, 1200)
+        pdc = generate_stack(cfg, 1200).counts
         points = area_scan(pdc, None, cfg.geometry, anchor, areas, cell_px=2)
         values = [p.sigma_alpha for p in points]
         assert values[0] > values[-1] + 0.15
@@ -397,8 +397,8 @@ class TestAreaScan:
         cfg = make_config(eta_s=0.6, eta_i=0.6, mu=1.0, m_t=300,
                           straylight=40.0, read_noise=2.0, seed=118)
         anchor = cfg.signal_region().center
-        pdc = generate_stack(cfg, 800)
-        bg = generate_stack(cfg, 800, KIND_BACKGROUND)
+        pdc = generate_stack(cfg, 800).counts
+        bg = generate_stack(cfg, 800, KIND_BACKGROUND).counts
         points = area_scan(pdc, bg, cfg.geometry, anchor,
                            [(2, 2), (5, 8)], cell_px=1)
         final = points[-1]
@@ -427,20 +427,40 @@ class TestRepeatExperiment:
                           idler_ratio=0.895, jitter=0.1, seed=seed)
         rs = cfg.signal_region()
         ri = cfg.geometry.conjugate_region(rs)
-        series = build_series(iter_stack(cfg, z * n), rs, ri,
-                              iter_stack(cfg, z * n, KIND_BACKGROUND))
+        series = build_series(generate_stack(cfg, z * n).counts, rs, ri,
+                              generate_stack(cfg, z * n, KIND_BACKGROUND).counts)
         return series.batches(z)
 
     def test_summary_consistency(self):
         summary = repeat_experiment(self.build_batches())
         assert summary.z == 6
-        assert summary.eta_i / summary.eta_s == pytest.approx(
+        assert summary.eta_s / summary.eta_i == pytest.approx(
             summary.alpha_b, abs=1e-12)
         assert abs(summary.eta_s - 0.613) < 4 * summary.u_eta_empirical
         assert summary.u_eta_empirical > 0
         # the two uncertainty routes agree in scale
         assert summary.u_eta_propagated == pytest.approx(
             summary.u_eta_empirical, rel=1.0)
+
+    def test_closed_loop_recovers_unequal_efficiencies(self):
+        # alpha_b estimates eta_s/eta_i, so eta_i = eta_s/alpha_b; with
+        # eta_s != eta_i an inverted relation lands far outside 4 u
+        cfg = make_config(eta_s=0.72, eta_i=0.53, mu=1.0, m_t=500,
+                          straylight=30.0, read_noise=2.0, jitter=0.1,
+                          seed=121)
+        rs = cfg.signal_region()
+        ri = cfg.geometry.conjugate_region(rs)
+        z, n = 8, 500
+        series = build_series(generate_stack(cfg, z * n).counts, rs, ri,
+                              generate_stack(cfg, z * n,
+                                             KIND_BACKGROUND).counts)
+        summary = repeat_experiment(series.batches(z))
+        per_batch_eta_i = np.array([
+            eta_from_sigma(a, s)[1] for a, s in
+            zip(summary.per_batch_alpha, summary.per_batch_sigma)])
+        u_eta_i = per_batch_eta_i.std(ddof=1) / np.sqrt(z)
+        assert abs(summary.eta_s - 0.72) < 4 * summary.u_eta_empirical
+        assert abs(summary.eta_i - 0.53) < 4 * u_eta_i
 
     def test_needs_two_batches(self):
         with pytest.raises(DegenerateDataError):
@@ -450,7 +470,7 @@ class TestRepeatExperiment:
         cfg = make_config(seed=120)
         rs = cfg.signal_region()
         ri = cfg.geometry.conjugate_region(rs)
-        series = build_series(iter_stack(cfg, 2400), rs, ri)
+        series = build_series(generate_stack(cfg, 2400).counts, rs, ri)
         small = repeat_experiment(series.batches(24))
         large = repeat_experiment(series.batches(6))
         assert small.per_batch_sigma.std(ddof=1) > \

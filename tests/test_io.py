@@ -39,7 +39,7 @@ from twincal.io import (
     write_stack,
 )
 from twincal.model import Region
-from twincal.simulate import Frame, KIND_BACKGROUND, KIND_PDC
+from twincal.simulate import KIND_BACKGROUND, KIND_PDC, Stack
 
 from test_simulate import make_config
 
@@ -47,9 +47,9 @@ HEADER_SIZE = 52
 
 
 def random_frames(rng, count, rows, cols, kind=KIND_PDC):
-    return [Frame(counts=rng.integers(0, 100_000, (rows, cols)).astype(float),
-                  pulse_index=k, pulse_energy=1.0, kind=kind)
-            for k in range(count)]
+    counts = [rng.integers(0, 100_000, (rows, cols)).astype(float)
+              for _ in range(count)]
+    return Stack(counts=np.stack(counts), kind=kind)
 
 
 def a_config_doc():
@@ -65,12 +65,12 @@ class TestStackRoundTrip:
         path = tmp_path / "stack.tbs"
         write_stack(path, frames, a_config_doc())
         back, digest = read_stack(path)
-        assert len(back) == 10
+        assert len(back.counts) == 10
         assert digest == config_digest(a_config_doc()).hex()
-        for orig, rec in zip(frames, back):
-            assert np.array_equal(orig.counts, rec.counts)
-            assert rec.kind == KIND_PDC
-        assert [f.pulse_index for f in back] == list(range(10))
+        assert np.array_equal(frames.counts, back.counts)
+        assert back.kind == KIND_PDC
+        assert back.counts.shape == (10, 7, 12)
+        assert back.digest_verified
 
     def test_file_size_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -85,7 +85,7 @@ class TestStackRoundTrip:
         path = tmp_path / "bg.tbs"
         write_stack(path, frames, a_config_doc())
         back, _ = read_stack(path)
-        assert all(f.kind == KIND_BACKGROUND for f in back)
+        assert back.kind == KIND_BACKGROUND
 
     def test_writes_are_deterministic(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -101,14 +101,13 @@ class TestStackRoundTrip:
            count=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
     def test_round_trip_property(self, tmp_path_factory, rows, cols, count, seed):
         rng = np.random.default_rng(seed)
-        frames = [Frame(rng.integers(0, 2 ** 32, (rows, cols),
-                                     dtype=np.uint64).astype(float), k, 1.0)
-                  for k in range(count)]
+        frames = Stack(np.stack([rng.integers(0, 2 ** 32, (rows, cols),
+                                              dtype=np.uint64).astype(float)
+                                 for _ in range(count)]))
         path = tmp_path_factory.mktemp("rt") / "stack.tbs"
         write_stack(path, frames, {"seed": seed})
         back, _ = read_stack(path)
-        for orig, rec in zip(frames, back):
-            assert np.array_equal(orig.counts, rec.counts)
+        assert np.array_equal(frames.counts, back.counts)
 
 
 class TestStackErrors:
@@ -157,27 +156,22 @@ class TestStackErrors:
         path = self.write_valid(tmp_path)
         sidecar_path(path).unlink()
         frames, digest = read_stack(path)
-        assert len(frames) == 4 and len(digest) == 64
+        assert len(frames.counts) == 4 and len(digest) == 64
+        assert not frames.digest_verified
 
     def test_non_integral_counts_rejected(self, tmp_path):
-        frame = Frame(np.array([[1.5, 2.0]]), 0, 1.0)
+        frame = Stack(np.array([[[1.5, 2.0]]]))
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", [frame], {})
+            write_stack(tmp_path / "x.tbs", frame, {})
 
     def test_out_of_range_counts_rejected(self, tmp_path):
-        frame = Frame(np.array([[float(2 ** 32), 0.0]]), 0, 1.0)
+        frame = Stack(np.array([[[float(2 ** 32), 0.0]]]))
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", [frame], {})
-
-    def test_mixed_kinds_rejected(self, tmp_path):
-        frames = [Frame(np.zeros((2, 2)), 0, 1.0, kind=KIND_PDC),
-                  Frame(np.zeros((2, 2)), 1, 1.0, kind=KIND_BACKGROUND)]
-        with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", frames, {})
+            write_stack(tmp_path / "x.tbs", frame, {})
 
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", [], {})
+            write_stack(tmp_path / "x.tbs", Stack(np.zeros((0, 2, 2))), {})
 
 
 class TestRunConfig:

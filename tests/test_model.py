@@ -153,13 +153,13 @@ class TestPredictSigmaWithJitter:
         # simulator as oracle: slightly imbalanced channels, strong pump
         # jitter, mode count large enough that the jitter term dominates
         from twincal.estimate import build_series, estimate_sigma_raw
-        from twincal.simulate import iter_stack
+        from twincal.simulate import generate_stack
         from test_simulate import make_config
 
         cfg = make_config(eta_s=0.62, eta_i=0.60, mu=0.1, jitter=0.3,
                           seed=606)
         region_s = cfg.signal_region()
-        series = build_series(iter_stack(cfg, 4000), region_s,
+        series = build_series(generate_stack(cfg, 4000).counts, region_s,
                               cfg.geometry.conjugate_region(region_s))
         m_tot = cfg.modes.total_modes(cfg.modes.spatial_modes)
         ch = ChannelEfficiencies(0.62, 0.60)

@@ -1,0 +1,131 @@
+"""Vectorised stack estimators against their per-frame reference loops.
+
+Every case is fed both as float64 counts (what the simulator renders) and
+as the read-only ``<u4`` view ``read_stack`` returns, so an unsigned
+difference that wraps around would show up as a mismatch.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twincal.errors import DegenerateDataError
+from twincal.estimate import (
+    anchored_region,
+    area_scan,
+    build_series,
+    estimate_sigma_alpha,
+    RegionPairSeries,
+    sigma_spatial_map,
+)
+from twincal.model import FrameGeometry, Region
+
+import reference_estimators as ref
+
+
+def as_inputs(counts):
+    """The same counts as float64 and as a read-only little-endian u32 view."""
+    u4 = np.frombuffer(counts.astype("<u4").tobytes(), dtype="<u4")
+    return counts.astype(np.float64), u4.reshape(counts.shape)
+
+
+@st.composite
+def stack_cases(draw, min_frames=1):
+    """A mirrored frame geometry, a signal region, a search extent that
+    keeps every displaced idler region inside its half, and counts."""
+    rows = draw(st.integers(1, 7))
+    half = draw(st.integers(1, 6))
+    geometry = FrameGeometry(rows=rows, cols=2 * half,
+                             cs=((rows - 1) / 2.0, half - 0.5),
+                             beam_split=half)
+    h = draw(st.integers(1, rows))
+    w = draw(st.integers(1, half))
+    region = Region((draw(st.integers(0, rows - h)),
+                     draw(st.integers(0, half - w))), (h, w))
+    conj = geometry.conjugate_region(region)
+    er = draw(st.integers(0, min(conj.origin[0], rows - h - conj.origin[0])))
+    ec = draw(st.integers(0, min(conj.origin[1] - half,
+                                 2 * half - w - conj.origin[1])))
+    frames = draw(st.integers(min_frames, 6))
+    high = draw(st.sampled_from([3, 50, 2 ** 20, 2 ** 32]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, high, (frames, rows, 2 * half), dtype=np.uint64)
+    return geometry, region, (er, ec), counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack_cases())
+def test_spatial_map_matches_per_frame_loop(case):
+    geometry, region, extent, counts = case
+    try:
+        values, argmin, ties = ref.spatial_map(counts, region, geometry,
+                                               extent)
+    except DegenerateDataError:
+        for frames in as_inputs(counts):
+            with pytest.raises(DegenerateDataError):
+                sigma_spatial_map(frames, region, geometry, extent)
+        return
+    for frames in as_inputs(counts):
+        result = sigma_spatial_map(frames, region, geometry, extent)
+        np.testing.assert_allclose(result.values, values, rtol=1e-10, atol=0)
+        assert result.argmin == argmin
+        assert result.ties == ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack_cases(min_frames=2), st.data())
+def test_series_are_bit_identical(case, data):
+    geometry, region, _, counts = case
+    counts = np.maximum(counts, 1)  # positive means: estimators defined
+    bg = counts[::-1] // 2
+    conj = geometry.conjugate_region(region)
+    for frames, bg_frames in zip(as_inputs(counts), as_inputs(bg)):
+        series = build_series(frames, region, conj, bg_frames)
+        for got, want in ((series.n_s, ref.region_sums(counts, region)),
+                          (series.n_i, ref.region_sums(counts, conj)),
+                          (series.m_s, ref.region_sums(bg, region)),
+                          (series.m_i, ref.region_sums(bg, conj))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    h, w = region.extent
+    extents = data.draw(st.lists(
+        st.tuples(st.integers(1, h), st.integers(1, w)), min_size=1,
+        max_size=4))
+    extents.sort(key=lambda e: e[0] * e[1])
+    want = []
+    for extent in extents:
+        sub = anchored_region(region.center, extent)
+        try:
+            want.append(estimate_sigma_alpha(RegionPairSeries(
+                ref.region_sums(counts, sub),
+                ref.region_sums(counts, geometry.conjugate_region(sub)))))
+        except DegenerateDataError:
+            for frames in as_inputs(counts):
+                with pytest.raises(DegenerateDataError):
+                    area_scan(frames, None, geometry, region.center, extents)
+            return
+    for frames in as_inputs(counts):
+        points = area_scan(frames, None, geometry, region.center, extents)
+        assert [p.sigma_alpha for p in points] == want
+
+
+def test_all_zero_region_pair_is_degenerate():
+    geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
+    region = Region((1, 1), (2, 2))
+    counts = np.full((5, 4, 8), 9, dtype=np.uint64)
+    conj = geometry.conjugate_region(region)
+    counts[3, region.row_slice, region.col_slice] = 0
+    counts[3, conj.row_slice, conj.col_slice] = 0
+    for frames in as_inputs(counts):
+        with pytest.raises(DegenerateDataError):
+            sigma_spatial_map(frames, region, geometry, (0, 0))
+
+
+def test_empty_stack_is_degenerate():
+    geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
+    with pytest.raises(DegenerateDataError):
+        sigma_spatial_map(np.zeros((0, 4, 8)), Region((1, 1), (2, 2)),
+                          geometry, (1, 0))

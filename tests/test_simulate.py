@@ -26,7 +26,6 @@ from twincal.simulate import (
     ExperimentConfig,
     generate_stack,
     inject_cosmic_ray,
-    iter_stack,
     render_frame,
     sample_cell_pair,
     sample_pulse,
@@ -125,7 +124,7 @@ class TestRenderFrame:
         cfg = make_config(straylight=lam, read_noise=read, binning=binning,
                           seed=77)
         frames = generate_stack(cfg, 300, KIND_BACKGROUND)
-        values = np.stack([f.counts for f in frames]).ravel()
+        values = frames.counts.ravel()
         var_th = lam + binning ** 2 * read ** 2 + 1.0 / 12.0  # + quantisation
         n = values.size
         assert abs(values.mean() - lam) < 3 * np.sqrt(var_th / n)
@@ -138,8 +137,7 @@ class TestRenderFrame:
 
     def test_straylight_idler_ratio_scales_halves(self):
         cfg = make_config(straylight=400.0, idler_ratio=0.5, seed=5)
-        frames = generate_stack(cfg, 200, KIND_BACKGROUND)
-        stack = np.stack([f.counts for f in frames])
+        stack = generate_stack(cfg, 200, KIND_BACKGROUND).counts
         split = cfg.geometry.beam_split
         mean_s = stack[:, :, :split].mean()
         mean_i = stack[:, :, split:].mean()
@@ -152,7 +150,7 @@ class TestRenderFrame:
         cfg = reference_experiment(master_seed=11)
         region_s = cfg.signal_region()
         region_i = cfg.geometry.conjugate_region(region_s)
-        series = build_series(iter_stack(cfg, 400), region_s, region_i)
+        series = build_series(generate_stack(cfg, 400).counts, region_s, region_i)
         assert series.n_s.mean() == pytest.approx(262710, rel=0.02)
 
     def test_offset_moves_idler_deposit(self):
@@ -199,23 +197,21 @@ class TestDeterminism:
                           cosmic_rate=0.1, seed=31)
         a = generate_stack(cfg, 20)
         b = generate_stack(cfg, 20)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.counts, y.counts)
-            assert x.pulse_energy == y.pulse_energy
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.pulse_energy, b.pulse_energy)
 
     def test_worker_count_does_not_change_output(self):
         cfg = make_config(straylight=50.0, jitter=0.05, seed=32)
         a = generate_stack(cfg, 16, workers=1)
         b = generate_stack(cfg, 16, workers=4)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.counts, y.counts)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_out_of_order_rendering_matches_stack(self):
         cfg = make_config(jitter=0.1, seed=33)
         stack = generate_stack(cfg, 10)
         for k in (7, 3, 9, 0, 5):
             frame = render_frame(cfg, k)
-            assert np.array_equal(frame.counts, stack[k].counts)
+            assert np.array_equal(frame.counts, stack.counts[k])
 
     def test_pdc_part_unchanged_by_background_fields(self):
         quiet = make_config(seed=34)
@@ -240,8 +236,8 @@ class TestDeterminism:
             cfg_a, channel=ChannelEfficiencies(0.5, 0.7), master_seed=36)
         rs = cfg_a.signal_region()
         ri = cfg_a.geometry.conjugate_region(rs)
-        sa = build_series(iter_stack(cfg_a, 1500), rs, ri)
-        sb = build_series(iter_stack(cfg_b, 1500), rs, ri)
+        sa = build_series(generate_stack(cfg_a, 1500).counts, rs, ri)
+        sb = build_series(generate_stack(cfg_b, 1500).counts, rs, ri)
         # signal sums of A vs idler sums of B (and vice versa)
         for x, y in ((sa.n_s, sb.n_i), (sa.n_i, sb.n_s)):
             assert scipy.stats.ks_2samp(x, y).pvalue > 0.01
@@ -280,7 +276,7 @@ class TestBalancedSigmaConvergence:
         cfg = make_config(eta_s=0.6, eta_i=0.6, mu=0.1, seed=51)
         rs = cfg.signal_region()
         ri = cfg.geometry.conjugate_region(rs)
-        series = build_series(iter_stack(cfg, 2000), rs, ri)
+        series = build_series(generate_stack(cfg, 2000).counts, rs, ri)
         sigma = estimate_sigma_alpha(series)
         u = propagate_type_a(series).u_sigma
         assert abs(sigma - 0.4) < 3 * u
