@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, GeometryError
 
 GAIN_LINEAR = "linear"
@@ -130,14 +132,18 @@ class PulseModel:
             if self.gain_const is None or self.gain_const <= 0.0:
                 raise DomainError("sinh2 gain map needs gain_const > 0")
 
-    def mu_at(self, energy: float) -> float:
-        """Per-mode mean photon number at a given relative pulse energy."""
-        if energy <= 0.0:
+    def mu_at(self, energy: float | np.ndarray) -> float | np.ndarray:
+        """Per-mode mean photon number at a relative pulse energy.
+
+        ``energy`` is a float or an array of energies; the result has the
+        same form.
+        """
+        if np.any(np.asarray(energy) <= 0.0):
             raise DomainError("energy must be > 0")
         if self.gain_map == GAIN_LINEAR:
             return self.mean_mu * energy
         g = self.gain_const
-        return self.mean_mu * math.sinh(g * math.sqrt(energy)) ** 2 / math.sinh(g) ** 2
+        return self.mean_mu * np.sinh(g * np.sqrt(energy)) ** 2 / math.sinh(g) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,27 @@
 """Synthetic twin-beam frame generation with known ground truth.
 
-Each frame is one laser shot.  Generation order per frame is fixed and
-documented so that stacks are bit-reproducible:
+Each frame is one laser shot.  Every sampling step draws once for a
+block of ``_BLOCK_FRAMES`` frames, in a fixed order:
 
-1. sample the relative pulse energy (and per-mode mean) for the shot,
+1. sample the relative pulse energy (and per-mode mean) of every shot,
 2. draw one multithermal photon number per coherence cell, shared by the
    signal cell and its conjugate idler cell,
 3. thin both arms independently with their channel efficiencies,
 4. spread each cell's detected photons uniformly over the cell's
    superpixel block (signal and idler spreads are independent draws),
 5. add straylight (Poisson) and read noise (Gaussian) per superpixel,
-6. optionally inject cosmic-ray spikes,
+6. optionally inject cosmic-ray spikes, frame by frame,
 7. quantise counts to integers, clipped at zero.
 
-Every frame owns an RNG stream derived deterministically from
-(master_seed, kind, pulse_index), so stacks are identical no matter how
-generation is scheduled across workers.
+Every block owns an RNG stream derived from (master_seed, kind,
+block_index), so stacks are bit-reproducible, a stack of n frames is a
+prefix of any longer stack, and one frame is re-rendered by rendering its
+block.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +44,9 @@ _KIND_CODE = {KIND_PDC: 0, KIND_BACKGROUND: 1}
 # Materialised stacks above this many superpixels are refused; use
 # iter_stack to stream arbitrarily long acquisitions.
 _MAX_STACK_ELEMENTS = 1 << 28
+
+# Frames per RNG stream and per vectorised draw.
+_BLOCK_FRAMES = 64
 
 # Added cosmic-ray amplitude: 20x the larger of the frame median and the
 # struck superpixel, so a hit on a bright emission pixel still stands out.
@@ -76,15 +79,6 @@ class ExperimentConfig:
         # Fail early if the emission blocks cannot sit inside their halves.
         self.signal_region()
         self.idler_block_origin()
-
-    def frame_stream(self, kind: str, pulse_index: int) -> np.random.Generator:
-        """Independent RNG stream of one frame."""
-        if kind not in _KIND_CODE:
-            raise DomainError(f"unknown frame kind {kind!r}")
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed,
-            spawn_key=(_KIND_CODE[kind], pulse_index))
-        return np.random.default_rng(seq)
 
     def signal_block_origin(self) -> tuple[int, int]:
         """Placement of the signal emission block.
@@ -156,30 +150,36 @@ def _round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def sample_pulse(pulse: PulseModel, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one shot's relative energy and per-mode mean.
+def sample_pulse(pulse: PulseModel, rng: np.random.Generator,
+                 size: int | None = None):
+    """Draw one shot's (or ``size`` shots') relative energy and per-mode mean.
 
-    Energy is Gaussian(1, jitter) resampled until positive (no point mass
-    at a clamp floor), so the per-mode mean is always > 0.
+    Energy is Gaussian(1, jitter) with every non-positive draw redrawn
+    until positive (no point mass at a clamp floor), so the per-mode mean
+    is always > 0.  Returns floats when ``size`` is None, else arrays.
     """
-    if pulse.relative_energy_jitter == 0.0:
-        return 1.0, pulse.mean_mu
-    energy = rng.normal(1.0, pulse.relative_energy_jitter)
-    while energy <= 0.0:
-        energy = rng.normal(1.0, pulse.relative_energy_jitter)
-    return float(energy), pulse.mu_at(float(energy))
+    jitter = pulse.relative_energy_jitter
+    energy = rng.normal(1.0, jitter, size=1 if size is None else size)
+    bad = np.flatnonzero(energy <= 0.0)
+    while bad.size:
+        energy[bad] = rng.normal(1.0, jitter, size=bad.size)
+        bad = bad[energy[bad] <= 0.0]
+    mu = pulse.mu_at(energy)
+    if size is None:
+        return float(energy[0]), float(mu[0])
+    return energy, mu
 
 
-def sample_cell_pair(mu: float, m_t: int, ch: ChannelEfficiencies,
-                     rng: np.random.Generator,
-                     size: int | None = None):
+def sample_cell_pair(mu: float | np.ndarray, m_t: int, ch: ChannelEfficiencies,
+                     rng: np.random.Generator, size=None):
     """Detected signal/idler photon numbers of one (or ``size``) cell pairs.
 
     The pre-detection number per cell is negative-binomial with ``m_t``
     modes of mean ``mu`` each (multithermal); it is shared exactly by the
-    two arms, which are then thinned independently.
+    two arms, which are then thinned independently.  ``mu`` may be an
+    array that broadcasts against ``size`` (one mean per shot).
     """
-    if not mu > 0.0:
+    if not np.all(np.asarray(mu) > 0.0):
         raise DomainError("mu must be > 0")
     if m_t < 1:
         raise DomainError("m_t must be >= 1")
@@ -193,16 +193,16 @@ def _spread_cells(values: np.ndarray, px: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Distribute per-cell counts uniformly over px*px superpixel blocks.
 
-    ``values`` has shape (grid_rows, grid_cols); the result is the
-    assembled (grid_rows*px, grid_cols*px) superpixel block.
+    ``values`` has shape (..., grid_rows, grid_cols); the result is the
+    assembled (..., grid_rows*px, grid_cols*px) superpixel block.
     """
-    gr, gc = values.shape
+    *lead, gr, gc = values.shape
     if px == 1:
         return values.astype(np.float64)
     split = rng.multinomial(values.reshape(-1),
                             np.full(px * px, 1.0 / (px * px)))
-    block = split.reshape(gr, gc, px, px).transpose(0, 2, 1, 3)
-    return block.reshape(gr * px, gc * px).astype(np.float64)
+    block = split.reshape(*lead, gr, gc, px, px).swapaxes(-3, -2)
+    return block.reshape(*lead, gr * px, gc * px).astype(np.float64)
 
 
 def _inject_spike(counts: np.ndarray, rng: np.random.Generator) -> None:
@@ -220,79 +220,85 @@ def inject_cosmic_ray(frame: Frame, rng: np.random.Generator) -> Frame:
     return replace(frame, counts=counts)
 
 
-def render_frame(cfg: ExperimentConfig, pulse_index: int,
-                 rng: np.random.Generator | None = None,
-                 kind: str = KIND_PDC) -> Frame:
-    """Generate one frame.  ``rng`` defaults to the frame's derived stream."""
+def _render_block(cfg: ExperimentConfig, kind: str,
+                  block_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts of shape (_BLOCK_FRAMES, rows, cols), energies) of one block."""
     if kind not in _KIND_CODE:
         raise DomainError(f"unknown frame kind {kind!r}")
-    if rng is None:
-        rng = cfg.frame_stream(kind, pulse_index)
-
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.master_seed, spawn_key=(_KIND_CODE[kind], block_index)))
+    n = _BLOCK_FRAMES
     geo = cfg.geometry
-    counts = np.zeros(geo.shape, dtype=np.float64)
-    energy, mu = sample_pulse(cfg.pulse, rng)
+    counts = np.zeros((n,) + geo.shape, dtype=np.float64)
+    energy, mu = sample_pulse(cfg.pulse, rng, size=n)
 
     if kind == KIND_PDC:
-        grid = cfg.modes.grid
-        px = cfg.modes.coherence_cell_px
         det_s, det_i = sample_cell_pair(
-            mu, cfg.modes.temporal_modes, cfg.channel, rng,
-            size=grid[0] * grid[1])
-        det_s = det_s.reshape(grid)
-        det_i = det_i.reshape(grid)
-
+            mu[:, None, None], cfg.modes.temporal_modes, cfg.channel, rng,
+            size=(n,) + cfg.modes.grid)
+        px = cfg.modes.coherence_cell_px
         sig_r0, sig_c0 = cfg.signal_block_origin()
         idl_r0, idl_c0 = cfg.idler_block_origin()
         height, width = cfg.modes.block_shape
-
-        sig_block = _spread_cells(det_s, px, rng)
         # Conjugation is a point reflection: cell (a, b) lands at the
         # rotated slot of the idler block.  Sub-cell positions are
         # uncorrelated physically, so the idler spread is a fresh draw.
-        idl_block = _spread_cells(det_i[::-1, ::-1], px, rng)
-
-        counts[sig_r0:sig_r0 + height, sig_c0:sig_c0 + width] += sig_block
-        counts[idl_r0:idl_r0 + height, idl_c0:idl_c0 + width] += idl_block
+        counts[:, sig_r0:sig_r0 + height, sig_c0:sig_c0 + width] += \
+            _spread_cells(det_s, px, rng)
+        counts[:, idl_r0:idl_r0 + height, idl_c0:idl_c0 + width] += \
+            _spread_cells(det_i[:, ::-1, ::-1], px, rng)
 
     bg = cfg.background
     if bg.straylight_mean > 0.0:
-        scale = energy if bg.straylight_tracks_pulse else 1.0
+        lam = bg.straylight_mean * (energy[:, None, None]
+                                    if bg.straylight_tracks_pulse else 1.0)
         split = geo.beam_split
-        counts[:, :split] += rng.poisson(
-            bg.straylight_mean * scale, size=(geo.rows, split))
-        lam_idler = bg.straylight_mean * bg.straylight_idler_ratio * scale
-        if lam_idler > 0.0:
-            counts[:, split:] += rng.poisson(
-                lam_idler, size=(geo.rows, geo.cols - split))
+        counts[:, :, :split] += rng.poisson(lam, size=(n, geo.rows, split))
+        if bg.straylight_idler_ratio > 0.0:
+            counts[:, :, split:] += rng.poisson(
+                lam * bg.straylight_idler_ratio,
+                size=(n, geo.rows, geo.cols - split))
 
     if bg.read_noise_std > 0.0:
-        counts += rng.normal(0.0, bg.read_noise_per_superpixel, size=geo.shape)
+        counts += rng.normal(0.0, bg.read_noise_per_superpixel,
+                             size=counts.shape)
 
     if cfg.cosmic_ray_rate > 0.0:
-        for _ in range(int(rng.poisson(cfg.cosmic_ray_rate))):
-            _inject_spike(counts, rng)
+        hits = rng.poisson(cfg.cosmic_ray_rate, size=n)
+        for k in np.repeat(np.arange(n), hits):  # few frames are hit
+            _inject_spike(counts[k], rng)
 
     np.rint(counts, out=counts)
     np.clip(counts, 0.0, None, out=counts)
-    return Frame(counts=counts, pulse_index=pulse_index,
-                 pulse_energy=energy, kind=kind)
+    return counts, energy
+
+
+def render_frame(cfg: ExperimentConfig, pulse_index: int,
+                 kind: str = KIND_PDC) -> Frame:
+    """Generate one frame by rendering its block."""
+    counts, energy = _render_block(cfg, kind, pulse_index // _BLOCK_FRAMES)
+    k = pulse_index % _BLOCK_FRAMES
+    return Frame(counts=counts[k].copy(), pulse_index=pulse_index,
+                 pulse_energy=float(energy[k]), kind=kind)
 
 
 def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
-    """Yield ``count`` frames one at a time (constant memory)."""
+    """Yield ``count`` frames, one block at a time (constant memory)."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    for pulse_index in range(count):
-        yield render_frame(cfg, pulse_index, kind=kind)
+    for start in range(0, count, _BLOCK_FRAMES):
+        counts, energy = _render_block(cfg, kind, start // _BLOCK_FRAMES)
+        for k in range(min(_BLOCK_FRAMES, count - start)):
+            yield Frame(counts=counts[k], pulse_index=start + k,
+                        pulse_energy=float(energy[k]), kind=kind)
 
 
-def generate_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC,
-                   workers: int = 1) -> Stack:
+def generate_stack(cfg: ExperimentConfig, count: int,
+                   kind: str = KIND_PDC) -> Stack:
     """Materialise a stack of mutually independent frames.
 
-    The result does not depend on ``workers``: each frame is generated
-    from its own derived stream, so scheduling cannot reorder randomness.
+    The last block is rendered in full and cut, so every stack is a
+    prefix of any longer one with the same config and kind.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -303,16 +309,9 @@ def generate_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC,
             f"({total} elements) is too large to materialise; use iter_stack")
     stack = Stack(counts=np.empty((count,) + cfg.geometry.shape),
                   kind=kind, pulse_energy=np.empty(count))
-
-    def render_into(k: int) -> None:
-        frame = render_frame(cfg, k, kind=kind)
-        stack.counts[k] = frame.counts
-        stack.pulse_energy[k] = frame.pulse_energy
-
-    if workers <= 1:
-        for k in range(count):
-            render_into(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(render_into, range(count)))
+    for start in range(0, count, _BLOCK_FRAMES):
+        counts, energy = _render_block(cfg, kind, start // _BLOCK_FRAMES)
+        stop = min(start + _BLOCK_FRAMES, count)
+        stack.counts[start:stop] = counts[:stop - start]
+        stack.pulse_energy[start:stop] = energy[:stop - start]
     return stack

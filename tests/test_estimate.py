@@ -390,7 +390,13 @@ class TestAreaScan:
         values = [p.sigma_alpha for p in points]
         assert values[0] > values[-1] + 0.15
         assert all(p.sigma_alpha_b is None for p in points)
-        assert points[-1].sigma_alpha == pytest.approx(0.5, abs=0.05)
+        # The 15x19 region on 2-px cells covers 63 full cells, 16 half
+        # cells and 1 quarter cell.  A cell a fraction f of which lies in
+        # the region adds f to both arms' means but f**2 to their
+        # covariance, so E[sigma_alpha] = 1 - eta * sum(f**2) / sum(f)
+        # = 1 - 0.5 * 67.0625 / 71.25 = 0.5294, not 1 - eta.
+        assert points[-1].sigma_alpha == pytest.approx(
+            1 - 0.5 * 67.0625 / 71.25, abs=0.05)
         assert points[-1].coherence_cells == pytest.approx(285 / 4)
 
     def test_background_corrected_curve(self):

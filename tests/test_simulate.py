@@ -26,6 +26,7 @@ from twincal.simulate import (
     ExperimentConfig,
     generate_stack,
     inject_cosmic_ray,
+    iter_stack,
     render_frame,
     sample_cell_pair,
     sample_pulse,
@@ -200,11 +201,19 @@ class TestDeterminism:
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.pulse_energy, b.pulse_energy)
 
-    def test_worker_count_does_not_change_output(self):
+    def test_block_boundaries_do_not_change_output(self):
         cfg = make_config(straylight=50.0, jitter=0.05, seed=32)
-        a = generate_stack(cfg, 16, workers=1)
-        b = generate_stack(cfg, 16, workers=4)
-        assert np.array_equal(a.counts, b.counts)
+        full = generate_stack(cfg, 200)
+        for n in (1, 63, 64, 65, 130):
+            part = generate_stack(cfg, n)
+            assert np.array_equal(part.counts, full.counts[:n])
+            assert np.array_equal(part.pulse_energy, full.pulse_energy[:n])
+        for k in (0, 63, 64, 127, 199):
+            frame = render_frame(cfg, k)
+            assert np.array_equal(frame.counts, full.counts[k])
+            assert frame.pulse_energy == full.pulse_energy[k]
+        streamed = np.stack([f.counts for f in iter_stack(cfg, 200)])
+        assert np.array_equal(streamed, full.counts)
 
     def test_out_of_order_rendering_matches_stack(self):
         cfg = make_config(jitter=0.1, seed=33)
