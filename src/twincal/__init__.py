@@ -22,7 +22,6 @@ from .estimate import (
     AreaScanPoint,
     CalibrationDiagnostics,
     CalibrationResult,
-    NoiseReductionEstimate,
     RegionPairSeries,
     RepeatSummary,
     SpatialMapResult,
@@ -39,7 +38,6 @@ from .estimate import (
     estimate_sigma_raw,
     eta_from_sigma,
     excess_noise,
-    noise_reduction_estimate,
     propagate_type_a,
     region_sum,
     repeat_experiment,

@@ -13,6 +13,11 @@ Conventions
   are returned as-is (clamping would bias the efficiency upward).
 * Frame stacks are (frames, rows, cols) count arrays, float64 or u32;
   region blocks are cast to float64 before any difference.
+* Each estimator formula is written once.  ``_estimates`` evaluates
+  alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
+  eta_s together with their per-frame influence rows; the sigma
+  estimators, ``repeat_experiment`` and the delta method of
+  ``propagate_type_a`` all call it.
 """
 
 from __future__ import annotations
@@ -24,10 +29,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, GeometryError
 from .model import FrameGeometry, Region, SIDE_SIGNAL
-
-VARIANT_RAW = "sigma"
-VARIANT_ALPHA = "sigma_alpha"
-VARIANT_ALPHA_B = "sigma_alpha_b"
 
 # Fixed systematic (Type B) terms reported with every calibration: the
 # residual of excess-noise nullification by balancing, and the relative
@@ -71,6 +72,8 @@ class RegionPairSeries:
             if self.m_s.size < 2:
                 raise DegenerateDataError("need at least 2 background frames")
         for arr in (self.n_s, self.n_i, self.m_s, self.m_i):
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise DegenerateDataError("region sums must be finite")
             if arr is not None and np.any(arr < 0):
                 raise DegenerateDataError("region sums must be non-negative")
 
@@ -101,16 +104,6 @@ class RegionPairSeries:
             out.append(RegionPairSeries(self.n_s[l * n:(l + 1) * n],
                                         self.n_i[l * n:(l + 1) * n], **kwargs))
         return out
-
-
-@dataclass(frozen=True)
-class NoiseReductionEstimate:
-    """A noise-reduction-factor value with estimator provenance."""
-
-    value: float
-    variant: str
-    alpha_used: float
-    n_frames: int
 
 
 def region_sum(counts: np.ndarray, region: Region):
@@ -153,29 +146,6 @@ def estimate_alpha(series: RegionPairSeries) -> float:
     return float(series.n_s.mean()) / denom
 
 
-def estimate_sigma_alpha(series: RegionPairSeries, alpha: float | None = None,
-                         ddof: int = 1) -> float:
-    """Noise reduction factor of N_s - alpha*N_i, shot-noise normalised.
-
-    Var(N_s - alpha*N_i) / (E[N_s] + alpha*E[N_i]); with alpha estimated
-    from the same set the denominator equals 2*E[N_s].
-    """
-    if alpha is None:
-        alpha = estimate_alpha(series)
-    denom = float(series.n_s.mean() + alpha * series.n_i.mean())
-    if denom <= 0.0:
-        raise DegenerateDataError("shot-noise denominator is not positive")
-    return float(np.var(series.n_s - alpha * series.n_i, ddof=ddof)) / denom
-
-
-def estimate_sigma_raw(series: RegionPairSeries, ddof: int = 1) -> float:
-    """Unbalanced noise reduction factor Var(N_s - N_i)/E[N_s + N_i]."""
-    denom = float(series.n_s.mean() + series.n_i.mean())
-    if denom <= 0.0:
-        raise DegenerateDataError("shot-noise denominator is not positive")
-    return float(np.var(series.n_s - series.n_i, ddof=ddof)) / denom
-
-
 def estimate_alpha_b(series: RegionPairSeries) -> float:
     """Background-corrected balancing factor.
 
@@ -194,6 +164,90 @@ def estimate_alpha_b(series: RegionPairSeries) -> float:
     return num / den
 
 
+def _estimates(series: RegionPairSeries, corrected: bool,
+               alpha: float | None = None, ddof: int = 1,
+               influence: bool = False):
+    """(alpha, sigma, eta_s) of one experiment and, on request, their
+    per-frame influence rows.
+
+    ``corrected`` selects alpha_b and sigma_alpha_b, else alpha and
+    sigma_alpha; a given ``alpha`` is used as-is and held fixed.  With
+    ``influence`` the fourth value holds, per block (the illuminated
+    series and, when corrected, the background series), a (frames, 3)
+    array of each frame's first-order contribution to the three values:
+    the delta method's influence functions, up to an additive constant
+    per column, which a covariance removes.
+    They are formed from the residual e = d - mean(d) of
+    d = N_s - alpha*N_i, not from raw or co-moments, whose difference
+    would cancel Var(N_s) down to the far smaller Var(d).
+    """
+    fitted = alpha is None
+    if corrected:
+        if not series.has_background:
+            raise DegenerateDataError("background series required for sigma_alpha_b")
+        if fitted:
+            alpha = estimate_alpha_b(series)
+        blocks = ((series.n_s, series.n_i, 1.0), (series.m_s, series.m_i, -1.0))
+        # sigma = (Var(N'_s - a*N'_i) - Var(M_s - a*M_i)) / D with
+        # D = 2*(E[N'_s] - E[M_s]); alpha_b = (E[N'_s] - E[M_s]) / alpha_den
+        denom = 2.0 * float(series.n_s.mean() - series.m_s.mean())
+        if denom <= 0.0:
+            raise DegenerateDataError("background-corrected signal mean is not positive")
+        alpha_den = float(series.n_i.mean() - series.m_i.mean())
+        shot_s, shot_i, ddenom_dalpha = 2.0, 0.0, 0.0
+    else:
+        if fitted:
+            alpha = estimate_alpha(series)
+        blocks = ((series.n_s, series.n_i, 1.0),)
+        # sigma = Var(N_s - a*N_i) / D with D = E[N_s] + a*E[N_i];
+        # alpha = E[N_s] / alpha_den
+        denom = float(series.n_s.mean() + alpha * series.n_i.mean())
+        if denom <= 0.0:
+            raise DegenerateDataError("shot-noise denominator is not positive")
+        alpha_den = float(series.n_i.mean())
+        shot_s, shot_i, ddenom_dalpha = 1.0, alpha, alpha_den
+
+    num, residuals = 0.0, []
+    for x_s, x_i, sign in blocks:
+        d = x_s - alpha * x_i
+        e = d - d.mean()
+        e2 = e * e
+        num += sign * float(e2.sum() / (d.size - ddof))
+        residuals.append((x_s, x_i, sign, e, e2, d.size / (d.size - ddof)))
+    sigma = num / denom
+    eta = 0.5 * (1.0 + alpha) - sigma
+    if not influence:
+        return alpha, sigma, eta, None
+
+    # A block's variance moves with alpha by -2*scale*mean(e*(x_i - E[x_i])).
+    dnum_dalpha = sum(-2.0 * sign * scale * float((e * (x_i - x_i.mean())).mean())
+                      for _, x_i, sign, e, _, scale in residuals)
+    dsigma_dalpha = (dnum_dalpha - sigma * ddenom_dalpha) / denom
+    rows = []
+    for x_s, x_i, sign, e, e2, scale in residuals:
+        row_alpha = sign * e / alpha_den if fitted else np.zeros_like(e)
+        row_sigma = (sign * (scale * e2 - sigma * (shot_s * x_s + shot_i * x_i))
+                     / denom + dsigma_dalpha * row_alpha)
+        rows.append(np.column_stack(
+            [row_alpha, row_sigma, 0.5 * row_alpha - row_sigma]))
+    return alpha, sigma, eta, rows
+
+
+def estimate_sigma_alpha(series: RegionPairSeries, alpha: float | None = None,
+                         ddof: int = 1) -> float:
+    """Noise reduction factor of N_s - alpha*N_i, shot-noise normalised.
+
+    Var(N_s - alpha*N_i) / (E[N_s] + alpha*E[N_i]); with alpha estimated
+    from the same set the denominator equals 2*E[N_s].
+    """
+    return _estimates(series, False, alpha, ddof)[1]
+
+
+def estimate_sigma_raw(series: RegionPairSeries, ddof: int = 1) -> float:
+    """Unbalanced noise reduction factor Var(N_s - N_i)/E[N_s + N_i]."""
+    return estimate_sigma_alpha(series, 1.0, ddof)
+
+
 def estimate_sigma_alpha_b(series: RegionPairSeries,
                            alpha_b: float | None = None,
                            ddof: int = 1) -> float:
@@ -203,33 +257,7 @@ def estimate_sigma_alpha_b(series: RegionPairSeries,
     a = alpha_b.  May come out negative through sampling noise; the value
     is reported as-is.
     """
-    if not series.has_background:
-        raise DegenerateDataError("background series required for sigma_alpha_b")
-    if alpha_b is None:
-        alpha_b = estimate_alpha_b(series)
-    var_n = float(np.var(series.n_s - alpha_b * series.n_i, ddof=ddof))
-    var_m = float(np.var(series.m_s - alpha_b * series.m_i, ddof=ddof))
-    denom = 2.0 * float(series.n_s.mean() - series.m_s.mean())
-    if denom <= 0.0:
-        raise DegenerateDataError("background-corrected signal mean is not positive")
-    return (var_n - var_m) / denom
-
-
-def noise_reduction_estimate(series: RegionPairSeries, variant: str,
-                             ddof: int = 1) -> NoiseReductionEstimate:
-    """Convenience wrapper tagging a sigma value with its provenance."""
-    if variant == VARIANT_RAW:
-        value, alpha = estimate_sigma_raw(series, ddof=ddof), 1.0
-    elif variant == VARIANT_ALPHA:
-        alpha = estimate_alpha(series)
-        value = estimate_sigma_alpha(series, alpha, ddof=ddof)
-    elif variant == VARIANT_ALPHA_B:
-        alpha = estimate_alpha_b(series)
-        value = estimate_sigma_alpha_b(series, alpha, ddof=ddof)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    return NoiseReductionEstimate(value=value, variant=variant,
-                                  alpha_used=alpha, n_frames=series.n_frames)
+    return _estimates(series, True, alpha_b, ddof)[1]
 
 
 def eta_from_sigma(alpha_b: float, sigma_ab: float) -> tuple[float, float]:
@@ -469,78 +497,22 @@ class TypeAUncertainty:
     cov_alpha_sigma: float
 
 
-def _estimates_from_moments(mom: np.ndarray, n: int, m: int,
-                            ddof: int) -> tuple[float, float, float]:
-    """(alpha, sigma, eta_s) as a smooth function of raw sample moments.
-
-    ``mom`` holds per-frame means of (n_s, n_i, n_s^2, n_s*n_i, n_i^2) and,
-    when m > 0, the same five for the background series.  Matches the
-    point estimators exactly at the observed moments.
-    """
-    a_s, a_i, q_ss, q_si, q_ii = mom[:5]
-    corr_n = n / (n - ddof)
-    if m > 0:
-        b_s, b_i, r_ss, r_si, r_ii = mom[5:]
-        alpha = (a_s - b_s) / (a_i - b_i)
-        var_n = (q_ss - 2 * alpha * q_si + alpha ** 2 * q_ii
-                 - (a_s - alpha * a_i) ** 2) * corr_n
-        var_m = (r_ss - 2 * alpha * r_si + alpha ** 2 * r_ii
-                 - (b_s - alpha * b_i) ** 2) * (m / (m - ddof))
-        sigma = (var_n - var_m) / (2.0 * (a_s - b_s))
-    else:
-        alpha = a_s / a_i
-        var_n = (q_ss - 2 * alpha * q_si + alpha ** 2 * q_ii
-                 - (a_s - alpha * a_i) ** 2) * corr_n
-        sigma = var_n / (a_s + alpha * a_i)
-    eta = 0.5 * (1.0 + alpha) - sigma
-    return alpha, sigma, eta
-
-
-def _moment_rows(series: RegionPairSeries):
-    v = np.column_stack([series.n_s, series.n_i, series.n_s ** 2,
-                         series.n_s * series.n_i, series.n_i ** 2])
-    w = None
-    if series.has_background:
-        w = np.column_stack([series.m_s, series.m_i, series.m_s ** 2,
-                             series.m_s * series.m_i, series.m_i ** 2])
-    return v, w
-
-
 def propagate_type_a(series: RegionPairSeries,
                      ddof: int = 1) -> TypeAUncertainty:
     """Type A uncertainties of (alpha, sigma, eta_s) by the delta method.
 
-    The estimates are smooth functions of the sample moments of the
-    measured quantities; only intra-frame covariances (signal with idler
-    of the same shot) enter -- different frames are independent.  The
-    gradient is taken numerically and projected onto the per-frame moment
-    rows, which keeps the quadratic form well conditioned at large counts.
+    The estimates are those of ``repeat_experiment``: background-corrected
+    when the series carries a background.  Their covariance is the sum
+    over the two independent blocks of the per-frame influence rows'
+    covariance over the block's frame count; only intra-frame covariances
+    (signal with idler of the same shot) enter, as different frames are
+    independent.  The gradient is analytic, taken by ``_estimates`` on
+    the same formulas as the point estimates.
     """
-    v, w = _moment_rows(series)
-    n = series.n_frames
-    m = series.m_s.size if series.has_background else 0
-    mom = np.concatenate([v.mean(axis=0)] + ([w.mean(axis=0)] if m else []))
-
-    def grad(component: int) -> np.ndarray:
-        g = np.empty(mom.size)
-        for j in range(mom.size):
-            h = 1e-6 * max(abs(mom[j]), 1.0)
-            hi, lo = mom.copy(), mom.copy()
-            hi[j] += h
-            lo[j] -= h
-            f_hi = _estimates_from_moments(hi, n, m, ddof)[component]
-            f_lo = _estimates_from_moments(lo, n, m, ddof)[component]
-            g[j] = (f_hi - f_lo) / (2.0 * h)
-        return g
-
-    gradients = [grad(0), grad(1), grad(2)]
-    cov = np.zeros((3, 3))
-    for block, count in ((v, n), (w, m)):
-        if block is None:
-            continue
-        lo = 0 if block is v else 5
-        proj = np.column_stack([block @ g[lo:lo + 5] for g in gradients])
-        cov += np.cov(proj, rowvar=False, ddof=1) / count
+    rows = _estimates(series, series.has_background, ddof=ddof,
+                      influence=True)[3]
+    cov = sum(np.cov(block, rowvar=False, ddof=1) / len(block)
+              for block in rows)
     u = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
@@ -593,26 +565,9 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
     if any(b.has_background != corrected for b in batches):
         raise DegenerateDataError("batches disagree on background presence")
 
-    alphas, sigmas, etas = [], [], []
-    propagated = []
-    for batch in batches:
-        if corrected:
-            alpha = estimate_alpha_b(batch)
-            sigma = estimate_sigma_alpha_b(batch, alpha, ddof=ddof)
-        else:
-            alpha = estimate_alpha(batch)
-            sigma = estimate_sigma_alpha(batch, alpha, ddof=ddof)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            eta_s, _ = eta_from_sigma(alpha, sigma)
-        alphas.append(alpha)
-        sigmas.append(sigma)
-        etas.append(eta_s)
-        propagated.append(propagate_type_a(batch, ddof=ddof))
-
-    alphas = np.array(alphas)
-    sigmas = np.array(sigmas)
-    etas = np.array(etas)
+    alphas, sigmas, etas = (np.array(v) for v in zip(
+        *(_estimates(batch, corrected, ddof=ddof)[:3] for batch in batches)))
+    propagated = [propagate_type_a(batch, ddof=ddof) for batch in batches]
     alpha_b = float(alphas.mean())
     sigma_ab = float(sigmas.mean())
     eta_s, eta_i = eta_from_sigma(alpha_b, sigma_ab)

@@ -1,14 +1,20 @@
-"""Per-frame reference implementations of the stack estimators.
+"""Reference implementations of the estimators.
 
-These are the frame-by-frame loops the array estimators in
+The per-frame loops are the frame-by-frame code the array estimators in
 ``twincal.estimate`` replaced.  They are slow but obviously correct, so
 the oracle tests compare the vectorised code against them.  Frames are
 cast to float64 one at a time, as the former ``list[Frame]`` code did.
+
+The uncertainty budget is the former second copy of every estimator
+formula, written over raw sample moments and differentiated by central
+differences; the point estimators are the former ``np.var`` forms.  The
+oracle tests compare the analytic delta method against both.
 """
 
 import numpy as np
 
 from twincal.errors import DegenerateDataError
+from twincal.estimate import TypeAUncertainty
 
 
 def region_sums(frames, region):
@@ -53,3 +59,108 @@ def spatial_map(frames, region_s, geometry, search_extent):
     flat = values.reshape(-1)
     ties = [shifts[i] for i in np.flatnonzero(flat == flat.min())]
     return values, ties[0], ties
+
+
+def point_estimates(series, corrected, ddof):
+    """(alpha, sigma, eta_s) by the former point estimators."""
+    if corrected:
+        num = float(series.n_s.mean() - series.m_s.mean())
+        den = float(series.n_i.mean() - series.m_i.mean())
+        if den <= 0.0:
+            raise DegenerateDataError("background-corrected idler mean is not positive")
+        alpha = num / den
+        var_n = float(np.var(series.n_s - alpha * series.n_i, ddof=ddof))
+        var_m = float(np.var(series.m_s - alpha * series.m_i, ddof=ddof))
+        denom = 2.0 * num
+        if denom <= 0.0:
+            raise DegenerateDataError("background-corrected signal mean is not positive")
+        sigma = (var_n - var_m) / denom
+    else:
+        denom = float(series.n_i.mean())
+        if denom == 0.0:
+            raise DegenerateDataError("idler mean is zero; alpha undefined")
+        alpha = float(series.n_s.mean()) / denom
+        denom = float(series.n_s.mean() + alpha * series.n_i.mean())
+        if denom <= 0.0:
+            raise DegenerateDataError("shot-noise denominator is not positive")
+        sigma = float(np.var(series.n_s - alpha * series.n_i, ddof=ddof)) / denom
+    return alpha, sigma, 0.5 * (1.0 + alpha) - sigma
+
+
+def _estimates_from_moments(mom: np.ndarray, n: int, m: int,
+                            ddof: int) -> tuple[float, float, float]:
+    """(alpha, sigma, eta_s) as a smooth function of raw sample moments.
+
+    ``mom`` holds per-frame means of (n_s, n_i, n_s^2, n_s*n_i, n_i^2) and,
+    when m > 0, the same five for the background series.  Matches the
+    point estimators exactly at the observed moments.
+    """
+    a_s, a_i, q_ss, q_si, q_ii = mom[:5]
+    corr_n = n / (n - ddof)
+    if m > 0:
+        b_s, b_i, r_ss, r_si, r_ii = mom[5:]
+        alpha = (a_s - b_s) / (a_i - b_i)
+        var_n = (q_ss - 2 * alpha * q_si + alpha ** 2 * q_ii
+                 - (a_s - alpha * a_i) ** 2) * corr_n
+        var_m = (r_ss - 2 * alpha * r_si + alpha ** 2 * r_ii
+                 - (b_s - alpha * b_i) ** 2) * (m / (m - ddof))
+        sigma = (var_n - var_m) / (2.0 * (a_s - b_s))
+    else:
+        alpha = a_s / a_i
+        var_n = (q_ss - 2 * alpha * q_si + alpha ** 2 * q_ii
+                 - (a_s - alpha * a_i) ** 2) * corr_n
+        sigma = var_n / (a_s + alpha * a_i)
+    eta = 0.5 * (1.0 + alpha) - sigma
+    return alpha, sigma, eta
+
+
+def _moment_rows(series):
+    v = np.column_stack([series.n_s, series.n_i, series.n_s ** 2,
+                         series.n_s * series.n_i, series.n_i ** 2])
+    w = None
+    if series.has_background:
+        w = np.column_stack([series.m_s, series.m_i, series.m_s ** 2,
+                             series.m_s * series.m_i, series.m_i ** 2])
+    return v, w
+
+
+def propagate_type_a(series, ddof: int = 1) -> TypeAUncertainty:
+    """Type A uncertainties of (alpha, sigma, eta_s) by the delta method.
+
+    The estimates are smooth functions of the sample moments of the
+    measured quantities; only intra-frame covariances (signal with idler
+    of the same shot) enter -- different frames are independent.  The
+    gradient is taken numerically and projected onto the per-frame moment
+    rows, which keeps the quadratic form well conditioned at large counts.
+    """
+    v, w = _moment_rows(series)
+    n = series.n_frames
+    m = series.m_s.size if series.has_background else 0
+    mom = np.concatenate([v.mean(axis=0)] + ([w.mean(axis=0)] if m else []))
+
+    def grad(component: int) -> np.ndarray:
+        g = np.empty(mom.size)
+        for j in range(mom.size):
+            h = 1e-6 * max(abs(mom[j]), 1.0)
+            hi, lo = mom.copy(), mom.copy()
+            hi[j] += h
+            lo[j] -= h
+            f_hi = _estimates_from_moments(hi, n, m, ddof)[component]
+            f_lo = _estimates_from_moments(lo, n, m, ddof)[component]
+            g[j] = (f_hi - f_lo) / (2.0 * h)
+        return g
+
+    gradients = [grad(0), grad(1), grad(2)]
+    cov = np.zeros((3, 3))
+    for block, count in ((v, n), (w, m)):
+        if block is None:
+            continue
+        lo = 0 if block is v else 5
+        proj = np.column_stack([block @ g[lo:lo + 5] for g in gradients])
+        cov += np.cov(proj, rowvar=False, ddof=1) / count
+    u = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    if not np.all(np.isfinite(u)):
+        raise DegenerateDataError("uncertainty propagation produced NaN")
+    return TypeAUncertainty(u_alpha=float(u[0]), u_sigma=float(u[1]),
+                            u_eta=float(u[2]),
+                            cov_alpha_sigma=float(cov[0, 1]))

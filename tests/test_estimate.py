@@ -22,7 +22,6 @@ from twincal.estimate import (
     estimate_sigma_raw,
     eta_from_sigma,
     excess_noise,
-    noise_reduction_estimate,
     propagate_type_a,
     region_sum,
     repeat_experiment,
@@ -413,19 +412,6 @@ class TestAreaScan:
         assert final.sigma_alpha > final.sigma_alpha_b
 
 
-class TestNoiseReductionWrapper:
-    def test_variants(self):
-        s = poisson_series(n=500, seed=6, background=True)
-        raw = noise_reduction_estimate(s, "sigma")
-        assert raw.alpha_used == 1.0 and raw.n_frames == 500
-        bal = noise_reduction_estimate(s, "sigma_alpha")
-        assert bal.alpha_used == pytest.approx(estimate_alpha(s))
-        cor = noise_reduction_estimate(s, "sigma_alpha_b")
-        assert cor.variant == "sigma_alpha_b"
-        with pytest.raises(DomainError):
-            noise_reduction_estimate(s, "nope")
-
-
 class TestRepeatExperiment:
     def build_batches(self, z=6, n=400, seed=119):
         cfg = make_config(eta_s=0.613, eta_i=0.6166, mu=2.0,
@@ -484,14 +470,22 @@ class TestRepeatExperiment:
 
 
 class TestPropagation:
-    def test_matches_point_estimators_at_the_sample(self):
-        s = poisson_series(n=800, seed=7, background=True)
-        from twincal.estimate import _estimates_from_moments, _moment_rows
-        v, w = _moment_rows(s)
-        mom = np.concatenate([v.mean(axis=0), w.mean(axis=0)])
-        alpha, sigma, eta = _estimates_from_moments(mom, 800, 800, 1)
-        assert alpha == pytest.approx(estimate_alpha_b(s), rel=1e-10)
-        assert sigma == pytest.approx(estimate_sigma_alpha_b(s), rel=1e-8)
+    def test_background_above_signal_raises_like_the_point_estimator(self):
+        s = RegionPairSeries([5, 6, 7], [5, 6, 8], m_s=[9, 9, 9],
+                             m_i=[5, 6, 7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # alpha_b < 0
+            warnings.simplefilter("error", RuntimeWarning)
+            for estimator in (estimate_sigma_alpha_b, propagate_type_a):
+                with pytest.raises(DegenerateDataError, match="signal mean"):
+                    estimator(s)
+
+    def test_zero_idler_mean_raises_without_runtime_warnings(self):
+        s = RegionPairSeries([5.0, 6.0, 7.0], [0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="idler mean is zero"):
+                propagate_type_a(s)
 
     def test_against_bootstrap(self):
         s = poisson_series(mean=5000.0, n=400, seed=8, background=True)
@@ -533,6 +527,11 @@ class TestSeriesContainer:
         with pytest.raises(DegenerateDataError):
             RegionPairSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
                              m_s=np.array([1.0, 2.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateDataError, match="finite"):
+                RegionPairSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                                 m_s=np.array([1.0, 2.0]),
+                                 m_i=np.array([1.0, bad]))
 
     def test_batching(self):
         s = poisson_series(n=100, seed=11, background=True)

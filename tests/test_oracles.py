@@ -1,9 +1,14 @@
-"""Vectorised stack estimators against their per-frame reference loops.
+"""Estimators against their reference implementations.
 
-Every case is fed both as float64 counts (what the simulator renders) and
-as the read-only ``<u4`` view ``read_stack`` returns, so an unsigned
-difference that wraps around would show up as a mismatch.
+The vectorised stack estimators are checked against per-frame loops.
+Every stack case is fed both as float64 counts (what the simulator
+renders) and as the read-only ``<u4`` view ``read_stack`` returns, so an
+unsigned difference that wraps around would show up as a mismatch.  The
+analytic delta method is checked against the central-difference gradient
+of the raw-moment formulas.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +20,13 @@ from twincal.estimate import (
     anchored_region,
     area_scan,
     build_series,
+    estimate_alpha,
+    estimate_alpha_b,
     estimate_sigma_alpha,
+    estimate_sigma_alpha_b,
+    propagate_type_a,
     RegionPairSeries,
+    repeat_experiment,
     sigma_spatial_map,
 )
 from twincal.model import FrameGeometry, Region
@@ -129,3 +139,58 @@ def test_empty_stack_is_degenerate():
     with pytest.raises(DegenerateDataError):
         sigma_spatial_map(np.zeros((0, 4, 8)), Region((1, 1), (2, 2)),
                           geometry, (1, 0))
+
+
+@st.composite
+def twin_series(draw):
+    """Twin-beam region sums with shared pulse jitter and straylight, from
+    a few counts up to the reference scale, with or without a background
+    series, and a variance convention."""
+    n = draw(st.integers(20, 1000))
+    mean = 10.0 ** draw(st.floats(1.0, np.log10(3e5)))
+    jitter = draw(st.floats(0.0, 0.15))
+    eta_s, eta_i = draw(st.floats(0.3, 0.9)), draw(st.floats(0.3, 0.9))
+    stray = mean * draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    energy = np.maximum(rng.normal(1.0, jitter, n), 0.05)
+    pairs = rng.poisson(mean * energy)
+    kwargs = {}
+    if draw(st.booleans()):
+        m = draw(st.integers(20, 1000))
+        kwargs = {"m_s": rng.poisson(stray, m).astype(float),
+                  "m_i": rng.poisson(0.9 * stray, m).astype(float)}
+    series = RegionPairSeries(
+        (rng.binomial(pairs, eta_s) + rng.poisson(stray * energy)).astype(float),
+        (rng.binomial(pairs, eta_i)
+         + rng.poisson(0.9 * stray * energy)).astype(float), **kwargs)
+    return series, draw(st.sampled_from([0, 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_series())
+def test_delta_method_matches_finite_difference_reference(case):
+    series, ddof = case
+    corrected = series.has_background
+    alpha_of, sigma_of = ((estimate_alpha_b, estimate_sigma_alpha_b)
+                          if corrected else
+                          (estimate_alpha, estimate_sigma_alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eta_s outside (0, 1]
+        try:
+            want = ref.point_estimates(series, corrected, ddof)
+        except DegenerateDataError:
+            for estimator in (sigma_of, propagate_type_a):
+                with pytest.raises(DegenerateDataError):
+                    estimator(series, ddof=ddof)
+            return
+        summary = repeat_experiment([series, series], ddof=ddof)
+    got = (alpha_of(series), sigma_of(series, ddof=ddof),
+           summary.per_batch_eta[0])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert summary.per_batch_alpha[0] == got[0]
+    assert summary.per_batch_sigma[0] == got[1]
+
+    u, u_ref = propagate_type_a(series, ddof), ref.propagate_type_a(series, ddof)
+    np.testing.assert_allclose([u.u_alpha, u.u_sigma, u.u_eta],
+                               [u_ref.u_alpha, u_ref.u_sigma, u_ref.u_eta],
+                               rtol=1e-5, atol=0)
