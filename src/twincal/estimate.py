@@ -176,10 +176,10 @@ def _estimates(series: RegionPairSeries, corrected: bool,
     series and, when corrected, the background series), a (frames, 3)
     array of each frame's first-order contribution to the three values:
     the delta method's influence functions, up to an additive constant
-    per column, which a covariance removes.
-    They are formed from the residual e = d - mean(d) of
-    d = N_s - alpha*N_i, not from raw or co-moments, whose difference
-    would cancel Var(N_s) down to the far smaller Var(d).
+    per column, which a covariance removes.  They are formed from the
+    residual e = d - mean(d) of d = N_s - alpha*N_i, not from raw or
+    co-moments, whose difference would cancel Var(N_s) down to the far
+    smaller Var(d).
     """
     fitted = alpha is None
     if corrected:
@@ -219,7 +219,9 @@ def _estimates(series: RegionPairSeries, corrected: bool,
     if not influence:
         return alpha, sigma, eta, None
 
-    # A block's variance moves with alpha by -2*scale*mean(e*(x_i - E[x_i])).
+    # sigma = num/denom.  A frame moves num by sign*scale*e2 and denom by
+    # sign*(shot_s*x_s + shot_i*x_i); alpha moves a block's variance by
+    # -2*scale*mean(e*(x_i - E[x_i])) and denom by ddenom_dalpha.
     dnum_dalpha = sum(-2.0 * sign * scale * float((e * (x_i - x_i.mean())).mean())
                       for _, x_i, sign, e, _, scale in residuals)
     dsigma_dalpha = (dnum_dalpha - sigma * ddenom_dalpha) / denom
