@@ -21,7 +21,6 @@ from .errors import (
 from .estimate import (
     AreaScanPoint,
     CalibrationDiagnostics,
-    CalibrationResult,
     RegionPairSeries,
     RepeatSummary,
     SpatialMapResult,
@@ -69,7 +68,6 @@ from .simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
     ExperimentConfig,
-    Frame,
     Stack,
     generate_stack,
     inject_cosmic_ray,

@@ -136,7 +136,8 @@ def _calibrate(cfg, params, pdc_frames, bg_frames):
 
     The stacks are (frames, rows, cols) count arrays; ``bg_frames`` may
     be None.  A background stack that is empty, or loses every frame to
-    the filter, is treated as absent.
+    the filter, is treated as absent.  Returns the RepeatSummary and the
+    CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
 
@@ -160,38 +161,23 @@ def _calibrate(cfg, params, pdc_frames, bg_frames):
     summary = estimate.repeat_experiment(series.batches(z), ddof=ddof)
     ratio, thermal = estimate.excess_noise(
         series, cfg.modes.total_modes(params.region_s.area
-                                      // cfg.modes.coherence_cell_px ** 2))
-
-    result = estimate.CalibrationResult(
-        eta_s=summary.eta_s, eta_i=summary.eta_i,
-        alpha_b=summary.alpha_b, sigma_ab=summary.sigma_ab,
-        u_eta_s=summary.u_eta_empirical,
-        u_alpha_b=summary.u_alpha_empirical,
-        u_sigma_ab=summary.u_sigma_empirical,
-        u_eta_s_propagated=summary.u_eta_propagated,
-        z_repeats=summary.z,
-        diagnostics=estimate.CalibrationDiagnostics(
-            excess_noise_ratio=ratio, thermal_excess=thermal,
-            discarded_pdc=len(pdc_dropped),
-            discarded_background=len(bg_dropped),
-            cs_offset=cs_map.argmin, cs_map_min=cs_map.min_value,
-            cs_curvature=cs_map.curvature, cs_ties=cs_map.ties))
-    if params.tau_s != 1.0:
-        result.eta_s_true = estimate.correct_for_transmittance(
-            result.eta_s, params.tau_s)
-    if params.tau_i != 1.0:
-        result.eta_i_true = estimate.correct_for_transmittance(
-            result.eta_i, params.tau_i)
-    return result, summary
+                                      // cfg.modes.coherence_cell_px ** 2),
+        ddof=ddof)
+    diagnostics = estimate.CalibrationDiagnostics(
+        excess_noise_ratio=ratio, thermal_excess=thermal,
+        discarded_pdc=len(pdc_dropped), discarded_background=len(bg_dropped),
+        cs_offset=cs_map.argmin, cs_map_min=cs_map.min_value,
+        cs_curvature=cs_map.curvature, cs_ties=cs_map.ties)
+    return summary, diagnostics
 
 
-def _print_calibration(args, result, summary) -> None:
-    d = result.diagnostics
-    _say(args, f"eta_s   = {result.eta_s:.6f} +- {result.u_eta_s:.6f} "
-               f"(propagated {result.u_eta_s_propagated:.6f})")
-    _say(args, f"eta_i   = {result.eta_i:.6f}")
-    _say(args, f"alpha_b = {result.alpha_b:.6f} +- {result.u_alpha_b:.6f}")
-    _say(args, f"sigma   = {result.sigma_ab:.6f} +- {result.u_sigma_ab:.6f}")
+def _print_calibration(args, params, s, d) -> None:
+    """Print a RepeatSummary ``s`` and its CalibrationDiagnostics ``d``."""
+    _say(args, f"eta_s   = {s.eta_s:.6f} +- {s.u_eta_empirical:.6f} "
+               f"(propagated {s.u_eta_propagated:.6f})")
+    _say(args, f"eta_i   = {s.eta_i:.6f}")
+    _say(args, f"alpha_b = {s.alpha_b:.6f} +- {s.u_alpha_empirical:.6f}")
+    _say(args, f"sigma   = {s.sigma_ab:.6f} +- {s.u_sigma_empirical:.6f}")
     _say(args, f"excess-noise ratio {d.excess_noise_ratio:.4g} "
                f"(thermal level {d.thermal_excess:.4g}), "
                f"discarded {d.discarded_pdc}+{d.discarded_background} frames, "
@@ -201,8 +187,11 @@ def _print_calibration(args, result, summary) -> None:
                f"curvature {curvature}, ties {d.cs_ties}")
     _say(args, f"type B: balance residual < {d.type_b_balance_residual:g}, "
                f"cs alignment bias {d.type_b_cs_bias_relative:.1%}")
-    if result.eta_s_true is not None:
-        _say(args, f"eta_s / tau_s = {result.eta_s_true:.6f}")
+    for arm, eta, tau in (("s", s.eta_s, params.tau_s),
+                          ("i", s.eta_i, params.tau_i)):
+        if tau != 1.0:
+            eta_true = estimate.correct_for_transmittance(eta, tau)
+            _say(args, f"eta_{arm} / tau_{arm} = {eta_true:.6f}")
 
 
 def cmd_calibrate(args) -> int:
@@ -210,10 +199,10 @@ def cmd_calibrate(args) -> int:
     out = _outdir(args)
     pdc = _read_stack(args.pdc).counts
     bg = _read_stack(args.background).counts if args.background else None
-    result, summary = _calibrate(cfg, params, pdc, bg)
-    io.write_calibration_csv(out / "calibration.csv", result)
+    summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    io.write_calibration_csv(out / "calibration.csv", summary, diagnostics)
     io.write_batches_csv(out / "batches.csv", summary)
-    _print_calibration(args, result, summary)
+    _print_calibration(args, params, summary, diagnostics)
     return 0
 
 
@@ -229,8 +218,8 @@ def cmd_reproduce_table1(args) -> int:
     pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
     bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
-    result, summary = _calibrate(cfg, params, pdc, bg)
-    io.write_calibration_csv(out / "calibration.csv", result)
+    summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    io.write_calibration_csv(out / "calibration.csv", summary, diagnostics)
     io.write_batches_csv(out / "batches.csv", summary)
 
     region_i = cfg.geometry.conjugate_region(params.region_s)
@@ -243,15 +232,15 @@ def cmd_reproduce_table1(args) -> int:
         "E_Ms": float(series.m_s.mean()),
         "std_Ms": float(series.m_s.std(ddof=ddof)),
         "alpha": alpha,
-        "alpha_b": result.alpha_b,
+        "alpha_b": summary.alpha_b,
         "sigma": estimate.estimate_sigma_raw(series, ddof=ddof),
         "sigma_alpha": estimate.estimate_sigma_alpha(series, alpha, ddof=ddof),
-        "sigma_alpha_b": result.sigma_ab,
-        "eta_s": result.eta_s,
+        "sigma_alpha_b": summary.sigma_ab,
+        "eta_s": summary.eta_s,
     }
-    uncertainties = {"alpha_b": result.u_alpha_b,
-                     "sigma_alpha_b": result.u_sigma_ab,
-                     "eta_s": result.u_eta_s}
+    uncertainties = {"alpha_b": summary.u_alpha_empirical,
+                     "sigma_alpha_b": summary.u_sigma_empirical,
+                     "eta_s": summary.u_eta_empirical}
 
     lines = ["quantity,reference,u_reference,simulated,u_simulated\n"]
     for key, (ref, u_ref) in presets.REFERENCE_VALUES.items():
@@ -263,7 +252,7 @@ def cmd_reproduce_table1(args) -> int:
     _say(args, f"{'quantity':<14}{'reference':>14}{'simulated':>14}")
     for key, (ref, _u) in presets.REFERENCE_VALUES.items():
         _say(args, f"{key:<14}{ref:>14.6g}{simulated[key]:>14.6g}")
-    _print_calibration(args, result, summary)
+    _print_calibration(args, params, summary, diagnostics)
     return 0
 
 

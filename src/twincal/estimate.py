@@ -16,8 +16,9 @@ Conventions
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
-  estimators, ``repeat_experiment`` and the delta method of
-  ``propagate_type_a`` all call it.
+  estimators and the delta method of ``propagate_type_a`` call it, and
+  ``repeat_experiment`` takes each batch's values and uncertainties from
+  one ``propagate_type_a`` call.
 """
 
 from __future__ import annotations
@@ -290,10 +291,12 @@ def correct_for_transmittance(eta: float, tau: float) -> float:
     return eta_true
 
 
-def excess_noise(series: RegionPairSeries, m_tot: int | None = None):
+def excess_noise(series: RegionPairSeries, m_tot: int | None = None,
+                 ddof: int = 1):
     """Fluctuation of the summed counts relative to shot noise.
 
-    Returns (ratio, thermal_excess): ratio = Var(N_s + N_i)/E[N_s + N_i];
+    Returns (ratio, thermal_excess): ratio = Var(N_s + N_i)/E[N_s + N_i],
+    with the sample variance's ``ddof`` as in every other estimator;
     thermal_excess = <N>/m_tot is the per-arm multithermal prediction for
     comparison (None when m_tot is not given).  Pump jitter drives the
     ratio orders of magnitude above both 1 and the thermal level.
@@ -302,7 +305,7 @@ def excess_noise(series: RegionPairSeries, m_tot: int | None = None):
     mean = float(total.mean())
     if mean <= 0.0:
         raise DegenerateDataError("summed counts have non-positive mean")
-    ratio = float(np.var(total, ddof=1)) / mean
+    ratio = float(np.var(total, ddof=ddof)) / mean
     thermal = None
     if m_tot is not None:
         if m_tot < 1:
@@ -491,8 +494,12 @@ def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
 
 @dataclass(frozen=True)
 class TypeAUncertainty:
-    """Delta-method standard uncertainties of one experiment's estimates."""
+    """One experiment's estimates and their delta-method standard
+    uncertainties."""
 
+    alpha: float
+    sigma: float
+    eta: float
     u_alpha: float
     u_sigma: float
     u_eta: float
@@ -501,7 +508,8 @@ class TypeAUncertainty:
 
 def propagate_type_a(series: RegionPairSeries,
                      ddof: int = 1) -> TypeAUncertainty:
-    """Type A uncertainties of (alpha, sigma, eta_s) by the delta method.
+    """(alpha, sigma, eta_s) and their Type A uncertainties by the delta
+    method.
 
     The estimates are those of ``repeat_experiment``: background-corrected
     when the series carries a background.  Their covariance is the sum
@@ -511,14 +519,15 @@ def propagate_type_a(series: RegionPairSeries,
     independent.  The gradient is analytic, taken by ``_estimates`` on
     the same formulas as the point estimates.
     """
-    rows = _estimates(series, series.has_background, ddof=ddof,
-                      influence=True)[3]
+    alpha, sigma, eta, rows = _estimates(series, series.has_background,
+                                         ddof=ddof, influence=True)
     cov = sum(np.cov(block, rowvar=False, ddof=1) / len(block)
               for block in rows)
     u = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
-    return TypeAUncertainty(u_alpha=float(u[0]), u_sigma=float(u[1]),
+    return TypeAUncertainty(alpha=alpha, sigma=sigma, eta=eta,
+                            u_alpha=float(u[0]), u_sigma=float(u[1]),
                             u_eta=float(u[2]),
                             cov_alpha_sigma=float(cov[0, 1]))
 
@@ -567,9 +576,9 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
     if any(b.has_background != corrected for b in batches):
         raise DegenerateDataError("batches disagree on background presence")
 
-    alphas, sigmas, etas = (np.array(v) for v in zip(
-        *(_estimates(batch, corrected, ddof=ddof)[:3] for batch in batches)))
     propagated = [propagate_type_a(batch, ddof=ddof) for batch in batches]
+    alphas, sigmas, etas = (np.array([getattr(p, key) for p in propagated])
+                            for key in ("alpha", "sigma", "eta"))
     alpha_b = float(alphas.mean())
     sigma_ab = float(sigmas.mean())
     eta_s, eta_i = eta_from_sigma(alpha_b, sigma_ab)
@@ -591,11 +600,13 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
 
 
 # ---------------------------------------------------------------------------
-# Calibration result
+# Calibration diagnostics
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CalibrationDiagnostics:
+    """What the calibration chain saw beside its RepeatSummary."""
+
     excess_noise_ratio: float
     thermal_excess: float | None
     discarded_pdc: int
@@ -607,20 +618,3 @@ class CalibrationDiagnostics:
     type_b_balance_residual: float = TYPE_B_BALANCE_RESIDUAL
     type_b_cs_bias_relative: float = TYPE_B_CS_BIAS_RELATIVE
 
-
-@dataclass
-class CalibrationResult:
-    """Final efficiencies with the statistical uncertainty budget."""
-
-    eta_s: float
-    eta_i: float
-    alpha_b: float
-    sigma_ab: float
-    u_eta_s: float
-    u_alpha_b: float
-    u_sigma_ab: float
-    z_repeats: int
-    diagnostics: CalibrationDiagnostics
-    u_eta_s_propagated: float = float("nan")
-    eta_s_true: float | None = None
-    eta_i_true: float | None = None

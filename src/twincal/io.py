@@ -19,7 +19,9 @@ blocks it needs to float64 itself.
 
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
-(sorted keys), so identical inputs produce byte-identical files.
+(sorted keys), so identical inputs produce byte-identical files.  A run
+configuration is read key by key: an absent key takes the default
+declared on its dataclass, and an unknown key is a ConfigError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .estimate import (
     AreaScanPoint,
-    CalibrationResult,
+    CalibrationDiagnostics,
     RepeatSummary,
     SpatialMapResult,
 )
@@ -191,20 +193,28 @@ def experiment_to_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+def _from_keys(cls, doc: dict, section: str, converted: dict):
+    """``cls`` built from the document's keys, with ``converted`` replacing
+    the values that need a type of their own.  Absent keys take the
+    dataclass defaults; an unknown key is a ConfigError."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{section} section: unknown keys {unknown}")
+    return cls(**{**doc, **converted})
+
+
 def experiment_from_dict(doc: dict) -> ExperimentConfig:
     try:
         modes = dict(doc["modes"], grid=tuple(doc["modes"]["grid"]))
         geometry = dict(doc["geometry"], cs=tuple(doc["geometry"]["cs"]))
-        return ExperimentConfig(
-            channel=ChannelEfficiencies(**doc["channel"]),
-            modes=ModeStructure(**modes),
-            pulse=PulseModel(**doc["pulse"]),
-            background=BackgroundModel(**doc["background"]),
-            geometry=FrameGeometry(**geometry),
-            cs_offset=tuple(doc.get("cs_offset", (0.0, 0.0))),
-            cosmic_ray_rate=doc.get("cosmic_ray_rate", 0.0),
-            master_seed=doc.get("master_seed", 0),
-        )
+        converted = {"channel": ChannelEfficiencies(**doc["channel"]),
+                     "modes": ModeStructure(**modes),
+                     "pulse": PulseModel(**doc["pulse"]),
+                     "background": BackgroundModel(**doc["background"]),
+                     "geometry": FrameGeometry(**geometry)}
+        if "cs_offset" in doc:
+            converted["cs_offset"] = tuple(doc["cs_offset"])
+        return _from_keys(ExperimentConfig, doc, "experiment", converted)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"experiment section: {exc}") from exc
 
@@ -220,20 +230,13 @@ def analysis_to_dict(params: AnalysisParams) -> dict:
 
 def analysis_from_dict(doc: dict) -> AnalysisParams:
     try:
-        region = Region(origin=tuple(doc["region_s"]["origin"]),
-                        extent=tuple(doc["region_s"]["extent"]))
-        return AnalysisParams(
-            region_s=region,
-            z_batches=doc.get("z_batches", 2),
-            frames_per_batch=doc.get("frames_per_batch", 100),
-            background_frames_per_batch=doc.get("background_frames_per_batch", 0),
-            cs_search_extent=tuple(doc.get("cs_search_extent", (3, 3))),
-            areas=tuple(tuple(a) for a in doc.get("areas", ())),
-            cosmic_mad_k=doc.get("cosmic_mad_k", 10.0),
-            variance_ddof=doc.get("variance_ddof", 1),
-            tau_s=doc.get("tau_s", 1.0),
-            tau_i=doc.get("tau_i", 1.0),
-        )
+        converted = {"region_s": Region(origin=tuple(doc["region_s"]["origin"]),
+                                        extent=tuple(doc["region_s"]["extent"]))}
+        if "cs_search_extent" in doc:
+            converted["cs_search_extent"] = tuple(doc["cs_search_extent"])
+        if "areas" in doc:
+            converted["areas"] = tuple(tuple(a) for a in doc["areas"])
+        return _from_keys(AnalysisParams, doc, "analysis", converted)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"analysis section: {exc}") from exc
 
@@ -280,14 +283,17 @@ def _row(values) -> str:
     return ",".join(cells) + "\n"
 
 
-def write_calibration_csv(path, result: CalibrationResult) -> None:
+def write_calibration_csv(path, summary: RepeatSummary,
+                          diagnostics: CalibrationDiagnostics) -> None:
+    """One row: the Z-batch estimates with their empirical (standard
+    error of the mean) uncertainties, E and the discarded frame count."""
     header = ("eta_s,u_eta_s,eta_i,alpha_b,u_alpha_b,sigma_ab,u_sigma_ab,"
               "E,discarded\n")
-    discarded = (result.diagnostics.discarded_pdc
-                 + result.diagnostics.discarded_background)
-    row = _row([result.eta_s, result.u_eta_s, result.eta_i, result.alpha_b,
-                result.u_alpha_b, result.sigma_ab, result.u_sigma_ab,
-                result.diagnostics.excess_noise_ratio, discarded])
+    discarded = diagnostics.discarded_pdc + diagnostics.discarded_background
+    row = _row([summary.eta_s, summary.u_eta_empirical, summary.eta_i,
+                summary.alpha_b, summary.u_alpha_empirical, summary.sigma_ab,
+                summary.u_sigma_empirical, diagnostics.excess_noise_ratio,
+                discarded])
     Path(path).write_text(header + row)
 
 
@@ -312,29 +318,3 @@ def write_batches_csv(path, summary: RepeatSummary) -> None:
             summary.per_batch_eta))]
     Path(path).write_text(header + "".join(rows))
 
-
-def emit_tables(out_dir, calibration: CalibrationResult | None = None,
-                batches: RepeatSummary | None = None,
-                area_points: list[AreaScanPoint] | None = None,
-                cs_map: SpatialMapResult | None = None) -> list[Path]:
-    """Write whichever result tables are supplied; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if calibration is not None:
-        path = out / "calibration.csv"
-        write_calibration_csv(path, calibration)
-        written.append(path)
-    if batches is not None:
-        path = out / "batches.csv"
-        write_batches_csv(path, batches)
-        written.append(path)
-    if area_points is not None:
-        path = out / "area_scan.csv"
-        write_area_scan_csv(path, area_points)
-        written.append(path)
-    if cs_map is not None:
-        path = out / "cs_map.csv"
-        write_cs_map_csv(path, cs_map)
-        written.append(path)
-    return written

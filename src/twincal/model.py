@@ -188,10 +188,6 @@ class BackgroundModel:
         """Read noise standard deviation of one superpixel."""
         return self.binning * self.read_noise_std
 
-    @property
-    def is_zero(self) -> bool:
-        return self.straylight_mean == 0.0 and self.read_noise_std == 0.0
-
 
 @dataclass(frozen=True)
 class Region:
@@ -343,13 +339,10 @@ def predict_sigma(ch: ChannelEfficiencies, mu: float, m_tot: float = 1) -> float
     For balanced channels this is exactly 1 - eta; the imbalance term is
     non-negative and carries the thermal excess.  The value does not depend
     on the mode count (it cancels between numerator and shot-noise
-    denominator); ``m_tot`` is validated for interface symmetry only.
+    denominator); ``m_tot`` is validated for interface symmetry only.  It
+    is ``predict_sigma_with_jitter`` without jitter.
     """
-    _check_positive("mu", mu)
-    _check_modes(m_tot)
-    ep = ch.eta_plus
-    em = ch.eta_minus
-    return 1.0 - ep + (em * em / (2.0 * ep)) * (0.5 + mu)
+    return predict_sigma_with_jitter(ch, mu, 0.0, m_tot)
 
 
 def predict_sigma_with_jitter(ch: ChannelEfficiencies, mu_bar: float,
@@ -359,7 +352,7 @@ def predict_sigma_with_jitter(ch: ChannelEfficiencies, mu_bar: float,
     With the per-mode mean fluctuating shot to shot (mean mu_bar, variance
     var_mu), the imbalance term acquires a contribution proportional to
     (var_mu / mu_bar) * (1 + m_tot) -- very large detection areas amplify
-    pump instability.  var_mu = 0 reduces bit-for-bit to predict_sigma.
+    pump instability.  At var_mu = 0 it is predict_sigma.
     """
     _check_positive("mu_bar", mu_bar)
     if var_mu < 0.0:

@@ -16,13 +16,15 @@ block of ``_BLOCK_FRAMES`` frames, in a fixed order:
 Every block owns an RNG stream derived from (master_seed, kind,
 block_index), so stacks are bit-reproducible, a stack of n frames is a
 prefix of any longer stack, and one frame is re-rendered by rendering its
-block.
+block.  Every result is a ``Stack``: ``iter_stack`` yields one per block,
+``generate_stack`` copies those blocks into one array, and
+``render_frame`` returns a one-frame Stack cut from its block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,16 +109,6 @@ class ExperimentConfig:
                  _round_half_away(self.cs_offset[1]))
         conj = self.geometry.conjugate_region(signal, shift=shift)
         return conj.origin
-
-
-@dataclass
-class Frame:
-    """One laser shot: the superpixel count matrix plus shot metadata."""
-
-    counts: np.ndarray
-    pulse_index: int
-    pulse_energy: float
-    kind: str = KIND_PDC
 
 
 @dataclass
@@ -212,12 +204,16 @@ def _inject_spike(counts: np.ndarray, rng: np.random.Generator) -> None:
     counts[r, c] += _COSMIC_FACTOR * max(median, float(counts[r, c]), 1.0)
 
 
-def inject_cosmic_ray(frame: Frame, rng: np.random.Generator) -> Frame:
-    """Return a copy of the frame with one cosmic-ray spike added."""
-    counts = frame.counts.copy()
+def inject_cosmic_ray(counts: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Return a float64 copy of one frame's (rows, cols) counts with one
+    cosmic-ray spike added, re-quantised."""
+    if counts.ndim != 2:
+        raise DomainError("inject_cosmic_ray takes one (rows, cols) frame")
+    counts = counts.astype(np.float64)
     _inject_spike(counts, rng)
     np.rint(counts, out=counts)
-    return replace(frame, counts=counts)
+    return counts
 
 
 def _render_block(cfg: ExperimentConfig, kind: str,
@@ -274,31 +270,35 @@ def _render_block(cfg: ExperimentConfig, kind: str,
 
 
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
-                 kind: str = KIND_PDC) -> Frame:
-    """Generate one frame by rendering its block."""
+                 kind: str = KIND_PDC) -> Stack:
+    """Frame ``pulse_index`` as a one-frame Stack, by rendering its block."""
     counts, energy = _render_block(cfg, kind, pulse_index // _BLOCK_FRAMES)
     k = pulse_index % _BLOCK_FRAMES
-    return Frame(counts=counts[k].copy(), pulse_index=pulse_index,
-                 pulse_energy=float(energy[k]), kind=kind)
+    return Stack(counts=counts[k:k + 1].copy(), kind=kind,
+                 pulse_energy=energy[k:k + 1].copy())
 
 
 def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
-    """Yield ``count`` frames, one block at a time (constant memory)."""
+    """Yield ``count`` frames as one Stack per RNG block (constant memory).
+
+    Each Stack holds ``_BLOCK_FRAMES`` frames, the last one fewer when
+    ``count`` is not a multiple of the block size.
+    """
     if count < 1:
         raise DomainError("count must be >= 1")
     for start in range(0, count, _BLOCK_FRAMES):
         counts, energy = _render_block(cfg, kind, start // _BLOCK_FRAMES)
-        for k in range(min(_BLOCK_FRAMES, count - start)):
-            yield Frame(counts=counts[k], pulse_index=start + k,
-                        pulse_energy=float(energy[k]), kind=kind)
+        n = min(_BLOCK_FRAMES, count - start)
+        yield Stack(counts=counts[:n], kind=kind, pulse_energy=energy[:n])
 
 
 def generate_stack(cfg: ExperimentConfig, count: int,
                    kind: str = KIND_PDC) -> Stack:
     """Materialise a stack of mutually independent frames.
 
-    The last block is rendered in full and cut, so every stack is a
-    prefix of any longer one with the same config and kind.
+    The blocks of ``iter_stack`` are copied into one preallocated array,
+    so every stack is a prefix of any longer one with the same config and
+    kind.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -309,9 +309,10 @@ def generate_stack(cfg: ExperimentConfig, count: int,
             f"({total} elements) is too large to materialise; use iter_stack")
     stack = Stack(counts=np.empty((count,) + cfg.geometry.shape),
                   kind=kind, pulse_energy=np.empty(count))
-    for start in range(0, count, _BLOCK_FRAMES):
-        counts, energy = _render_block(cfg, kind, start // _BLOCK_FRAMES)
-        stop = min(start + _BLOCK_FRAMES, count)
-        stack.counts[start:stop] = counts[:stop - start]
-        stack.pulse_energy[start:stop] = energy[:stop - start]
+    start = 0
+    for block in iter_stack(cfg, count, kind):
+        stop = start + len(block.counts)
+        stack.counts[start:stop] = block.counts
+        stack.pulse_energy[start:stop] = block.pulse_energy
+        start = stop
     return stack

@@ -161,6 +161,8 @@ def propagate_type_a(series, ddof: int = 1) -> TypeAUncertainty:
     u = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
-    return TypeAUncertainty(u_alpha=float(u[0]), u_sigma=float(u[1]),
+    alpha, sigma, eta = _estimates_from_moments(mom, n, m, ddof)
+    return TypeAUncertainty(alpha=alpha, sigma=sigma, eta=eta,
+                            u_alpha=float(u[0]), u_sigma=float(u[1]),
                             u_eta=float(u[2]),
                             cov_alpha_sigma=float(cov[0, 1]))

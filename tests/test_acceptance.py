@@ -194,10 +194,11 @@ def test_criterion_06_area_scan():
     areas = [(2, 2), (3, 3), (5, 5), (7, 7), (9, 9), (13, 13), (17, 17),
              (21, 21), (25, 25), (31, 31), (40, 64)]
     groups, per_group = 12, 1000
-    stream = iter_stack(cfg, groups * per_group)
+    stream = (frame for block in iter_stack(cfg, groups * per_group)
+              for frame in block.counts)
     curves = np.array([
         [p.sigma_alpha for p in area_scan(
-            np.stack([f.counts for f in itertools.islice(stream, per_group)]),
+            np.stack(list(itertools.islice(stream, per_group))),
             None, cfg.geometry, anchor, areas, cell_px=2)]
         for _ in range(groups)])
     mean = curves.mean(axis=0)
@@ -292,7 +293,7 @@ def test_criterion_10_determinism_and_format(tmp_path):
     cfg = reference_experiment(master_seed=1010)
     doc = {"determinism": "check"}
     stack = generate_stack(cfg, 100)
-    streamed = Stack(np.stack([f.counts for f in iter_stack(cfg, 100)]))
+    streamed = Stack(np.concatenate([b.counts for b in iter_stack(cfg, 100)]))
     p1, p2 = tmp_path / "stack.tbs", tmp_path / "streamed.tbs"
     write_stack(p1, stack, doc)
     write_stack(p2, streamed, doc)

@@ -10,7 +10,7 @@ import pytest
 from twincal.cli import main
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
-from twincal.simulate import Frame, generate_stack, inject_cosmic_ray
+from twincal.simulate import generate_stack, inject_cosmic_ray
 from twincal import io as tio
 
 from test_simulate import make_config
@@ -101,6 +101,43 @@ def test_calibrate_recovers_ground_truth(run_dir, capsys):
     assert len(batches) == 5
 
 
+def test_calibrate_reports_transmittance_corrected_efficiencies(run_dir,
+                                                                capsys):
+    tmp_path, config = run_dir
+    cfg, params = load_run_config(config)
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+    lossy = tmp_path / "lossy.json"
+    save_run_config(lossy, cfg, dataclasses.replace(params, tau_s=0.9,
+                                                    tau_i=0.8))
+    capsys.readouterr()
+    assert main(["calibrate", "--config", str(lossy), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"),
+                 "--background", str(out / "background.tbs")]) == 0
+    stdout = capsys.readouterr().out
+    eta = {arm: float(re.search(rf"^eta_{arm}\s+= (\S+)", stdout, re.M)[1])
+           for arm in "si"}
+    corrected = re.findall(r"^eta_(\w) / tau_\w = (\S+)$", stdout, re.M)
+    assert [arm for arm, _ in corrected] == ["s", "i"]
+    values = dict(corrected)
+    assert float(values["s"]) == pytest.approx(eta["s"] / 0.9, abs=2e-6)
+    assert float(values["i"]) == pytest.approx(eta["i"] / 0.8, abs=2e-6)
+
+
+def test_excess_noise_follows_variance_ddof(run_dir):
+    from twincal.cli import _calibrate
+    _, config = run_dir
+    cfg, params = load_run_config(config)
+    pdc = generate_stack(cfg, params.z_batches * params.frames_per_batch)
+    bg = generate_stack(cfg, params.z_batches *
+                        params.background_frames_per_batch, kind="background")
+    ratios = [_calibrate(cfg, dataclasses.replace(params, variance_ddof=ddof),
+                         pdc.counts, bg.counts)[1].excess_noise_ratio
+              for ddof in (0, 1)]
+    n = len(pdc.counts)  # the filter keeps every frame of this stack
+    assert ratios[0] / ratios[1] == pytest.approx((n - 1) / n, rel=1e-12)
+
+
 def test_calibrate_discards_injected_cosmic_rays(run_dir):
     tmp_path, config = run_dir
     cfg, params = load_run_config(config)
@@ -110,8 +147,7 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
     spiked_at = sorted(int(i) for i in
                        rng.choice(len(clean.counts), 6, replace=False))
     for k in spiked_at:
-        clean.counts[k] = inject_cosmic_ray(Frame(clean.counts[k], k, 1.0),
-                                            rng).counts
+        clean.counts[k] = inject_cosmic_ray(clean.counts[k], rng)
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch,
                         kind="background")
@@ -164,6 +200,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
     assert "error[ConfigError]" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exit_code(run_dir, capsys):
+    tmp_path, config = run_dir
+    doc = json.loads(config.read_text())
+    doc["analysis"]["frames_per_bach"] = 10
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and "frames_per_bach" in err
+    assert not (out / "pdc.tbs").exists()
 
 
 def test_missing_stack_exit_code(run_dir, capsys):

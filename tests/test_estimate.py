@@ -30,10 +30,8 @@ from twincal.estimate import (
 from twincal.model import Region
 from twincal.simulate import (
     KIND_BACKGROUND,
-    Frame,
     generate_stack,
     inject_cosmic_ray,
-    render_frame,
 )
 
 from test_simulate import make_config
@@ -229,6 +227,14 @@ class TestExcessNoise:
         ratio, _ = excess_noise(series)
         assert 1e3 < ratio < 1e4
 
+    def test_variance_follows_ddof(self):
+        s = poisson_series(n=50, seed=9)
+        total = s.n_s + s.n_i
+        for ddof in (0, 1):
+            ratio, _ = excess_noise(s, ddof=ddof)
+            assert ratio == np.var(total, ddof=ddof) / total.mean()
+        assert excess_noise(s, ddof=0)[0] < excess_noise(s)[0]
+
 
 class TestBalancingKillsJitter:
     def test_forced_unit_alpha_is_orders_of_magnitude_worse(self):
@@ -299,7 +305,7 @@ class TestCosmicFilter:
         rng = np.random.default_rng(5)
         spiked_at = [7, 23, 41]
         for k in spiked_at:
-            frames[k] = inject_cosmic_ray(Frame(frames[k], k, 1.0), rng).counts
+            frames[k] = inject_cosmic_ray(frames[k], rng)
         kept, discarded = cosmic_ray_filter(frames)
         assert discarded == spiked_at
         assert len(kept) == 57
@@ -314,7 +320,7 @@ class TestCosmicFilter:
         spiked_at = sorted(int(k) for k in
                            rng.choice(1000, 12, replace=False))
         for k in spiked_at:
-            frames[k] = inject_cosmic_ray(Frame(frames[k], k, 1.0), rng).counts
+            frames[k] = inject_cosmic_ray(frames[k], rng)
         kept, discarded = cosmic_ray_filter(frames)
         assert discarded == spiked_at
         assert len(kept) == 988
@@ -457,6 +463,21 @@ class TestRepeatExperiment:
     def test_needs_two_batches(self):
         with pytest.raises(DegenerateDataError):
             repeat_experiment(self.build_batches(z=6)[:1])
+
+    def test_each_batch_is_estimated_once(self, monkeypatch):
+        from twincal import estimate
+        batches = self.build_batches(z=3, n=100)
+        calls = []
+        real = estimate._estimates
+        monkeypatch.setattr(estimate, "_estimates",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        summary = repeat_experiment(batches)
+        assert len(calls) == 3
+        for k, batch in enumerate(batches):
+            u = propagate_type_a(batch)
+            assert (u.alpha, u.sigma, u.eta) == (
+                summary.per_batch_alpha[k], summary.per_batch_sigma[k],
+                summary.per_batch_eta[k])
 
     def test_population_std_shrinks_with_batch_size(self):
         cfg = make_config(seed=120)

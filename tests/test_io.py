@@ -1,5 +1,6 @@
 """Stack format, run-config and table serialisation tests."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,7 +18,7 @@ from twincal.errors import (
 from twincal.estimate import (
     AreaScanPoint,
     CalibrationDiagnostics,
-    CalibrationResult,
+    RepeatSummary,
 )
 from twincal.io import (
     AnalysisParams,
@@ -213,6 +214,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="sections"):
             run_config_from_dict({"experiment": {}})
 
+    def test_unknown_keys_are_config_errors(self):
+        for section, key in (("analysis", "frames_per_bach"),
+                             ("experiment", "cosmic_rate")):
+            doc = a_config_doc()
+            doc[section][key] = 1
+            with pytest.raises(ConfigError, match=key):
+                run_config_from_dict(doc)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        doc = a_config_doc()
+        exp, ana = doc["experiment"], doc["analysis"]
+        for key in ("cs_offset", "cosmic_ray_rate", "master_seed"):
+            del exp[key]
+        ana = {"region_s": ana["region_s"]}
+        assert experiment_from_dict(exp) == dataclasses.replace(
+            make_config(), master_seed=0)
+        assert analysis_from_dict(ana) == AnalysisParams(
+            region_s=Region((4, 3), (5, 8)))
+
     def test_invalid_values_are_config_errors(self):
         doc = a_config_doc()
         doc["analysis"]["z_batches"] = 0
@@ -227,17 +247,22 @@ class TestRunConfig:
 
 class TestTables:
     def result(self):
-        return CalibrationResult(
-            eta_s=0.613211111, eta_i=0.609632222, alpha_b=0.994163333,
-            sigma_ab=0.384744444, u_eta_s=0.011, u_alpha_b=4e-05,
-            u_sigma_ab=0.011, z_repeats=8,
-            diagnostics=CalibrationDiagnostics(
-                excess_noise_ratio=5123.4, thermal_excess=1.25,
-                discarded_pdc=3, discarded_background=1, cs_offset=(0, 0)))
+        per_batch = np.zeros(8)
+        summary = RepeatSummary(
+            z=8, eta_s=0.613211111, eta_i=0.609632222, alpha_b=0.994163333,
+            sigma_ab=0.384744444, u_eta_empirical=0.011,
+            u_alpha_empirical=4e-05, u_sigma_empirical=0.011,
+            u_alpha_propagated=5e-05, u_sigma_propagated=0.012,
+            u_eta_propagated=0.012, per_batch_alpha=per_batch,
+            per_batch_sigma=per_batch, per_batch_eta=per_batch,
+            background_corrected=True)
+        return summary, CalibrationDiagnostics(
+            excess_noise_ratio=5123.4, thermal_excess=1.25,
+            discarded_pdc=3, discarded_background=1, cs_offset=(0, 0))
 
     def test_calibration_schema(self, tmp_path):
         path = tmp_path / "calibration.csv"
-        write_calibration_csv(path, self.result())
+        write_calibration_csv(path, *self.result())
         header, row = path.read_text().splitlines()
         assert header.split(",") == ["eta_s", "u_eta_s", "eta_i", "alpha_b",
                                      "u_alpha_b", "sigma_ab", "u_sigma_ab",
@@ -269,12 +294,3 @@ class TestTables:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert all(len(line.split(",")) == 5 for line in lines)
-
-    def test_emit_tables_orchestrator(self, tmp_path):
-        from twincal.io import emit_tables
-        points = [AreaScanPoint((1, 1), 1.0, 0.9, 0.89)]
-        written = emit_tables(tmp_path / "nested", calibration=self.result(),
-                              area_points=points)
-        assert [p.name for p in written] == ["calibration.csv",
-                                             "area_scan.csv"]
-        assert all(p.exists() for p in written)

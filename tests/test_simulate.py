@@ -109,8 +109,7 @@ class TestSampleCellPair:
 class TestRenderFrame:
     def test_noiseless_unit_efficiency_frame_is_point_symmetric(self):
         cfg = make_config(eta_s=1.0, eta_i=1.0, mu=1.0, m_t=50)
-        frame = render_frame(cfg, 0)
-        counts = frame.counts
+        counts = render_frame(cfg, 0).counts[0]
         cs_r, cs_c = cfg.geometry.cs
         region = cfg.signal_region()
         for r in range(region.origin[0], region.origin[0] + region.extent[0]):
@@ -157,13 +156,13 @@ class TestRenderFrame:
     def test_offset_moves_idler_deposit(self):
         base = make_config(mu=1.0, m_t=100, seed=9)
         moved = dataclasses.replace(base, cs_offset=(2.0, -1.0))
-        f0 = render_frame(base, 0)
-        f1 = render_frame(moved, 0)
+        f0 = render_frame(base, 0).counts[0]
+        f1 = render_frame(moved, 0).counts[0]
         split = base.geometry.beam_split
         # same stream: signal halves identical, idler half shifted
-        assert np.array_equal(f0.counts[:, :split], f1.counts[:, :split])
-        assert np.array_equal(np.roll(f0.counts[:, split:], (2, -1), (0, 1)),
-                              f1.counts[:, split:])
+        assert np.array_equal(f0[:, :split], f1[:, :split])
+        assert np.array_equal(np.roll(f0[:, split:], (2, -1), (0, 1)),
+                              f1[:, split:])
 
     def test_offset_rounding_is_half_away_from_zero(self):
         cfg = make_config(cs_offset=(0.5, -0.5))
@@ -181,11 +180,11 @@ class TestCellSpreading:
         cfg = make_config(cell_px=2, grid=(3, 4), rows=17, cols=36, split=18,
                           cs=(8.0, 17.5), eta_s=1.0, eta_i=1.0, mu=2.0,
                           m_t=50, seed=21)
-        frame = render_frame(cfg, 0)
+        counts = render_frame(cfg, 0).counts[0]
         region = cfg.signal_region()
-        sig = frame.counts[region.row_slice, region.col_slice]
+        sig = counts[region.row_slice, region.col_slice]
         conj = cfg.geometry.conjugate_region(region)
-        idl = frame.counts[conj.row_slice, conj.col_slice][::-1, ::-1]
+        idl = counts[conj.row_slice, conj.col_slice][::-1, ::-1]
         # cell-block sums mirror exactly at unit efficiency
         cells_s = sig.reshape(3, 2, 4, 2).sum(axis=(1, 3))
         cells_i = idl.reshape(3, 2, 4, 2).sum(axis=(1, 3))
@@ -210,30 +209,34 @@ class TestDeterminism:
             assert np.array_equal(part.pulse_energy, full.pulse_energy[:n])
         for k in (0, 63, 64, 127, 199):
             frame = render_frame(cfg, k)
-            assert np.array_equal(frame.counts, full.counts[k])
-            assert frame.pulse_energy == full.pulse_energy[k]
-        streamed = np.stack([f.counts for f in iter_stack(cfg, 200)])
+            assert np.array_equal(frame.counts, full.counts[k:k + 1])
+            assert np.array_equal(frame.pulse_energy, full.pulse_energy[k:k + 1])
+        blocks = list(iter_stack(cfg, 200))
+        assert [len(b.counts) for b in blocks] == [64, 64, 64, 8]
+        streamed = np.concatenate([b.counts for b in blocks])
         assert np.array_equal(streamed, full.counts)
+        assert np.array_equal(np.concatenate([b.pulse_energy for b in blocks]),
+                              full.pulse_energy)
 
     def test_out_of_order_rendering_matches_stack(self):
         cfg = make_config(jitter=0.1, seed=33)
         stack = generate_stack(cfg, 10)
         for k in (7, 3, 9, 0, 5):
             frame = render_frame(cfg, k)
-            assert np.array_equal(frame.counts, stack.counts[k])
+            assert np.array_equal(frame.counts, stack.counts[k:k + 1])
 
     def test_pdc_part_unchanged_by_background_fields(self):
         quiet = make_config(seed=34)
         noisy = dataclasses.replace(
             quiet, background=BackgroundModel(straylight_mean=100.0,
                                               read_noise_std=3.0))
-        f_quiet = render_frame(quiet, 0)
-        f_noisy = render_frame(noisy, 0)
+        f_quiet = render_frame(quiet, 0).counts[0]
+        f_noisy = render_frame(noisy, 0).counts[0]
         # emission draws come first in the stream, so the deposit pattern
         # is shared and the difference is pure background
         region = quiet.signal_region()
-        diff = f_noisy.counts - f_quiet.counts
-        assert f_quiet.counts[region.row_slice, region.col_slice].sum() > 0
+        diff = f_noisy - f_quiet
+        assert f_quiet[region.row_slice, region.col_slice].sum() > 0
         assert diff.min() >= -3.0 * 3.0 * 4  # read noise only, quantised
 
     def test_mirrored_configuration_is_statistically_identical(self):
@@ -267,15 +270,20 @@ class TestCosmicRays:
 
     def test_injection_adds_single_spike(self):
         cfg = make_config(straylight=100.0, seed=42)
-        frame = render_frame(cfg, 0, kind=KIND_BACKGROUND)
+        frame = render_frame(cfg, 0, kind=KIND_BACKGROUND).counts[0]
         rng = np.random.default_rng(7)
         spiked = inject_cosmic_ray(frame, rng)
-        delta = spiked.counts - frame.counts
+        delta = spiked - frame
         assert np.count_nonzero(delta) == 1
-        assert delta.max() >= 20.0 * np.median(frame.counts)
+        assert delta.max() >= 20.0 * np.median(frame)
         # original untouched
-        assert frame.counts[np.unravel_index(delta.argmax(), delta.shape)] \
-            != spiked.counts[np.unravel_index(delta.argmax(), delta.shape)]
+        assert frame[np.unravel_index(delta.argmax(), delta.shape)] \
+            != spiked[np.unravel_index(delta.argmax(), delta.shape)]
+
+    def test_injection_takes_one_frame(self):
+        stack = generate_stack(make_config(straylight=100.0, seed=43), 2)
+        with pytest.raises(DomainError):
+            inject_cosmic_ray(stack.counts, np.random.default_rng(8))
 
 
 class TestBalancedSigmaConvergence:
