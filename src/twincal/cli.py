@@ -135,20 +135,17 @@ def _calibrate(cfg, params, pdc_frames, bg_frames):
     """Shared calibration chain: filter, locate, batch, estimate.
 
     The stacks are (frames, rows, cols) count arrays; ``bg_frames`` may
-    be None.  A background stack that is empty, or loses every frame to
-    the filter, is treated as absent.  Returns the RepeatSummary and the
-    CalibrationDiagnostics.
+    be None.  Returns the conjugate-region series estimated from, its
+    RepeatSummary and the CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
 
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
         pdc_frames, mad_k=params.cosmic_mad_k)
     bg_kept, bg_dropped = None, []
-    if bg_frames is not None and len(bg_frames):
+    if bg_frames is not None:
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
             bg_frames, mad_k=params.cosmic_mad_k)
-        if not len(bg_kept):
-            bg_kept = None
 
     cs_map = estimate.sigma_spatial_map(pdc_kept[:20], params.region_s,
                                         cfg.geometry, params.cs_search_extent)
@@ -165,14 +162,17 @@ def _calibrate(cfg, params, pdc_frames, bg_frames):
         ddof=ddof)
     diagnostics = estimate.CalibrationDiagnostics(
         excess_noise_ratio=ratio, thermal_excess=thermal,
-        discarded_pdc=len(pdc_dropped), discarded_background=len(bg_dropped),
-        cs_offset=cs_map.argmin, cs_map_min=cs_map.min_value,
-        cs_curvature=cs_map.curvature, cs_ties=cs_map.ties)
-    return summary, diagnostics
+        dropped_pdc=pdc_dropped, dropped_background=bg_dropped,
+        cs_map=cs_map)
+    return series, summary, diagnostics
 
 
-def _print_calibration(args, params, s, d) -> None:
-    """Print a RepeatSummary ``s`` and its CalibrationDiagnostics ``d``."""
+def _report(args, params, out, s, d) -> None:
+    """Write calibration.csv and batches.csv for a RepeatSummary ``s`` and
+    its CalibrationDiagnostics ``d``, and print both."""
+    io.write_calibration_csv(out / "calibration.csv", s, d)
+    io.write_batches_csv(out / "batches.csv", s)
+    cs = d.cs_map
     _say(args, f"eta_s   = {s.eta_s:.6f} +- {s.u_eta_empirical:.6f} "
                f"(propagated {s.u_eta_propagated:.6f})")
     _say(args, f"eta_i   = {s.eta_i:.6f}")
@@ -180,13 +180,14 @@ def _print_calibration(args, params, s, d) -> None:
     _say(args, f"sigma   = {s.sigma_ab:.6f} +- {s.u_sigma_empirical:.6f}")
     _say(args, f"excess-noise ratio {d.excess_noise_ratio:.4g} "
                f"(thermal level {d.thermal_excess:.4g}), "
-               f"discarded {d.discarded_pdc}+{d.discarded_background} frames, "
-               f"cs offset {d.cs_offset}")
-    curvature = "n/a" if d.cs_curvature is None else f"{d.cs_curvature:.4g}"
-    _say(args, f"centre search: map minimum {d.cs_map_min:.6g}, "
-               f"curvature {curvature}, ties {d.cs_ties}")
-    _say(args, f"type B: balance residual < {d.type_b_balance_residual:g}, "
-               f"cs alignment bias {d.type_b_cs_bias_relative:.1%}")
+               f"discarded {len(d.dropped_pdc)}+{len(d.dropped_background)} "
+               f"frames, cs offset {cs.argmin}")
+    curvature = "n/a" if cs.curvature is None else f"{cs.curvature:.4g}"
+    _say(args, f"centre search: map minimum {cs.min_value:.6g}, "
+               f"curvature {curvature}, ties {cs.ties}")
+    _say(args, f"type B: balance residual < "
+               f"{estimate.TYPE_B_BALANCE_RESIDUAL:g}, cs alignment bias "
+               f"{estimate.TYPE_B_CS_BIAS_RELATIVE:.1%}")
     for arm, eta, tau in (("s", s.eta_s, params.tau_s),
                           ("i", s.eta_i, params.tau_i)):
         if tau != 1.0:
@@ -199,10 +200,8 @@ def cmd_calibrate(args) -> int:
     out = _outdir(args)
     pdc = _read_stack(args.pdc).counts
     bg = _read_stack(args.background).counts if args.background else None
-    summary, diagnostics = _calibrate(cfg, params, pdc, bg)
-    io.write_calibration_csv(out / "calibration.csv", summary, diagnostics)
-    io.write_batches_csv(out / "batches.csv", summary)
-    _print_calibration(args, params, summary, diagnostics)
+    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    _report(args, params, out, summary, diagnostics)
     return 0
 
 
@@ -218,12 +217,7 @@ def cmd_reproduce_table1(args) -> int:
     pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
     bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
-    summary, diagnostics = _calibrate(cfg, params, pdc, bg)
-    io.write_calibration_csv(out / "calibration.csv", summary, diagnostics)
-    io.write_batches_csv(out / "batches.csv", summary)
-
-    region_i = cfg.geometry.conjugate_region(params.region_s)
-    series = estimate.build_series(pdc, params.region_s, region_i, bg)
+    series, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
     ddof = params.variance_ddof
     alpha = estimate.estimate_alpha(series)
     simulated = {
@@ -241,18 +235,15 @@ def cmd_reproduce_table1(args) -> int:
     uncertainties = {"alpha_b": summary.u_alpha_empirical,
                      "sigma_alpha_b": summary.u_sigma_empirical,
                      "eta_s": summary.u_eta_empirical}
-
-    lines = ["quantity,reference,u_reference,simulated,u_simulated\n"]
-    for key, (ref, u_ref) in presets.REFERENCE_VALUES.items():
-        u_sim = uncertainties.get(key, float("nan"))
-        lines.append(f"{key},{ref:.9g},{u_ref:.9g},{simulated[key]:.9g},"
-                     f"{u_sim:.9g}\n")
-    (out / "side_by_side.csv").write_text("".join(lines))
+    io.write_side_by_side_csv(
+        out / "side_by_side.csv",
+        [(key, ref, u_ref, simulated[key], uncertainties.get(key, float("nan")))
+         for key, (ref, u_ref) in presets.REFERENCE_VALUES.items()])
 
     _say(args, f"{'quantity':<14}{'reference':>14}{'simulated':>14}")
     for key, (ref, _u) in presets.REFERENCE_VALUES.items():
         _say(args, f"{key:<14}{ref:>14.6g}{simulated[key]:>14.6g}")
-    _print_calibration(args, params, summary, diagnostics)
+    _report(args, params, out, summary, diagnostics)
     return 0
 
 

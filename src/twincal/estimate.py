@@ -24,7 +24,7 @@ Conventions
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,14 +361,9 @@ class SpatialMapResult:
     row_offsets: np.ndarray     # displacement labels of the map rows
     col_offsets: np.ndarray     # displacement labels of the map columns
     argmin: tuple[int, int]     # displacement minimising the map
+    min_value: float            # map value at the argmin
     ties: list[tuple[int, int]]
     curvature: float | None     # discrete Laplacian at the argmin, if interior
-
-    @property
-    def min_value(self) -> float:
-        i = int(np.where(self.row_offsets == self.argmin[0])[0][0])
-        j = int(np.where(self.col_offsets == self.argmin[1])[0][0])
-        return float(self.values[i, j])
 
 
 def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
@@ -427,7 +422,8 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     return SpatialMapResult(values=values,
                             row_offsets=np.arange(-er, er + 1),
                             col_offsets=np.arange(-ec, ec + 1),
-                            argmin=argmin, ties=ties, curvature=curvature)
+                            argmin=argmin, min_value=best, ties=ties,
+                            curvature=curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +601,12 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
 
 @dataclass
 class CalibrationDiagnostics:
-    """What the calibration chain saw beside its RepeatSummary."""
+    """What the calibration chain saw beside its RepeatSummary: the frame
+    indices the cosmic-ray filter dropped from each stack and the centre
+    search.  The fixed Type B terms are the constants ``TYPE_B_*``."""
 
     excess_noise_ratio: float
     thermal_excess: float | None
-    discarded_pdc: int
-    discarded_background: int
-    cs_offset: tuple[int, int]
-    cs_map_min: float = float("nan")     # spatial-map value at cs_offset
-    cs_curvature: float | None = None    # its discrete Laplacian, if interior
-    cs_ties: list[tuple[int, int]] = field(default_factory=list)
-    type_b_balance_residual: float = TYPE_B_BALANCE_RESIDUAL
-    type_b_cs_bias_relative: float = TYPE_B_CS_BIAS_RELATIVE
-
+    dropped_pdc: list[int]
+    dropped_background: list[int]
+    cs_map: SpatialMapResult

@@ -130,6 +130,8 @@ def read_stack(path) -> tuple[Stack, str]:
         raise CorruptHeaderError(f"{path}: unsupported version {version}")
     if kind_code not in _CODE_TO_KIND:
         raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
+    if 0 in (count, rows, cols):
+        raise CorruptHeaderError(f"{path}: empty stack {count}x{rows}x{cols}")
     expected = count * rows * cols * 4
     body = len(raw) - _HEADER.size
     if body < expected:
@@ -179,6 +181,8 @@ class AnalysisParams:
             raise ConfigError("background_frames_per_batch must be >= 0")
         if self.background_frames_per_batch == 1:
             raise ConfigError("background_frames_per_batch must be 0 or >= 2")
+        if not self.cosmic_mad_k > 0.0:
+            raise ConfigError("cosmic_mad_k must be > 0")
         if self.variance_ddof not in (0, 1):
             raise ConfigError("variance_ddof must be 0 or 1")
         if not 0.0 < self.tau_s <= 1.0 or not 0.0 < self.tau_i <= 1.0:
@@ -230,8 +234,10 @@ def analysis_to_dict(params: AnalysisParams) -> dict:
 
 def analysis_from_dict(doc: dict) -> AnalysisParams:
     try:
-        converted = {"region_s": Region(origin=tuple(doc["region_s"]["origin"]),
-                                        extent=tuple(doc["region_s"]["extent"]))}
+        region = doc["region_s"]
+        converted = {"region_s": _from_keys(
+            Region, region, "analysis.region_s",
+            {key: tuple(region[key]) for key in ("origin", "extent")})}
         if "cs_search_extent" in doc:
             converted["cs_search_extent"] = tuple(doc["cs_search_extent"])
         if "areas" in doc:
@@ -289,7 +295,7 @@ def write_calibration_csv(path, summary: RepeatSummary,
     error of the mean) uncertainties, E and the discarded frame count."""
     header = ("eta_s,u_eta_s,eta_i,alpha_b,u_alpha_b,sigma_ab,u_sigma_ab,"
               "E,discarded\n")
-    discarded = diagnostics.discarded_pdc + diagnostics.discarded_background
+    discarded = len(diagnostics.dropped_pdc + diagnostics.dropped_background)
     row = _row([summary.eta_s, summary.u_eta_empirical, summary.eta_i,
                 summary.alpha_b, summary.u_alpha_empirical, summary.sigma_ab,
                 summary.u_sigma_empirical, diagnostics.excess_noise_ratio,
@@ -318,3 +324,8 @@ def write_batches_csv(path, summary: RepeatSummary) -> None:
             summary.per_batch_eta))]
     Path(path).write_text(header + "".join(rows))
 
+
+def write_side_by_side_csv(path, rows) -> None:
+    """Rows of (quantity, reference, u_reference, simulated, u_simulated)."""
+    header = "quantity,reference,u_reference,simulated,u_simulated\n"
+    Path(path).write_text(header + "".join(_row(r) for r in rows))

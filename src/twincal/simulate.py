@@ -142,24 +142,20 @@ def _round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def sample_pulse(pulse: PulseModel, rng: np.random.Generator,
-                 size: int | None = None):
-    """Draw one shot's (or ``size`` shots') relative energy and per-mode mean.
+def sample_pulse(pulse: PulseModel, rng: np.random.Generator, size: int):
+    """Draw ``size`` shots' relative energies and per-mode means (arrays).
 
     Energy is Gaussian(1, jitter) with every non-positive draw redrawn
     until positive (no point mass at a clamp floor), so the per-mode mean
-    is always > 0.  Returns floats when ``size`` is None, else arrays.
+    is always > 0.
     """
     jitter = pulse.relative_energy_jitter
-    energy = rng.normal(1.0, jitter, size=1 if size is None else size)
+    energy = rng.normal(1.0, jitter, size=size)
     bad = np.flatnonzero(energy <= 0.0)
     while bad.size:
         energy[bad] = rng.normal(1.0, jitter, size=bad.size)
         bad = bad[energy[bad] <= 0.0]
-    mu = pulse.mu_at(energy)
-    if size is None:
-        return float(energy[0]), float(mu[0])
-    return energy, mu
+    return energy, pulse.mu_at(energy)
 
 
 def sample_cell_pair(mu: float | np.ndarray, m_t: int, ch: ChannelEfficiencies,

@@ -132,7 +132,7 @@ def test_excess_noise_follows_variance_ddof(run_dir):
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch, kind="background")
     ratios = [_calibrate(cfg, dataclasses.replace(params, variance_ddof=ddof),
-                         pdc.counts, bg.counts)[1].excess_noise_ratio
+                         pdc.counts, bg.counts)[2].excess_noise_ratio
               for ddof in (0, 1)]
     n = len(pdc.counts)  # the filter keeps every frame of this stack
     assert ratios[0] / ratios[1] == pytest.approx((n - 1) / n, rel=1e-12)
@@ -162,6 +162,47 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
     header, row = (out / "calibration.csv").read_text().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert int(values["discarded"]) == len(spiked_at)
+
+
+@pytest.mark.parametrize("spiked", [4, 3])
+def test_background_losing_its_frames_is_an_error(run_dir, capsys, spiked):
+    # A background stack the cosmic-ray filter empties, or leaves one
+    # frame of, cannot correct anything; it must not turn into an
+    # uncorrected run either.
+    tmp_path, config = run_dir
+    cfg, params = load_run_config(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    pdc = generate_stack(cfg, 100)
+    bg = generate_stack(cfg, 4, kind="background")
+    rng = np.random.default_rng(5)
+    for k in range(spiked):
+        bg.counts[k] = inject_cosmic_ray(bg.counts[k], rng)
+    doc = tio.run_config_to_dict(cfg, params)
+    tio.write_stack(out / "pdc.tbs", pdc, doc)
+    tio.write_stack(out / "background.tbs", bg, doc)
+    assert main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"),
+                 "--background", str(out / "background.tbs"),
+                 "--quiet"]) == 5
+    err = capsys.readouterr().err
+    assert "error[DegenerateDataError]" in err and "background frames" in err
+    assert not (out / "calibration.csv").exists()
+
+
+def test_reproduce_table1_builds_one_series(tmp_path, monkeypatch):
+    from twincal import estimate
+    calls = []
+    build_series = estimate.build_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_series(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "build_series", counted)
+    assert main(["reproduce-table1", "--out", str(tmp_path), "--seed", "1",
+                 "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_reproduce_reference_run(tmp_path, capsys):
@@ -200,6 +241,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
     assert "error[ConfigError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mad_k", [0.0, -1.0])
+def test_non_positive_cosmic_mad_k_exit_code(run_dir, capsys, mad_k):
+    tmp_path, config = run_dir
+    doc = json.loads(config.read_text())
+    doc["analysis"]["cosmic_mad_k"] = mad_k
+    bad = tmp_path / "mad_k.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and "cosmic_mad_k" in err
 
 
 def test_unknown_config_key_exit_code(run_dir, capsys):

@@ -19,6 +19,7 @@ from twincal.estimate import (
     AreaScanPoint,
     CalibrationDiagnostics,
     RepeatSummary,
+    SpatialMapResult,
 )
 from twincal.io import (
     AnalysisParams,
@@ -174,6 +175,17 @@ class TestStackErrors:
         with pytest.raises(StackFormatError):
             write_stack(tmp_path / "x.tbs", Stack(np.zeros((0, 2, 2))), {})
 
+    @pytest.mark.parametrize("field_offset", [8, 12, 16])  # rows, cols, count
+    def test_empty_stack_header_rejected(self, tmp_path, field_offset):
+        # A header declaring zero rows, columns or frames with the (empty)
+        # payload it implies is as unreadable as the writer says it is.
+        path = self.write_valid(tmp_path)
+        header = bytearray(path.read_bytes()[:HEADER_SIZE])
+        header[field_offset:field_offset + 4] = bytes(4)
+        path.write_bytes(bytes(header))
+        with pytest.raises(CorruptHeaderError, match="empty stack"):
+            read_stack(path)
+
 
 class TestRunConfig:
     def test_experiment_round_trip(self):
@@ -221,6 +233,10 @@ class TestRunConfig:
             doc[section][key] = 1
             with pytest.raises(ConfigError, match=key):
                 run_config_from_dict(doc)
+        doc = a_config_doc()
+        doc["analysis"]["region_s"]["extnt"] = [1, 1]
+        with pytest.raises(ConfigError, match="extnt"):
+            run_config_from_dict(doc)
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         doc = a_config_doc()
@@ -256,9 +272,14 @@ class TestTables:
             u_eta_propagated=0.012, per_batch_alpha=per_batch,
             per_batch_sigma=per_batch, per_batch_eta=per_batch,
             background_corrected=True)
+        cs_map = SpatialMapResult(values=np.zeros((1, 1)),
+                                  row_offsets=np.zeros(1, dtype=int),
+                                  col_offsets=np.zeros(1, dtype=int),
+                                  argmin=(0, 0), min_value=0.0, ties=[(0, 0)],
+                                  curvature=None)
         return summary, CalibrationDiagnostics(
             excess_noise_ratio=5123.4, thermal_excess=1.25,
-            discarded_pdc=3, discarded_background=1, cs_offset=(0, 0))
+            dropped_pdc=[5, 17, 230], dropped_background=[41], cs_map=cs_map)
 
     def test_calibration_schema(self, tmp_path):
         path = tmp_path / "calibration.csv"
@@ -282,13 +303,12 @@ class TestTables:
         assert lines[2].endswith(",nan")
 
     def test_cs_map_dimensions(self, tmp_path):
-        from twincal.estimate import SpatialMapResult
         values = np.arange(15.0).reshape(3, 5)
         result = SpatialMapResult(values=values,
                                   row_offsets=np.arange(-1, 2),
                                   col_offsets=np.arange(-2, 3),
-                                  argmin=(-1, -2), ties=[(-1, -2)],
-                                  curvature=None)
+                                  argmin=(-1, -2), min_value=0.0,
+                                  ties=[(-1, -2)], curvature=None)
         path = tmp_path / "map.csv"
         write_cs_map_csv(path, result)
         lines = path.read_text().splitlines()
