@@ -235,9 +235,11 @@ def analysis_to_dict(params: AnalysisParams) -> dict:
 def analysis_from_dict(doc: dict) -> AnalysisParams:
     try:
         region = doc["region_s"]
-        converted = {"region_s": _from_keys(
-            Region, region, "analysis.region_s",
-            {key: tuple(region[key]) for key in ("origin", "extent")})}
+        unknown = sorted(set(region) - {"origin", "extent"})
+        if unknown:
+            raise ConfigError(f"analysis.region_s section: unknown keys {unknown}")
+        converted = {"region_s": Region(origin=tuple(region["origin"]),
+                                        extent=tuple(region["extent"]))}
         if "cs_search_extent" in doc:
             converted["cs_search_extent"] = tuple(doc["cs_search_extent"])
         if "areas" in doc:
@@ -295,7 +297,7 @@ def write_calibration_csv(path, summary: RepeatSummary,
     error of the mean) uncertainties, E and the discarded frame count."""
     header = ("eta_s,u_eta_s,eta_i,alpha_b,u_alpha_b,sigma_ab,u_sigma_ab,"
               "E,discarded\n")
-    discarded = len(diagnostics.dropped_pdc + diagnostics.dropped_background)
+    discarded = len(diagnostics.dropped_pdc) + len(diagnostics.dropped_background)
     row = _row([summary.eta_s, summary.u_eta_empirical, summary.eta_i,
                 summary.alpha_b, summary.u_alpha_empirical, summary.sigma_ab,
                 summary.u_sigma_empirical, diagnostics.excess_noise_ratio,

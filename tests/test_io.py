@@ -233,10 +233,11 @@ class TestRunConfig:
             doc[section][key] = 1
             with pytest.raises(ConfigError, match=key):
                 run_config_from_dict(doc)
-        doc = a_config_doc()
-        doc["analysis"]["region_s"]["extnt"] = [1, 1]
-        with pytest.raises(ConfigError, match="extnt"):
-            run_config_from_dict(doc)
+        for key, value in (("extnt", [1, 1]), ("side", "idler")):
+            doc = a_config_doc()
+            doc["analysis"]["region_s"][key] = value
+            with pytest.raises(ConfigError, match=key):
+                run_config_from_dict(doc)
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         doc = a_config_doc()
