@@ -318,6 +318,35 @@ def excess_noise(series: RegionPairSeries, m_tot: int | None = None,
 # Cosmic-ray rejection
 # ---------------------------------------------------------------------------
 
+# The cosmic-ray filter's per-superpixel statistics run over one float64
+# buffer of about this many elements (1 MB), a chunk of pixel lanes at a
+# time, filled from tiles of this many frames.  Measured on u32 stacks of
+# 4000 x 13 x 30 and 1000 x 48 x 128 counts (2-vCPU Xeon, best of 15):
+# buffers of 2^16 to 2^19 elements time within 10 % of each other, 2^13
+# is 1.6-1.9x and 2^21 1.3x slower; 64- and 128-frame tiles are fastest,
+# 16-frame tiles 1.3x slower on the long stack and 256-frame tiles 1.2x
+# slower on the wide one.
+_FILTER_CHUNK_ELEMENTS = 1 << 17
+_FILTER_TILE_FRAMES = 64
+
+
+def _median_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)`` bit for bit, reordering each row in place.
+
+    A single kth value takes numpy's fast selection path, where the two
+    middle kth values ``np.median`` asks for on an even row do not; after
+    it, the lower middle value is the maximum of the lower half.  ``rows``
+    is a 2-D array of finite values; the result is float64.
+    """
+    n = rows.shape[1]
+    h = n // 2
+    rows.partition(h, axis=1)
+    upper = rows[:, h].astype(np.float64)
+    if n % 2:
+        return upper
+    return (rows[:, :h].max(axis=1) + upper) / 2.0
+
+
 def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     """Discard frames containing superpixels far above their stack statistics.
 
@@ -328,23 +357,45 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     sample MAD fluctuates far below the true dispersion, and an unfloored
     threshold would flag ordinary shot noise.
 
-    ``frames`` is a (frames, rows, cols) count array.  Returns the kept
-    frames (``frames`` itself when none is discarded, else a copy) and
-    the discarded frame indices as a list.
+    ``frames`` is a (frames, rows, cols) count array; a floating stack
+    holding a NaN or an infinity raises DegenerateDataError, since a NaN
+    scale would switch every threshold off.  Returns the kept frames
+    (``frames`` itself when none is discarded, else a copy) and the
+    discarded frame indices as a list.
     """
-    if len(frames) < 3:
+    n = len(frames)
+    if n < 3:
         raise DegenerateDataError("need at least 3 frames to filter")
-    # Per-superpixel statistics run along the contiguous rows of one
-    # (pixels, frames) copy.  The medians reorder rows in place, which
-    # changes neither a row's median nor its absolute deviations.
-    lanes = frames.reshape(len(frames), -1).T.astype(np.float64, order="C")
-    median = np.median(lanes, axis=1, overwrite_input=True)
-    lanes -= median[:, None]
-    np.abs(lanes, out=lanes)
-    scale = 1.4826 * np.median(lanes, axis=1, overwrite_input=True)
+    floating = frames.dtype.kind == "f"
+    flat = frames.reshape(n, -1)
+    pixels = flat.shape[1]
+    chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
+    # One (chunk pixels, frames) lane block at a time: the median, then
+    # the absolute deviations in place and their median.  Each lane is
+    # independent, so chunking changes no value.
+    buffer = np.empty(min(chunk, pixels) * n)
+    median = np.empty(pixels)
+    scale = np.empty(pixels)
+    for a in range(0, pixels, chunk):
+        b = min(a + chunk, pixels)
+        lanes = buffer[:(b - a) * n].reshape(b - a, n)
+        for f in range(0, n, _FILTER_TILE_FRAMES):
+            lanes[:, f:f + _FILTER_TILE_FRAMES] = \
+                flat[f:f + _FILTER_TILE_FRAMES, a:b].T
+        if floating and not np.isfinite(lanes).all():
+            raise DegenerateDataError("non-finite counts in the stack")
+        median[a:b] = _median_rows(lanes)
+        lanes -= median[a:b, None]
+        np.abs(lanes, out=lanes)
+        scale[a:b] = _median_rows(lanes)
+    scale *= 1.4826
     floor = max(float(np.median(scale)), 1.0)
     threshold = median + mad_k * np.maximum(scale, floor)
-    bad = np.any(frames > threshold.reshape(frames.shape[1:]), axis=(1, 2))
+    # Compared a tile of frames at a time: no stack-sized mask is made.
+    bad = np.empty(n, dtype=bool)
+    for f in range(0, n, _FILTER_TILE_FRAMES):
+        bad[f:f + _FILTER_TILE_FRAMES] = np.any(
+            flat[f:f + _FILTER_TILE_FRAMES] > threshold, axis=1)
     kept = frames[~bad] if bad.any() else frames
     return kept, np.flatnonzero(bad).tolist()
 

@@ -9,6 +9,10 @@ The uncertainty budget is the former second copy of every estimator
 formula, written over raw sample moments and differentiated by central
 differences; the point estimators are the former ``np.var`` forms.  The
 oracle tests compare the analytic delta method against both.
+
+``cosmic_ray_filter`` is the former whole-stack filter: two-kth
+``np.median`` calls over one transposed float64 copy of the stack.  The
+chunked filter must keep and drop exactly the frames it does.
 """
 
 import numpy as np
@@ -166,3 +170,34 @@ def propagate_type_a(series, ddof: int = 1) -> TypeAUncertainty:
                             u_alpha=float(u[0]), u_sigma=float(u[1]),
                             u_eta=float(u[2]),
                             cov_alpha_sigma=float(cov[0, 1]))
+
+
+def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
+    """Discard frames containing superpixels far above their stack statistics.
+
+    Per superpixel the threshold is median + mad_k * scale across the
+    stack, with scale the Gaussian-consistent MAD (1.4826*MAD).  Each
+    pixel's scale is floored at the frame-typical scale (its median over
+    all superpixels) and at one count: with few frames a single pixel's
+    sample MAD fluctuates far below the true dispersion, and an unfloored
+    threshold would flag ordinary shot noise.
+
+    ``frames`` is a (frames, rows, cols) count array.  Returns the kept
+    frames (``frames`` itself when none is discarded, else a copy) and
+    the discarded frame indices as a list.
+    """
+    if len(frames) < 3:
+        raise DegenerateDataError("need at least 3 frames to filter")
+    # Per-superpixel statistics run along the contiguous rows of one
+    # (pixels, frames) copy.  The medians reorder rows in place, which
+    # changes neither a row's median nor its absolute deviations.
+    lanes = frames.reshape(len(frames), -1).T.astype(np.float64, order="C")
+    median = np.median(lanes, axis=1, overwrite_input=True)
+    lanes -= median[:, None]
+    np.abs(lanes, out=lanes)
+    scale = 1.4826 * np.median(lanes, axis=1, overwrite_input=True)
+    floor = max(float(np.median(scale)), 1.0)
+    threshold = median + mad_k * np.maximum(scale, floor)
+    bad = np.any(frames > threshold.reshape(frames.shape[1:]), axis=(1, 2))
+    kept = frames[~bad] if bad.any() else frames
+    return kept, np.flatnonzero(bad).tolist()

@@ -2,6 +2,7 @@
 simulator ground truth."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,6 +329,31 @@ class TestCosmicFilter:
     def test_needs_three_frames(self):
         with pytest.raises(DegenerateDataError):
             cosmic_ray_filter(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_raise(self, value):
+        # a NaN scale would make every threshold NaN and keep every frame
+        frames = np.random.default_rng(1).poisson(
+            5.0, (50, 4, 6)).astype(np.float64)
+        frames[10, 1, 2] = 1e6
+        assert cosmic_ray_filter(frames)[1] == [10]
+        frames[3, 0, 0] = value
+        with pytest.raises(DegenerateDataError):
+            cosmic_ray_filter(frames)
+
+    def test_working_memory_is_bounded(self):
+        # a clean stack: the kept frames are the input itself, so the peak
+        # is the filter's own working memory
+        frames = np.random.default_rng(2).poisson(
+            40.0, (1000, 48, 128)).astype(np.uint32)
+        tracemalloc.start()
+        try:
+            _, discarded = cosmic_ray_filter(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert discarded == []
+        assert peak < frames.nbytes / 2
 
 
 class TestSpatialMap:

@@ -5,7 +5,9 @@ Every stack case is fed both as float64 counts (what the simulator
 renders) and as the read-only ``<u4`` view ``read_stack`` returns, so an
 unsigned difference that wraps around would show up as a mismatch.  The
 analytic delta method is checked against the central-difference gradient
-of the raw-moment formulas.
+of the raw-moment formulas.  The chunked cosmic-ray filter is checked
+against the former whole-stack filter, and its single-kth median against
+``np.median``.
 """
 
 import warnings
@@ -15,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twincal import estimate
 from twincal.errors import DegenerateDataError
 from twincal.estimate import (
+    _median_rows,
     anchored_region,
     area_scan,
     build_series,
+    cosmic_ray_filter,
     estimate_alpha,
     estimate_alpha_b,
     estimate_sigma_alpha,
@@ -30,6 +35,7 @@ from twincal.estimate import (
     sigma_spatial_map,
 )
 from twincal.model import FrameGeometry, Region
+from twincal.simulate import inject_cosmic_ray
 
 import reference_estimators as ref
 
@@ -194,3 +200,61 @@ def test_delta_method_matches_finite_difference_reference(case):
     np.testing.assert_allclose([u.u_alpha, u.u_sigma, u.u_eta],
                                [u_ref.u_alpha, u_ref.u_sigma, u_ref.u_eta],
                                rtol=1e-5, atol=0)
+
+
+@st.composite
+def median_rows(draw):
+    """A (rows, length) float64 or u32 array of finite values, with odd and
+    even lengths from 1 up, drawn from a few values (heavy ties) or from
+    the whole dtype."""
+    rows = draw(st.integers(1, 4))
+    length = draw(st.one_of(st.integers(1, 70), st.integers(71, 2000)))
+    dtype = draw(st.sampled_from([np.float64, np.uint32]))
+    spread = draw(st.sampled_from(["ties", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if spread == "ties":
+        return rng.integers(0, draw(st.integers(1, 3)) + 1,
+                            (rows, length)).astype(dtype)
+    if dtype == np.uint32:
+        return rng.integers(0, 2 ** 32, (rows, length), dtype=np.uint32)
+    # wide enough that two middle values can overflow their sum; + 0.0
+    # maps -0.0 to 0.0, since the two compare equal and which one a
+    # partition leaves in the middle is unspecified, here as in np.median
+    return rng.uniform(-1.0, 1.0, (rows, length)) * np.finfo(float).max + 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_rows())
+def test_median_rows_is_np_median_bit_for_bit(rows):
+    with np.errstate(over="ignore"):
+        want = np.median(rows, axis=1)
+        got = _median_rows(rows.copy())
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_frames", [149, 150])
+@pytest.mark.parametrize("mad_k", [2.0, 10.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chunk_pixels", [2, None])
+def test_cosmic_ray_filter_matches_whole_stack_reference(
+        monkeypatch, n_frames, mad_k, seed, chunk_pixels):
+    # 3x3 superpixels: with mad_k = 2 a fifth to a third of the frames sit
+    # above some threshold, so a wrong median or scale at any one pixel
+    # changes the dropped list; mad_k = 10 drops the injected spikes alone
+    rng = np.random.default_rng(seed)
+    gain = rng.normal(1.0, 0.05, (n_frames, 1, 1))
+    counts = rng.poisson(40.0 * gain, (n_frames, 3, 3)).astype(np.float64)
+    for k in rng.choice(n_frames, 5, replace=False):
+        counts[k] = inject_cosmic_ray(counts[k], rng)
+    if chunk_pixels is not None:
+        # 9 pixels in chunks of 2: four whole chunks and a partial one
+        monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
+                            chunk_pixels * n_frames)
+    want_kept, want_dropped = ref.cosmic_ray_filter(counts, mad_k)
+    assert len(want_dropped) >= 5
+    for frames in as_inputs(counts):
+        kept, dropped = cosmic_ray_filter(frames, mad_k)
+        assert dropped == want_dropped
+        assert kept.dtype == frames.dtype
+        assert np.array_equal(kept, want_kept)
