@@ -13,12 +13,18 @@ oracle tests compare the analytic delta method against both.
 ``cosmic_ray_filter`` is the former whole-stack filter: two-kth
 ``np.median`` calls over one transposed float64 copy of the stack.  The
 chunked filter must keep and drop exactly the frames it does.
+
+``sigma_spatial_map`` is the former whole-stack map: one float64 copy of
+the stack's signal block and search window, a reversed idler view and an
+``np.var`` per shift.  On integral counts the tiled map must return the
+same values bit for bit.
 """
 
 import numpy as np
 
-from twincal.errors import DegenerateDataError
-from twincal.estimate import TypeAUncertainty
+from twincal.errors import DegenerateDataError, DomainError, GeometryError
+from twincal.estimate import SpatialMapResult, TypeAUncertainty
+from twincal.model import FrameGeometry, Region, SIDE_SIGNAL
 
 
 def region_sums(frames, region):
@@ -201,3 +207,63 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     bad = np.any(frames > threshold.reshape(frames.shape[1:]), axis=(1, 2))
     kept = frames[~bad] if bad.any() else frames
     return kept, np.flatnonzero(bad).tolist()
+
+
+def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
+                      search_extent: tuple[int, int] = (3, 3)) -> SpatialMapResult:
+    """Map the pairwise spatial noise reduction over idler displacements.
+
+    For each candidate displacement xi the idler region is the conjugate of
+    ``region_s`` shifted by xi.  Within one frame the statistic is the
+    population variance of the conjugated-pair differences normalised by
+    the mean pair sum; frames are then averaged.  Correlated displacements
+    produce a dip, uncorrelated ones a plateau near 1 + excess noise.
+    """
+    if region_s.side != SIDE_SIGNAL:
+        raise GeometryError("region_s must lie on the signal half")
+    geometry.validate_region(region_s)
+    er, ec = search_extent
+    if er < 0 or ec < 0:
+        raise DomainError("search extent components must be >= 0")
+
+    # All candidate regions must be valid before any data is touched.
+    shifts = [(dr, dc) for dr in range(-er, er + 1) for dc in range(-ec, ec + 1)]
+    for shift in shifts:
+        geometry.conjugate_region(region_s, shift=shift)
+    base = geometry.conjugate_region(region_s)
+    if len(frames) == 0:
+        raise DegenerateDataError("no frames supplied")
+
+    # ``window`` spans every candidate idler block of the search.
+    h, w = region_s.extent
+    r0, c0 = base.origin
+    sig = frames[:, region_s.row_slice, region_s.col_slice].astype(float)
+    window = frames[:, r0 - er:r0 + h + er, c0 - ec:c0 + w + ec].astype(float)
+    sig_sum = sig.sum(axis=(1, 2))
+    per_frame = np.empty((len(frames), len(shifts)))
+    for k, (dr, dc) in enumerate(shifts):
+        # Conjugate pairing reverses both axes of the idler block.
+        idl = window[:, er + dr:er + dr + h, ec + dc:ec + dc + w][:, ::-1, ::-1]
+        denom = sig_sum + idl.sum(axis=(1, 2))
+        if np.any(denom <= 0.0):
+            raise DegenerateDataError("empty region pair in spatial map")
+        per_frame[:, k] = np.var(sig - idl, axis=(1, 2)) * (h * w) / denom
+    # Summing down the frame axis adds the frames in order, as a running
+    # per-shift total would.
+    flat = per_frame.sum(axis=0) / len(frames)
+    values = flat.reshape(2 * er + 1, 2 * ec + 1)
+    best = float(flat.min())
+    ties = [shifts[i] for i in np.flatnonzero(flat == best)]
+    argmin = ties[0]  # row-major order; first wins on exact ties
+    i = argmin[0] + er
+    j = argmin[1] + ec
+    curvature = None
+    if 0 < i < values.shape[0] - 1 and 0 < j < values.shape[1] - 1:
+        curvature = float(values[i - 1, j] + values[i + 1, j]
+                          + values[i, j - 1] + values[i, j + 1]
+                          - 4.0 * values[i, j])
+    return SpatialMapResult(values=values,
+                            row_offsets=np.arange(-er, er + 1),
+                            col_offsets=np.arange(-ec, ec + 1),
+                            argmin=argmin, min_value=best, ties=ties,
+                            curvature=curvature)

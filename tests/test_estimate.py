@@ -28,7 +28,7 @@ from twincal.estimate import (
     repeat_experiment,
     sigma_spatial_map,
 )
-from twincal.model import Region
+from twincal.model import FrameGeometry, Region
 from twincal.simulate import (
     KIND_BACKGROUND,
     generate_stack,
@@ -400,6 +400,24 @@ class TestSpatialMap:
     def test_curvature_reported_at_interior_minimum(self):
         result = self.probe((0.0, 0.0), seed=115)
         assert result.curvature is not None and result.curvature > 0
+
+
+def test_spatial_map_working_memory_is_bounded():
+    # large-frame's geometry, region and search: a whole-stack float64
+    # copy of the signal block and search window alone would exceed the
+    # bound
+    geometry = FrameGeometry(rows=48, cols=128, cs=(23.5, 63.5), beam_split=64)
+    region = Region((14, 16), (20, 32))
+    frames = np.random.default_rng(3).poisson(
+        40.0, (1000, 48, 128)).astype(np.uint32)
+    tracemalloc.start()
+    try:
+        result = sigma_spatial_map(frames, region, geometry, (3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.values.shape == (7, 7)
+    assert peak < frames.nbytes / 4
 
 
 class TestAreaScan:

@@ -7,7 +7,8 @@ unsigned difference that wraps around would show up as a mismatch.  The
 analytic delta method is checked against the central-difference gradient
 of the raw-moment formulas.  The chunked cosmic-ray filter is checked
 against the former whole-stack filter, and its single-kth median against
-``np.median``.
+``np.median``.  The tiled spatial map is checked bit for bit against the
+former whole-stack map.
 """
 
 import warnings
@@ -127,6 +128,45 @@ def test_series_are_bit_identical(case, data):
         points = area_scan(frames, None, geometry, region.center, extents)
         assert [p.sigma_alpha for p in points] == want
 
+
+@settings(max_examples=200, deadline=None)
+@given(stack_cases(), st.sampled_from([1, 2, 4, None]))
+def test_spatial_map_matches_whole_stack_kernel_bit_for_bit(case, tile):
+    # tiles of 1, 2 and 4 frames split stacks of 1-6 frames into one-frame
+    # tiles and partial last tiles; None keeps the default budget
+    geometry, region, extent, counts = case
+    budget = estimate._SPATIAL_TILE_ELEMENTS
+    if tile is not None:
+        budget = tile * (region.extent[0] + 2 * extent[0]) * (
+            region.extent[1] + 2 * extent[1])
+    try:
+        want = ref.sigma_spatial_map(counts.astype(np.float64), region,
+                                     geometry, extent)
+    except DegenerateDataError:
+        want = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", budget)
+        for frames in as_inputs(counts):
+            if want is None:
+                with pytest.raises(DegenerateDataError):
+                    sigma_spatial_map(frames, region, geometry, extent)
+                continue
+            got = sigma_spatial_map(frames, region, geometry, extent)
+            assert np.array_equal(got.values, want.values)
+            assert got.argmin == want.argmin
+            assert got.ties == want.ties
+            assert got.min_value == want.min_value
+            assert got.curvature == want.curvature
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spatial_map_non_finite_counts_raise(value):
+    geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
+    region = Region((1, 1), (2, 2))
+    counts = np.full((5, 4, 8), 9.0)
+    counts[3, 1, 2] = value
+    with pytest.raises(DegenerateDataError):
+        sigma_spatial_map(counts, region, geometry, (1, 0))
 
 def test_all_zero_region_pair_is_degenerate():
     geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
