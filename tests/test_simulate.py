@@ -4,7 +4,10 @@ Monte-Carlo assertions use 3-standard-error bands around the closed-form
 predictors, which double as the cross-checks of those predictors.
 """
 
+import collections
 import dataclasses
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from twincal.model import (
     predict_covariance,
     predict_variance,
 )
+from twincal import simulate
 from twincal.simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
@@ -189,6 +193,7 @@ class TestCellSpreading:
         cells_s = sig.reshape(3, 2, 4, 2).sum(axis=(1, 3))
         cells_i = idl.reshape(3, 2, 4, 2).sum(axis=(1, 3))
         assert np.array_equal(cells_s, cells_i)
+        assert cells_s.sum() > 0  # the spread lands in the frame
 
 
 class TestDeterminism:
@@ -258,6 +263,113 @@ class TestDeterminism:
         cfg = make_config()
         with pytest.raises(ResourceError):
             generate_stack(cfg, 10 ** 9)
+
+
+def concurrent_config(**kwargs):
+    """2-px cells, cosmic rays and an offset centre: every render path."""
+    return make_config(cell_px=2, grid=(3, 4), rows=17, cols=36, split=18,
+                       cs=(8.0, 17.5), cs_offset=(1.0, -1.0), mu=1.5, m_t=100,
+                       jitter=0.05, straylight=50.0, read_noise=2.0,
+                       cosmic_rate=0.3, **kwargs)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+
+
+class TestConcurrentRendering:
+    @pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_worker_count_does_not_change_output(self, monkeypatch, workers,
+                                                 kind):
+        cfg = concurrent_config(seed=61)
+        serial = [simulate._render_block(cfg, kind, b) for b in range(16)]
+        counts = np.concatenate([c for c, _ in serial])
+        energy = np.concatenate([e for _, e in serial])
+        force_workers(monkeypatch, workers)
+        for n in (1, 63, 64, 65, 130, 1000):
+            stack = generate_stack(cfg, n, kind)
+            assert np.array_equal(stack.counts, counts[:n])
+            assert np.array_equal(stack.pulse_energy, energy[:n])
+            blocks = list(iter_stack(cfg, n, kind))
+            assert np.array_equal(np.concatenate([b.counts for b in blocks]),
+                                  counts[:n])
+            assert np.array_equal(
+                np.concatenate([b.pulse_energy for b in blocks]), energy[:n])
+
+    def test_noise_chunks_do_not_change_output(self, monkeypatch):
+        cfg = concurrent_config(seed=62)
+        default = simulate._NOISE_CHUNK_ELEMENTS
+
+        def blocks(chunk_elements):
+            monkeypatch.setattr(simulate, "_NOISE_CHUNK_ELEMENTS",
+                                chunk_elements)
+            return [simulate._render_block(cfg, kind, 0)
+                    for kind in (KIND_PDC, KIND_BACKGROUND)]
+
+        whole = blocks(1 << 30)  # one draw over the whole block
+        for chunk_elements in (1, 5000, default):
+            for (c, e), (counts, energy) in zip(blocks(chunk_elements), whole):
+                assert np.array_equal(c, counts)
+                assert np.array_equal(e, energy)
+
+    def test_short_stacks_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        force_workers(monkeypatch, 4)
+        cfg = concurrent_config(seed=63)
+        generate_stack(cfg, 5)
+        generate_stack(cfg, 64, KIND_BACKGROUND)
+        list(iter_stack(cfg, 5))
+        render_frame(cfg, 100)
+        assert started == []
+        generate_stack(cfg, 65)  # two blocks: the pool does start
+        assert started
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_streaming_memory_is_bounded(self, monkeypatch, workers):
+        # 48x128 frames draw their noise in chunks of a block; a render's
+        # own temporaries are then a fraction of the block it fills
+        cfg = make_config(cell_px=2, grid=(5, 8), rows=48, cols=128,
+                          split=64, cs=(23.5, 63.5), cs_offset=(1.0, -1.0),
+                          mu=2.0, m_t=50, straylight=80.0, read_noise=4.0,
+                          cosmic_rate=0.5, seed=64)
+        block_bytes = 64 * 48 * 128 * 8 + 64 * 8
+        force_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            collections.deque(iter_stack(cfg, 40 * 64), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (workers + 2) * block_bytes
+
+    def test_closing_the_stream_stops_its_threads(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        before = threading.active_count()
+        stream = iter_stack(concurrent_config(seed=65), 640)
+        next(stream)
+        assert threading.active_count() > before
+        stream.close()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [5, 640])
+    def test_unknown_kind_raises_and_leaves_no_thread(self, monkeypatch,
+                                                      count):
+        force_workers(monkeypatch, 2)
+        cfg = concurrent_config(seed=66)
+        before = threading.active_count()
+        with pytest.raises(DomainError):
+            generate_stack(cfg, count, "dark")
+        with pytest.raises(DomainError):
+            list(iter_stack(cfg, count, "dark"))
+        assert threading.active_count() == before
 
 
 class TestCosmicRays:
