@@ -13,7 +13,6 @@ from .errors import (
     DigestMismatchError,
     DomainError,
     GeometryError,
-    ResourceError,
     StackFormatError,
     TruncatedPayloadError,
     TwincalError,

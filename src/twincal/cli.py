@@ -80,23 +80,28 @@ def cmd_simulate(args) -> int:
     doc = io.run_config_to_dict(cfg, params)
 
     n_pdc = params.z_batches * params.frames_per_batch
-    pdc = simulate.generate_stack(cfg, n_pdc, simulate.KIND_PDC)
+    n_bg = params.z_batches * params.background_frames_per_batch
+    if max(n_pdc, n_bg) > 0xFFFFFFFF:
+        raise StackFormatError(f"{max(n_pdc, n_bg)} frames overflow the u32 count")
     pdc_path = out / "pdc.tbs"
-    io.write_stack(pdc_path, pdc, doc)
-    energies = pdc.pulse_energy
-    del pdc  # free the rendered frames before rendering the background
+    block_energies = []
+
+    def pdc_blocks():  # to the file as rendered, keeping the energies
+        for block in simulate.iter_stack(cfg, n_pdc, simulate.KIND_PDC):
+            block_energies.append(block.pulse_energy)
+            yield block
+
+    io.write_stack(pdc_path, pdc_blocks(), doc)
+    energies = np.concatenate(block_energies)
     _say(args, f"wrote {pdc_path} ({n_pdc} frames), digest "
                f"{io.config_digest(doc).hex()}")
     _say(args, f"pulse energy mean {energies.mean():.4f}, "
                f"std {energies.std(ddof=1):.4f}")
 
-    if params.background_frames_per_batch:
-        n_bg = params.z_batches * params.background_frames_per_batch
+    if n_bg:
         bg_path = out / "background.tbs"
-        io.write_stack(bg_path,
-                       simulate.generate_stack(cfg, n_bg,
-                                               simulate.KIND_BACKGROUND),
-                       doc)
+        blocks = simulate.iter_stack(cfg, n_bg, simulate.KIND_BACKGROUND)
+        io.write_stack(bg_path, blocks, doc)
         _say(args, f"wrote {bg_path} ({n_bg} frames), digest "
                    f"{io.config_digest(doc).hex()}")
     return 0
@@ -131,29 +136,29 @@ def cmd_area_scan(args) -> int:
     return 0
 
 
-def _calibrate(cfg, params, pdc_frames, bg_frames):
+def _calibrate(cfg, params, pdc, bg):
     """Shared calibration chain: filter, locate, batch, estimate.
 
-    The stacks are (frames, rows, cols) count arrays; ``bg_frames`` may
-    be None.  Returns the conjugate-region series estimated from, its
+    The stacks are (frames, rows, cols) count arrays; ``bg`` may be
+    None.  Returns the conjugate-region series estimated from, its
     RepeatSummary and the CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
 
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
-        pdc_frames, mad_k=params.cosmic_mad_k)
+        pdc, mad_k=params.cosmic_mad_k)
     bg_kept, bg_dropped = None, []
-    if bg_frames is not None:
+    if bg is not None:
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
-            bg_frames, mad_k=params.cosmic_mad_k)
+            bg, mad_k=params.cosmic_mad_k)
 
-    cs_map = estimate.sigma_spatial_map(pdc_kept[:20], params.region_s,
+    cs_map = estimate.sigma_spatial_map(pdc[pdc_kept[:20]], params.region_s,
                                         cfg.geometry, params.cs_search_extent)
     region_i = cfg.geometry.conjugate_region(params.region_s,
                                              shift=cs_map.argmin)
 
-    series = estimate.build_series(pdc_kept, params.region_s, region_i,
-                                   bg_kept)
+    series = estimate.build_series(pdc, params.region_s, region_i, bg,
+                                   pdc_kept, bg_kept)
     z = params.z_batches
     summary = estimate.repeat_experiment(series.batches(z), ddof=ddof)
     ratio, thermal = estimate.excess_noise(
@@ -320,7 +325,7 @@ def cmd_selftest(args) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stack.tbs"
         doc = io.run_config_to_dict(cfg, presets.reference_analysis(2, 10, 10))
-        io.write_stack(path, a, doc)
+        io.write_stack(path, [a], doc)
         back, _ = io.read_stack(path)
         ok_rt = np.array_equal(a.counts, back.counts)
         check("stack round trip", ok_rt)

@@ -24,10 +24,6 @@ class DegenerateDataError(TwincalError, ValueError):
     singular covariance)."""
 
 
-class ResourceError(TwincalError, ValueError):
-    """A requested stack would be absurdly large to materialise."""
-
-
 class ConfigError(TwincalError, ValueError):
     """A run-configuration document failed validation."""
 

@@ -125,14 +125,16 @@ def region_sum(counts: np.ndarray, region: Region):
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
-                 bg_frames: np.ndarray | None = None) -> RegionPairSeries:
-    """Integrate a conjugate region pair over (frames, rows, cols) stacks."""
+                 bg_frames: np.ndarray | None = None, kept=slice(None),
+                 bg_kept=slice(None)) -> RegionPairSeries:
+    """Integrate a conjugate region pair over the kept frames of (frames,
+    rows, cols) stacks: ``kept`` and ``bg_kept`` index the per-frame sums."""
     kwargs = {}
     if bg_frames is not None:
-        kwargs = {"m_s": region_sum(bg_frames, region_s),
-                  "m_i": region_sum(bg_frames, region_i)}
-    return RegionPairSeries(region_sum(pdc_frames, region_s),
-                            region_sum(pdc_frames, region_i), **kwargs)
+        kwargs = {"m_s": region_sum(bg_frames, region_s)[bg_kept],
+                  "m_i": region_sum(bg_frames, region_i)[bg_kept]}
+    return RegionPairSeries(region_sum(pdc_frames, region_s)[kept],
+                            region_sum(pdc_frames, region_i)[kept], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +361,9 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
 
     ``frames`` is a (frames, rows, cols) count array; a floating stack
     holding a NaN or an infinity raises DegenerateDataError, since a NaN
-    scale would switch every threshold off.  Returns the kept frames
-    (``frames`` itself when none is discarded, else a copy) and the
-    discarded frame indices as a list.
+    scale would switch every threshold off.  Returns the kept frame
+    indices as an array, for ``frames[kept]`` or ``build_series``, and the
+    discarded frame indices as a list; no frame is copied.
     """
     n = len(frames)
     if n < 3:
@@ -396,8 +398,7 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     for f in range(0, n, _FILTER_TILE_FRAMES):
         bad[f:f + _FILTER_TILE_FRAMES] = np.any(
             flat[f:f + _FILTER_TILE_FRAMES] > threshold, axis=1)
-    kept = frames[~bad] if bad.any() else frames
-    return kept, np.flatnonzero(bad).tolist()
+    return np.flatnonzero(~bad), np.flatnonzero(bad).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -83,31 +83,40 @@ def config_digest(config: dict) -> bytes:
 # Stack files
 # ---------------------------------------------------------------------------
 
-def write_stack(path, stack: Stack, config: dict) -> None:
-    """Write a frame stack and its JSON sidecar.
+def write_stack(path, blocks, config: dict) -> None:
+    """Write blocks of frames as one stack file, and its JSON sidecar.
 
+    ``blocks`` is an iterable of Stacks of one kind and frame shape, such
+    as ``[stack]`` or the blocks of ``iter_stack``, written one at a time.
     Counts must already be integral (the simulator quantises) and fit in
-    an unsigned 32-bit word.
+    an unsigned 32-bit word.  A failed write writes no sidecar and leaves
+    the header zero, which ``read_stack`` refuses.
     """
-    counts = stack.counts
-    if stack.kind not in _KIND_TO_CODE:
-        raise StackFormatError(f"unknown frame kind {stack.kind!r}")
-    count, rows, cols = counts.shape
-    if counts.size == 0:
-        raise StackFormatError("cannot write an empty stack")
-    if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
-        raise StackFormatError("counts outside the u32 range")
-    payload = np.ascontiguousarray(counts, dtype="<u4")
-    if not np.array_equal(payload, counts):
-        raise StackFormatError("counts must be integral")
-
-    digest = config_digest(config)
-    header = _HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[stack.kind], 0,
-                          rows, cols, count, digest)
-    path = Path(path)
+    count, layout = 0, None
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.data)
+        fh.seek(_HEADER.size)
+        for stack in blocks:
+            counts = stack.counts
+            layout = layout or (stack.kind, counts.shape[1:])
+            if (stack.kind, counts.shape[1:]) != layout:
+                raise StackFormatError("blocks disagree on kind or frame shape")
+            if stack.kind not in _KIND_TO_CODE:
+                raise StackFormatError(f"unknown frame kind {stack.kind!r}")
+            if counts.size == 0:
+                raise StackFormatError("cannot write an empty stack")
+            if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
+                raise StackFormatError("counts outside the u32 range")
+            payload = np.ascontiguousarray(counts, dtype="<u4")
+            if not np.array_equal(payload, counts):
+                raise StackFormatError("counts must be integral")
+            fh.write(payload.data)
+            count += len(counts)
+        if not 0 < count <= 0xFFFFFFFF:
+            raise StackFormatError(f"cannot write a stack of {count} frames")
+        kind, (rows, cols) = layout
+        fh.seek(0)
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[kind], 0,
+                              rows, cols, count, config_digest(config)))
     sidecar_path(path).write_bytes(config_bytes(config))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .model import (
     BackgroundModel,
     ChannelEfficiencies,
@@ -49,10 +49,6 @@ from .model import (
 KIND_PDC = "pdc_on"
 KIND_BACKGROUND = "background"
 _KIND_CODE = {KIND_PDC: 0, KIND_BACKGROUND: 1}
-
-# Materialised stacks above this many superpixels are refused; use
-# iter_stack to stream arbitrarily long acquisitions.
-_MAX_STACK_ELEMENTS = 1 << 28
 
 # Frames per RNG stream and per vectorised draw.
 _BLOCK_FRAMES = 64
@@ -316,8 +312,9 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
     ``count`` is not a multiple of the block size.  Blocks are rendered
     on a pool of one thread per CPU the process may run on (at most one
     per block), and at most that many blocks are in flight beyond the one
-    being yielded, so memory stays constant.  A one-block request, or a
-    process on one CPU, renders in the calling thread.
+    being yielded: memory stays under workers + 1 blocks (512*rows*cols B)
+    plus, per worker, 0.5 MB and 512*(px**2 + 4) B per coherence cell.  A
+    one-block request, or a process on one CPU, renders in the calling thread.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -361,17 +358,10 @@ def generate_stack(cfg: ExperimentConfig, count: int,
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    total = cfg.geometry.rows * cfg.geometry.cols * count
-    if total > _MAX_STACK_ELEMENTS:
-        raise ResourceError(
-            f"stack of {count} frames x {cfg.geometry.shape} superpixels "
-            f"({total} elements) is too large to materialise; use iter_stack")
     stack = Stack(counts=np.empty((count,) + cfg.geometry.shape),
                   kind=kind, pulse_energy=np.empty(count))
-    start = 0
-    for block in iter_stack(cfg, count, kind):
-        stop = start + len(block.counts)
-        stack.counts[start:stop] = block.counts
-        stack.pulse_energy[start:stop] = block.pulse_energy
-        start = stop
+    for b, block in enumerate(iter_stack(cfg, count, kind)):
+        k = slice(b * _BLOCK_FRAMES, (b + 1) * _BLOCK_FRAMES)
+        stack.counts[k] = block.counts
+        stack.pulse_energy[k] = block.pulse_energy
     return stack

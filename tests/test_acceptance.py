@@ -293,10 +293,9 @@ def test_criterion_10_determinism_and_format(tmp_path):
     cfg = reference_experiment(master_seed=1010)
     doc = {"determinism": "check"}
     stack = generate_stack(cfg, 100)
-    streamed = Stack(np.concatenate([b.counts for b in iter_stack(cfg, 100)]))
     p1, p2 = tmp_path / "stack.tbs", tmp_path / "streamed.tbs"
-    write_stack(p1, stack, doc)
-    write_stack(p2, streamed, doc)
+    write_stack(p1, [stack], doc)
+    write_stack(p2, iter_stack(cfg, 100), doc)
     identical = p1.read_bytes() == p2.read_bytes()
 
     rng = np.random.default_rng(55)
@@ -307,7 +306,7 @@ def test_criterion_10_determinism_and_format(tmp_path):
                                              dtype=np.uint64).astype(float)
                                 for _ in range(count)]))
         path = tmp_path / "rt.tbs"
-        write_stack(path, stack, doc)
+        write_stack(path, [stack], doc)
         back, _ = read_stack(path)
         round_trips += np.array_equal(stack.counts, back.counts)
     ok = identical and round_trips == 100

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_con
 from twincal.model import Region
 from twincal.simulate import generate_stack, inject_cosmic_ray
 from twincal import io as tio
+from twincal import simulate
 
 from test_simulate import make_config
 
@@ -153,8 +155,8 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
                         kind="background")
     doc = tio.run_config_to_dict(cfg, params)
     out.mkdir(exist_ok=True)
-    tio.write_stack(out / "pdc.tbs", clean, doc)
-    tio.write_stack(out / "background.tbs", bg, doc)
+    tio.write_stack(out / "pdc.tbs", [clean], doc)
+    tio.write_stack(out / "background.tbs", [bg], doc)
     assert main(["calibrate", "--config", str(config), "--out", str(out),
                  "--pdc", str(out / "pdc.tbs"),
                  "--background", str(out / "background.tbs"),
@@ -179,8 +181,8 @@ def test_background_losing_its_frames_is_an_error(run_dir, capsys, spiked):
     for k in range(spiked):
         bg.counts[k] = inject_cosmic_ray(bg.counts[k], rng)
     doc = tio.run_config_to_dict(cfg, params)
-    tio.write_stack(out / "pdc.tbs", pdc, doc)
-    tio.write_stack(out / "background.tbs", bg, doc)
+    tio.write_stack(out / "pdc.tbs", [pdc], doc)
+    tio.write_stack(out / "background.tbs", [bg], doc)
     assert main(["calibrate", "--config", str(config), "--out", str(out),
                  "--pdc", str(out / "pdc.tbs"),
                  "--background", str(out / "background.tbs"),
@@ -327,3 +329,76 @@ def test_rerun_overwrites_byte_identically(run_dir):
     first = (out / "pdc.tbs").read_bytes()
     main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
     assert (out / "pdc.tbs").read_bytes() == first
+
+
+def large_frames(tmp_path, seed, z_batches, frames_per_batch):
+    """A run config of 48x128 frames with 2-px cells and cosmic rays, the
+    same number of frames per batch in both stacks."""
+    cfg = make_config(cell_px=2, grid=(10, 16), rows=48, cols=128, split=64,
+                      cs=(23.5, 63.5), cs_offset=(1.0, -1.0), mu=2.0,
+                      jitter=0.1, straylight=80.0, read_noise=4.0,
+                      cosmic_rate=0.02, seed=seed)
+    params = AnalysisParams(region_s=Region((14, 16), (20, 32)),
+                            z_batches=z_batches,
+                            frames_per_batch=frames_per_batch,
+                            background_frames_per_batch=frames_per_batch)
+    config = tmp_path / f"large-{z_batches}.json"
+    save_run_config(config, cfg, params)
+    return cfg, params, config
+
+
+def test_simulate_memory_does_not_grow_with_frame_count(tmp_path,
+                                                        monkeypatch):
+    # blocks go to the file as they are rendered: 4x the frames take no
+    # more than one more block of memory
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    peaks = []
+    for z in (4, 16):  # 256 and 1024 frames per stack
+        _, _, config = large_frames(tmp_path, 81, z, 64)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(config), "--out",
+                         str(tmp_path / f"out-{z}"), "--quiet"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(read_stack(tmp_path / f"out-{z}" / "pdc.tbs")[0].counts) \
+            == 64 * z
+    assert abs(peaks[1] - peaks[0]) < 64 * 48 * 128 * 8
+
+
+def test_calibrate_memory_is_not_a_stack_copy(tmp_path):
+    # both u32 stacks lose frames to the filter; the kept ones are used by
+    # index, so the chain's peak is a small part of the stacks it reads
+    from twincal.cli import _calibrate
+    cfg, params, _ = large_frames(tmp_path, 9, 4, 125)
+    pdc = generate_stack(cfg, 500).counts.astype(np.uint32)
+    bg = generate_stack(cfg, 500, kind="background").counts.astype(np.uint32)
+    tracemalloc.start()
+    try:
+        _, _, diagnostics = _calibrate(cfg, params, pdc, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagnostics.dropped_pdc and diagnostics.dropped_background
+    assert peak < (pdc.nbytes + bg.nbytes) / 4
+
+
+@pytest.mark.parametrize("z, per_batch, bg_per_batch",
+                         [(2 ** 16, 2 ** 16, 0), (2, 2, 2 ** 31)])
+def test_oversized_frame_count_is_refused_before_rendering(
+        tmp_path, capsys, monkeypatch, z, per_batch, bg_per_batch):
+    # a .tbs header holds the frame count in a u32 field
+    cfg = make_config()
+    params = AnalysisParams(region_s=Region((4, 3), (5, 8)), z_batches=z,
+                            frames_per_batch=per_batch,
+                            background_frames_per_batch=bg_per_batch)
+    config = tmp_path / "huge.json"
+    save_run_config(config, cfg, params)
+    rendered = []
+    monkeypatch.setattr(simulate, "_render_block",
+                        lambda *args: rendered.append(args))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+    assert "error[StackFormatError]" in capsys.readouterr().err
+    assert rendered == [] and list(out.iterdir()) == []

@@ -342,17 +342,18 @@ class TestCosmicFilter:
             cosmic_ray_filter(frames)
 
     def test_working_memory_is_bounded(self):
-        # a clean stack: the kept frames are the input itself, so the peak
-        # is the filter's own working memory
+        # spiked frames are dropped and the kept ones come back as indices,
+        # so the peak is the filter's own working memory
         frames = np.random.default_rng(2).poisson(
             40.0, (1000, 48, 128)).astype(np.uint32)
+        frames[[3, 500, 999], 10, 20] = 10_000
         tracemalloc.start()
         try:
-            _, discarded = cosmic_ray_filter(frames)
+            kept, discarded = cosmic_ray_filter(frames)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert discarded == []
+        assert discarded == [3, 500, 999] and len(kept) == 997
         assert peak < frames.nbytes / 2
 
 

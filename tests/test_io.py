@@ -65,7 +65,7 @@ class TestStackRoundTrip:
         rng = np.random.default_rng(0)
         frames = random_frames(rng, 10, 7, 12)
         path = tmp_path / "stack.tbs"
-        write_stack(path, frames, a_config_doc())
+        write_stack(path, [frames], a_config_doc())
         back, digest = read_stack(path)
         assert len(back.counts) == 10
         assert digest == config_digest(a_config_doc()).hex()
@@ -78,14 +78,14 @@ class TestStackRoundTrip:
         rng = np.random.default_rng(1)
         frames = random_frames(rng, 4000, 13, 30)
         path = tmp_path / "stack.tbs"
-        write_stack(path, frames, a_config_doc())
+        write_stack(path, [frames], a_config_doc())
         assert path.stat().st_size == HEADER_SIZE + 4000 * 13 * 30 * 4
 
     def test_background_kind_round_trips(self, tmp_path):
         rng = np.random.default_rng(2)
         frames = random_frames(rng, 3, 4, 6, kind=KIND_BACKGROUND)
         path = tmp_path / "bg.tbs"
-        write_stack(path, frames, a_config_doc())
+        write_stack(path, [frames], a_config_doc())
         back, _ = read_stack(path)
         assert back.kind == KIND_BACKGROUND
 
@@ -93,8 +93,8 @@ class TestStackRoundTrip:
         rng = np.random.default_rng(3)
         frames = random_frames(rng, 5, 6, 8)
         p1, p2 = tmp_path / "a.tbs", tmp_path / "b.tbs"
-        write_stack(p1, frames, a_config_doc())
-        write_stack(p2, frames, a_config_doc())
+        write_stack(p1, [frames], a_config_doc())
+        write_stack(p2, [frames], a_config_doc())
         assert p1.read_bytes() == p2.read_bytes()
         assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
 
@@ -107,7 +107,7 @@ class TestStackRoundTrip:
                                               dtype=np.uint64).astype(float)
                                  for _ in range(count)]))
         path = tmp_path_factory.mktemp("rt") / "stack.tbs"
-        write_stack(path, frames, {"seed": seed})
+        write_stack(path, [frames], {"seed": seed})
         back, _ = read_stack(path)
         assert np.array_equal(frames.counts, back.counts)
 
@@ -117,7 +117,7 @@ class TestStackErrors:
         rng = np.random.default_rng(4)
         frames = random_frames(rng, 4, 5, 6)
         path = tmp_path / "stack.tbs"
-        write_stack(path, frames, a_config_doc())
+        write_stack(path, [frames], a_config_doc())
         return path
 
     def test_truncated_payload(self, tmp_path):
@@ -164,16 +164,40 @@ class TestStackErrors:
     def test_non_integral_counts_rejected(self, tmp_path):
         frame = Stack(np.array([[[1.5, 2.0]]]))
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", frame, {})
+            write_stack(tmp_path / "x.tbs", [frame], {})
 
     def test_out_of_range_counts_rejected(self, tmp_path):
         frame = Stack(np.array([[[float(2 ** 32), 0.0]]]))
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", frame, {})
+            write_stack(tmp_path / "x.tbs", [frame], {})
 
     def test_empty_stack_rejected(self, tmp_path):
+        for blocks in ([Stack(np.zeros((0, 2, 2)))], []):  # or no block
+            with pytest.raises(StackFormatError):
+                write_stack(tmp_path / "x.tbs", blocks, {})
+
+    @pytest.mark.parametrize("second", [
+        Stack(np.ones((2, 5, 6)), kind=KIND_BACKGROUND),  # another kind
+        Stack(np.ones((2, 6, 5))),                        # another shape
+        Stack(np.full((2, 5, 6), 0.5)),                   # non-integral
+        Stack(np.full((2, 5, 6), -1.0)),                  # out of range
+        Stack(np.ones((0, 5, 6))),                        # empty
+    ])
+    def test_failed_block_leaves_nothing_readable(self, tmp_path, second):
+        # the first block is on disk when the second one fails its check
+        path = tmp_path / "x.tbs"
         with pytest.raises(StackFormatError):
-            write_stack(tmp_path / "x.tbs", Stack(np.zeros((0, 2, 2))), {})
+            write_stack(path, [Stack(np.ones((3, 5, 6))), second],
+                        a_config_doc())
+        assert not sidecar_path(path).exists()
+        with pytest.raises(CorruptHeaderError):
+            read_stack(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(StackFormatError, match="unknown frame kind"):
+            write_stack(tmp_path / "x.tbs",
+                        [Stack(np.ones((2, 5, 6)), kind="dark")], {})
+        assert not sidecar_path(tmp_path / "x.tbs").exists()
 
     @pytest.mark.parametrize("field_offset", [8, 12, 16])  # rows, cols, count
     def test_empty_stack_header_rejected(self, tmp_path, field_offset):

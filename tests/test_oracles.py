@@ -98,12 +98,23 @@ def test_series_are_bit_identical(case, data):
     counts = np.maximum(counts, 1)  # positive means: estimators defined
     bg = counts[::-1] // 2
     conj = geometry.conjugate_region(region)
+    # kept frames as cosmic_ray_filter returns them: ascending indices
+    kept, bg_kept = (np.array(sorted(data.draw(st.sets(
+        st.integers(0, len(counts) - 1), min_size=2)))) for _ in range(2))
     for frames, bg_frames in zip(as_inputs(counts), as_inputs(bg)):
         series = build_series(frames, region, conj, bg_frames)
         for got, want in ((series.n_s, ref.region_sums(counts, region)),
                           (series.n_i, ref.region_sums(counts, conj)),
                           (series.m_s, ref.region_sums(bg, region)),
                           (series.m_i, ref.region_sums(bg, conj))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+        series = build_series(frames, region, conj, bg_frames, kept, bg_kept)
+        for got, want in (
+                (series.n_s, ref.region_sums(counts[kept], region)),
+                (series.n_i, ref.region_sums(counts[kept], conj)),
+                (series.m_s, ref.region_sums(bg[bg_kept], region)),
+                (series.m_i, ref.region_sums(bg[bg_kept], conj))):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
 
@@ -296,5 +307,5 @@ def test_cosmic_ray_filter_matches_whole_stack_reference(
     for frames in as_inputs(counts):
         kept, dropped = cosmic_ray_filter(frames, mad_k)
         assert dropped == want_dropped
-        assert kept.dtype == frames.dtype
-        assert np.array_equal(kept, want_kept)
+        assert frames[kept].dtype == frames.dtype
+        assert np.array_equal(frames[kept], want_kept)

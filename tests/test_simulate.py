@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from twincal.errors import DomainError, GeometryError, ResourceError
+from twincal.errors import DomainError, GeometryError
 from twincal.model import (
     BackgroundModel,
     ChannelEfficiencies,
@@ -258,11 +258,6 @@ class TestDeterminism:
         # signal sums of A vs idler sums of B (and vice versa)
         for x, y in ((sa.n_s, sb.n_i), (sa.n_i, sb.n_s)):
             assert scipy.stats.ks_2samp(x, y).pvalue > 0.01
-
-    def test_resource_guard(self):
-        cfg = make_config()
-        with pytest.raises(ResourceError):
-            generate_stack(cfg, 10 ** 9)
 
 
 def concurrent_config(**kwargs):
