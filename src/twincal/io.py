@@ -89,8 +89,8 @@ def write_stack(path, blocks, config: dict) -> None:
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
     as ``[stack]`` or the blocks of ``iter_stack``, written one at a time.
     Counts must already be integral (the simulator quantises) and fit in
-    an unsigned 32-bit word.  A failed write writes no sidecar and leaves
-    the header zero, which ``read_stack`` refuses.
+    an unsigned 32-bit word.  A failed write writes neither the header nor
+    the sidecar, so ``read_stack`` refuses the file it leaves.
     """
     count, layout = 0, None
     with open(path, "wb") as fh:
