@@ -140,17 +140,23 @@ def _calibrate(cfg, params, pdc, bg):
     """Shared calibration chain: filter, locate, batch, estimate.
 
     The stacks are (frames, rows, cols) count arrays; ``bg`` may be
-    None.  Returns the conjugate-region series estimated from, its
+    None.  A frame is dropped only for a cosmic-ray hit in the pixels
+    analysed.  Returns the conjugate-region series estimated from, its
     RepeatSummary and the CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
 
+    # Only the pixels the estimators read can spoil them: region_s and
+    # the idler window the centre search draws its regions from.
+    analysed = [params.region_s,
+                cfg.geometry.search_window(params.region_s,
+                                           params.cs_search_extent)]
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
-        pdc, mad_k=params.cosmic_mad_k)
+        pdc, params.cosmic_mad_k, regions=analysed)
     bg_kept, bg_dropped = None, []
     if bg is not None:
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
-            bg, mad_k=params.cosmic_mad_k)
+            bg, params.cosmic_mad_k, regions=analysed)
 
     cs_map = estimate.sigma_spatial_map(pdc[pdc_kept[:20]], params.region_s,
                                         cfg.geometry, params.cs_search_extent)

@@ -113,15 +113,21 @@ def region_sum(counts: np.ndarray, region: Region):
     ``counts`` is one frame or a stack.  The float64 sums of integral
     counts are exact whatever the input dtype.
     """
+    _check_in_frame(region, counts.shape[-2:])
+    return counts[..., region.row_slice, region.col_slice].sum(
+        axis=(-2, -1), dtype=np.float64)
+
+
+def _check_in_frame(region: Region, shape) -> None:
+    """GeometryError unless ``region`` lies inside frames of ``shape``,
+    where slicing would clip it silently."""
     r0, c0 = region.origin
     h, w = region.extent
-    rows, cols = counts.shape[-2:]
+    rows, cols = shape
     if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
         raise GeometryError(
             f"region {region.origin}+{region.extent} leaves the frame "
             f"{(rows, cols)}")
-    return counts[..., r0:r0 + h, c0:c0 + w].sum(axis=(-2, -1),
-                                                  dtype=np.float64)
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
@@ -349,55 +355,78 @@ def _median_rows(rows: np.ndarray) -> np.ndarray:
     return (rows[:, :h].max(axis=1) + upper) / 2.0
 
 
-def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
-    """Discard frames containing superpixels far above their stack statistics.
+def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
+    """Discard frames with a superpixel of ``regions`` far above its stack
+    statistics.
 
-    Per superpixel the threshold is median + mad_k * scale across the
-    stack, with scale the Gaussian-consistent MAD (1.4826*MAD).  Each
-    pixel's scale is floored at the frame-typical scale (its median over
-    all superpixels) and at one count: with few frames a single pixel's
-    sample MAD fluctuates far below the true dispersion, and an unfloored
-    threshold would flag ordinary shot noise.
+    Only the superpixels of ``regions`` are read and compared
+    (``calibrate`` passes ``region_s`` and the idler search window): a
+    hit elsewhere cannot move a result, so its frame is kept.  Per
+    superpixel the threshold is median + mad_k * scale across the stack,
+    with scale the Gaussian-consistent MAD (1.4826*MAD) floored at the
+    pixel's own shot noise, max(sqrt(median), 1) counts, which takes
+    counts to be photo-electrons as the estimators' shot-noise
+    normalisation does.  With few frames a pixel's sample MAD fluctuates
+    far below the true dispersion, and an unfloored threshold would flag
+    ordinary shot noise; a floor taken from other pixels would hide a
+    spike on a dim one.
 
-    ``frames`` is a (frames, rows, cols) count array; a floating stack
-    holding a NaN or an infinity raises DegenerateDataError, since a NaN
-    scale would switch every threshold off.  Returns the kept frame
-    indices as an array, for ``frames[kept]`` or ``build_series``, and the
+    ``frames`` is a (frames, rows, cols) count array; a region leaving
+    the frame raises GeometryError, and a NaN or an infinity in the
+    regions of a floating stack raises DegenerateDataError, since a NaN
+    scale would switch its threshold off.  Returns the kept frame indices
+    as an array, for ``frames[kept]`` or ``build_series``, and the
     discarded frame indices as a list; no frame is copied.
     """
     n = len(frames)
     if n < 3:
         raise DegenerateDataError("need at least 3 frames to filter")
+    regions = list(regions)
+    if not regions:
+        raise DomainError("no region to filter")
+    for region in regions:
+        _check_in_frame(region, frames.shape[1:])
     floating = frames.dtype.kind == "f"
-    flat = frames.reshape(n, -1)
-    pixels = flat.shape[1]
+    tile = _FILTER_TILE_FRAMES
     chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
-    # One (chunk pixels, frames) lane block at a time: the median, then
-    # the absolute deviations in place and their median.  Each lane is
-    # independent, so chunking changes no value.
-    buffer = np.empty(min(chunk, pixels) * n)
-    median = np.empty(pixels)
-    scale = np.empty(pixels)
-    for a in range(0, pixels, chunk):
-        b = min(a + chunk, pixels)
-        lanes = buffer[:(b - a) * n].reshape(b - a, n)
-        for f in range(0, n, _FILTER_TILE_FRAMES):
-            lanes[:, f:f + _FILTER_TILE_FRAMES] = \
-                flat[f:f + _FILTER_TILE_FRAMES, a:b].T
-        if floating and not np.isfinite(lanes).all():
-            raise DegenerateDataError("non-finite counts in the stack")
-        median[a:b] = _median_rows(lanes)
-        lanes -= median[a:b, None]
-        np.abs(lanes, out=lanes)
-        scale[a:b] = _median_rows(lanes)
-    scale *= 1.4826
-    floor = max(float(np.median(scale)), 1.0)
-    threshold = median + mad_k * np.maximum(scale, floor)
+    # One lane block of a region's pixels at a time, whole rows of it or
+    # part of one row: the median, then the absolute deviations in place
+    # and their median.  Each lane is independent, so chunking changes no
+    # value.
+    buffer = np.empty(min(chunk, max(r.area for r in regions)) * n)
+    thresholds = []  # (region block, its thresholds)
+    for region in regions:
+        block = frames[:, region.row_slice, region.col_slice]
+        h, w = region.extent
+        median = np.empty((h, w))
+        scale = np.empty((h, w))
+        step_r, step_c = max(1, chunk // w), min(w, chunk)
+        for r in range(0, h, step_r):
+            for c in range(0, w, step_c):
+                pixels = block[:, r:r + step_r, c:c + step_c]
+                out = np.s_[r:r + step_r, c:c + step_c]
+                k, m = pixels.shape[1:]
+                lanes = buffer[:k * m * n].reshape(k, m, n)
+                for f in range(0, n, tile):
+                    lanes[..., f:f + tile] = \
+                        pixels[f:f + tile].transpose(1, 2, 0)
+                lanes = lanes.reshape(k * m, n)
+                if floating and not np.isfinite(lanes).all():
+                    raise DegenerateDataError("non-finite counts in the stack")
+                med = _median_rows(lanes)
+                lanes -= med[:, None]
+                np.abs(lanes, out=lanes)
+                median[out] = med.reshape(k, m)
+                scale[out] = _median_rows(lanes).reshape(k, m)
+        scale *= 1.4826
+        floor = np.sqrt(np.maximum(median, 1.0))
+        thresholds.append((block, median + mad_k * np.maximum(scale, floor)))
     # Compared a tile of frames at a time: no stack-sized mask is made.
-    bad = np.empty(n, dtype=bool)
-    for f in range(0, n, _FILTER_TILE_FRAMES):
-        bad[f:f + _FILTER_TILE_FRAMES] = np.any(
-            flat[f:f + _FILTER_TILE_FRAMES] > threshold, axis=1)
+    bad = np.zeros(n, dtype=bool)
+    for f in range(0, n, tile):
+        for block, threshold in thresholds:
+            bad[f:f + tile] |= np.any(block[f:f + tile] > threshold,
+                                      axis=(1, 2))
     return np.flatnonzero(~bad), np.flatnonzero(bad).tolist()
 
 
@@ -433,11 +462,14 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
                       search_extent: tuple[int, int] = (3, 3)) -> SpatialMapResult:
     """Map the pairwise spatial noise reduction over idler displacements.
 
-    For each candidate displacement xi the idler region is the conjugate of
-    ``region_s`` shifted by xi.  Within one frame the statistic is the
-    population variance of the conjugated-pair differences normalised by
-    the mean pair sum; frames are then averaged.  Correlated displacements
-    produce a dip, uncorrelated ones a plateau near 1 + excess noise.
+    For each candidate displacement xi the idler region is the conjugate
+    of ``region_s`` shifted by xi; together they fill
+    ``geometry.search_window(region_s, search_extent)``, so the map reads
+    that window and ``region_s`` alone.  Within one frame the statistic
+    is the population variance of the conjugated-pair differences
+    normalised by the mean pair sum; frames are then averaged.
+    Correlated displacements produce a dip, uncorrelated ones a plateau
+    near 1 + excess noise.
 
     ``frames`` is a (frames, rows, cols) count array, read a tile of
     frames at a time: beyond one (frames, displacements) table of
@@ -452,26 +484,20 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     if region_s.side != SIDE_SIGNAL:
         raise GeometryError("region_s must lie on the signal half")
     geometry.validate_region(region_s)
+    # Every candidate region is valid, before any data is touched, when
+    # the search window holding them all is.
+    window = geometry.search_window(region_s, search_extent)
     er, ec = search_extent
-    if er < 0 or ec < 0:
-        raise DomainError("search extent components must be >= 0")
-
-    # All candidate regions must be valid before any data is touched.
     shifts = [(dr, dc) for dr in range(-er, er + 1) for dc in range(-ec, ec + 1)]
-    for shift in shifts:
-        geometry.conjugate_region(region_s, shift=shift)
-    base = geometry.conjugate_region(region_s)
     n = len(frames)
     if n == 0:
         raise DegenerateDataError("no frames supplied")
 
-    # The search window spans every candidate idler block.  Conjugate
-    # pairing reverses both axes of an idler block, so in the window
-    # flipped on both axes the block of shift (dr, dc) is the forward
-    # slice at (er - dr, ec - dc).
+    # Conjugate pairing reverses both axes of an idler block, so in the
+    # search window flipped on both axes the block of shift (dr, dc) is
+    # the forward slice at (er - dr, ec - dc).
     h, w = region_s.extent
-    r0, c0 = base.origin
-    rows, cols = h + 2 * er, w + 2 * ec
+    rows, cols = window.extent
     tile = max(1, _SPATIAL_TILE_ELEMENTS // (rows * cols))
     sig = np.empty((min(tile, n), h, w))
     flipped = np.empty((len(sig), rows, cols))
@@ -482,8 +508,8 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
         g = min(f + tile, n)
         s, win, table, d = sig[:g - f], flipped[:g - f], sat[:g - f], dev[:g - f]
         np.copyto(s, frames[f:g, region_s.row_slice, region_s.col_slice])
-        np.copyto(win, frames[f:g, r0 - er:r0 + h + er,
-                              c0 - ec:c0 + w + ec][:, ::-1, ::-1])
+        np.copyto(win, frames[f:g, window.row_slice,
+                              window.col_slice][:, ::-1, ::-1])
         # Every idler sum from four corners of the window's summed-area
         # table (exact for integral counts), in (er - dr, ec - dc) order,
         # then reversed into the order of ``shifts``.

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import uuid
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -89,35 +91,54 @@ def write_stack(path, blocks, config: dict) -> None:
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
     as ``[stack]`` or the blocks of ``iter_stack``, written one at a time.
     Counts must already be integral (the simulator quantises) and fit in
-    an unsigned 32-bit word.  A failed write writes neither the header nor
-    the sidecar, so ``read_stack`` refuses the file it leaves.
+    an unsigned 32-bit word.  Both files are written under temporary
+    names in the target directory and renamed over ``path`` and its
+    sidecar only once the header is packed: a failed write removes its
+    temporary files and leaves whatever was at ``path`` untouched.
     """
+    path = Path(path)
+    side = sidecar_path(path)
+    token = uuid.uuid4().hex
+    tmp_stack, tmp_side = (p.with_name(f".{p.name}.{token}.tmp")
+                           for p in (path, side))
+    try:
+        with open(tmp_stack, "xb") as fh:
+            _write_payload_and_header(fh, blocks, config)
+        tmp_side.write_bytes(config_bytes(config))
+        os.replace(tmp_stack, path)
+        os.replace(tmp_side, side)
+    except BaseException:
+        tmp_stack.unlink(missing_ok=True)
+        tmp_side.unlink(missing_ok=True)
+        raise
+
+
+def _write_payload_and_header(fh, blocks, config: dict) -> None:
+    """Stream the blocks' counts after a header gap, then pack the header."""
     count, layout = 0, None
-    with open(path, "wb") as fh:
-        fh.seek(_HEADER.size)
-        for stack in blocks:
-            counts = stack.counts
-            layout = layout or (stack.kind, counts.shape[1:])
-            if (stack.kind, counts.shape[1:]) != layout:
-                raise StackFormatError("blocks disagree on kind or frame shape")
-            if stack.kind not in _KIND_TO_CODE:
-                raise StackFormatError(f"unknown frame kind {stack.kind!r}")
-            if counts.size == 0:
-                raise StackFormatError("cannot write an empty stack")
-            if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
-                raise StackFormatError("counts outside the u32 range")
-            payload = np.ascontiguousarray(counts, dtype="<u4")
-            if not np.array_equal(payload, counts):
-                raise StackFormatError("counts must be integral")
-            fh.write(payload.data)
-            count += len(counts)
-        if not 0 < count <= 0xFFFFFFFF:
-            raise StackFormatError(f"cannot write a stack of {count} frames")
-        kind, (rows, cols) = layout
-        fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[kind], 0,
-                              rows, cols, count, config_digest(config)))
-    sidecar_path(path).write_bytes(config_bytes(config))
+    fh.seek(_HEADER.size)
+    for stack in blocks:
+        counts = stack.counts
+        layout = layout or (stack.kind, counts.shape[1:])
+        if (stack.kind, counts.shape[1:]) != layout:
+            raise StackFormatError("blocks disagree on kind or frame shape")
+        if stack.kind not in _KIND_TO_CODE:
+            raise StackFormatError(f"unknown frame kind {stack.kind!r}")
+        if counts.size == 0:
+            raise StackFormatError("cannot write an empty stack")
+        if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
+            raise StackFormatError("counts outside the u32 range")
+        payload = np.ascontiguousarray(counts, dtype="<u4")
+        if not np.array_equal(payload, counts):
+            raise StackFormatError("counts must be integral")
+        fh.write(payload.data)
+        count += len(counts)
+    if not 0 < count <= 0xFFFFFFFF:
+        raise StackFormatError(f"cannot write a stack of {count} frames")
+    kind, (rows, cols) = layout
+    fh.seek(0)
+    fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[kind], 0,
+                          rows, cols, count, config_digest(config)))
 
 
 def read_stack(path) -> tuple[Stack, str]:

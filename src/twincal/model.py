@@ -271,6 +271,24 @@ class FrameGeometry:
         self.validate_region(conj)
         return conj
 
+    def search_window(self, region_s: Region,
+                      extent: tuple[int, int]) -> Region:
+        """The box holding the conjugate of ``region_s`` at every shift
+        of up to ``extent`` superpixels per axis: the idler search window.
+
+        The box is valid exactly when every shifted conjugate is, since
+        its corners are those of the extreme shifts.
+        """
+        er, ec = extent
+        if er < 0 or ec < 0:
+            raise DomainError("search extent components must be >= 0")
+        base = self.conjugate_region(region_s)
+        (r0, c0), (h, w) = base.origin, base.extent
+        window = Region(origin=(r0 - er, c0 - ec),
+                        extent=(h + 2 * er, w + 2 * ec), side=base.side)
+        self.validate_region(window)
+        return window
+
     def validate_region(self, region: Region) -> None:
         r0, c0 = region.origin
         h, w = region.extent

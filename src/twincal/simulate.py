@@ -124,6 +124,10 @@ class ExperimentConfig:
 class Stack:
     """A frame stack as one array: ``counts`` has shape (frames, rows, cols).
 
+    ``counts`` holds integral counts: u32 from ``generate_stack`` and
+    ``read_stack``, float64 in the blocks of ``iter_stack`` and from
+    ``render_frame``.
+
     ``pulse_energy`` holds one relative energy per frame (NaN where it is
     not known, as for stacks read from a file).  ``digest_verified`` is
     true only for a stack read from a file whose JSON sidecar matched the
@@ -354,11 +358,12 @@ def generate_stack(cfg: ExperimentConfig, count: int,
 
     The blocks of ``iter_stack`` are copied into one preallocated array,
     so every stack is a prefix of any longer one with the same config and
-    kind.
+    kind.  The array is ``<u4``, the count type of a stack file: the same
+    integers as the blocks' float64 in half the memory.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    stack = Stack(counts=np.empty((count,) + cfg.geometry.shape),
+    stack = Stack(counts=np.empty((count,) + cfg.geometry.shape, "<u4"),
                   kind=kind, pulse_energy=np.empty(count))
     for b, block in enumerate(iter_stack(cfg, count, kind)):
         k = slice(b * _BLOCK_FRAMES, (b + 1) * _BLOCK_FRAMES)

@@ -11,8 +11,10 @@ differences; the point estimators are the former ``np.var`` forms.  The
 oracle tests compare the analytic delta method against both.
 
 ``cosmic_ray_filter`` is the former whole-stack filter: two-kth
-``np.median`` calls over one transposed float64 copy of the stack.  The
-chunked filter must keep and drop exactly the frames it does.
+``np.median`` calls over one transposed float64 copy of the stack, with
+the per-pixel shot-noise floor and an optional mask of the pixels
+compared.  The chunked region filter must keep and drop exactly the
+frames it does.
 
 ``sigma_spatial_map`` is the former whole-stack map: one float64 copy of
 the stack's signal block and search window, a reversed idler view and an
@@ -178,15 +180,13 @@ def propagate_type_a(series, ddof: int = 1) -> TypeAUncertainty:
                             cov_alpha_sigma=float(cov[0, 1]))
 
 
-def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
+def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, mask=None):
     """Discard frames containing superpixels far above their stack statistics.
 
     Per superpixel the threshold is median + mad_k * scale across the
-    stack, with scale the Gaussian-consistent MAD (1.4826*MAD).  Each
-    pixel's scale is floored at the frame-typical scale (its median over
-    all superpixels) and at one count: with few frames a single pixel's
-    sample MAD fluctuates far below the true dispersion, and an unfloored
-    threshold would flag ordinary shot noise.
+    stack, with scale the Gaussian-consistent MAD (1.4826*MAD) floored at
+    the pixel's shot noise, max(sqrt(median), 1).  Only the pixels of the
+    (rows, cols) boolean ``mask`` are compared, every pixel without one.
 
     ``frames`` is a (frames, rows, cols) count array.  Returns the kept
     frames (``frames`` itself when none is discarded, else a copy) and
@@ -202,9 +202,12 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0):
     lanes -= median[:, None]
     np.abs(lanes, out=lanes)
     scale = 1.4826 * np.median(lanes, axis=1, overwrite_input=True)
-    floor = max(float(np.median(scale)), 1.0)
-    threshold = median + mad_k * np.maximum(scale, floor)
-    bad = np.any(frames > threshold.reshape(frames.shape[1:]), axis=(1, 2))
+    floor = np.maximum(np.sqrt(np.clip(median, 0.0, None)), 1.0)
+    threshold = (median + mad_k * np.maximum(scale, floor)).reshape(
+        frames.shape[1:])
+    if mask is not None:
+        threshold[~mask] = np.inf
+    bad = np.any(frames > threshold, axis=(1, 2))
     kept = frames[~bad] if bad.any() else frames
     return kept, np.flatnonzero(bad).tolist()
 

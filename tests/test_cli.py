@@ -11,7 +11,7 @@ import pytest
 from twincal.cli import main
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
-from twincal.simulate import generate_stack, inject_cosmic_ray
+from twincal.simulate import generate_stack
 from twincal import io as tio
 from twincal import simulate
 
@@ -140,7 +140,33 @@ def test_excess_noise_follows_variance_ddof(run_dir):
     assert ratios[0] / ratios[1] == pytest.approx((n - 1) / n, rel=1e-12)
 
 
-def test_calibrate_discards_injected_cosmic_rays(run_dir):
+def analysed_pixels(cfg, params):
+    """Mask of the superpixels ``calibrate`` filters: region_s and the
+    idler search window."""
+    window = cfg.geometry.search_window(params.region_s,
+                                        params.cs_search_extent)
+    mask = np.zeros(cfg.geometry.shape, dtype=bool)
+    for region in (params.region_s, window):
+        mask[region.row_slice, region.col_slice] = True
+    return mask
+
+
+def spike(counts, frames, mask, rng):
+    """Add one cosmic-ray spike to each of ``frames``, at distinct random
+    pixels of ``mask``, as large as the simulator's: 20x the larger of
+    the frame median and the struck pixel.  (A pixel struck in half the
+    frames of a short stack would move its own median.)"""
+    frames = list(frames)
+    pixels = np.argwhere(mask)[rng.choice(mask.sum(), len(frames),
+                                          replace=False)]
+    for k, (r, c) in zip(frames, pixels):
+        counts[k, r, c] += round(20.0 * max(float(np.median(counts[k])),
+                                            float(counts[k, r, c]), 1.0))
+
+
+def calibrate_with_spikes(run_dir, analysed):
+    """calibrate's discarded count on stacks of the run config with six
+    pdc frames spiked inside the analysed pixels, or outside them."""
     tmp_path, config = run_dir
     cfg, params = load_run_config(config)
     out = tmp_path / "out"
@@ -148,8 +174,8 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
     rng = np.random.default_rng(3)
     spiked_at = sorted(int(i) for i in
                        rng.choice(len(clean.counts), 6, replace=False))
-    for k in spiked_at:
-        clean.counts[k] = inject_cosmic_ray(clean.counts[k], rng)
+    mask = analysed_pixels(cfg, params)
+    spike(clean.counts, spiked_at, mask if analysed else ~mask, rng)
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch,
                         kind="background")
@@ -163,7 +189,16 @@ def test_calibrate_discards_injected_cosmic_rays(run_dir):
                  "--quiet"]) == 0
     header, row = (out / "calibration.csv").read_text().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
-    assert int(values["discarded"]) == len(spiked_at)
+    return int(values["discarded"])
+
+
+def test_calibrate_discards_injected_cosmic_rays(run_dir):
+    assert calibrate_with_spikes(run_dir, analysed=True) == 6
+
+
+def test_calibrate_keeps_frames_hit_outside_the_analysed_pixels(run_dir):
+    # a hit there cannot move a region sum or the centre map
+    assert calibrate_with_spikes(run_dir, analysed=False) == 0
 
 
 @pytest.mark.parametrize("spiked", [4, 3])
@@ -177,9 +212,8 @@ def test_background_losing_its_frames_is_an_error(run_dir, capsys, spiked):
     out.mkdir()
     pdc = generate_stack(cfg, 100)
     bg = generate_stack(cfg, 4, kind="background")
-    rng = np.random.default_rng(5)
-    for k in range(spiked):
-        bg.counts[k] = inject_cosmic_ray(bg.counts[k], rng)
+    spike(bg.counts, range(spiked), analysed_pixels(cfg, params),
+          np.random.default_rng(5))
     doc = tio.run_config_to_dict(cfg, params)
     tio.write_stack(out / "pdc.tbs", [pdc], doc)
     tio.write_stack(out / "background.tbs", [bg], doc)
@@ -368,12 +402,14 @@ def test_simulate_memory_does_not_grow_with_frame_count(tmp_path,
 
 
 def test_calibrate_memory_is_not_a_stack_copy(tmp_path):
-    # both u32 stacks lose frames to the filter; the kept ones are used by
-    # index, so the chain's peak is a small part of the stacks it reads
+    # both u32 stacks lose frames to the filter (the background one to a
+    # spike of its own); the kept ones are used by index, so the chain's
+    # peak is a small part of the stacks it reads
     from twincal.cli import _calibrate
     cfg, params, _ = large_frames(tmp_path, 9, 4, 125)
-    pdc = generate_stack(cfg, 500).counts.astype(np.uint32)
-    bg = generate_stack(cfg, 500, kind="background").counts.astype(np.uint32)
+    pdc = generate_stack(cfg, 500).counts
+    bg = generate_stack(cfg, 500, kind="background").counts
+    spike(bg, [250], analysed_pixels(cfg, params), np.random.default_rng(9))
     tracemalloc.start()
     try:
         _, _, diagnostics = _calibrate(cfg, params, pdc, bg)

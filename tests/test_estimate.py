@@ -283,21 +283,32 @@ class TestBackgroundCorrectionUnbiased:
         assert abs(deltas.mean()) < 3 * sem
 
 
+def whole(frames):
+    """The whole frame as the one region to filter."""
+    return [Region((0, 0), frames.shape[1:])]
+
+
 class TestCosmicFilter:
     def test_clean_stacks_pass(self):
-        # false-positive oracle: fraction of clean stacks losing any frame
-        flagged = 0
+        # false-positive oracle: fraction of clean stacks losing any
+        # frame, filtering the whole frame or calibrate's analysed pixels
+        region_s = Region((4, 3), (5, 8))
+        analysed = [region_s,
+                    make_config().geometry.search_window(region_s, (3, 3))]
+        flagged = {"whole": 0, "analysed": 0}
         for seed in range(1000):
             cfg = make_config(straylight=200.0, read_noise=3.0,
                               seed=20_000 + seed)
             frames = generate_stack(cfg, 5, KIND_BACKGROUND).counts
-            _, discarded = cosmic_ray_filter(frames)
-            flagged += bool(discarded)
-        assert flagged <= 10  # >= 99% clean
+            for name, regions in (("whole", whole(frames)),
+                                  ("analysed", analysed)):
+                _, discarded = cosmic_ray_filter(frames, regions=regions)
+                flagged[name] += bool(discarded)
+        assert max(flagged.values()) <= 10  # >= 99% clean
 
     def test_identical_frames_not_discarded(self):
         frames = np.full((5, 4, 6), 7.0)
-        kept, discarded = cosmic_ray_filter(frames)
+        kept, discarded = cosmic_ray_filter(frames, regions=whole(frames))
         assert discarded == [] and len(kept) == 5
 
     def test_round_trip_with_injection(self):
@@ -307,7 +318,7 @@ class TestCosmicFilter:
         spiked_at = [7, 23, 41]
         for k in spiked_at:
             frames[k] = inject_cosmic_ray(frames[k], rng)
-        kept, discarded = cosmic_ray_filter(frames)
+        kept, discarded = cosmic_ray_filter(frames, regions=whole(frames))
         assert discarded == spiked_at
         assert len(kept) == 57
 
@@ -322,13 +333,44 @@ class TestCosmicFilter:
                            rng.choice(1000, 12, replace=False))
         for k in spiked_at:
             frames[k] = inject_cosmic_ray(frames[k], rng)
-        kept, discarded = cosmic_ray_filter(frames)
+        kept, discarded = cosmic_ray_filter(frames, regions=whole(frames))
         assert discarded == spiked_at
         assert len(kept) == 988
 
+    def test_spike_on_a_dim_analysed_pixel_is_caught(self):
+        # large-frame pdc: most analysed pixels are bright emission, whose
+        # pump-jitter scale is ~20x that of the dim straylight ring of the
+        # search window; a floor taken over the analysed pixels would
+        # lift the ring's threshold above this spike
+        cfg = make_config(cell_px=2, grid=(10, 16), rows=48, cols=128,
+                          split=64, cs=(23.5, 63.5), cs_offset=(1.0, -1.0),
+                          mu=2.0, jitter=0.1, straylight=80.0,
+                          read_noise=4.0, seed=116)
+        region_s = Region((14, 16), (20, 32))
+        window = cfg.geometry.search_window(region_s, (3, 3))
+        frames = generate_stack(cfg, 200).counts
+        corner = window.origin  # outside the idler emission block
+        assert frames[:, corner[0], corner[1]].max() < 150
+        frames[50, corner[0], corner[1]] += 400
+        kept, discarded = cosmic_ray_filter(frames,
+                                            regions=[region_s, window])
+        assert discarded == [50] and len(kept) == 199
+
     def test_needs_three_frames(self):
+        frames = np.zeros((2, 2, 2))
         with pytest.raises(DegenerateDataError):
-            cosmic_ray_filter(np.zeros((2, 2, 2)))
+            cosmic_ray_filter(frames, regions=whole(frames))
+
+    @pytest.mark.parametrize("origin", [(-1, 0), (0, 4), (3, 0)])
+    def test_region_leaving_the_frame_raises(self, origin):
+        frames = np.zeros((5, 4, 6))
+        with pytest.raises(GeometryError):
+            cosmic_ray_filter(frames, regions=[Region((0, 0), (2, 2)),
+                                               Region(origin, (2, 3))])
+
+    def test_no_region_raises(self):
+        with pytest.raises(DomainError):
+            cosmic_ray_filter(np.zeros((5, 4, 6)), regions=[])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_counts_raise(self, value):
@@ -336,10 +378,10 @@ class TestCosmicFilter:
         frames = np.random.default_rng(1).poisson(
             5.0, (50, 4, 6)).astype(np.float64)
         frames[10, 1, 2] = 1e6
-        assert cosmic_ray_filter(frames)[1] == [10]
+        assert cosmic_ray_filter(frames, regions=whole(frames))[1] == [10]
         frames[3, 0, 0] = value
         with pytest.raises(DegenerateDataError):
-            cosmic_ray_filter(frames)
+            cosmic_ray_filter(frames, regions=whole(frames))
 
     def test_working_memory_is_bounded(self):
         # spiked frames are dropped and the kept ones come back as indices,
@@ -349,7 +391,7 @@ class TestCosmicFilter:
         frames[[3, 500, 999], 10, 20] = 10_000
         tracemalloc.start()
         try:
-            kept, discarded = cosmic_ray_filter(frames)
+            kept, discarded = cosmic_ray_filter(frames, regions=whole(frames))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -184,14 +184,28 @@ class TestStackErrors:
         Stack(np.ones((0, 5, 6))),                        # empty
     ])
     def test_failed_block_leaves_nothing_readable(self, tmp_path, second):
-        # the first block is on disk when the second one fails its check
+        # the first block is on disk when the second one fails its check;
+        # it was written under a temporary name, which the failure removes
         path = tmp_path / "x.tbs"
         with pytest.raises(StackFormatError):
             write_stack(path, [Stack(np.ones((3, 5, 6))), second],
                         a_config_doc())
-        assert not sidecar_path(path).exists()
-        with pytest.raises(CorruptHeaderError):
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(FileNotFoundError):
             read_stack(path)
+
+    def test_failed_rewrite_keeps_the_old_stack(self, tmp_path):
+        path = tmp_path / "x.tbs"
+        old = Stack(np.arange(90.0).reshape(3, 5, 6))
+        write_stack(path, [old], a_config_doc())
+        before = path.read_bytes(), sidecar_path(path).read_bytes()
+        with pytest.raises(StackFormatError):
+            write_stack(path, [Stack(np.full((2, 5, 6), 0.5))], {"other": 1})
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        back, _ = read_stack(path)
+        assert back.digest_verified and np.array_equal(back.counts, old.counts)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["x.tbs", "x.tbs.json"]
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(StackFormatError, match="unknown frame kind"):

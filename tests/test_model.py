@@ -245,3 +245,38 @@ class TestTypes:
             geo.validate_region(Region(origin=(0, 8), extent=(2, 4)))
         with pytest.raises(GeometryError):
             geo.validate_region(Region(origin=(9, 0), extent=(2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 9), half=st.integers(1, 8),
+       h=st.integers(1, 9), w=st.integers(1, 8), r0=st.integers(0, 8),
+       c0=st.integers(0, 7), er=st.integers(0, 4), ec=st.integers(0, 4))
+def test_search_window_is_the_box_of_every_shifted_conjugate(
+        rows, half, h, w, r0, c0, er, ec):
+    # valid exactly when every candidate region is, and then their hull
+    geo = FrameGeometry(rows=rows, cols=2 * half, cs=((rows - 1) / 2.0,
+                                                      half - 0.5),
+                        beam_split=half)
+    region = Region(origin=(r0, c0), extent=(h, w))
+    blocks = []
+    try:
+        for dr in range(-er, er + 1):
+            for dc in range(-ec, ec + 1):
+                blocks.append(geo.conjugate_region(region, shift=(dr, dc)))
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            geo.search_window(region, (er, ec))
+        return
+    window = geo.search_window(region, (er, ec))
+    top = min(b.origin[0] for b in blocks), min(b.origin[1] for b in blocks)
+    bottom = (max(b.origin[0] + h for b in blocks),
+              max(b.origin[1] + w for b in blocks))
+    assert window.origin == top
+    assert window.extent == (bottom[0] - top[0], bottom[1] - top[1])
+    assert window.side == "idler"
+
+
+def test_search_window_rejects_a_negative_extent():
+    geo = FrameGeometry(rows=13, cols=30, cs=(6.0, 14.5), beam_split=15)
+    with pytest.raises(DomainError):
+        geo.search_window(Region(origin=(4, 3), extent=(5, 8)), (1, -1))

@@ -6,11 +6,14 @@ renders) and as the read-only ``<u4`` view ``read_stack`` returns, so an
 unsigned difference that wraps around would show up as a mismatch.  The
 analytic delta method is checked against the central-difference gradient
 of the raw-moment formulas.  The chunked cosmic-ray filter is checked
-against the former whole-stack filter, and its single-kth median against
-``np.median``.  The tiled spatial map is checked bit for bit against the
+against the former whole-stack filter, with the per-pixel shot-noise
+floor, and its single-kth median against ``np.median``; the frames it
+drops on rendered stacks are checked against the same seed rendered
+without cosmic rays.  The tiled spatial map is checked bit for bit against the
 former whole-stack map.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -36,7 +39,13 @@ from twincal.estimate import (
     sigma_spatial_map,
 )
 from twincal.model import FrameGeometry, Region
-from twincal.simulate import inject_cosmic_ray
+from twincal.presets import reference_experiment
+from twincal.simulate import (
+    KIND_BACKGROUND,
+    KIND_PDC,
+    generate_stack,
+    inject_cosmic_ray,
+)
 
 import reference_estimators as ref
 
@@ -284,28 +293,103 @@ def test_median_rows_is_np_median_bit_for_bit(rows):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_frames", [149, 150])
-@pytest.mark.parametrize("mad_k", [2.0, 10.0])
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("chunk_pixels", [2, None])
-def test_cosmic_ray_filter_matches_whole_stack_reference(
-        monkeypatch, n_frames, mad_k, seed, chunk_pixels):
-    # 3x3 superpixels: with mad_k = 2 a fifth to a third of the frames sit
-    # above some threshold, so a wrong median or scale at any one pixel
-    # changes the dropped list; mad_k = 10 drops the injected spikes alone
+def spiked_stack(n_frames, seed):
+    """3x3 superpixels of Poisson counts with a common gain per frame and
+    five frames spiked at random pixels."""
     rng = np.random.default_rng(seed)
     gain = rng.normal(1.0, 0.05, (n_frames, 1, 1))
     counts = rng.poisson(40.0 * gain, (n_frames, 3, 3)).astype(np.float64)
     for k in rng.choice(n_frames, 5, replace=False):
         counts[k] = inject_cosmic_ray(counts[k], rng)
-    if chunk_pixels is not None:
-        # 9 pixels in chunks of 2: four whole chunks and a partial one
-        monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
-                            chunk_pixels * n_frames)
-    want_kept, want_dropped = ref.cosmic_ray_filter(counts, mad_k)
-    assert len(want_dropped) >= 5
+    return counts
+
+
+def check_against_reference(counts, mad_k, regions, mask):
+    want_kept, want_dropped = ref.cosmic_ray_filter(counts, mad_k, mask)
     for frames in as_inputs(counts):
-        kept, dropped = cosmic_ray_filter(frames, mad_k)
+        kept, dropped = cosmic_ray_filter(frames, mad_k, regions=regions)
         assert dropped == want_dropped
         assert frames[kept].dtype == frames.dtype
         assert np.array_equal(frames[kept], want_kept)
+    return want_dropped
+
+
+@pytest.mark.parametrize("n_frames", [149, 150])
+@pytest.mark.parametrize("mad_k", [2.0, 10.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chunk_pixels", [2, 6, None])
+def test_cosmic_ray_filter_matches_whole_stack_reference(
+        monkeypatch, n_frames, mad_k, seed, chunk_pixels):
+    # 3x3 superpixels: with mad_k = 2 a fifth to a third of the frames sit
+    # above some threshold, so a wrong median or scale at any one pixel
+    # changes the dropped list; mad_k = 10 drops the injected spikes alone
+    counts = spiked_stack(n_frames, seed)
+    if chunk_pixels is not None:
+        # chunks of 2 pixels split each 3-pixel row in two; chunks of 6
+        # take two whole rows and then one
+        monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
+                            chunk_pixels * n_frames)
+    dropped = check_against_reference(counts, mad_k,
+                                      [Region((0, 0), (3, 3))], None)
+    assert len(dropped) >= 5
+
+
+@pytest.mark.parametrize("mad_k", [2.0, 10.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chunk_pixels", [1, None])
+def test_cosmic_ray_filter_matches_reference_on_regions(
+        monkeypatch, mad_k, seed, chunk_pixels):
+    # two regions covering 5 of the 9 superpixels: a spike on one of the
+    # other 4 keeps its frame
+    counts = spiked_stack(150, seed)
+    if chunk_pixels is not None:
+        monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
+                            chunk_pixels * 150)
+    regions = [Region((0, 0), (1, 3)), Region((1, 1), (2, 1))]
+    mask = np.zeros((3, 3), dtype=bool)
+    for region in regions:
+        mask[region.row_slice, region.col_slice] = True
+    dropped = check_against_reference(counts, mad_k, regions, mask)
+    whole = ref.cosmic_ray_filter(counts, mad_k)[1]
+    assert set(dropped) < set(whole)
+
+
+def large_frame_experiment(seed):
+    """The reference physics on 48x128 frames with 2-px cells, an
+    off-centre symmetry centre and straylight that does not follow the
+    pump, as in the benchmark's large-frame workload."""
+    cfg = reference_experiment(master_seed=seed)
+    return dataclasses.replace(
+        cfg,
+        modes=dataclasses.replace(cfg.modes, coherence_cell_px=2,
+                                  grid=(10, 16)),
+        background=dataclasses.replace(cfg.background, straylight_mean=80.0,
+                                       straylight_tracks_pulse=False),
+        geometry=FrameGeometry(rows=48, cols=128, cs=(23.5, 63.5),
+                               beam_split=64),
+        cs_offset=(1.0, -1.0))
+
+
+@pytest.mark.parametrize("frames, region_s, experiment", [
+    (4000, Region((4, 3), (5, 8)), reference_experiment),
+    (1000, Region((14, 16), (20, 32)), large_frame_experiment),
+], ids=["reference", "large-frame"])
+@pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
+def test_cosmic_ray_filter_drops_exactly_the_analysed_hits(
+        frames, region_s, experiment, kind):
+    # Cosmic rays are the last draw of each block's stream, so the same
+    # seed rendered without them differs at the struck pixels alone.
+    cfg = dataclasses.replace(experiment(31), cosmic_ray_rate=0.02)
+    hit = generate_stack(cfg, frames, kind).counts
+    clean = generate_stack(dataclasses.replace(cfg, cosmic_ray_rate=0.0),
+                           frames, kind).counts
+    regions = [region_s, cfg.geometry.search_window(region_s, (3, 3))]
+    analysed = np.zeros(cfg.geometry.shape, dtype=bool)
+    for region in regions:
+        analysed[region.row_slice, region.col_slice] = True
+    struck = hit != clean
+    kept, dropped = cosmic_ray_filter(hit, regions=regions)
+    assert dropped == np.flatnonzero((struck & analysed).any(axis=(1, 2))
+                                     ).tolist()
+    assert dropped  # there were hits to find
+    assert (struck & ~analysed)[kept].any()  # and hits to keep
