@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, io, presets, simulate
+from .model import Region
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -55,13 +56,31 @@ def _load_config(args):
     return cfg, params
 
 
-def _read_stack(path) -> simulate.Stack:
-    """Read a stack file, warning when no sidecar vouched for its config."""
-    stack, _ = io.read_stack(path)
+def _read_stack(path, box) -> simulate.Stack:
+    """Read the ``box`` of every frame of a stack file, warning when no
+    sidecar vouched for its config."""
+    stack, _ = io.read_stack(path, box)
     if not stack.digest_verified:
         print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
               "the config digest was not verified", file=sys.stderr)
     return stack
+
+
+def _analysed(geometry, region_s, extent) -> list:
+    """What the centre search reads: ``region_s`` and the idler window
+    holding its conjugate at every shift up to ``extent``."""
+    geometry.validate_region(region_s)
+    return [region_s, geometry.search_window(region_s, extent)]
+
+
+def _hull(regions):
+    """The smallest box of the frame holding every region: the pixels a
+    command reads from its stacks."""
+    top = min(r.origin[0] for r in regions)
+    left = min(r.origin[1] for r in regions)
+    bottom = max(r.origin[0] + r.extent[0] for r in regions)
+    right = max(r.origin[1] + r.extent[1] for r in regions)
+    return Region(origin=(top, left), extent=(bottom - top, right - left))
 
 
 def _outdir(args) -> Path:
@@ -110,9 +129,12 @@ def cmd_simulate(args) -> int:
 def cmd_find_cs(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
-    stack = _read_stack(args.stack)
-    result = estimate.sigma_spatial_map(stack.counts, params.region_s,
-                                        cfg.geometry, params.cs_search_extent)
+    box = _hull(_analysed(cfg.geometry, params.region_s,
+                          params.cs_search_extent))
+    geometry, region_s = cfg.geometry.crop(box, params.region_s)
+    stack = _read_stack(args.stack, box)
+    result = estimate.sigma_spatial_map(stack.counts, region_s, geometry,
+                                        params.cs_search_extent)
     io.write_cs_map_csv(out / "cs_map.csv", result)
     _say(args, f"spatial-map minimum at offset {result.argmin}, "
                f"value {result.min_value:.6g}"
@@ -125,10 +147,17 @@ def cmd_area_scan(args) -> int:
     out = _outdir(args)
     if not params.areas:
         raise ConfigError("analysis.areas is empty; nothing to scan")
-    pdc = _read_stack(args.pdc).counts
-    bg = _read_stack(args.background).counts if args.background else None
-    anchor = params.region_s.center
-    points = estimate.area_scan(pdc, bg, cfg.geometry, anchor, params.areas,
+    regions = []
+    for extent in params.areas:
+        region = estimate.anchored_region(params.region_s.center, extent)
+        cfg.geometry.validate_region(region)
+        regions += [region, cfg.geometry.conjugate_region(region)]
+    box = _hull(regions)
+    geometry, region_s = cfg.geometry.crop(box, params.region_s)
+    pdc = _read_stack(args.pdc, box).counts
+    bg = _read_stack(args.background, box).counts if args.background else None
+    points = estimate.area_scan(pdc, bg, geometry, region_s.center,
+                                params.areas,
                                 cell_px=cfg.modes.coherence_cell_px,
                                 ddof=params.variance_ddof)
     io.write_area_scan_csv(out / "area_scan.csv", points)
@@ -136,21 +165,23 @@ def cmd_area_scan(args) -> int:
     return 0
 
 
-def _calibrate(cfg, params, pdc, bg):
+def _calibrate(cfg, params, pdc, bg, box=None):
     """Shared calibration chain: filter, locate, batch, estimate.
 
-    The stacks are (frames, rows, cols) count arrays; ``bg`` may be
-    None.  A frame is dropped only for a cosmic-ray hit in the pixels
-    analysed.  Returns the conjugate-region series estimated from, its
+    The stacks are (frames, rows, cols) count arrays of whole frames, or
+    of the ``box`` of each frame when one is given; ``bg`` may be None.
+    A frame is dropped only for a cosmic-ray hit in the pixels analysed.
+    Returns the conjugate-region series estimated from, its
     RepeatSummary and the CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
+    geometry, region_s = cfg.geometry, params.region_s
+    if box is not None:
+        geometry, region_s = geometry.crop(box, region_s)
 
     # Only the pixels the estimators read can spoil them: region_s and
     # the idler window the centre search draws its regions from.
-    analysed = [params.region_s,
-                cfg.geometry.search_window(params.region_s,
-                                           params.cs_search_extent)]
+    analysed = _analysed(geometry, region_s, params.cs_search_extent)
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
         pdc, params.cosmic_mad_k, regions=analysed)
     bg_kept, bg_dropped = None, []
@@ -158,17 +189,16 @@ def _calibrate(cfg, params, pdc, bg):
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
             bg, params.cosmic_mad_k, regions=analysed)
 
-    cs_map = estimate.sigma_spatial_map(pdc[pdc_kept[:20]], params.region_s,
-                                        cfg.geometry, params.cs_search_extent)
-    region_i = cfg.geometry.conjugate_region(params.region_s,
-                                             shift=cs_map.argmin)
+    cs_map = estimate.sigma_spatial_map(pdc[pdc_kept[:20]], region_s,
+                                        geometry, params.cs_search_extent)
+    region_i = geometry.conjugate_region(region_s, shift=cs_map.argmin)
 
-    series = estimate.build_series(pdc, params.region_s, region_i, bg,
+    series = estimate.build_series(pdc, region_s, region_i, bg,
                                    pdc_kept, bg_kept)
     z = params.z_batches
     summary = estimate.repeat_experiment(series.batches(z), ddof=ddof)
     ratio, thermal = estimate.excess_noise(
-        series, cfg.modes.total_modes(params.region_s.area
+        series, cfg.modes.total_modes(region_s.area
                                       // cfg.modes.coherence_cell_px ** 2),
         ddof=ddof)
     diagnostics = estimate.CalibrationDiagnostics(
@@ -209,9 +239,11 @@ def _report(args, params, out, s, d) -> None:
 def cmd_calibrate(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
-    pdc = _read_stack(args.pdc).counts
-    bg = _read_stack(args.background).counts if args.background else None
-    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    box = _hull(_analysed(cfg.geometry, params.region_s,
+                          params.cs_search_extent))
+    pdc = _read_stack(args.pdc, box).counts
+    bg = _read_stack(args.background, box).counts if args.background else None
+    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg, box)
     _report(args, params, out, summary, diagnostics)
     return 0
 

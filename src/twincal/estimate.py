@@ -369,14 +369,19 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     normalisation does.  With few frames a pixel's sample MAD fluctuates
     far below the true dispersion, and an unfloored threshold would flag
     ordinary shot noise; a floor taken from other pixels would hide a
-    spike on a dim one.
+    spike on a dim one.  The statistics are the pixel's own, so a pixel
+    struck in half or more of the frames (only likely on a very short
+    stack) carries its median and MAD up with the hits, and those frames
+    escape the filter.
 
     ``frames`` is a (frames, rows, cols) count array; a region leaving
     the frame raises GeometryError, and a NaN or an infinity in the
     regions of a floating stack raises DegenerateDataError, since a NaN
-    scale would switch its threshold off.  Returns the kept frame indices
-    as an array, for ``frames[kept]`` or ``build_series``, and the
-    discarded frame indices as a list; no frame is copied.
+    scale would switch its threshold off.  Unsigned integer counts are
+    compared with the thresholds in their own type, with the same result
+    as the float64 comparison.  Returns the kept frame indices as an
+    array, for ``frames[kept]`` or ``build_series``, and the discarded
+    frame indices as a list; no frame is copied.
     """
     n = len(frames)
     if n < 3:
@@ -420,7 +425,15 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
                 scale[out] = _median_rows(lanes).reshape(k, m)
         scale *= 1.4826
         floor = np.sqrt(np.maximum(median, 1.0))
-        thresholds.append((block, median + mad_k * np.maximum(scale, floor)))
+        threshold = median + mad_k * np.maximum(scale, floor)
+        if frames.dtype.kind == "u":
+            # An unsigned count exceeds t > 0 exactly when it exceeds
+            # floor(t), clipped to the largest count, which nothing
+            # exceeds: compared in the count type, no tile is converted.
+            threshold = np.minimum(np.floor(threshold),
+                                   np.iinfo(frames.dtype).max)
+            threshold = threshold.astype(frames.dtype)
+        thresholds.append((block, threshold))
     # Compared a tile of frames at a time: no stack-sized mask is made.
     bad = np.zeros(n, dtype=bool)
     for f in range(0, n, tile):

@@ -12,10 +12,14 @@ Stack file layout (little endian)::
     digest  32s  SHA-256 of the JSON sidecar written next to the stack
     payload count * rows * cols u32 counts, row-major, frame-major
 
-``read_stack`` returns the payload as a read-only ``<u4`` array of shape
-(count, rows, cols) viewing the bytes read from the file: no per-frame
-copies and no conversion to float.  Analysis code casts the region
-blocks it needs to float64 itself.
+``read_stack`` checks the header, the file size and the sidecar digest
+before it reads any payload byte, then returns the payload, or one box
+of rows and columns of every frame, as a read-only ``<u4`` array of
+shape (count, box rows, box cols).  A box is read a tile of whole frames
+at a time into one reused buffer, and only its pixels are kept: the
+commands that analyse a few regions of large frames hold those regions,
+not the stack.  There is no conversion to float; analysis code casts
+the region blocks it needs to float64 itself.
 
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
@@ -40,6 +44,7 @@ from .errors import (
     ConfigError,
     CorruptHeaderError,
     DigestMismatchError,
+    GeometryError,
     StackFormatError,
     TruncatedPayloadError,
 )
@@ -66,6 +71,10 @@ _KIND_TO_CODE = {KIND_PDC: 0, KIND_BACKGROUND: 1}
 _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 
 _FMT = "{:.9g}"  # canonical table precision
+
+# ``read_stack`` reads a box of each frame through a buffer of whole frames
+# of about this many bytes, reused for every tile of the stack.
+_READ_TILE_BYTES = 1 << 20
 
 
 def sidecar_path(path) -> Path:
@@ -141,45 +150,72 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
                           rows, cols, count, config_digest(config)))
 
 
-def read_stack(path) -> tuple[Stack, str]:
-    """Read a frame stack; returns (stack, config digest hex).
+def read_stack(path, box: Region | None = None) -> tuple[Stack, str]:
+    """Read a frame stack, or the ``box`` of each of its frames; returns
+    (stack, config digest hex).
 
-    The sidecar, when present, is verified against the stored digest;
-    ``stack.digest_verified`` records whether that check ran.  The counts
-    are a read-only u32 view of the file's bytes.  Pulse energies are not
-    persisted and come back as NaN.
+    The header, the file size (``os.fstat``) and the sidecar, when
+    present, are checked before any payload byte is read, in that order;
+    ``stack.digest_verified`` records whether the sidecar check ran.  A
+    ``box`` (a Region of the frame, whose side is ignored) leaving the
+    frame then raises GeometryError; without a box the whole frame is
+    read.  The payload is read a tile of whole frames at a time into one
+    reused buffer, and only the box of each frame is copied out, so
+    beyond the result the reader holds one tile (``_READ_TILE_BYTES``, or
+    one frame if larger).  A file that ends early raises
+    TruncatedPayloadError and nothing is returned.  The counts are a
+    read-only (frames, box rows, box cols) u32 array.  Pulse energies are
+    not persisted and come back as NaN.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CorruptHeaderError(f"{path}: file shorter than the header")
-    magic, version, kind_code, _flags, rows, cols, count, digest = \
-        _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise CorruptHeaderError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise CorruptHeaderError(f"{path}: unsupported version {version}")
-    if kind_code not in _CODE_TO_KIND:
-        raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
-    if 0 in (count, rows, cols):
-        raise CorruptHeaderError(f"{path}: empty stack {count}x{rows}x{cols}")
-    expected = count * rows * cols * 4
-    body = len(raw) - _HEADER.size
-    if body < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {body} bytes, header declares {expected}")
-    if body > expected:
-        raise CorruptHeaderError(f"{path}: {body - expected} trailing bytes")
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CorruptHeaderError(f"{path}: file shorter than the header")
+        magic, version, kind_code, _flags, rows, cols, count, digest = \
+            _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise CorruptHeaderError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise CorruptHeaderError(f"{path}: unsupported version {version}")
+        if kind_code not in _CODE_TO_KIND:
+            raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
+        if 0 in (count, rows, cols):
+            raise CorruptHeaderError(f"{path}: empty stack {count}x{rows}x{cols}")
+        expected = count * rows * cols * 4
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {body} bytes, header declares {expected}")
+        if body > expected:
+            raise CorruptHeaderError(f"{path}: {body - expected} trailing bytes")
 
-    side = sidecar_path(path)
-    verified = side.exists()
-    if verified:
-        if hashlib.sha256(side.read_bytes()).digest() != digest:
-            raise DigestMismatchError(
-                f"{path}: sidecar does not match the stored config digest")
+        side = sidecar_path(path)
+        verified = side.exists()
+        if verified:
+            if hashlib.sha256(side.read_bytes()).digest() != digest:
+                raise DigestMismatchError(
+                    f"{path}: sidecar does not match the stored config digest")
 
-    counts = np.frombuffer(raw, dtype="<u4", offset=_HEADER.size)
-    stack = Stack(counts=counts.reshape(count, rows, cols),
-                  kind=_CODE_TO_KIND[kind_code], digest_verified=verified)
+        if box is None:
+            box = Region((0, 0), (rows, cols))
+        (r0, c0), (h, w) = box.origin, box.extent
+        if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
+            raise GeometryError(f"{path}: box {box.origin}+{box.extent} "
+                                f"leaves the {rows}x{cols} frame")
+        counts = np.empty((count, h, w), dtype="<u4")
+        tile = np.empty((max(1, _READ_TILE_BYTES // (rows * cols * 4)),
+                         rows, cols), dtype="<u4")
+        for f in range(0, count, len(tile)):
+            frames = tile[:count - f]
+            got = fh.readinto(frames)  # short only at the end of the file
+            if got != frames.nbytes:
+                raise TruncatedPayloadError(
+                    f"{path}: payload ended after {f * frames[0].nbytes + got}"
+                    f" of {expected} bytes")
+            counts[f:f + len(frames)] = frames[:, box.row_slice, box.col_slice]
+    counts.flags.writeable = False
+    stack = Stack(counts=counts, kind=_CODE_TO_KIND[kind_code],
+                  digest_verified=verified)
     return stack, digest.hex()
 
 

@@ -289,6 +289,24 @@ class FrameGeometry:
         self.validate_region(window)
         return window
 
+    def crop(self, box: Region,
+             region: Region) -> tuple["FrameGeometry", Region]:
+        """The geometry of the frame cut down to ``box``, and ``region`` in
+        its coordinates.
+
+        Every position moves by the box origin, an integer shift: cs and
+        beam_split with it, so conjugates, search windows and anchored
+        regions in the cut frame are those of the whole frame, moved.  The
+        box must hold pixels on both halves.
+        """
+        dr, dc = box.origin
+        geometry = FrameGeometry(rows=box.extent[0], cols=box.extent[1],
+                                 cs=(self.cs[0] - dr, self.cs[1] - dc),
+                                 beam_split=self.beam_split - dc)
+        moved = Region(origin=(region.origin[0] - dr, region.origin[1] - dc),
+                       extent=region.extent, side=region.side)
+        return geometry, moved
+
     def validate_region(self, region: Region) -> None:
         r0, c0 = region.origin
         h, w = region.extent

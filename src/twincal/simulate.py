@@ -126,7 +126,9 @@ class Stack:
 
     ``counts`` holds integral counts: u32 from ``generate_stack`` and
     ``read_stack``, float64 in the blocks of ``iter_stack`` and from
-    ``render_frame``.
+    ``render_frame``.  A stack read with a box holds only that box of
+    each frame: its rows and cols are the box's, and positions in it are
+    frame positions less the box origin (``FrameGeometry.crop``).
 
     ``pulse_energy`` holds one relative energy per frame (NaN where it is
     not known, as for stacks read from a file).  ``digest_verified`` is

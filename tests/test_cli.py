@@ -12,8 +12,8 @@ from twincal.cli import main
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
 from twincal.simulate import generate_stack
+from twincal import estimate, presets, simulate
 from twincal import io as tio
-from twincal import simulate
 
 from test_simulate import make_config
 
@@ -438,3 +438,106 @@ def test_oversized_frame_count_is_refused_before_rendering(
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 3
     assert "error[StackFormatError]" in capsys.readouterr().err
     assert rendered == [] and list(out.iterdir()) == []
+
+
+LARGE_FRAME_AREAS = ((1, 1), (2, 2), (2, 4), (4, 4), (4, 8), (6, 8), (8, 8),
+                     (8, 16), (10, 16), (12, 24), (16, 24), (20, 32))
+
+
+def workload_run(tmp_path, workload, seed, frames_per_batch):
+    """A run config shaped like one of the benchmark's two workloads, on
+    2 batches of ``frames_per_batch`` frames per stack."""
+    if workload == "reference":
+        cfg = presets.reference_experiment(master_seed=seed)
+        params = dataclasses.replace(
+            presets.reference_analysis(2, frames_per_batch, frames_per_batch),
+            areas=((1, 1), (2, 2), (5, 8)))
+        config = tmp_path / "reference.json"
+        save_run_config(config, cfg, params)
+        return cfg, params, config
+    cfg, params, config = large_frames(tmp_path, seed, 2, frames_per_batch)
+    params = dataclasses.replace(params, areas=LARGE_FRAME_AREAS)
+    save_run_config(config, cfg, params)
+    return cfg, params, config
+
+
+@pytest.mark.parametrize("background", [True, False])
+@pytest.mark.parametrize("workload", ["reference", "large-frame"])
+def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
+                                                        background):
+    # find-cs, area-scan and calibrate read only the box they analyse;
+    # their tables must be those of the estimators run on the whole
+    # frames with the whole geometry
+    from twincal.cli import _calibrate
+    cfg, params, config = workload_run(tmp_path, workload, 7, 90)
+    data, got, want = (tmp_path / n for n in ("data", "got", "want"))
+    want.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(data),
+                 "--quiet"]) == 0
+    stacks = ["--pdc", str(data / "pdc.tbs")]
+    if background:
+        stacks += ["--background", str(data / "background.tbs")]
+    common = ["--config", str(config), "--out", str(got), "--quiet"]
+    assert main(["find-cs", *common, "--stack", str(data / "pdc.tbs")]) == 0
+    assert main(["area-scan", *common, *stacks]) == 0
+    assert main(["calibrate", *common, *stacks]) == 0
+
+    pdc = read_stack(data / "pdc.tbs")[0].counts
+    bg = read_stack(data / "background.tbs")[0].counts if background else None
+    tio.write_cs_map_csv(want / "cs_map.csv", estimate.sigma_spatial_map(
+        pdc, params.region_s, cfg.geometry, params.cs_search_extent))
+    tio.write_area_scan_csv(want / "area_scan.csv", estimate.area_scan(
+        pdc, bg, cfg.geometry, params.region_s.center, params.areas,
+        cell_px=cfg.modes.coherence_cell_px, ddof=params.variance_ddof))
+    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    tio.write_calibration_csv(want / "calibration.csv", summary, diagnostics)
+    tio.write_batches_csv(want / "batches.csv", summary)
+    for name in ("cs_map.csv", "area_scan.csv", "calibration.csv",
+                 "batches.csv"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_calibrate_memory_is_bounded_by_the_boxes(tmp_path):
+    # calibrate holds the analysed box of each stack and one tile of
+    # working memory, not the stacks
+    cfg, params, config = large_frames(tmp_path, 9, 4, 125)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(config), "--out", str(data),
+                 "--quiet"]) == 0
+    argv = ["calibrate", "--config", str(config), "--out",
+            str(tmp_path / "out"), "--pdc", str(data / "pdc.tbs"),
+            "--background", str(data / "background.tbs"), "--quiet"]
+    assert main(argv) == 0  # imports and first-call caches
+    analysed = [params.region_s, cfg.geometry.search_window(
+        params.region_s, params.cs_search_extent)]
+    box = [max(r.origin[axis] + r.extent[axis] for r in analysed)
+           - min(r.origin[axis] for r in analysed) for axis in (0, 1)]
+    box_bytes = 500 * box[0] * box[1] * 4
+    stacks_nbytes = 2 * 500 * cfg.geometry.rows * cfg.geometry.cols * 4
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box_bytes + 2 * tio._READ_TILE_BYTES
+    assert peak < stacks_nbytes / 2
+
+
+def test_stack_smaller_than_the_analysed_box_is_a_geometry_error(run_dir,
+                                                                 capsys):
+    # a stack whose frames do not hold the pixels the config analyses
+    tmp_path, config = run_dir
+    cfg, params = load_run_config(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    small = generate_stack(cfg, 120).counts[:, :, :20]
+    tio.write_stack(out / "pdc.tbs", [simulate.Stack(small)],
+                    tio.run_config_to_dict(cfg, params))
+    for argv in (["find-cs", "--stack", str(out / "pdc.tbs")],
+                 ["area-scan", "--pdc", str(out / "pdc.tbs")],
+                 ["calibrate", "--pdc", str(out / "pdc.tbs")]):
+        assert main([argv[0], "--config", str(config), "--out", str(out),
+                     "--quiet", *argv[1:]]) == 4
+        err = capsys.readouterr().err
+        assert "error[GeometryError]" in err and "leaves the 13x20 frame" in err

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twincal.errors import DegenerateDataError, DomainError, GeometryError
 from twincal.estimate import (
@@ -305,6 +307,35 @@ class TestCosmicFilter:
                 _, discarded = cosmic_ray_filter(frames, regions=regions)
                 flagged[name] += bool(discarded)
         assert max(flagged.values()) <= 10  # >= 99% clean
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), root=st.integers(0, 65535),
+           jump=st.one_of(st.integers(1, 40), st.just(200_000)),
+           nudge=st.sampled_from([0.0, 1e-9, -1e-9, 2.0 ** -40, 0.25, -0.5]),
+           n=st.integers(5, 12))
+    def test_u32_comparison_equals_the_float_comparison(self, data, root,
+                                                        jump, nudge, n):
+        # A pixel at v = root**2 in most frames has MAD 0, so its threshold
+        # is v + mad_k * max(root, 1): the integer v + jump, or next to it.
+        # The other frames hold counts at and around that threshold, up to
+        # the u32 maximum, where a threshold beyond it is clipped.
+        v = root * root
+        mad_k = (jump + nudge) / max(root, 1)
+        threshold = v + mad_k * max(root, 1)
+        near = {int(np.floor(threshold)) + d for d in (-1, 0, 1, 2)}
+        near = sorted(x for x in near | {0xFFFFFFFF} if 0 <= x <= 0xFFFFFFFF)
+        values = data.draw(st.lists(st.sampled_from(near), min_size=1,
+                                    max_size=(n - 1) // 2))
+        counts = np.full((n, 1, 2), v, dtype=np.uint32)
+        counts[:, 0, 1] = 3
+        struck = data.draw(st.permutations(range(n)))[:len(values)]
+        counts[struck, 0, 0] = values
+        results = [cosmic_ray_filter(frames, mad_k, regions=whole(frames))
+                   for frames in (counts, counts.astype(np.float64))]
+        assert results[0][1] == results[1][1]
+        assert np.array_equal(results[0][0], results[1][0])
+        assert results[0][1] == sorted(
+            k for k, x in zip(struck, values) if x > threshold)
 
     def test_identical_frames_not_discarded(self):
         frames = np.full((5, 4, 6), 7.0)

@@ -2,16 +2,21 @@
 
 import dataclasses
 import hashlib
+import os
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twincal import io as tio
 from twincal.errors import (
     ConfigError,
     CorruptHeaderError,
     DigestMismatchError,
+    GeometryError,
     StackFormatError,
     TruncatedPayloadError,
 )
@@ -110,6 +115,32 @@ class TestStackRoundTrip:
         write_stack(path, [frames], {"seed": seed})
         back, _ = read_stack(path)
         assert np.array_equal(frames.counts, back.counts)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+def _cut_header(path):
+    path.write_bytes(path.read_bytes()[:20])
+
+
+def _bad_magic(path):
+    path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+
+
+def _trailing(path):
+    path.write_bytes(path.read_bytes() + b"xx")
+
+
+def _tamper_sidecar(path):
+    side = sidecar_path(path)
+    side.write_text(side.read_text().replace("1234", "9999"))
+
+
+def _zero_rows(path):
+    path.write_bytes(path.read_bytes()[:8] + bytes(4)
+                     + path.read_bytes()[12:HEADER_SIZE])
 
 
 class TestStackErrors:
@@ -223,6 +254,84 @@ class TestStackErrors:
         path.write_bytes(bytes(header))
         with pytest.raises(CorruptHeaderError, match="empty stack"):
             read_stack(path)
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (_truncate, TruncatedPayloadError),
+        (_cut_header, CorruptHeaderError),
+        (_bad_magic, CorruptHeaderError),
+        (_trailing, CorruptHeaderError),
+        (_tamper_sidecar, DigestMismatchError),
+        (_zero_rows, CorruptHeaderError),
+    ])
+    @pytest.mark.parametrize("box", [Region((1, 2), (3, 3)),
+                                     Region((0, 0), (9, 9))])
+    def test_file_errors_win_over_the_box(self, tmp_path, corrupt, error,
+                                          box):
+        # the same error, message included, with or without a box, and
+        # before a box leaving the frame is noticed
+        path = self.write_valid(tmp_path)
+        corrupt(path)
+        with pytest.raises(error) as whole:
+            read_stack(path)
+        with pytest.raises(error) as boxed:
+            read_stack(path, box)
+        assert str(boxed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("box", [
+        Region((0, 0), (5, 7)), Region((0, 1), (5, 6)), Region((1, 0), (5, 6)),
+        Region((-1, 0), (2, 2)), Region((0, -1), (2, 2)),
+    ])
+    def test_box_leaving_the_frame_raises(self, tmp_path, box):
+        path = self.write_valid(tmp_path)  # 4 frames of 5x6
+        with pytest.raises(GeometryError, match="leaves the 5x6 frame"):
+            read_stack(path, box)
+
+    @pytest.mark.parametrize("box", [None, Region((1, 1), (2, 3))])
+    def test_a_payload_that_ends_early_returns_nothing(self, tmp_path,
+                                                       monkeypatch, box):
+        # the file shrinks after its size was checked: readinto comes up
+        # short, and that is an error, not a part stack
+        path = self.write_valid(tmp_path)
+        full = path.stat().st_size
+        _truncate(path)
+        monkeypatch.setattr(tio, "_READ_TILE_BYTES", 5 * 6 * 4)
+        monkeypatch.setattr(os, "fstat",
+                            lambda fd: types.SimpleNamespace(st_size=full))
+        with pytest.raises(TruncatedPayloadError,
+                           match="payload ended after 470 of 480 bytes"):
+            read_stack(path, box)
+
+
+
+class TestBoxRead:
+    """``read_stack(path, box)`` against the box sliced from a whole read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7),
+           count=st.integers(1, 23), seed=st.integers(0, 2 ** 16))
+    def test_box_equals_the_slice_of_a_whole_read(
+            self, tmp_path_factory, data, rows, cols, count, seed):
+        rng = np.random.default_rng(seed)
+        frames = Stack(rng.integers(0, 2 ** 32, (count, rows, cols),
+                                    dtype=np.uint64).astype(float))
+        path = tmp_path_factory.mktemp("box") / "stack.tbs"
+        write_stack(path, [frames], a_config_doc())
+        r0 = data.draw(st.integers(0, rows - 1))
+        c0 = data.draw(st.integers(0, cols - 1))
+        box = Region((r0, c0), (data.draw(st.integers(1, rows - r0)),
+                                data.draw(st.integers(1, cols - c0))))
+        # tiles of 1 to 4 frames, so most stacks end in a part tile
+        tile = data.draw(st.integers(1, 4 * rows * cols * 4 + 3))
+        whole, digest = read_stack(path)
+        with mock.patch.object(tio, "_READ_TILE_BYTES", tile):
+            back, box_digest = read_stack(path, box)
+        want = whole.counts[:, box.row_slice, box.col_slice]
+        assert back.counts.dtype == np.dtype("<u4")
+        assert back.counts.shape == want.shape
+        assert np.array_equal(back.counts, want)
+        assert not back.counts.flags.writeable
+        assert (back.kind, back.digest_verified, box_digest) == \
+            (whole.kind, whole.digest_verified, digest)
 
 
 class TestRunConfig:

@@ -280,3 +280,48 @@ def test_search_window_rejects_a_negative_extent():
     geo = FrameGeometry(rows=13, cols=30, cs=(6.0, 14.5), beam_split=15)
     with pytest.raises(DomainError):
         geo.search_window(Region(origin=(4, 3), extent=(5, 8)), (1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(4, 12), half=st.integers(3, 10),
+       h=st.integers(1, 3), w=st.integers(1, 3), er=st.integers(0, 2),
+       ec=st.integers(0, 2), cs2=st.integers(-1, 1), top=st.integers(0, 3),
+       left=st.integers(0, 5), extra=st.integers(0, 3))
+def test_crop_moves_every_derived_region_by_the_box_origin(
+        data, rows, half, h, w, er, ec, cs2, top, left, extra):
+    # conjugates, search windows and anchored regions of the cut frame
+    # are the whole frame's, moved by the box origin
+    from twincal.estimate import anchored_region
+    geo = FrameGeometry(rows=rows, cols=2 * half,
+                        cs=((rows - 1 + cs2) / 2.0, half - 0.5),
+                        beam_split=half)
+    region = Region(origin=(data.draw(st.integers(0, rows - 1)),
+                            data.draw(st.integers(0, half - 1))),
+                    extent=(h, w))
+    r0, c0 = region.origin
+    try:
+        window = geo.search_window(region, (er, ec))
+        geo.validate_region(region)
+    except GeometryError:
+        return
+    # a box holding region and window, with up to a few more pixels
+    top, left = min(top, r0, window.origin[0]), min(left, c0)
+    bottom = max(r0 + h, window.origin[0] + window.extent[0]) + extra
+    right = window.origin[1] + window.extent[1]
+    box = Region(origin=(top, left), extent=(bottom - top, right - left))
+    cut, moved = geo.crop(box, region)
+    dr, dc = box.origin
+
+    def move(r):
+        return Region((r.origin[0] - dr, r.origin[1] - dc), r.extent, r.side)
+
+    assert moved == move(region)
+    assert (cut.rows, cut.cols) == box.extent
+    cut.validate_region(moved)
+    assert cut.search_window(moved, (er, ec)) == move(window)
+    for shift in ((0, 0), (er, -ec)):
+        assert cut.conjugate_region(moved, shift) == \
+            move(geo.conjugate_region(region, shift))
+    for extent in ((1, 1), (h, w), (h + 1, max(1, w - 1))):
+        assert anchored_region(moved.center, extent) == \
+            move(anchored_region(region.center, extent))
