@@ -100,7 +100,9 @@ def write_stack(path, blocks, config: dict) -> None:
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
     as ``[stack]`` or the blocks of ``iter_stack``, written one at a time.
     Counts must already be integral (the simulator quantises) and fit in
-    an unsigned 32-bit word.  Both files are written under temporary
+    an unsigned 32-bit word; ``<u4`` blocks, as ``iter_stack`` yields,
+    are written as they are, and any other dtype is checked value by
+    value first.  Both files are written under temporary
     names in the target directory and renamed over ``path`` and its
     sidecar only once the header is packed: a failed write removes its
     temporary files and leaves whatever was at ``path`` untouched.
@@ -135,11 +137,14 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
             raise StackFormatError(f"unknown frame kind {stack.kind!r}")
         if counts.size == 0:
             raise StackFormatError("cannot write an empty stack")
-        if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
-            raise StackFormatError("counts outside the u32 range")
-        payload = np.ascontiguousarray(counts, dtype="<u4")
-        if not np.array_equal(payload, counts):
-            raise StackFormatError("counts must be integral")
+        if counts.dtype == np.dtype("<u4"):  # in range and integral
+            payload = np.ascontiguousarray(counts)
+        else:
+            if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
+                raise StackFormatError("counts outside the u32 range")
+            payload = np.ascontiguousarray(counts, dtype="<u4")
+            if not np.array_equal(payload, counts):
+                raise StackFormatError("counts must be integral")
         fh.write(payload.data)
         count += len(counts)
     if not 0 < count <= 0xFFFFFFFF:

@@ -21,7 +21,8 @@ block.  Every result is a ``Stack``: ``iter_stack`` yields one per block,
 ``render_frame`` returns a one-frame Stack cut from its block.
 
 ``iter_stack`` renders its blocks concurrently, one thread per CPU the
-process may run on, and yields them in block order.  Since every block
+process may run on, into float64 work blocks that it reuses for the
+whole stack, and yields them in block order as u32.  Since every block
 draws only from its own stream, the frames do not depend on how many
 CPUs there are.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StackFormatError
 from .model import (
     BackgroundModel,
     ChannelEfficiencies,
@@ -53,11 +54,23 @@ _KIND_CODE = {KIND_PDC: 0, KIND_BACKGROUND: 1}
 # Frames per RNG stream and per vectorised draw.
 _BLOCK_FRAMES = 64
 
-# Superpixels per noise draw within a block (256 KB of float64), so that
-# a block's noise temporaries stay a fraction of the block.  On 48x128
-# frames, chunks of 2^13-2^18 rendered within noise of each other and
-# ~10 % faster than one whole-block draw; 13x30 frames draw a block at once.
+# Superpixels per noise draw within a block (256 KB of float64): the size
+# of each worker's reused read-noise buffer and of the straylight draws,
+# so that a block's noise temporaries stay a fraction of the block.  With
+# the buffer reused, 1000 + 1000 48x128 frames rendered in 847-868 ms on 2
+# CPUs and 1223-1264 ms on one for chunks of 2^12-2^15 under a fixed
+# 128 KiB mmap threshold, and in 733-790 / 1118-1278 ms under glibc's
+# default (medians of 12, 2-vCPU host).  Chunks of 2^13 cut the page
+# faults per block 2-4x under the fixed threshold, since glibc then keeps
+# the straylight draws' pages, but in a closer comparison they rendered
+# 3-13 % slower than 2^15 on both frame sizes.  13x30 frames draw a block
+# at once.
 _NOISE_CHUNK_ELEMENTS = 1 << 15
+
+# A pool task renders consecutive blocks into one work block of up to
+# about this many bytes, so that small frames pay one hand-off for
+# several blocks.
+_TASK_BYTES = 1 << 20
 
 # Added cosmic-ray amplitude: 20x the larger of the frame median and the
 # struck superpixel, so a hit on a bright emission pixel still stands out.
@@ -124,11 +137,11 @@ class ExperimentConfig:
 class Stack:
     """A frame stack as one array: ``counts`` has shape (frames, rows, cols).
 
-    ``counts`` holds integral counts: u32 from ``generate_stack`` and
-    ``read_stack``, float64 in the blocks of ``iter_stack`` and from
-    ``render_frame``.  A stack read with a box holds only that box of
-    each frame: its rows and cols are the box's, and positions in it are
-    frame positions less the box origin (``FrameGeometry.crop``).
+    ``counts`` holds integral counts: u32 from ``generate_stack``,
+    ``iter_stack`` and ``read_stack``, float64 from ``render_frame``.  A
+    stack read with a box holds only that box of each frame: its rows and
+    cols are the box's, and positions in it are frame positions less the
+    box origin (``FrameGeometry.crop``).
 
     ``pulse_energy`` holds one relative energy per frame (NaN where it is
     not known, as for stacks read from a file).  ``digest_verified`` is
@@ -231,16 +244,32 @@ def inject_cosmic_ray(counts: np.ndarray,
     return counts
 
 
-def _render_block(cfg: ExperimentConfig, kind: str,
-                  block_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(counts of shape (_BLOCK_FRAMES, rows, cols), energies) of one block."""
+def _noise_frames(geo: FrameGeometry) -> int:
+    """Frames per noise draw: about ``_NOISE_CHUNK_ELEMENTS`` superpixels."""
+    return min(_BLOCK_FRAMES,
+               max(1, _NOISE_CHUNK_ELEMENTS // (geo.rows * geo.cols)))
+
+
+def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
+                  work: np.ndarray | None = None,
+                  noise: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(counts of shape (_BLOCK_FRAMES, rows, cols), energies) of one block.
+
+    The counts are rendered into ``work``, a float64 array of that shape,
+    which is zero-filled first, and read noise is drawn a chunk of frames
+    at a time into ``noise``, a float64 array of (chunk, rows, cols).
+    Either is allocated when not given.  The counts are integral, >= 0,
+    and within the u32 range.
+    """
     if kind not in _KIND_CODE:
         raise DomainError(f"unknown frame kind {kind!r}")
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.master_seed, spawn_key=(_KIND_CODE[kind], block_index)))
     n = _BLOCK_FRAMES
     geo = cfg.geometry
-    counts = np.zeros((n,) + geo.shape, dtype=np.float64)
+    counts = np.empty((n,) + geo.shape) if work is None else work
+    counts.fill(0.0)
     energy, mu = sample_pulse(cfg.pulse, rng, size=n)
 
     if kind == KIND_PDC:
@@ -262,8 +291,10 @@ def _render_block(cfg: ExperimentConfig, kind: str,
     # Noise is drawn a few frames at a time, in the order of one draw over
     # the whole block, so the draws are the same and their temporaries
     # stay small.
-    step = max(1, _NOISE_CHUNK_ELEMENTS // (geo.rows * geo.cols))
-    chunks = [slice(k, k + step) for k in range(0, n, step)]
+    if noise is None:
+        noise = np.empty((_noise_frames(geo),) + geo.shape)
+    step = len(noise)
+    chunks = [slice(k, min(k + step, n)) for k in range(0, n, step)]
     bg = cfg.background
     if bg.straylight_mean > 0.0:
         lams = [bg.straylight_mean * (energy[c, None, None]
@@ -280,9 +311,13 @@ def _render_block(cfg: ExperimentConfig, kind: str,
                     size=counts[c, :, split:].shape)
 
     if bg.read_noise_std > 0.0:
+        # The same draws as normal(0, sigma): 0 + sigma*z and sigma*z
+        # differ only in the sign of a zero, which the sum erases.
         for c in chunks:
-            counts[c] += rng.normal(0.0, bg.read_noise_per_superpixel,
-                                    size=counts[c].shape)
+            z = noise[:c.stop - c.start]
+            rng.standard_normal(out=z)
+            z *= bg.read_noise_per_superpixel
+            counts[c] += z
 
     if cfg.cosmic_ray_rate > 0.0:
         hits = rng.poisson(cfg.cosmic_ray_rate, size=n)
@@ -291,7 +326,18 @@ def _render_block(cfg: ExperimentConfig, kind: str,
 
     np.rint(counts, out=counts)
     np.clip(counts, 0.0, None, out=counts)
+    if counts.max() > 0xFFFFFFFF:
+        raise StackFormatError("counts outside the u32 range")
     return counts, energy
+
+
+def _render_task(cfg: ExperimentConfig, kind: str, blocks: range,
+                 work: np.ndarray, noise: np.ndarray) -> list:
+    """Render consecutive ``blocks`` into consecutive blocks of ``work``;
+    returns their (counts, energies)."""
+    return [_render_block(cfg, kind, b, work[k * _BLOCK_FRAMES:
+                                             (k + 1) * _BLOCK_FRAMES], noise)
+            for k, b in enumerate(blocks)]
 
 
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
@@ -312,56 +358,81 @@ def _cpu_count() -> int:
 
 
 def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
-    """Yield ``count`` frames as one Stack per RNG block, in block order.
+    """Yield ``count`` frames as one u32 Stack per RNG block, in block order.
 
     Each Stack holds ``_BLOCK_FRAMES`` frames, the last one fewer when
-    ``count`` is not a multiple of the block size.  Blocks are rendered
-    on a pool of one thread per CPU the process may run on (at most one
-    per block), and at most that many blocks are in flight beyond the one
-    being yielded: memory stays under workers + 1 blocks (512*rows*cols B)
-    plus, per worker, 0.5 MB and 512*(px**2 + 4) B per coherence cell.  A
-    one-block request, or a process on one CPU, renders in the calling thread.
+    ``count`` is not a multiple of the block size, in an array of its
+    own.  Blocks are rendered on a pool of one thread per CPU the process
+    may run on, in tasks of consecutive blocks: as many as fit in
+    ``_TASK_BYTES`` of float64 (at least one), but few enough that every
+    thread gets a task.  This call allocates one float64 work block and
+    one noise buffer per worker and reuses them for the whole stack; the
+    calling thread casts a finished task's blocks into fresh u32 arrays
+    before its work block goes to the next task.
+
+    Memory stays under, per worker, the work block (512*rows*cols B per
+    block of a task), the noise buffer (8*_NOISE_CHUNK_ELEMENTS B, or
+    512*rows*cols B if smaller) and one block's other draws (under
+    4*_NOISE_CHUNK_ELEMENTS B of straylight, plus 512*(px**2 + 4) B per
+    coherence cell), plus the u32 blocks of two tasks (256*rows*cols B
+    per block).  A one-block request, or a process on one CPU, renders in
+    the calling thread.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
+    shape = cfg.geometry.shape
     n_blocks = -(-count // _BLOCK_FRAMES)
-    workers = min(_cpu_count(), n_blocks)
+    cpus = _cpu_count()
+    block_bytes = 8 * _BLOCK_FRAMES * math.prod(shape)
+    per_task = max(1, min(_TASK_BYTES // block_bytes, n_blocks // cpus))
+    tasks = [range(b, min(b + per_task, n_blocks))
+             for b in range(0, n_blocks, per_task)]
+    workers = min(cpus, len(tasks))
+    works = [(np.empty((per_task * _BLOCK_FRAMES,) + shape),
+              np.empty((_noise_frames(cfg.geometry),) + shape))
+             for _ in range(workers)]
 
-    def cut(block_index, counts, energy):
-        n = min(_BLOCK_FRAMES, count - block_index * _BLOCK_FRAMES)
-        return Stack(counts=counts[:n], kind=kind, pulse_energy=energy[:n])
+    def cast(task, rendered):
+        # Copy the task's blocks out of its work block, which is then free.
+        blocks = []
+        for b, (counts, energy) in zip(task, rendered):
+            n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
+            blocks.append(Stack(counts=counts[:n].astype("<u4"), kind=kind,
+                                pulse_energy=energy[:n]))
+        return blocks
 
     if workers == 1:
-        for b in range(n_blocks):
-            yield cut(b, *_render_block(cfg, kind, b))
+        for task in tasks:
+            yield from cast(task, _render_task(cfg, kind, task, *works[0]))
         return
     # Imported here, so that commands which never render do not pay the
     # ~5 ms import.
     from concurrent.futures import ThreadPoolExecutor
 
-    # numpy draws and fills the block arrays with the GIL released, and
+    # numpy draws and fills the work blocks with the GIL released, and
     # every block owns its stream.  Workers call only the private
-    # _render_block, so wrappers put around the public functions (as the
+    # _render_task, so wrappers put around the public functions (as the
     # benchmark's tracer does) still run in the calling thread alone.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(_render_block, cfg, kind, b)
-                        for b in range(workers))
-        for b in range(n_blocks):
-            counts, energy = pending.popleft().result()
-            if b + workers < n_blocks:
-                pending.append(pool.submit(_render_block, cfg, kind,
-                                           b + workers))
-            yield cut(b, counts, energy)
+        pending = deque((task, work, pool.submit(_render_task, cfg, kind,
+                                                 task, *work))
+                        for task, work in zip(tasks, works))
+        for t in range(workers, len(tasks) + workers):
+            task, work, future = pending.popleft()
+            blocks = cast(task, future.result())
+            if t < len(tasks):
+                pending.append((tasks[t], work, pool.submit(
+                    _render_task, cfg, kind, tasks[t], *work)))
+            yield from blocks
 
 
 def generate_stack(cfg: ExperimentConfig, count: int,
                    kind: str = KIND_PDC) -> Stack:
     """Materialise a stack of mutually independent frames.
 
-    The blocks of ``iter_stack`` are copied into one preallocated array,
-    so every stack is a prefix of any longer one with the same config and
-    kind.  The array is ``<u4``, the count type of a stack file: the same
-    integers as the blocks' float64 in half the memory.
+    The u32 blocks of ``iter_stack`` are copied into one preallocated
+    ``<u4`` array, the count type of a stack file, so every stack is a
+    prefix of any longer one with the same config and kind.
     """
     if count < 1:
         raise DomainError("count must be >= 1")

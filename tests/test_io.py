@@ -103,6 +103,17 @@ class TestStackRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
 
+    def test_u32_block_writes_the_bytes_of_its_float_twin(self, tmp_path):
+        # the u32 path skips the value checks; it must write the same file
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 2 ** 32, (6, 5, 7), dtype=np.uint32)
+        counts[0, 0, :2] = (0, 2 ** 32 - 1)
+        p1, p2 = tmp_path / "u32.tbs", tmp_path / "f64.tbs"
+        write_stack(p1, [Stack(counts)], a_config_doc())
+        write_stack(p2, [Stack(counts.astype(np.float64))], a_config_doc())
+        assert p1.read_bytes() == p2.read_bytes()
+        assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
            count=st.integers(1, 6), seed=st.integers(0, 2 ** 16))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from twincal.errors import DomainError, GeometryError
+from twincal.errors import DomainError, GeometryError, StackFormatError
 from twincal.model import (
     BackgroundModel,
     ChannelEfficiencies,
@@ -307,6 +307,56 @@ class TestConcurrentRendering:
             for (c, e), (counts, energy) in zip(blocks(chunk_elements), whole):
                 assert np.array_equal(c, counts)
                 assert np.array_equal(e, energy)
+
+    @pytest.mark.parametrize("chunk_elements",
+                             [1, 5000, simulate._NOISE_CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("cell_px", [1, 2])
+    @pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
+    def test_dirty_work_buffers_render_the_fresh_block(self, monkeypatch, kind,
+                                                       cell_px, chunk_elements):
+        cfg = (concurrent_config(seed=67) if cell_px == 2 else
+               make_config(mu=1.5, m_t=100, jitter=0.05, straylight=50.0,
+                           read_noise=2.0, cosmic_rate=0.3, seed=67))
+        monkeypatch.setattr(simulate, "_NOISE_CHUNK_ELEMENTS", chunk_elements)
+        fresh, energy = simulate._render_block(cfg, kind, 2)
+        shape = cfg.geometry.shape
+        for fill in (np.nan, 1e300):
+            work = np.full(fresh.shape, fill)
+            noise = np.full((simulate._noise_frames(cfg.geometry),) + shape,
+                            fill)
+            counts, e = simulate._render_block(cfg, kind, 2, work, noise)
+            assert counts is work
+            assert counts.tobytes() == fresh.tobytes()
+            assert e.tobytes() == energy.tobytes()
+
+    @pytest.mark.parametrize("cell_px", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_kept_blocks_are_u32_and_share_no_memory(self, monkeypatch,
+                                                     workers, cell_px):
+        # 11 blocks run as tasks of several blocks on recycled work blocks;
+        # a caller keeping every block must still see the serial render
+        cfg = (concurrent_config(seed=68) if cell_px == 2 else
+               make_config(straylight=50.0, read_noise=2.0, seed=68))
+        count = 11 * 64 - 5
+        serial = [simulate._render_block(cfg, KIND_PDC, b) for b in range(11)]
+        force_workers(monkeypatch, workers)
+        blocks = list(iter_stack(cfg, count))
+        assert all(b.counts.dtype == np.dtype("<u4") for b in blocks)
+        assert np.array_equal(np.concatenate([b.counts for b in blocks]),
+                              np.concatenate([c for c, _ in serial])[:count])
+        assert np.array_equal(
+            np.concatenate([b.pulse_energy for b in blocks]),
+            np.concatenate([e for _, e in serial])[:count])
+        for k, a in enumerate(blocks):
+            for b in blocks[k + 1:]:
+                assert not np.shares_memory(a.counts, b.counts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_beyond_u32_raise(self, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        cfg = make_config(straylight=5e9, seed=69)
+        with pytest.raises(StackFormatError):
+            generate_stack(cfg, 130, KIND_BACKGROUND)
 
     def test_short_stacks_start_no_thread(self, monkeypatch):
         started = []
