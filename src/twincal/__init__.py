@@ -69,7 +69,6 @@ from .simulate import (
     ExperimentConfig,
     Stack,
     generate_stack,
-    inject_cosmic_ray,
     iter_stack,
     render_frame,
     sample_cell_pair,

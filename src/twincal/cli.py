@@ -73,6 +73,16 @@ def _analysed(geometry, region_s, extent) -> list:
     return [region_s, geometry.search_window(region_s, extent)]
 
 
+def _region_modes(cfg, params) -> int:
+    """The total mode count of ``region_s``, taken from the config before
+    any stack is read: DomainError when it covers no whole cell."""
+    px, region = cfg.modes.coherence_cell_px, params.region_s
+    if region.area < px ** 2:
+        raise DomainError(f"region_s {region.extent} covers no whole "
+                          f"{px}x{px} coherence cell")
+    return cfg.modes.total_modes(region.area // px ** 2)
+
+
 def _hull(regions):
     """The smallest box of the frame holding every region: the pixels a
     command reads from its stacks."""
@@ -165,10 +175,11 @@ def cmd_area_scan(args) -> int:
     return 0
 
 
-def _calibrate(cfg, params, pdc, bg, box=None):
+def _calibrate(cfg, params, m_tot, pdc, bg, box=None):
     """Shared calibration chain: filter, locate, batch, estimate.
 
-    The stacks are (frames, rows, cols) count arrays of whole frames, or
+    ``m_tot`` is the mode count of ``region_s`` (``_region_modes``).  The
+    stacks are (frames, rows, cols) count arrays of whole frames, or
     of the ``box`` of each frame when one is given; ``bg`` may be None.
     A frame is dropped only for a cosmic-ray hit in the pixels analysed.
     Returns the conjugate-region series estimated from, its
@@ -197,10 +208,7 @@ def _calibrate(cfg, params, pdc, bg, box=None):
                                    pdc_kept, bg_kept)
     z = params.z_batches
     summary = estimate.repeat_experiment(series.batches(z), ddof=ddof)
-    ratio, thermal = estimate.excess_noise(
-        series, cfg.modes.total_modes(region_s.area
-                                      // cfg.modes.coherence_cell_px ** 2),
-        ddof=ddof)
+    ratio, thermal = estimate.excess_noise(series, m_tot, ddof=ddof)
     diagnostics = estimate.CalibrationDiagnostics(
         excess_noise_ratio=ratio, thermal_excess=thermal,
         dropped_pdc=pdc_dropped, dropped_background=bg_dropped,
@@ -239,11 +247,12 @@ def _report(args, params, out, s, d) -> None:
 def cmd_calibrate(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
+    m_tot = _region_modes(cfg, params)
     box = _hull(_analysed(cfg.geometry, params.region_s,
                           params.cs_search_extent))
     pdc = _read_stack(args.pdc, box).counts
     bg = _read_stack(args.background, box).counts if args.background else None
-    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg, box)
+    _, summary, diagnostics = _calibrate(cfg, params, m_tot, pdc, bg, box)
     _report(args, params, out, summary, diagnostics)
     return 0
 
@@ -253,6 +262,7 @@ def cmd_reproduce_table1(args) -> int:
     seed = args.seed if args.seed is not None else 20260809
     cfg = presets.reference_experiment(master_seed=seed)
     params = presets.reference_analysis()
+    m_tot = _region_modes(cfg, params)
 
     n = params.z_batches * params.frames_per_batch
     m = params.z_batches * params.background_frames_per_batch
@@ -260,7 +270,7 @@ def cmd_reproduce_table1(args) -> int:
     pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
     bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
-    series, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    series, summary, diagnostics = _calibrate(cfg, params, m_tot, pdc, bg)
     ddof = params.variance_ddof
     alpha = estimate.estimate_alpha(series)
     simulated = {

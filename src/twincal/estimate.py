@@ -11,8 +11,11 @@ Conventions
   assumes unbiased moments).
 * Negative noise-reduction values are possible through sampling noise and
   are returned as-is (clamping would bias the efficiency upward).
-* Frame stacks are (frames, rows, cols) count arrays, float64 or u32;
-  region blocks are cast to float64 before any difference.
+* Frame stacks are (frames, rows, cols) arrays of ``COUNT_DTYPE`` (u32)
+  counts.  The cosmic-ray filter and the spatial map refuse any other
+  dtype with StackFormatError; ``region_sum``, ``build_series`` and
+  ``area_scan`` sum any numeric array in float64.  Region blocks are
+  cast to float64 before any difference.
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, GeometryError
-from .model import FrameGeometry, Region, SIDE_SIGNAL
+from .model import COUNT_DTYPE, FrameGeometry, Region, SIDE_SIGNAL, check_counts
 
 # Fixed systematic (Type B) terms reported with every calibration: the
 # residual of excess-noise nullification by balancing, and the relative
@@ -119,15 +122,11 @@ def region_sum(counts: np.ndarray, region: Region):
 
 
 def _check_in_frame(region: Region, shape) -> None:
-    """GeometryError unless ``region`` lies inside frames of ``shape``,
-    where slicing would clip it silently."""
-    r0, c0 = region.origin
-    h, w = region.extent
-    rows, cols = shape
-    if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
+    """GeometryError unless ``region`` lies inside frames of ``shape``."""
+    if not region.inside(shape):
         raise GeometryError(
             f"region {region.origin}+{region.extent} leaves the frame "
-            f"{(rows, cols)}")
+            f"{tuple(shape)}")
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
@@ -374,15 +373,15 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     stack) carries its median and MAD up with the hits, and those frames
     escape the filter.
 
-    ``frames`` is a (frames, rows, cols) count array; a region leaving
-    the frame raises GeometryError, and a NaN or an infinity in the
-    regions of a floating stack raises DegenerateDataError, since a NaN
-    scale would switch its threshold off.  Unsigned integer counts are
-    compared with the thresholds in their own type, with the same result
-    as the float64 comparison.  Returns the kept frame indices as an
-    array, for ``frames[kept]`` or ``build_series``, and the discarded
-    frame indices as a list; no frame is copied.
+    ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array; any other
+    dtype raises StackFormatError, and a region leaving the frame
+    GeometryError.  The counts are compared with the thresholds in their
+    own type, with the same result as the float64 comparison.  Returns
+    the kept frame indices as an array, for ``frames[kept]`` or
+    ``build_series``, and the discarded frame indices as a list; no frame
+    is copied.
     """
+    check_counts(frames)
     n = len(frames)
     if n < 3:
         raise DegenerateDataError("need at least 3 frames to filter")
@@ -391,7 +390,6 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         raise DomainError("no region to filter")
     for region in regions:
         _check_in_frame(region, frames.shape[1:])
-    floating = frames.dtype.kind == "f"
     tile = _FILTER_TILE_FRAMES
     chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
     # One lane block of a region's pixels at a time, whole rows of it or
@@ -416,8 +414,6 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
                     lanes[..., f:f + tile] = \
                         pixels[f:f + tile].transpose(1, 2, 0)
                 lanes = lanes.reshape(k * m, n)
-                if floating and not np.isfinite(lanes).all():
-                    raise DegenerateDataError("non-finite counts in the stack")
                 med = _median_rows(lanes)
                 lanes -= med[:, None]
                 np.abs(lanes, out=lanes)
@@ -426,14 +422,11 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         scale *= 1.4826
         floor = np.sqrt(np.maximum(median, 1.0))
         threshold = median + mad_k * np.maximum(scale, floor)
-        if frames.dtype.kind == "u":
-            # An unsigned count exceeds t > 0 exactly when it exceeds
-            # floor(t), clipped to the largest count, which nothing
-            # exceeds: compared in the count type, no tile is converted.
-            threshold = np.minimum(np.floor(threshold),
-                                   np.iinfo(frames.dtype).max)
-            threshold = threshold.astype(frames.dtype)
-        thresholds.append((block, threshold))
+        # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
+        # clipped to the largest count, which nothing exceeds: compared in
+        # the count type, no tile is converted.
+        threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
+        thresholds.append((block, threshold.astype(COUNT_DTYPE)))
     # Compared a tile of frames at a time: no stack-sized mask is made.
     bad = np.zeros(n, dtype=bool)
     for f in range(0, n, tile):
@@ -484,16 +477,16 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     Correlated displacements produce a dip, uncorrelated ones a plateau
     near 1 + excess noise.
 
-    ``frames`` is a (frames, rows, cols) count array, read a tile of
-    frames at a time: beyond one (frames, displacements) table of
-    per-frame values, the working memory is bounded by one tile.  The pair
-    sums come from a summed-area table and the variance repeats
-    ``np.var``'s arithmetic, so for integral counts whose region sums are
-    exact in float64 (below 2**53) the map is bit-identical to one
-    whole-stack ``np.var`` per displacement.  A NaN or an infinity in the
-    regions the map reads, or region sums beyond float64's range, raise
-    DegenerateDataError.
+    ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
+    dtype raises StackFormatError), read a tile of frames at a time:
+    beyond one (frames, displacements) table of per-frame values, the
+    working memory is bounded by one tile.  The pair sums come from a
+    summed-area table and the variance repeats ``np.var``'s arithmetic,
+    so while region sums stay exact in float64 (below 2**53, so for any
+    region of up to 2**21 superpixels) the map is bit-identical to one
+    whole-stack ``np.var`` per displacement.
     """
+    check_counts(frames)
     if region_s.side != SIDE_SIGNAL:
         raise GeometryError("region_s must lie on the signal half")
     geometry.validate_region(region_s)
@@ -532,8 +525,6 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
                    + table[:, :-h, :-w])[:, ::-1, ::-1].reshape(g - f, -1)
         sig_sum = s.sum(axis=(1, 2))
         denom = sig_sum[:, None] + idl_sum
-        if not np.isfinite(denom).all():
-            raise DegenerateDataError("non-finite region sums in spatial map")
         if np.any(denom <= 0.0):
             raise DegenerateDataError("empty region pair in spatial map")
         # np.var(sig - idl, axis=(1, 2)) * (h*w) / denom in np.var's own

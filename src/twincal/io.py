@@ -55,12 +55,14 @@ from .estimate import (
     SpatialMapResult,
 )
 from .model import (
+    COUNT_DTYPE,
     BackgroundModel,
     ChannelEfficiencies,
     FrameGeometry,
     ModeStructure,
     PulseModel,
     Region,
+    check_counts,
 )
 from .simulate import ExperimentConfig, KIND_BACKGROUND, KIND_PDC, Stack
 
@@ -98,14 +100,14 @@ def write_stack(path, blocks, config: dict) -> None:
     """Write blocks of frames as one stack file, and its JSON sidecar.
 
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
-    as ``[stack]`` or the blocks of ``iter_stack``, written one at a time.
-    Counts must already be integral (the simulator quantises) and fit in
-    an unsigned 32-bit word; ``<u4`` blocks, as ``iter_stack`` yields,
-    are written as they are, and any other dtype is checked value by
-    value first.  Both files are written under temporary
-    names in the target directory and renamed over ``path`` and its
-    sidecar only once the header is packed: a failed write removes its
-    temporary files and leaves whatever was at ``path`` untouched.
+    as ``[stack]`` or the blocks of ``iter_stack``, written one at a time
+    as they are.  A block whose counts are not ``COUNT_DTYPE``, as after
+    a reassignment of ``stack.counts``, raises StackFormatError; only the
+    dtype is checked, never the values.  Both files are written under
+    temporary names in the target directory and renamed over ``path``
+    and its sidecar only once the header is packed: a failed write
+    removes its temporary files and leaves whatever was at ``path``
+    untouched.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -130,6 +132,7 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
     fh.seek(_HEADER.size)
     for stack in blocks:
         counts = stack.counts
+        check_counts(counts)
         layout = layout or (stack.kind, counts.shape[1:])
         if (stack.kind, counts.shape[1:]) != layout:
             raise StackFormatError("blocks disagree on kind or frame shape")
@@ -137,15 +140,7 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
             raise StackFormatError(f"unknown frame kind {stack.kind!r}")
         if counts.size == 0:
             raise StackFormatError("cannot write an empty stack")
-        if counts.dtype == np.dtype("<u4"):  # in range and integral
-            payload = np.ascontiguousarray(counts)
-        else:
-            if not (counts.min() >= 0 and counts.max() <= 0xFFFFFFFF):
-                raise StackFormatError("counts outside the u32 range")
-            payload = np.ascontiguousarray(counts, dtype="<u4")
-            if not np.array_equal(payload, counts):
-                raise StackFormatError("counts must be integral")
-        fh.write(payload.data)
+        fh.write(np.ascontiguousarray(counts).data)
         count += len(counts)
     if not 0 < count <= 0xFFFFFFFF:
         raise StackFormatError(f"cannot write a stack of {count} frames")
@@ -203,13 +198,12 @@ def read_stack(path, box: Region | None = None) -> tuple[Stack, str]:
 
         if box is None:
             box = Region((0, 0), (rows, cols))
-        (r0, c0), (h, w) = box.origin, box.extent
-        if r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
+        if not box.inside((rows, cols)):
             raise GeometryError(f"{path}: box {box.origin}+{box.extent} "
                                 f"leaves the {rows}x{cols} frame")
-        counts = np.empty((count, h, w), dtype="<u4")
+        counts = np.empty((count, *box.extent), dtype=COUNT_DTYPE)
         tile = np.empty((max(1, _READ_TILE_BYTES // (rows * cols * 4)),
-                         rows, cols), dtype="<u4")
+                         rows, cols), dtype=COUNT_DTYPE)
         for f in range(0, count, len(tile)):
             frames = tile[:count - f]
             got = fh.readinto(frames)  # short only at the end of the file

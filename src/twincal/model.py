@@ -16,13 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, StackFormatError
 
 GAIN_LINEAR = "linear"
 GAIN_SINH2 = "sinh2"
 
 SIDE_SIGNAL = "signal"
 SIDE_IDLER = "idler"
+
+# The one count type of a frame stack: the simulator renders it, a stack
+# file holds it, and the stack estimators take nothing else.
+COUNT_DTYPE = np.dtype("<u4")
+
+
+def check_counts(counts) -> None:
+    """StackFormatError unless ``counts`` is an array of ``COUNT_DTYPE``."""
+    dtype = getattr(counts, "dtype", type(counts).__name__)
+    if not (isinstance(counts, np.ndarray) and dtype == COUNT_DTYPE):
+        raise StackFormatError(f"frame counts must be {COUNT_DTYPE.str}, "
+                               f"not {dtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +63,6 @@ class ChannelEfficiencies:
     def eta_minus(self) -> float:
         """Efficiency imbalance eta_s - eta_i."""
         return self.eta_s - self.eta_i
-
-    @property
-    def balance_ratio(self) -> float:
-        """Ideal a-posteriori balancing factor eta_s / eta_i."""
-        return self.eta_s / self.eta_i
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,12 @@ class Region:
         return (self.origin[0] + (self.extent[0] - 1) / 2.0,
                 self.origin[1] + (self.extent[1] - 1) / 2.0)
 
+    def inside(self, shape: tuple[int, int]) -> bool:
+        """Whether the region lies within frames of ``shape`` (rows, cols),
+        where slicing would clip it silently."""
+        (r0, c0), (h, w) = self.origin, self.extent
+        return 0 <= r0 and 0 <= c0 and r0 + h <= shape[0] and c0 + w <= shape[1]
+
 
 @dataclass(frozen=True)
 class FrameGeometry:
@@ -252,9 +265,6 @@ class FrameGeometry:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def conjugate_point(self, point: tuple[float, float]) -> tuple[float, float]:
-        return (2.0 * self.cs[0] - point[0], 2.0 * self.cs[1] - point[1])
 
     def conjugate_region(self, region: Region,
                          shift: tuple[int, int] = (0, 0)) -> Region:
@@ -308,12 +318,11 @@ class FrameGeometry:
         return geometry, moved
 
     def validate_region(self, region: Region) -> None:
-        r0, c0 = region.origin
-        h, w = region.extent
-        if r0 < 0 or c0 < 0 or r0 + h > self.rows or c0 + w > self.cols:
+        if not region.inside(self.shape):
             raise GeometryError(
                 f"region {region.origin}+{region.extent} leaves the "
                 f"{self.rows}x{self.cols} frame")
+        c0, w = region.origin[1], region.extent[1]
         if region.side == SIDE_SIGNAL:
             if c0 + w > self.beam_split:
                 raise GeometryError("signal region crosses into the idler half")

@@ -16,8 +16,8 @@ block of ``_BLOCK_FRAMES`` frames, in a fixed order:
 Every block owns an RNG stream derived from (master_seed, kind,
 block_index), so stacks are bit-reproducible, a stack of n frames is a
 prefix of any longer stack, and one frame is re-rendered by rendering its
-block.  Every result is a ``Stack``: ``iter_stack`` yields one per block,
-``generate_stack`` copies those blocks into one array, and
+block.  Every result is a ``Stack`` of u32 counts: ``iter_stack`` yields
+one per block, ``generate_stack`` copies those blocks into one array, and
 ``render_frame`` returns a one-frame Stack cut from its block.
 
 ``iter_stack`` renders its blocks concurrently, one thread per CPU the
@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DomainError, StackFormatError
 from .model import (
+    COUNT_DTYPE,
     BackgroundModel,
     ChannelEfficiencies,
     FrameGeometry,
@@ -45,6 +46,7 @@ from .model import (
     PulseModel,
     Region,
     SIDE_SIGNAL,
+    check_counts,
 )
 
 KIND_PDC = "pdc_on"
@@ -137,8 +139,8 @@ class ExperimentConfig:
 class Stack:
     """A frame stack as one array: ``counts`` has shape (frames, rows, cols).
 
-    ``counts`` holds integral counts: u32 from ``generate_stack``,
-    ``iter_stack`` and ``read_stack``, float64 from ``render_frame``.  A
+    ``counts`` holds ``COUNT_DTYPE`` (``<u4``) counts, as every producer
+    of stacks makes them; any other dtype raises StackFormatError.  A
     stack read with a box holds only that box of each frame: its rows and
     cols are the box's, and positions in it are frame positions less the
     box origin (``FrameGeometry.crop``).
@@ -155,6 +157,7 @@ class Stack:
     digest_verified: bool = False
 
     def __post_init__(self) -> None:
+        check_counts(self.counts)
         if self.counts.ndim != 3:
             raise DomainError("stack counts must have shape (frames, rows, cols)")
         if self.pulse_energy is None:
@@ -230,18 +233,6 @@ def _inject_spike(counts: np.ndarray, rng: np.random.Generator) -> None:
     c = int(rng.integers(counts.shape[1]))
     median = float(np.median(counts))
     counts[r, c] += _COSMIC_FACTOR * max(median, float(counts[r, c]), 1.0)
-
-
-def inject_cosmic_ray(counts: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Return a float64 copy of one frame's (rows, cols) counts with one
-    cosmic-ray spike added, re-quantised."""
-    if counts.ndim != 2:
-        raise DomainError("inject_cosmic_ray takes one (rows, cols) frame")
-    counts = counts.astype(np.float64)
-    _inject_spike(counts, rng)
-    np.rint(counts, out=counts)
-    return counts
 
 
 def _noise_frames(geo: FrameGeometry) -> int:
@@ -345,7 +336,7 @@ def render_frame(cfg: ExperimentConfig, pulse_index: int,
     """Frame ``pulse_index`` as a one-frame Stack, by rendering its block."""
     counts, energy = _render_block(cfg, kind, pulse_index // _BLOCK_FRAMES)
     k = pulse_index % _BLOCK_FRAMES
-    return Stack(counts=counts[k:k + 1].copy(), kind=kind,
+    return Stack(counts=counts[k:k + 1].astype(COUNT_DTYPE), kind=kind,
                  pulse_energy=energy[k:k + 1].copy())
 
 
@@ -397,7 +388,7 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
         blocks = []
         for b, (counts, energy) in zip(task, rendered):
             n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
-            blocks.append(Stack(counts=counts[:n].astype("<u4"), kind=kind,
+            blocks.append(Stack(counts=counts[:n].astype(COUNT_DTYPE), kind=kind,
                                 pulse_energy=energy[:n]))
         return blocks
 
@@ -431,12 +422,12 @@ def generate_stack(cfg: ExperimentConfig, count: int,
     """Materialise a stack of mutually independent frames.
 
     The u32 blocks of ``iter_stack`` are copied into one preallocated
-    ``<u4`` array, the count type of a stack file, so every stack is a
-    prefix of any longer one with the same config and kind.
+    ``COUNT_DTYPE`` array, so every stack is a prefix of any longer one
+    with the same config and kind.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    stack = Stack(counts=np.empty((count,) + cfg.geometry.shape, "<u4"),
+    stack = Stack(counts=np.empty((count,) + cfg.geometry.shape, COUNT_DTYPE),
                   kind=kind, pulse_energy=np.empty(count))
     for b, block in enumerate(iter_stack(cfg, count, kind)):
         k = slice(b * _BLOCK_FRAMES, (b + 1) * _BLOCK_FRAMES)

@@ -39,7 +39,6 @@ from twincal.simulate import (
     Stack,
     generate_stack,
     iter_stack,
-    render_frame,
 )
 
 from test_simulate import make_config
@@ -303,7 +302,7 @@ def test_criterion_10_determinism_and_format(tmp_path):
     for _ in range(100):
         rows, cols, count = rng.integers(1, 9, 3)
         stack = Stack(np.stack([rng.integers(0, 2 ** 32, (rows, cols),
-                                             dtype=np.uint64).astype(float)
+                                             dtype=np.uint64).astype(np.uint32)
                                 for _ in range(count)]))
         path = tmp_path / "rt.tbs"
         write_stack(path, [stack], doc)

@@ -127,14 +127,15 @@ def test_calibrate_reports_transmittance_corrected_efficiencies(run_dir,
 
 
 def test_excess_noise_follows_variance_ddof(run_dir):
-    from twincal.cli import _calibrate
+    from twincal.cli import _calibrate, _region_modes
     _, config = run_dir
     cfg, params = load_run_config(config)
     pdc = generate_stack(cfg, params.z_batches * params.frames_per_batch)
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch, kind="background")
     ratios = [_calibrate(cfg, dataclasses.replace(params, variance_ddof=ddof),
-                         pdc.counts, bg.counts)[2].excess_noise_ratio
+                         _region_modes(cfg, params), pdc.counts,
+                         bg.counts)[2].excess_noise_ratio
               for ddof in (0, 1)]
     n = len(pdc.counts)  # the filter keeps every frame of this stack
     assert ratios[0] / ratios[1] == pytest.approx((n - 1) / n, rel=1e-12)
@@ -405,14 +406,15 @@ def test_calibrate_memory_is_not_a_stack_copy(tmp_path):
     # both u32 stacks lose frames to the filter (the background one to a
     # spike of its own); the kept ones are used by index, so the chain's
     # peak is a small part of the stacks it reads
-    from twincal.cli import _calibrate
+    from twincal.cli import _calibrate, _region_modes
     cfg, params, _ = large_frames(tmp_path, 9, 4, 125)
     pdc = generate_stack(cfg, 500).counts
     bg = generate_stack(cfg, 500, kind="background").counts
     spike(bg, [250], analysed_pixels(cfg, params), np.random.default_rng(9))
     tracemalloc.start()
     try:
-        _, _, diagnostics = _calibrate(cfg, params, pdc, bg)
+        _, _, diagnostics = _calibrate(cfg, params,
+                                       _region_modes(cfg, params), pdc, bg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,7 +470,7 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
     # find-cs, area-scan and calibrate read only the box they analyse;
     # their tables must be those of the estimators run on the whole
     # frames with the whole geometry
-    from twincal.cli import _calibrate
+    from twincal.cli import _calibrate, _region_modes
     cfg, params, config = workload_run(tmp_path, workload, 7, 90)
     data, got, want = (tmp_path / n for n in ("data", "got", "want"))
     want.mkdir()
@@ -489,7 +491,8 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
     tio.write_area_scan_csv(want / "area_scan.csv", estimate.area_scan(
         pdc, bg, cfg.geometry, params.region_s.center, params.areas,
         cell_px=cfg.modes.coherence_cell_px, ddof=params.variance_ddof))
-    _, summary, diagnostics = _calibrate(cfg, params, pdc, bg)
+    _, summary, diagnostics = _calibrate(cfg, params,
+                                         _region_modes(cfg, params), pdc, bg)
     tio.write_calibration_csv(want / "calibration.csv", summary, diagnostics)
     tio.write_batches_csv(want / "batches.csv", summary)
     for name in ("cs_map.csv", "area_scan.csv", "calibration.csv",
@@ -541,3 +544,19 @@ def test_stack_smaller_than_the_analysed_box_is_a_geometry_error(run_dir,
                      "--quiet", *argv[1:]]) == 4
         err = capsys.readouterr().err
         assert "error[GeometryError]" in err and "leaves the 13x20 frame" in err
+
+
+def test_region_smaller_than_a_cell_is_refused_before_reading(tmp_path,
+                                                              capsys):
+    # a 1x1 region_s on 2-px cells covers no whole cell: calibrate stops
+    # on the config, before it opens a stack, so a missing one is no 3
+    cfg, params, config = large_frames(tmp_path, 9, 4, 125)
+    save_run_config(config, cfg, dataclasses.replace(
+        params, region_s=Region((20, 28), (1, 1))))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(tmp_path / "missing.tbs"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error[DomainError]" in err
+    assert "region_s (1, 1)" in err and "2x2 coherence cell" in err
+    assert not (out / "calibration.csv").exists()

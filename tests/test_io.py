@@ -48,15 +48,23 @@ from twincal.io import (
 from twincal.model import Region
 from twincal.simulate import KIND_BACKGROUND, KIND_PDC, Stack
 
-from test_simulate import make_config
+from test_simulate import REFUSED_DTYPES, make_config, refused_counts
 
 HEADER_SIZE = 52
 
 
 def random_frames(rng, count, rows, cols, kind=KIND_PDC):
-    counts = [rng.integers(0, 100_000, (rows, cols)).astype(float)
+    counts = [rng.integers(0, 100_000, (rows, cols)).astype(np.uint32)
               for _ in range(count)]
     return Stack(counts=np.stack(counts), kind=kind)
+
+
+def reassigned(counts):
+    """A Stack whose ``counts`` were replaced after construction, where
+    its own dtype check no longer runs."""
+    stack = Stack(np.zeros((1, 1, 1), dtype=np.uint32))
+    stack.counts = counts
+    return stack
 
 
 def a_config_doc():
@@ -103,16 +111,14 @@ class TestStackRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
 
-    def test_u32_block_writes_the_bytes_of_its_float_twin(self, tmp_path):
-        # the u32 path skips the value checks; it must write the same file
+    def test_u32_block_is_written_as_its_bytes(self, tmp_path):
+        # no value pass: the payload is the block's own bytes, extremes too
         rng = np.random.default_rng(4)
         counts = rng.integers(0, 2 ** 32, (6, 5, 7), dtype=np.uint32)
         counts[0, 0, :2] = (0, 2 ** 32 - 1)
-        p1, p2 = tmp_path / "u32.tbs", tmp_path / "f64.tbs"
-        write_stack(p1, [Stack(counts)], a_config_doc())
-        write_stack(p2, [Stack(counts.astype(np.float64))], a_config_doc())
-        assert p1.read_bytes() == p2.read_bytes()
-        assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
+        path = tmp_path / "u32.tbs"
+        write_stack(path, [Stack(counts)], a_config_doc())
+        assert path.read_bytes()[HEADER_SIZE:] == counts.astype("<u4").tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
@@ -120,7 +126,7 @@ class TestStackRoundTrip:
     def test_round_trip_property(self, tmp_path_factory, rows, cols, count, seed):
         rng = np.random.default_rng(seed)
         frames = Stack(np.stack([rng.integers(0, 2 ** 32, (rows, cols),
-                                              dtype=np.uint64).astype(float)
+                                              dtype=np.uint64).astype(np.uint32)
                                  for _ in range(count)]))
         path = tmp_path_factory.mktemp("rt") / "stack.tbs"
         write_stack(path, [frames], {"seed": seed})
@@ -204,33 +210,40 @@ class TestStackErrors:
         assert not frames.digest_verified
 
     def test_non_integral_counts_rejected(self, tmp_path):
-        frame = Stack(np.array([[[1.5, 2.0]]]))
+        frame = reassigned(np.array([[[1.5, 2.0]]]))
         with pytest.raises(StackFormatError):
             write_stack(tmp_path / "x.tbs", [frame], {})
 
     def test_out_of_range_counts_rejected(self, tmp_path):
-        frame = Stack(np.array([[[float(2 ** 32), 0.0]]]))
+        frame = reassigned(np.array([[[float(2 ** 32), 0.0]]]))
         with pytest.raises(StackFormatError):
             write_stack(tmp_path / "x.tbs", [frame], {})
 
+    @pytest.mark.parametrize("dtype", REFUSED_DTYPES)
+    def test_counts_other_than_u32_are_refused(self, tmp_path, dtype):
+        frame = reassigned(refused_counts(dtype, (2, 5, 6)))
+        with pytest.raises(StackFormatError, match="<u4"):
+            write_stack(tmp_path / "x.tbs", [frame], {})
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_stack_rejected(self, tmp_path):
-        for blocks in ([Stack(np.zeros((0, 2, 2)))], []):  # or no block
+        for blocks in ([Stack(np.zeros((0, 2, 2), dtype=np.uint32))], []):
             with pytest.raises(StackFormatError):
                 write_stack(tmp_path / "x.tbs", blocks, {})
 
     @pytest.mark.parametrize("second", [
-        Stack(np.ones((2, 5, 6)), kind=KIND_BACKGROUND),  # another kind
-        Stack(np.ones((2, 6, 5))),                        # another shape
-        Stack(np.full((2, 5, 6), 0.5)),                   # non-integral
-        Stack(np.full((2, 5, 6), -1.0)),                  # out of range
-        Stack(np.ones((0, 5, 6))),                        # empty
+        Stack(np.ones((2, 5, 6), np.uint32), kind=KIND_BACKGROUND),  # kind
+        Stack(np.ones((2, 6, 5), np.uint32)),             # another shape
+        reassigned(np.full((2, 5, 6), 0.5)),              # non-integral
+        reassigned(np.full((2, 5, 6), -1.0)),             # out of range
+        Stack(np.ones((0, 5, 6), np.uint32)),             # empty
     ])
     def test_failed_block_leaves_nothing_readable(self, tmp_path, second):
         # the first block is on disk when the second one fails its check;
         # it was written under a temporary name, which the failure removes
         path = tmp_path / "x.tbs"
         with pytest.raises(StackFormatError):
-            write_stack(path, [Stack(np.ones((3, 5, 6))), second],
+            write_stack(path, [Stack(np.ones((3, 5, 6), np.uint32)), second],
                         a_config_doc())
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(FileNotFoundError):
@@ -238,11 +251,12 @@ class TestStackErrors:
 
     def test_failed_rewrite_keeps_the_old_stack(self, tmp_path):
         path = tmp_path / "x.tbs"
-        old = Stack(np.arange(90.0).reshape(3, 5, 6))
+        old = Stack(np.arange(90, dtype=np.uint32).reshape(3, 5, 6))
         write_stack(path, [old], a_config_doc())
         before = path.read_bytes(), sidecar_path(path).read_bytes()
         with pytest.raises(StackFormatError):
-            write_stack(path, [Stack(np.full((2, 5, 6), 0.5))], {"other": 1})
+            write_stack(path, [reassigned(np.full((2, 5, 6), 0.5))],
+                        {"other": 1})
         assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
         back, _ = read_stack(path)
         assert back.digest_verified and np.array_equal(back.counts, old.counts)
@@ -252,7 +266,8 @@ class TestStackErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(StackFormatError, match="unknown frame kind"):
             write_stack(tmp_path / "x.tbs",
-                        [Stack(np.ones((2, 5, 6)), kind="dark")], {})
+                        [Stack(np.ones((2, 5, 6), np.uint32), kind="dark")],
+                        {})
         assert not sidecar_path(tmp_path / "x.tbs").exists()
 
     @pytest.mark.parametrize("field_offset", [8, 12, 16])  # rows, cols, count
@@ -324,7 +339,7 @@ class TestBoxRead:
             self, tmp_path_factory, data, rows, cols, count, seed):
         rng = np.random.default_rng(seed)
         frames = Stack(rng.integers(0, 2 ** 32, (count, rows, cols),
-                                    dtype=np.uint64).astype(float))
+                                    dtype=np.uint64).astype(np.uint32))
         path = tmp_path_factory.mktemp("box") / "stack.tbs"
         write_stack(path, [frames], a_config_doc())
         r0 = data.draw(st.integers(0, rows - 1))

@@ -1,9 +1,9 @@
 """Estimators against their reference implementations.
 
 The vectorised stack estimators are checked against per-frame loops.
-Every stack case is fed both as float64 counts (what the simulator
-renders) and as the read-only ``<u4`` view ``read_stack`` returns, so an
-unsigned difference that wraps around would show up as a mismatch.  The
+Every stack case is fed as the read-only ``<u4`` view ``read_stack``
+returns, so an unsigned difference that wraps around would show up as a
+mismatch.  The
 analytic delta method is checked against the central-difference gradient
 of the raw-moment formulas.  The chunked cosmic-ray filter is checked
 against the former whole-stack filter, with the per-pixel shot-noise
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twincal import estimate
-from twincal.errors import DegenerateDataError
+from twincal.errors import DegenerateDataError, StackFormatError
 from twincal.estimate import (
     _median_rows,
     anchored_region,
@@ -44,16 +44,17 @@ from twincal.simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
     generate_stack,
-    inject_cosmic_ray,
 )
 
 import reference_estimators as ref
+from test_simulate import REFUSED_DTYPES, inject_cosmic_ray, refused_counts
 
 
 def as_inputs(counts):
-    """The same counts as float64 and as a read-only little-endian u32 view."""
+    """The counts as the stack inputs to test: a read-only little-endian
+    u32 view."""
     u4 = np.frombuffer(counts.astype("<u4").tobytes(), dtype="<u4")
-    return counts.astype(np.float64), u4.reshape(counts.shape)
+    return (u4.reshape(counts.shape),)
 
 
 @st.composite
@@ -179,14 +180,13 @@ def test_spatial_map_matches_whole_stack_kernel_bit_for_bit(case, tile):
             assert got.curvature == want.curvature
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_spatial_map_non_finite_counts_raise(value):
+@pytest.mark.parametrize("dtype", REFUSED_DTYPES)
+def test_spatial_map_refuses_counts_other_than_u32(dtype):
     geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
     region = Region((1, 1), (2, 2))
-    counts = np.full((5, 4, 8), 9.0)
-    counts[3, 1, 2] = value
-    with pytest.raises(DegenerateDataError):
-        sigma_spatial_map(counts, region, geometry, (1, 0))
+    with pytest.raises(StackFormatError, match="<u4"):
+        sigma_spatial_map(refused_counts(dtype, (5, 4, 8)), region, geometry,
+                          (1, 0))
 
 def test_all_zero_region_pair_is_degenerate():
     geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
@@ -203,7 +203,8 @@ def test_all_zero_region_pair_is_degenerate():
 def test_empty_stack_is_degenerate():
     geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
     with pytest.raises(DegenerateDataError):
-        sigma_spatial_map(np.zeros((0, 4, 8)), Region((1, 1), (2, 2)),
+        sigma_spatial_map(np.zeros((0, 4, 8), dtype=np.uint32),
+                          Region((1, 1), (2, 2)),
                           geometry, (1, 0))
 
 
@@ -298,7 +299,7 @@ def spiked_stack(n_frames, seed):
     five frames spiked at random pixels."""
     rng = np.random.default_rng(seed)
     gain = rng.normal(1.0, 0.05, (n_frames, 1, 1))
-    counts = rng.poisson(40.0 * gain, (n_frames, 3, 3)).astype(np.float64)
+    counts = rng.poisson(40.0 * gain, (n_frames, 3, 3)).astype(np.uint32)
     for k in rng.choice(n_frames, 5, replace=False):
         counts[k] = inject_cosmic_ray(counts[k], rng)
     return counts
