@@ -16,6 +16,14 @@ Conventions
   dtype with StackFormatError; ``region_sum``, ``build_series`` and
   ``area_scan`` sum any numeric array in float64.  Region blocks are
   cast to float64 before any difference.
+* The spatial map and the cosmic-ray filter share their frame tiles or
+  pixel lane blocks out to one worker per CPU the process may run on
+  (``model._cpu_count``).  Each worker fills its own rows of the map's
+  per-frame table, or its own pixels of the filter's statistics, in
+  buffers of its own; the frame-axis sum and the threshold comparison
+  run in the calling thread.  So every value is the same on any CPU
+  count, and one worker runs in the calling thread without starting a
+  thread.
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DegenerateDataError, DomainError, GeometryError
 from .model import COUNT_DTYPE, FrameGeometry, Region, SIDE_SIGNAL, check_counts
 
@@ -325,14 +334,16 @@ def excess_noise(series: RegionPairSeries, m_tot: int | None = None,
 # Cosmic-ray rejection
 # ---------------------------------------------------------------------------
 
-# The cosmic-ray filter's per-superpixel statistics run over one float64
-# buffer of about this many elements (1 MB), a chunk of pixel lanes at a
-# time, filled from tiles of this many frames.  Measured on u32 stacks of
-# 4000 x 13 x 30 and 1000 x 48 x 128 counts (2-vCPU Xeon, best of 15):
-# buffers of 2^16 to 2^19 elements time within 10 % of each other, 2^13
-# is 1.6-1.9x and 2^21 1.3x slower; 64- and 128-frame tiles are fastest,
-# 16-frame tiles 1.3x slower on the long stack and 256-frame tiles 1.2x
-# slower on the wide one.
+# The cosmic-ray filter's per-superpixel statistics run over float64
+# lane buffers of about this many elements (1 MB) in all, split evenly
+# between the workers, each filling its buffer with a chunk of pixel
+# lanes at a time.  Measured on the u32 boxes of 4000 x 13 x 30 and
+# 1000 x 48 x 128 counts that ``calibrate`` reads (2-vCPU Xeon, 21
+# interleaved rounds, medians): budgets of 2^16 to 2^18 elements time
+# within 13 % of each other pooled and within 19 % on one CPU, inside
+# the rounds' spread; with one buffer, 2^13 was 1.6-1.9x and 2^21 1.3x
+# slower.  A lane block is filled in one transposed copy.  The
+# threshold comparison reads tiles of this many frames.
 _FILTER_CHUNK_ELEMENTS = 1 << 17
 _FILTER_TILE_FRAMES = 64
 
@@ -352,6 +363,27 @@ def _median_rows(rows: np.ndarray) -> np.ndarray:
     if n % 2:
         return upper
     return (rows[:, :h].max(axis=1) + upper) / 2.0
+
+
+def _filter_lanes(jobs, size: int) -> None:
+    """Fill the median and scale of every lane block of ``jobs``, through
+    one float64 buffer of ``size`` elements of this worker's own.
+
+    A job is (pixels, median, scale, out): the (frames, k, m) pixels of a
+    lane block, their region's (rows, cols) median and unscaled MAD
+    arrays, and the block's slice of those.
+    """
+    buffer = np.empty(size)
+    for pixels, median, scale, out in jobs:
+        n, k, m = pixels.shape
+        lanes = buffer[:k * m * n].reshape(k, m, n)
+        np.copyto(lanes, pixels.transpose(1, 2, 0))
+        lanes = lanes.reshape(k * m, n)
+        med = _median_rows(lanes)
+        lanes -= med[:, None]
+        np.abs(lanes, out=lanes)
+        median[out] = med.reshape(k, m)
+        scale[out] = _median_rows(lanes).reshape(k, m)
 
 
 def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
@@ -375,8 +407,13 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array; any other
     dtype raises StackFormatError, and a region leaving the frame
-    GeometryError.  The counts are compared with the thresholds in their
-    own type, with the same result as the float64 comparison.  Returns
+    GeometryError, before any worker starts.  The medians and MADs are
+    taken a block of pixel lanes at a time, the blocks shared out between
+    one worker per CPU; the workers split one float64 lane budget
+    (``_FILTER_CHUNK_ELEMENTS``, 1 MiB), so their buffers together take
+    no more memory than one worker's would.  The counts are compared
+    with the thresholds in their own type, in the calling thread, with
+    the same result as the float64 comparison.  Returns
     the kept frame indices as an array, for ``frames[kept]`` or
     ``build_series``, and the discarded frame indices as a list; no frame
     is copied.
@@ -390,35 +427,29 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         raise DomainError("no region to filter")
     for region in regions:
         _check_in_frame(region, frames.shape[1:])
-    tile = _FILTER_TILE_FRAMES
-    chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
-    # One lane block of a region's pixels at a time, whole rows of it or
-    # part of one row: the median, then the absolute deviations in place
-    # and their median.  Each lane is independent, so chunking changes no
-    # value.
-    buffer = np.empty(min(chunk, max(r.area for r in regions)) * n)
-    thresholds = []  # (region block, its thresholds)
+    # Lane blocks of a region's pixels, whole rows of it or part of one
+    # row, shared out between the workers; each worker takes the median,
+    # then the absolute deviations in place and their median, of one
+    # block at a time.  Each lane is independent, so neither the chunking
+    # nor the worker count changes a value.
+    cpus = model._cpu_count()
+    chunk = max(1, _FILTER_CHUNK_ELEMENTS // (cpus * n))
+    stats, jobs = [], []  # (region block, median, scale); lane blocks
     for region in regions:
         block = frames[:, region.row_slice, region.col_slice]
         h, w = region.extent
-        median = np.empty((h, w))
-        scale = np.empty((h, w))
+        median, scale = np.empty((h, w)), np.empty((h, w))
+        stats.append((block, median, scale))
         step_r, step_c = max(1, chunk // w), min(w, chunk)
-        for r in range(0, h, step_r):
-            for c in range(0, w, step_c):
-                pixels = block[:, r:r + step_r, c:c + step_c]
-                out = np.s_[r:r + step_r, c:c + step_c]
-                k, m = pixels.shape[1:]
-                lanes = buffer[:k * m * n].reshape(k, m, n)
-                for f in range(0, n, tile):
-                    lanes[..., f:f + tile] = \
-                        pixels[f:f + tile].transpose(1, 2, 0)
-                lanes = lanes.reshape(k * m, n)
-                med = _median_rows(lanes)
-                lanes -= med[:, None]
-                np.abs(lanes, out=lanes)
-                median[out] = med.reshape(k, m)
-                scale[out] = _median_rows(lanes).reshape(k, m)
+        jobs += [(block[:, r:r + step_r, c:c + step_c], median, scale,
+                  np.s_[r:r + step_r, c:c + step_c])
+                 for r in range(0, h, step_r) for c in range(0, w, step_c)]
+    workers = min(cpus, len(jobs))
+    size = min(chunk, max(r.area for r in regions)) * n
+    model._run_workers(
+        lambda k: _filter_lanes(jobs[k::workers], size), workers)
+    thresholds = []  # (region block, its thresholds)
+    for block, median, scale in stats:
         scale *= 1.4826
         floor = np.sqrt(np.maximum(median, 1.0))
         threshold = median + mad_k * np.maximum(scale, floor)
@@ -428,6 +459,7 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
         thresholds.append((block, threshold.astype(COUNT_DTYPE)))
     # Compared a tile of frames at a time: no stack-sized mask is made.
+    tile = _FILTER_TILE_FRAMES
     bad = np.zeros(n, dtype=bool)
     for f in range(0, n, tile):
         for block, threshold in thresholds:
@@ -440,77 +472,40 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
 # Symmetry-centre search
 # ---------------------------------------------------------------------------
 
-# The spatial map reads tiles of as many frames as keep the tile's
-# float64 search window within this many elements; with its summed-area
-# table, signal block and deviations the tile takes at most about 1 MB.
-# Measured on the u32 pdc stacks of 4000 x 13 x 30 counts (region 5 x 8)
-# and 1000 x 48 x 128 counts (region 20 x 32), both with a +-3 search
-# (2-vCPU Xeon, four interleaved sweeps, best of 15-41): 2^15 and 2^16
-# time within 12 % of each other; 2^14 is 1.1-1.3x and 2^13 1.5x slower,
-# and the filter's 2^17 is 1.2x slower on the wide frames in three sweeps
-# of four.
-_SPATIAL_TILE_ELEMENTS = 1 << 15
-
-@dataclass
-class SpatialMapResult:
-    """Spatial noise-reduction map over candidate idler displacements."""
-
-    values: np.ndarray          # (2*er+1, 2*ec+1) map of sigma_spatial
-    row_offsets: np.ndarray     # displacement labels of the map rows
-    col_offsets: np.ndarray     # displacement labels of the map columns
-    argmin: tuple[int, int]     # displacement minimising the map
-    min_value: float            # map value at the argmin
-    ties: list[tuple[int, int]]
-    curvature: float | None     # discrete Laplacian at the argmin, if interior
+# The spatial map's workers read tiles of as many frames as keep their
+# float64 search windows within this many elements in all: on W CPUs
+# each worker's window holds 1/W of it.  With its summed-area table,
+# signal block and deviations a worker's tile takes at most about 3.5x its
+# window's bytes.  Measured on the u32 pdc boxes of 4000 x 13 x 30
+# counts (region 5 x 8) and 1000 x 48 x 128 counts (region 20 x 32),
+# both with a +-3 search (2-vCPU Xeon, 21 interleaved rounds, medians):
+# on two workers, budgets of 2^17 and 2^18 time within 4 % of each
+# other and 2^19 5-17 % slower, while 2^16 is 1.3-1.6x and 2^15
+# 2.3-2.7x slower, as the workers then hand the interpreter lock back
+# and forth between many short numpy calls; on one CPU, 2^16 and 2^17
+# time within 4 % of each other, 2^15 up to 15 % and 2^18 1.2-1.3x
+# slower.
+_SPATIAL_TILE_ELEMENTS = 1 << 17
 
 
-def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
-                      search_extent: tuple[int, int] = (3, 3)) -> SpatialMapResult:
-    """Map the pairwise spatial noise reduction over idler displacements.
-
-    For each candidate displacement xi the idler region is the conjugate
-    of ``region_s`` shifted by xi; together they fill
-    ``geometry.search_window(region_s, search_extent)``, so the map reads
-    that window and ``region_s`` alone.  Within one frame the statistic
-    is the population variance of the conjugated-pair differences
-    normalised by the mean pair sum; frames are then averaged.
-    Correlated displacements produce a dip, uncorrelated ones a plateau
-    near 1 + excess noise.
-
-    ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
-    dtype raises StackFormatError), read a tile of frames at a time:
-    beyond one (frames, displacements) table of per-frame values, the
-    working memory is bounded by one tile.  The pair sums come from a
-    summed-area table and the variance repeats ``np.var``'s arithmetic,
-    so while region sums stay exact in float64 (below 2**53, so for any
-    region of up to 2**21 superpixels) the map is bit-identical to one
-    whole-stack ``np.var`` per displacement.
-    """
-    check_counts(frames)
-    if region_s.side != SIDE_SIGNAL:
-        raise GeometryError("region_s must lie on the signal half")
-    geometry.validate_region(region_s)
-    # Every candidate region is valid, before any data is touched, when
-    # the search window holding them all is.
-    window = geometry.search_window(region_s, search_extent)
-    er, ec = search_extent
-    shifts = [(dr, dc) for dr in range(-er, er + 1) for dc in range(-ec, ec + 1)]
+def _map_tiles(frames, region_s: Region, window: Region,
+               search_extent: tuple[int, int], shifts, per_frame: np.ndarray,
+               starts, tile: int) -> None:
+    """Fill the rows of ``per_frame`` of the tiles of ``tile`` frames that
+    begin at ``starts``, in tile buffers of this worker's own: row f,
+    column k holds frame f's value at displacement ``shifts[k]``."""
     n = len(frames)
-    if n == 0:
-        raise DegenerateDataError("no frames supplied")
-
+    er, ec = search_extent
+    h, w = region_s.extent
+    rows, cols = window.extent
     # Conjugate pairing reverses both axes of an idler block, so in the
     # search window flipped on both axes the block of shift (dr, dc) is
     # the forward slice at (er - dr, ec - dc).
-    h, w = region_s.extent
-    rows, cols = window.extent
-    tile = max(1, _SPATIAL_TILE_ELEMENTS // (rows * cols))
     sig = np.empty((min(tile, n), h, w))
     flipped = np.empty((len(sig), rows, cols))
     sat = np.zeros((len(sig), rows + 1, cols + 1))
     dev = np.empty((len(sig), h * w))
-    per_frame = np.empty((n, len(shifts)))
-    for f in range(0, n, tile):
+    for f in starts:
         g = min(f + tile, n)
         s, win, table, d = sig[:g - f], flipped[:g - f], sat[:g - f], dev[:g - f]
         np.copyto(s, frames[f:g, region_s.row_slice, region_s.col_slice])
@@ -542,6 +537,71 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
         out /= h * w
         out *= h * w
         out /= denom
+
+
+@dataclass
+class SpatialMapResult:
+    """Spatial noise-reduction map over candidate idler displacements."""
+
+    values: np.ndarray          # (2*er+1, 2*ec+1) map of sigma_spatial
+    row_offsets: np.ndarray     # displacement labels of the map rows
+    col_offsets: np.ndarray     # displacement labels of the map columns
+    argmin: tuple[int, int]     # displacement minimising the map
+    min_value: float            # map value at the argmin
+    ties: list[tuple[int, int]]
+    curvature: float | None     # discrete Laplacian at the argmin, if interior
+
+
+def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
+                      search_extent: tuple[int, int] = (3, 3)) -> SpatialMapResult:
+    """Map the pairwise spatial noise reduction over idler displacements.
+
+    For each candidate displacement xi the idler region is the conjugate
+    of ``region_s`` shifted by xi; together they fill
+    ``geometry.search_window(region_s, search_extent)``, so the map reads
+    that window and ``region_s`` alone.  Within one frame the statistic
+    is the population variance of the conjugated-pair differences
+    normalised by the mean pair sum; frames are then averaged.
+    Correlated displacements produce a dip, uncorrelated ones a plateau
+    near 1 + excess noise.
+
+    ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
+    dtype raises StackFormatError), read a tile of frames at a time.
+    The tiles are shared out between one worker per CPU, each filling
+    its own rows of one (frames, displacements) table of per-frame
+    values in tile buffers of its own.  The workers' tiles split one
+    budget (``_SPATIAL_TILE_ELEMENTS``), so beyond the table the working
+    memory is one budget's worth of tiles on any CPU count (3.5 MB on a
+    26 x 38 search window).  An empty region pair raises
+    DegenerateDataError from whichever worker meets it.  The frame-axis
+    mean of the table is taken in the calling thread.  The pair sums
+    come from a summed-area table and the variance repeats ``np.var``'s
+    arithmetic, so while region sums stay exact in float64 (below 2**53,
+    so for any region of up to 2**21 superpixels) the map is
+    bit-identical to one whole-stack ``np.var`` per displacement, on
+    any CPU count.
+    """
+    check_counts(frames)
+    if region_s.side != SIDE_SIGNAL:
+        raise GeometryError("region_s must lie on the signal half")
+    geometry.validate_region(region_s)
+    # Every candidate region is valid, before any data is touched, when
+    # the search window holding them all is.
+    window = geometry.search_window(region_s, search_extent)
+    er, ec = search_extent
+    shifts = [(dr, dc) for dr in range(-er, er + 1) for dc in range(-ec, ec + 1)]
+    n = len(frames)
+    if n == 0:
+        raise DegenerateDataError("no frames supplied")
+
+    cpus = model._cpu_count()
+    tile = max(1, _SPATIAL_TILE_ELEMENTS // (cpus * window.area))
+    starts = range(0, n, tile)
+    workers = min(cpus, len(starts))
+    per_frame = np.empty((n, len(shifts)))
+    model._run_workers(
+        lambda k: _map_tiles(frames, region_s, window, search_extent, shifts,
+                             per_frame, starts[k::workers], tile), workers)
     # One sum down the frame axis of the whole table: with more than one
     # displacement it adds the frames in order, as a running per-shift
     # total would; with one it sums the column pairwise.

@@ -101,13 +101,13 @@ def write_stack(path, blocks, config: dict) -> None:
 
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
     as ``[stack]`` or the blocks of ``iter_stack``, written one at a time
-    as they are.  A block whose counts are not ``COUNT_DTYPE``, as after
-    a reassignment of ``stack.counts``, raises StackFormatError; only the
-    dtype is checked, never the values.  Both files are written under
-    temporary names in the target directory and renamed over ``path``
-    and its sidecar only once the header is packed: a failed write
-    removes its temporary files and leaves whatever was at ``path``
-    untouched.
+    as they are.  A block whose counts are not a 3-D ``COUNT_DTYPE``
+    array, as after a reassignment of ``stack.counts``, raises
+    StackFormatError; only the dtype and shape are checked, never the
+    values.  Both files are written under temporary names in the target
+    directory and renamed over ``path`` and its sidecar only once the
+    header is packed: a failed write removes its temporary files and
+    leaves whatever was at ``path`` untouched.
     """
     path = Path(path)
     side = sidecar_path(path)
@@ -133,6 +133,9 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
     for stack in blocks:
         counts = stack.counts
         check_counts(counts)
+        if counts.ndim != 3:
+            raise StackFormatError("block counts must have shape (frames, "
+                                   f"rows, cols), not {counts.shape}")
         layout = layout or (stack.kind, counts.shape[1:])
         if (stack.kind, counts.shape[1:]) != layout:
             raise StackFormatError("blocks disagree on kind or frame shape")

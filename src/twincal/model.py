@@ -12,6 +12,7 @@ converge to and what the estimators invert.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,38 @@ def check_counts(counts) -> None:
     if not (isinstance(counts, np.ndarray) and dtype == COUNT_DTYPE):
         raise StackFormatError(f"frame counts must be {COUNT_DTYPE.str}, "
                                f"not {dtype}")
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on: the thread count of every
+    pooled stage (rendering, the spatial map, the cosmic-ray filter)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int) -> None:
+    """Call ``work(k)`` for every k in range(workers) and return when all
+    have returned.
+
+    ``work(0)`` runs in the calling thread and the others on a pool of
+    ``workers - 1`` threads, so one worker starts no thread.  An
+    exception raised by a worker is re-raised as it is, once every
+    worker has stopped.
+    """
+    if workers == 1:
+        work(0)
+        return
+    # Imported here, as in ``simulate.iter_stack``: commands that never
+    # pool do not pay the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(work, k) for k in range(1, workers)]
+        work(0)
+        for future in futures:
+            future.result()
 
 
 # ---------------------------------------------------------------------------

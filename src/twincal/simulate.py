@@ -30,12 +30,12 @@ CPUs there are.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DomainError, StackFormatError
 from .model import (
     COUNT_DTYPE,
@@ -340,14 +340,6 @@ def render_frame(cfg: ExperimentConfig, pulse_index: int,
                  pulse_energy=energy[k:k + 1].copy())
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
     """Yield ``count`` frames as one u32 Stack per RNG block, in block order.
 
@@ -373,7 +365,7 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
         raise DomainError("count must be >= 1")
     shape = cfg.geometry.shape
     n_blocks = -(-count // _BLOCK_FRAMES)
-    cpus = _cpu_count()
+    cpus = model._cpu_count()
     block_bytes = 8 * _BLOCK_FRAMES * math.prod(shape)
     per_task = max(1, min(_TASK_BYTES // block_bytes, n_blocks // cpus))
     tasks = [range(b, min(b + per_task, n_blocks))

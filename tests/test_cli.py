@@ -12,7 +12,7 @@ from twincal.cli import main
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
 from twincal.simulate import generate_stack
-from twincal import estimate, presets, simulate
+from twincal import estimate, model, presets, simulate
 from twincal import io as tio
 
 from test_simulate import make_config
@@ -227,6 +227,25 @@ def test_background_losing_its_frames_is_an_error(run_dir, capsys, spiked):
     assert not (out / "calibration.csv").exists()
 
 
+def test_empty_pair_on_a_second_worker_exits_5(run_dir, capsys, monkeypatch):
+    # one-frame map tiles on two workers: frame 3 is the second worker's
+    tmp_path, config = run_dir
+    cfg, params = load_run_config(config)
+    stack = generate_stack(cfg, 6)
+    stack.counts[3] = 0
+    tio.write_stack(tmp_path / "pdc.tbs", [stack],
+                    tio.run_config_to_dict(cfg, params))
+    monkeypatch.setattr(model, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", 1)
+    assert main(["find-cs", "--config", str(config), "--out",
+                 str(tmp_path / "out"), "--stack", str(tmp_path / "pdc.tbs"),
+                 "--quiet"]) == 5
+    err = capsys.readouterr().err
+    assert "error[DegenerateDataError]" in err
+    assert "empty region pair in spatial map" in err
+    assert not (tmp_path / "out" / "cs_map.csv").exists()
+
+
 def test_reproduce_table1_builds_one_series(tmp_path, monkeypatch):
     from twincal import estimate
     calls = []
@@ -386,7 +405,7 @@ def test_simulate_memory_does_not_grow_with_frame_count(tmp_path,
                                                         monkeypatch):
     # blocks go to the file as they are rendered: 4x the frames take no
     # more than one more block of memory
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(model, "_cpu_count", lambda: 2)
     peaks = []
     for z in (4, 16):  # 256 and 1024 frames per stack
         _, _, config = large_frames(tmp_path, 81, z, 64)

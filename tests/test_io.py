@@ -226,6 +226,17 @@ class TestStackErrors:
             write_stack(tmp_path / "x.tbs", [frame], {})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5, 6)])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_counts_that_are_not_3d_are_refused(self, tmp_path, shape, first):
+        # a u32 array of the wrong rank, alone or after a good block
+        blocks = [reassigned(np.zeros(shape, np.uint32))]
+        if not first:
+            blocks.insert(0, Stack(np.ones((3, 5, 6), np.uint32)))
+        with pytest.raises(StackFormatError, match=r"\(frames, rows, cols\)"):
+            write_stack(tmp_path / "x.tbs", blocks, a_config_doc())
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_stack_rejected(self, tmp_path):
         for blocks in ([Stack(np.zeros((0, 2, 2), dtype=np.uint32))], []):
             with pytest.raises(StackFormatError):

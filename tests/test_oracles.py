@@ -14,6 +14,8 @@ former whole-stack map.
 """
 
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twincal import estimate
-from twincal.errors import DegenerateDataError, StackFormatError
+from twincal import estimate, model
+from twincal.errors import DegenerateDataError, DomainError, StackFormatError
 from twincal.estimate import (
     _median_rows,
     anchored_region,
@@ -44,6 +46,7 @@ from twincal.simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
     generate_stack,
+    iter_stack,
 )
 
 import reference_estimators as ref
@@ -394,3 +397,181 @@ def test_cosmic_ray_filter_drops_exactly_the_analysed_hits(
                                      ).tolist()
     assert dropped  # there were hits to find
     assert (struck & ~analysed)[kept].any()  # and hits to keep
+
+
+# ---------------------------------------------------------------------------
+# Worker counts
+# ---------------------------------------------------------------------------
+
+MAP_GEOMETRY = FrameGeometry(rows=13, cols=30, cs=(6.0, 14.5), beam_split=15)
+MAP_REGION = Region((4, 3), (5, 8))
+MAP_WINDOW = MAP_GEOMETRY.search_window(MAP_REGION, (3, 3))
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(model, "_cpu_count", lambda: workers)
+
+
+def record_threads(monkeypatch, worker):
+    """Patch the private worker ``estimate.<worker>`` to record the thread
+    of every call, and of every call that raised."""
+    calls, raised = [], []
+    original = getattr(estimate, worker)
+
+    def recorded(*args):
+        calls.append(threading.get_ident())
+        try:
+            return original(*args)
+        except Exception:
+            raised.append(threading.get_ident())
+            raise
+
+    monkeypatch.setattr(estimate, worker, recorded)
+    return calls, raised
+
+
+def gained_counts(n_frames, shape, seed):
+    """Poisson counts with a common gain per frame, as u32."""
+    rng = np.random.default_rng(seed)
+    gain = rng.normal(1.0, 0.1, (n_frames, 1, 1))
+    return rng.poisson(40.0 * gain, (n_frames,) + shape).astype(np.uint32)
+
+
+@pytest.mark.parametrize("tile", [7, None], ids=["tile7", "default-tile"])
+@pytest.mark.parametrize("tiles, extra", [(0, 1), (1, -1), (1, 1), (3, 5)],
+                         ids=["1", "tile-1", "tile+1", "3tile+5"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_spatial_map_is_bit_identical_on_any_worker_count(
+        monkeypatch, workers, tiles, extra, tile):
+    # frame counts that leave a partial last tile; every worker count
+    # must give the whole-stack kernel's values, with one call per
+    # worker, the first one on the calling thread
+    force_workers(monkeypatch, workers)
+    if tile is None:
+        tile = estimate._SPATIAL_TILE_ELEMENTS // (workers * MAP_WINDOW.area)
+    else:
+        monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS",
+                            tile * workers * MAP_WINDOW.area)
+    n_frames = tiles * tile + extra
+    counts = gained_counts(n_frames, MAP_GEOMETRY.shape, n_frames)
+    want = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
+                                 MAP_GEOMETRY, (3, 3))
+    threads, _ = record_threads(monkeypatch, "_map_tiles")
+    got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert np.array_equal(got.values, want.values)
+    assert got.argmin == want.argmin and got.ties == want.ties
+    assert len(threads) == min(workers, -(-n_frames // tile))
+    assert threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("chunk_pixels", [3, None])
+@pytest.mark.parametrize("n_frames", [150, 151])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_cosmic_ray_filter_is_identical_on_any_worker_count(
+        monkeypatch, workers, n_frames, chunk_pixels):
+    # a region 2 pixels wide, narrower than a 3-lane chunk, and one 7
+    # pixels wide, split within its rows; with mad_k = 2 a wrong median
+    # or scale at any pixel changes the dropped frames
+    force_workers(monkeypatch, workers)
+    if chunk_pixels is not None:
+        monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
+                            chunk_pixels * workers * n_frames)
+    counts = gained_counts(n_frames, (6, 9), workers)
+    rng = np.random.default_rng(n_frames)
+    for k in rng.choice(n_frames, 5, replace=False):
+        counts[k] = inject_cosmic_ray(counts[k], rng)
+    regions = [Region((0, 0), (4, 2)), Region((1, 2), (5, 7))]
+    mask = np.zeros((6, 9), dtype=bool)
+    for region in regions:
+        mask[region.row_slice, region.col_slice] = True
+    want_kept, want_dropped = ref.cosmic_ray_filter(counts, 2.0, mask)
+    threads, _ = record_threads(monkeypatch, "_filter_lanes")
+    kept, dropped = cosmic_ray_filter(counts, 2.0, regions=regions)
+    assert dropped == want_dropped and len(dropped) >= 5
+    assert np.array_equal(counts[kept], want_kept)
+    chunks = 4 + 5 * 3 if chunk_pixels else 2  # lane blocks of both regions
+    assert len(threads) == min(workers, chunks)
+    assert threading.get_ident() in threads
+
+
+def test_degenerate_tile_of_a_second_worker_raises_unwrapped(monkeypatch):
+    # one-frame tiles on two workers: frame 3 is the second worker's, and
+    # its empty region pair raises there, as itself
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", 1)
+    counts = gained_counts(6, MAP_GEOMETRY.shape, 1)
+    counts[3] = 0
+    _, raised = record_threads(monkeypatch, "_map_tiles")
+    with pytest.raises(DegenerateDataError) as info:
+        sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert info.type is DegenerateDataError
+    assert str(info.value) == "empty region pair in spatial map"
+    assert len(raised) == 1 and raised[0] != threading.get_ident()
+
+
+def test_refusals_and_single_workers_start_no_thread(monkeypatch):
+    # a refused input raises before any thread starts; one CPU, one tile
+    # or one lane block runs its worker in the calling thread
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    force_workers(monkeypatch, 4)
+    floats = gained_counts(20, MAP_GEOMETRY.shape, 2).astype(np.float64)
+    with pytest.raises(StackFormatError, match="<u4"):
+        sigma_spatial_map(floats, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    with pytest.raises(StackFormatError, match="<u4"):
+        cosmic_ray_filter(floats, regions=[MAP_REGION])
+    with pytest.raises(DegenerateDataError, match="no frames supplied"):
+        sigma_spatial_map(np.zeros((0, 13, 30), np.uint32), MAP_REGION,
+                          MAP_GEOMETRY, (3, 3))
+    with pytest.raises(DomainError, match="count must be >= 1"):
+        next(iter_stack(reference_experiment(1), 0))
+    counts = gained_counts(20, MAP_GEOMETRY.shape, 3)
+    one_pixel = [Region((0, 0), (1, 1))]
+    cosmic_ray_filter(counts, regions=one_pixel)  # one lane block
+    sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))  # one tile
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", MAP_WINDOW.area)
+    monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 20)
+    want = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
+                                 MAP_GEOMETRY, (3, 3))
+    got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert np.array_equal(got.values, want.values)  # 20 one-frame tiles
+    cosmic_ray_filter(counts, regions=[MAP_WINDOW])  # 154 lane blocks
+
+
+def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
+    # eight workers share the map's per-frame table and the filter's
+    # median and scale arrays; a worker writing outside its rows or pixels
+    # would change a value
+    force_workers(monkeypatch, 8)
+    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS",
+                        3 * 8 * MAP_WINDOW.area)
+    monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 2 * 8 * 301)
+    counts = gained_counts(301, MAP_GEOMETRY.shape, 8)
+    want_map = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
+                                     MAP_GEOMETRY, (3, 3))
+    mask = np.zeros(MAP_GEOMETRY.shape, dtype=bool)
+    mask[MAP_WINDOW.row_slice, MAP_WINDOW.col_slice] = True
+    want_dropped = ref.cosmic_ray_filter(counts, 2.0, mask)[1]
+    results = []
+
+    def run():
+        for _ in range(5):
+            results.append((
+                sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3)),
+                cosmic_ray_filter(counts, 2.0, regions=[MAP_WINDOW])[1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(results) == 5
+    for got_map, got_dropped in results:
+        assert np.array_equal(got_map.values, want_map.values)
+        assert got_dropped == want_dropped

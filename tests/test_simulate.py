@@ -24,7 +24,7 @@ from twincal.model import (
     predict_covariance,
     predict_variance,
 )
-from twincal import simulate
+from twincal import model, simulate
 from twincal.simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
@@ -303,7 +303,7 @@ def concurrent_config(**kwargs):
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(model, "_cpu_count", lambda: workers)
 
 
 class TestConcurrentRendering:
