@@ -13,17 +13,17 @@ Conventions
   are returned as-is (clamping would bias the efficiency upward).
 * Frame stacks are (frames, rows, cols) arrays of ``COUNT_DTYPE`` (u32)
   counts.  The cosmic-ray filter and the spatial map refuse any other
-  dtype with StackFormatError; ``region_sum``, ``build_series`` and
-  ``area_scan`` sum any numeric array in float64.  Region blocks are
-  cast to float64 before any difference.
-* The spatial map and the cosmic-ray filter share their frame tiles or
+  dtype or shape with StackFormatError; ``region_sum``,
+  ``build_series`` and ``area_scan`` sum any numeric array in float64.
+  Region blocks are cast to float64 before any difference.
+* The spatial map and the cosmic-ray filter deal their frame tiles or
   pixel lane blocks out to one worker per CPU the process may run on
-  (``model._cpu_count``).  Each worker fills its own rows of the map's
-  per-frame table, or its own pixels of the filter's statistics, in
-  buffers of its own; the frame-axis sum and the threshold comparison
-  run in the calling thread.  So every value is the same on any CPU
-  count, and one worker runs in the calling thread without starting a
-  thread.
+  (``model._run_workers``).  Each worker fills its own rows of the
+  map's per-frame table, or flags the frames its own lane blocks
+  reject, in buffers of its own; the map's frame-axis sum and the OR
+  of the filter's flags run in the calling thread.  So every value is
+  the same on any CPU count, and one worker runs in the calling thread
+  without starting a thread.
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
@@ -342,10 +342,10 @@ def excess_noise(series: RegionPairSeries, m_tot: int | None = None,
 # interleaved rounds, medians): budgets of 2^16 to 2^18 elements time
 # within 13 % of each other pooled and within 19 % on one CPU, inside
 # the rounds' spread; with one buffer, 2^13 was 1.6-1.9x and 2^21 1.3x
-# slower.  A lane block is filled in one transposed copy.  The
-# threshold comparison reads tiles of this many frames.
+# slower.  A lane block is filled in one transposed copy and compared
+# with its thresholds in one pass, by the worker that took its
+# statistics.
 _FILTER_CHUNK_ELEMENTS = 1 << 17
-_FILTER_TILE_FRAMES = 64
 
 
 def _median_rows(rows: np.ndarray) -> np.ndarray:
@@ -365,25 +365,34 @@ def _median_rows(rows: np.ndarray) -> np.ndarray:
     return (rows[:, :h].max(axis=1) + upper) / 2.0
 
 
-def _filter_lanes(jobs, size: int) -> None:
-    """Fill the median and scale of every lane block of ``jobs``, through
-    one float64 buffer of ``size`` elements of this worker's own.
+def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
+    """Flag the frames any lane block of ``blocks`` rejects, through one
+    float64 buffer of ``size`` elements of this worker's own.
 
-    A job is (pixels, median, scale, out): the (frames, k, m) pixels of a
-    lane block, their region's (rows, cols) median and unscaled MAD
-    arrays, and the block's slice of those.
+    A block is the (n, k, m) u32 view of k x m pixels of a region.  Each
+    pixel's median and unscaled MAD are taken in the buffer, and its
+    threshold formed from them; returns the n frame flags.
     """
     buffer = np.empty(size)
-    for pixels, median, scale, out in jobs:
-        n, k, m = pixels.shape
+    bad = np.zeros(n, dtype=bool)
+    for pixels in blocks:
+        _, k, m = pixels.shape
         lanes = buffer[:k * m * n].reshape(k, m, n)
         np.copyto(lanes, pixels.transpose(1, 2, 0))
         lanes = lanes.reshape(k * m, n)
-        med = _median_rows(lanes)
-        lanes -= med[:, None]
+        median = _median_rows(lanes)
+        lanes -= median[:, None]
         np.abs(lanes, out=lanes)
-        median[out] = med.reshape(k, m)
-        scale[out] = _median_rows(lanes).reshape(k, m)
+        scale = _median_rows(lanes) * 1.4826
+        floor = np.sqrt(np.maximum(median, 1.0))
+        threshold = median + mad_k * np.maximum(scale, floor)
+        # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
+        # clipped to the largest count, which nothing exceeds: compared in
+        # the count type, no block is converted.
+        threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
+        threshold = threshold.astype(COUNT_DTYPE).reshape(k, m)
+        bad |= np.any(pixels > threshold, axis=(1, 2))
+    return bad
 
 
 def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
@@ -406,15 +415,18 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     escape the filter.
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array; any other
-    dtype raises StackFormatError, and a region leaving the frame
-    GeometryError, before any worker starts.  The medians and MADs are
-    taken a block of pixel lanes at a time, the blocks shared out between
-    one worker per CPU; the workers split one float64 lane budget
-    (``_FILTER_CHUNK_ELEMENTS``, 1 MiB), so their buffers together take
-    no more memory than one worker's would.  The counts are compared
-    with the thresholds in their own type, in the calling thread, with
-    the same result as the float64 comparison.  Returns
-    the kept frame indices as an array, for ``frames[kept]`` or
+    dtype or shape raises StackFormatError, and a region leaving the
+    frame GeometryError, before any worker starts.  The pixels are taken
+    a block of lanes at a time, the blocks dealt out to one worker per
+    CPU; each worker takes a block's medians and MADs, forms its
+    thresholds and compares its counts with them in their own type, with
+    the same result as the float64 comparison, and flags the frames it
+    rejects.  The calling thread ORs the workers' flags.  Per worker the
+    memory is one float64 lane buffer, one comparison mask no larger
+    than its lane block and one flag per frame; the workers split one
+    lane budget (``_FILTER_CHUNK_ELEMENTS``, 1 MiB), so their buffers
+    together take no more memory than one worker's would.  Returns the
+    kept frame indices as an array, for ``frames[kept]`` or
     ``build_series``, and the discarded frame indices as a list; no frame
     is copied.
     """
@@ -428,43 +440,21 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     for region in regions:
         _check_in_frame(region, frames.shape[1:])
     # Lane blocks of a region's pixels, whole rows of it or part of one
-    # row, shared out between the workers; each worker takes the median,
-    # then the absolute deviations in place and their median, of one
-    # block at a time.  Each lane is independent, so neither the chunking
-    # nor the worker count changes a value.
-    cpus = model._cpu_count()
-    chunk = max(1, _FILTER_CHUNK_ELEMENTS // (cpus * n))
-    stats, jobs = [], []  # (region block, median, scale); lane blocks
+    # row, dealt out to the workers; each worker takes the median, then
+    # the absolute deviations in place and their median, and compares
+    # one block at a time.  Each lane is independent, so neither the
+    # chunking nor the worker count changes a value.
+    chunk = max(1, _FILTER_CHUNK_ELEMENTS // (model._cpu_count() * n))
+    blocks = []
     for region in regions:
         block = frames[:, region.row_slice, region.col_slice]
         h, w = region.extent
-        median, scale = np.empty((h, w)), np.empty((h, w))
-        stats.append((block, median, scale))
         step_r, step_c = max(1, chunk // w), min(w, chunk)
-        jobs += [(block[:, r:r + step_r, c:c + step_c], median, scale,
-                  np.s_[r:r + step_r, c:c + step_c])
-                 for r in range(0, h, step_r) for c in range(0, w, step_c)]
-    workers = min(cpus, len(jobs))
+        blocks += [block[:, r:r + step_r, c:c + step_c]
+                   for r in range(0, h, step_r) for c in range(0, w, step_c)]
     size = min(chunk, max(r.area for r in regions)) * n
-    model._run_workers(
-        lambda k: _filter_lanes(jobs[k::workers], size), workers)
-    thresholds = []  # (region block, its thresholds)
-    for block, median, scale in stats:
-        scale *= 1.4826
-        floor = np.sqrt(np.maximum(median, 1.0))
-        threshold = median + mad_k * np.maximum(scale, floor)
-        # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
-        # clipped to the largest count, which nothing exceeds: compared in
-        # the count type, no tile is converted.
-        threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
-        thresholds.append((block, threshold.astype(COUNT_DTYPE)))
-    # Compared a tile of frames at a time: no stack-sized mask is made.
-    tile = _FILTER_TILE_FRAMES
-    bad = np.zeros(n, dtype=bool)
-    for f in range(0, n, tile):
-        for block, threshold in thresholds:
-            bad[f:f + tile] |= np.any(block[f:f + tile] > threshold,
-                                      axis=(1, 2))
+    bad = np.any(model._run_workers(
+        lambda dealt: _filter_lanes(dealt, n, size, mad_k), blocks), axis=0)
     return np.flatnonzero(~bad), np.flatnonzero(bad).tolist()
 
 
@@ -566,8 +556,8 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     near 1 + excess noise.
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
-    dtype raises StackFormatError), read a tile of frames at a time.
-    The tiles are shared out between one worker per CPU, each filling
+    dtype or shape raises StackFormatError), read a tile of frames at a
+    time.  The tiles are dealt out to one worker per CPU, each filling
     its own rows of one (frames, displacements) table of per-frame
     values in tile buffers of its own.  The workers' tiles split one
     budget (``_SPATIAL_TILE_ELEMENTS``), so beyond the table the working
@@ -594,14 +584,12 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     if n == 0:
         raise DegenerateDataError("no frames supplied")
 
-    cpus = model._cpu_count()
-    tile = max(1, _SPATIAL_TILE_ELEMENTS // (cpus * window.area))
-    starts = range(0, n, tile)
-    workers = min(cpus, len(starts))
+    tile = max(1, _SPATIAL_TILE_ELEMENTS // (model._cpu_count() * window.area))
     per_frame = np.empty((n, len(shifts)))
     model._run_workers(
-        lambda k: _map_tiles(frames, region_s, window, search_extent, shifts,
-                             per_frame, starts[k::workers], tile), workers)
+        lambda starts: _map_tiles(frames, region_s, window, search_extent,
+                                  shifts, per_frame, starts, tile),
+        range(0, n, tile))
     # One sum down the frame axis of the whole table: with more than one
     # displacement it adds the frames in order, as a running per-shift
     # total would; with one it sums the column pairwise.

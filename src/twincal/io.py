@@ -133,9 +133,6 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
     for stack in blocks:
         counts = stack.counts
         check_counts(counts)
-        if counts.ndim != 3:
-            raise StackFormatError("block counts must have shape (frames, "
-                                   f"rows, cols), not {counts.shape}")
         layout = layout or (stack.kind, counts.shape[1:])
         if (stack.kind, counts.shape[1:]) != layout:
             raise StackFormatError("blocks disagree on kind or frame shape")

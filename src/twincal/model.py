@@ -31,11 +31,15 @@ COUNT_DTYPE = np.dtype("<u4")
 
 
 def check_counts(counts) -> None:
-    """StackFormatError unless ``counts`` is an array of ``COUNT_DTYPE``."""
+    """StackFormatError unless ``counts`` is a (frames, rows, cols) array
+    of ``COUNT_DTYPE``."""
     dtype = getattr(counts, "dtype", type(counts).__name__)
     if not (isinstance(counts, np.ndarray) and dtype == COUNT_DTYPE):
         raise StackFormatError(f"frame counts must be {COUNT_DTYPE.str}, "
                                f"not {dtype}")
+    if counts.ndim != 3:
+        raise StackFormatError("frame counts must have shape (frames, rows, "
+                               f"cols), not {counts.shape}")
 
 
 def _cpu_count() -> int:
@@ -47,27 +51,27 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_workers(work, workers: int) -> None:
-    """Call ``work(k)`` for every k in range(workers) and return when all
-    have returned.
+def _run_workers(work, jobs) -> list:
+    """Deal ``jobs`` out to W = min(``_cpu_count()``, len(jobs)) workers
+    and return their results in worker order: worker k returns
+    ``work(jobs[k::W])``.
 
-    ``work(0)`` runs in the calling thread and the others on a pool of
-    ``workers - 1`` threads, so one worker starts no thread.  An
-    exception raised by a worker is re-raised as it is, once every
-    worker has stopped.
+    Worker 0 runs in the calling thread and the others on a pool of
+    W - 1 threads, so one worker starts no thread.  An exception raised
+    by a worker is re-raised as it is, once every worker has stopped.
     """
-    if workers == 1:
-        work(0)
-        return
+    workers = min(_cpu_count(), len(jobs))
+    if workers <= 1:
+        return [work(jobs)]
     # Imported here, as in ``simulate.iter_stack``: commands that never
     # pool do not pay the import.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(work, k) for k in range(1, workers)]
-        work(0)
-        for future in futures:
-            future.result()
+        futures = [pool.submit(work, jobs[k::workers])
+                   for k in range(1, workers)]
+        first = work(jobs[::workers])
+        return [first] + [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,11 @@ class Stack:
     """A frame stack as one array: ``counts`` has shape (frames, rows, cols).
 
     ``counts`` holds ``COUNT_DTYPE`` (``<u4``) counts, as every producer
-    of stacks makes them; any other dtype raises StackFormatError.  A
-    stack read with a box holds only that box of each frame: its rows and
-    cols are the box's, and positions in it are frame positions less the
-    box origin (``FrameGeometry.crop``).
+    of stacks makes them; any other dtype or shape raises
+    StackFormatError (``model.check_counts``).  A stack read with a box
+    holds only that box of each frame: its rows and cols are the box's,
+    and positions in it are frame positions less the box origin
+    (``FrameGeometry.crop``).
 
     ``pulse_energy`` holds one relative energy per frame (NaN where it is
     not known, as for stacks read from a file).  ``digest_verified`` is
@@ -158,8 +159,6 @@ class Stack:
 
     def __post_init__(self) -> None:
         check_counts(self.counts)
-        if self.counts.ndim != 3:
-            raise DomainError("stack counts must have shape (frames, rows, cols)")
         if self.pulse_energy is None:
             self.pulse_energy = np.full(len(self.counts), math.nan)
 

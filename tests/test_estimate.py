@@ -418,6 +418,12 @@ class TestCosmicFilter:
         with pytest.raises(StackFormatError, match="<u4"):
             cosmic_ray_filter(frames, regions=whole(frames))
 
+    @pytest.mark.parametrize("shape", [(50, 6), (50, 4, 6, 1)])
+    def test_u32_counts_that_are_not_3d_are_refused(self, shape):
+        with pytest.raises(StackFormatError, match=r"\(frames, rows, cols\)"):
+            cosmic_ray_filter(np.zeros(shape, np.uint32),
+                              regions=[Region((0, 0), (2, 2))])
+
     def test_working_memory_is_bounded(self):
         # spiked frames are dropped and the kept ones come back as indices,
         # so the peak is the filter's own working memory

@@ -6,11 +6,15 @@ moments, plain arithmetic for the multimode identities.  Monte-Carlo
 cross-checks of the same predictors live in test_simulate.py.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twincal import model
 from twincal.errors import DomainError, GeometryError
 from twincal.model import (
     ChannelEfficiencies,
@@ -323,3 +327,72 @@ def test_crop_moves_every_derived_region_by_the_box_origin(
     for extent in ((1, 1), (h, w), (h + 1, max(1, w - 1))):
         assert anchored_region(moved.center, extent) == \
             move(anchored_region(region.center, extent))
+
+
+# ---------------------------------------------------------------------------
+# Worker pool
+# ---------------------------------------------------------------------------
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_run_workers_deals_the_jobs_and_returns_in_worker_order(
+        monkeypatch, cpus):
+    # worker k of W gets jobs[k::W]; the first worker finishes last, and
+    # the results still come back in worker order
+    force_cpus(monkeypatch, cpus)
+    caller = threading.get_ident()
+    for n_jobs in sorted({1, cpus - 1, cpus, 3 * cpus + 1} - {0}):
+        jobs = [f"job {i}" for i in range(n_jobs)]
+        workers = min(cpus, n_jobs)
+
+        def work(dealt):
+            k = jobs.index(dealt[0])
+            time.sleep(0.005 * (workers - 1 - k))
+            return threading.get_ident(), dealt
+
+        results = model._run_workers(work, jobs)
+        assert [dealt for _, dealt in results] == \
+            [jobs[k::workers] for k in range(workers)]
+        threads = [thread for thread, _ in results]
+        assert threads[0] == caller
+        assert caller not in threads[1:]
+
+
+@pytest.mark.parametrize("cpus, n_jobs", [(1, 5), (4, 1)])
+def test_run_workers_on_one_cpu_or_one_job_starts_no_thread(
+        monkeypatch, cpus, n_jobs):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    force_cpus(monkeypatch, cpus)
+    jobs = list(range(n_jobs))
+    assert model._run_workers(lambda dealt: dealt, jobs) == [jobs]
+
+
+def test_run_workers_reraises_a_second_workers_exception_as_itself(
+        monkeypatch):
+    # worker 1 raises on its own thread; the exception comes out as the
+    # same object once worker 2, which is still running, has stopped
+    force_cpus(monkeypatch, 3)
+    caller = threading.get_ident()
+    boom = ValueError("worker 1")
+    raised_on, stopped = [], []
+
+    def work(dealt):
+        if dealt == [1, 4]:
+            raised_on.append(threading.get_ident())
+            raise boom
+        if dealt == [2, 5]:
+            time.sleep(0.05)
+            stopped.append(2)
+        return dealt
+
+    with pytest.raises(ValueError) as info:
+        model._run_workers(work, list(range(6)))
+    assert info.value is boom
+    assert raised_on and raised_on[0] != caller
+    assert stopped == [2]

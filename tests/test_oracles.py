@@ -191,6 +191,15 @@ def test_spatial_map_refuses_counts_other_than_u32(dtype):
         sigma_spatial_map(refused_counts(dtype, (5, 4, 8)), region, geometry,
                           (1, 0))
 
+
+@pytest.mark.parametrize("shape", [(4, 8), (5, 4, 8, 1)])
+def test_spatial_map_refuses_u32_counts_that_are_not_3d(shape):
+    geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
+    region = Region((1, 1), (2, 2))
+    with pytest.raises(StackFormatError, match=r"\(frames, rows, cols\)"):
+        sigma_spatial_map(np.zeros(shape, np.uint32), region, geometry, (1, 0))
+
+
 def test_all_zero_region_pair_is_degenerate():
     geometry = FrameGeometry(rows=4, cols=8, cs=(1.5, 3.5), beam_split=4)
     region = Region((1, 1), (2, 2))
@@ -542,9 +551,9 @@ def test_refusals_and_single_workers_start_no_thread(monkeypatch):
 
 
 def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
-    # eight workers share the map's per-frame table and the filter's
-    # median and scale arrays; a worker writing outside its rows or pixels
-    # would change a value
+    # eight workers share the map's per-frame table and each flags the
+    # frames its own lane blocks reject; a worker writing outside its rows
+    # or reading outside its pixels would change a value
     force_workers(monkeypatch, 8)
     monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS",
                         3 * 8 * MAP_WINDOW.area)

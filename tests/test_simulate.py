@@ -88,6 +88,11 @@ class TestStack:
         with pytest.raises(StackFormatError, match="<u4"):
             Stack(refused_counts(dtype, (3, 4, 6)))
 
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6, 1)])
+    def test_u32_counts_that_are_not_3d_are_refused(self, shape):
+        with pytest.raises(StackFormatError, match=r"\(frames, rows, cols\)"):
+            Stack(np.zeros(shape, np.uint32))
+
     def test_a_list_of_counts_is_refused(self):
         with pytest.raises(StackFormatError):
             Stack([[[1, 2]]])
