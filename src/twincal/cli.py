@@ -56,10 +56,14 @@ def _load_config(args):
     return cfg, params
 
 
-def _read_stack(path, box) -> simulate.Stack:
-    """Read the ``box`` of every frame of a stack file, warning when no
-    sidecar vouched for its config."""
+def _read_stack(path, box, kind) -> simulate.Stack:
+    """Read the ``box`` of every frame of a stack file of ``kind``,
+    warning when no sidecar vouched for its config.  A stack of the other
+    kind is a StackFormatError."""
     stack, _ = io.read_stack(path, box)
+    if stack.kind != kind:
+        raise StackFormatError(f"{path}: header kind {stack.kind!r}, "
+                               f"expected {kind!r}")
     if not stack.digest_verified:
         print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
               "the config digest was not verified", file=sys.stderr)
@@ -142,7 +146,7 @@ def cmd_find_cs(args) -> int:
     box = _hull(_analysed(cfg.geometry, params.region_s,
                           params.cs_search_extent))
     geometry, region_s = cfg.geometry.crop(box, params.region_s)
-    stack = _read_stack(args.stack, box)
+    stack = _read_stack(args.stack, box, simulate.KIND_PDC)
     result = estimate.sigma_spatial_map(stack.counts, region_s, geometry,
                                         params.cs_search_extent)
     io.write_cs_map_csv(out / "cs_map.csv", result)
@@ -164,8 +168,9 @@ def cmd_area_scan(args) -> int:
         regions += [region, cfg.geometry.conjugate_region(region)]
     box = _hull(regions)
     geometry, region_s = cfg.geometry.crop(box, params.region_s)
-    pdc = _read_stack(args.pdc, box).counts
-    bg = _read_stack(args.background, box).counts if args.background else None
+    pdc = _read_stack(args.pdc, box, simulate.KIND_PDC).counts
+    bg = (_read_stack(args.background, box, simulate.KIND_BACKGROUND).counts
+          if args.background else None)
     points = estimate.area_scan(pdc, bg, geometry, region_s.center,
                                 params.areas,
                                 cell_px=cfg.modes.coherence_cell_px,
@@ -175,20 +180,19 @@ def cmd_area_scan(args) -> int:
     return 0
 
 
-def _calibrate(cfg, params, m_tot, pdc, bg, box=None):
+def _calibrate(params, geometry, region_s, m_tot, pdc, bg):
     """Shared calibration chain: filter, locate, batch, estimate.
 
-    ``m_tot`` is the mode count of ``region_s`` (``_region_modes``).  The
-    stacks are (frames, rows, cols) count arrays of whole frames, or
-    of the ``box`` of each frame when one is given; ``bg`` may be None.
-    A frame is dropped only for a cosmic-ray hit in the pixels analysed.
-    Returns the conjugate-region series estimated from, its
-    RepeatSummary and the CalibrationDiagnostics.
+    ``geometry`` and ``region_s`` describe the frames of ``pdc`` and
+    ``bg``: the whole frame and ``params.region_s``, or a box of it and
+    the region moved into the box (``FrameGeometry.crop``).  The stacks
+    are (frames, rows, cols) count arrays; ``bg`` may be None.  ``m_tot``
+    is the mode count of ``region_s`` (``_region_modes``).  A frame is
+    dropped only for a cosmic-ray hit in the pixels analysed.  Returns
+    the conjugate-region series estimated from, its RepeatSummary and the
+    CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
-    geometry, region_s = cfg.geometry, params.region_s
-    if box is not None:
-        geometry, region_s = geometry.crop(box, region_s)
 
     # Only the pixels the estimators read can spoil them: region_s and
     # the idler window the centre search draws its regions from.
@@ -248,11 +252,17 @@ def cmd_calibrate(args) -> int:
     cfg, params = _load_config(args)
     out = _outdir(args)
     m_tot = _region_modes(cfg, params)
+    if params.z_batches < 2:
+        raise ConfigError("calibrate needs analysis.z_batches >= 2, "
+                          f"got {params.z_batches}")
     box = _hull(_analysed(cfg.geometry, params.region_s,
                           params.cs_search_extent))
-    pdc = _read_stack(args.pdc, box).counts
-    bg = _read_stack(args.background, box).counts if args.background else None
-    _, summary, diagnostics = _calibrate(cfg, params, m_tot, pdc, bg, box)
+    geometry, region_s = cfg.geometry.crop(box, params.region_s)
+    pdc = _read_stack(args.pdc, box, simulate.KIND_PDC).counts
+    bg = (_read_stack(args.background, box, simulate.KIND_BACKGROUND).counts
+          if args.background else None)
+    _, summary, diagnostics = _calibrate(params, geometry, region_s, m_tot,
+                                         pdc, bg)
     _report(args, params, out, summary, diagnostics)
     return 0
 
@@ -270,7 +280,8 @@ def cmd_reproduce_table1(args) -> int:
     pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
     bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
-    series, summary, diagnostics = _calibrate(cfg, params, m_tot, pdc, bg)
+    series, summary, diagnostics = _calibrate(params, cfg.geometry,
+                                              params.region_s, m_tot, pdc, bg)
     ddof = params.variance_ddof
     alpha = estimate.estimate_alpha(series)
     simulated = {

@@ -307,27 +307,23 @@ def correct_for_transmittance(eta: float, tau: float) -> float:
     return eta_true
 
 
-def excess_noise(series: RegionPairSeries, m_tot: int | None = None,
-                 ddof: int = 1):
+def excess_noise(series: RegionPairSeries, m_tot: int, ddof: int = 1):
     """Fluctuation of the summed counts relative to shot noise.
 
     Returns (ratio, thermal_excess): ratio = Var(N_s + N_i)/E[N_s + N_i],
     with the sample variance's ``ddof`` as in every other estimator;
     thermal_excess = <N>/m_tot is the per-arm multithermal prediction for
-    comparison (None when m_tot is not given).  Pump jitter drives the
-    ratio orders of magnitude above both 1 and the thermal level.
+    comparison, with ``m_tot`` (>= 1) the mode count of one region.  Pump
+    jitter drives the ratio orders of magnitude above both 1 and the
+    thermal level.
     """
     total = series.n_s + series.n_i
     mean = float(total.mean())
     if mean <= 0.0:
         raise DegenerateDataError("summed counts have non-positive mean")
-    ratio = float(np.var(total, ddof=ddof)) / mean
-    thermal = None
-    if m_tot is not None:
-        if m_tot < 1:
-            raise DomainError("m_tot must be >= 1")
-        thermal = 0.5 * mean / m_tot
-    return ratio, thermal
+    if m_tot < 1:
+        raise DomainError("m_tot must be >= 1")
+    return float(np.var(total, ddof=ddof)) / mean, 0.5 * mean / m_tot
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +527,13 @@ def _map_tiles(frames, region_s: Region, window: Region,
 
 @dataclass
 class SpatialMapResult:
-    """Spatial noise-reduction map over candidate idler displacements."""
+    """Spatial noise-reduction map over candidate idler displacements.
+
+    ``values[i, j]`` is the map at displacement (i - er, j - ec) for a
+    search extent (er, ec), so its shape gives the displacements.
+    """
 
     values: np.ndarray          # (2*er+1, 2*ec+1) map of sigma_spatial
-    row_offsets: np.ndarray     # displacement labels of the map rows
-    col_offsets: np.ndarray     # displacement labels of the map columns
     argmin: tuple[int, int]     # displacement minimising the map
     min_value: float            # map value at the argmin
     ties: list[tuple[int, int]]
@@ -605,11 +603,8 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
         curvature = float(values[i - 1, j] + values[i + 1, j]
                           + values[i, j - 1] + values[i, j + 1]
                           - 4.0 * values[i, j])
-    return SpatialMapResult(values=values,
-                            row_offsets=np.arange(-er, er + 1),
-                            col_offsets=np.arange(-ec, ec + 1),
-                            argmin=argmin, min_value=best, ties=ties,
-                            curvature=curvature)
+    return SpatialMapResult(values=values, argmin=argmin, min_value=best,
+                            ties=ties, curvature=curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +619,13 @@ class AreaScanPoint:
     sigma_alpha_b: float | None
 
 
-def anchored_region(anchor: tuple[float, float], extent: tuple[int, int],
-                    side: str = SIDE_SIGNAL) -> Region:
-    """Region of given extent whose centre is nearest to ``anchor``."""
+def anchored_region(anchor: tuple[float, float],
+                    extent: tuple[int, int]) -> Region:
+    """Signal-half region of given extent whose centre is nearest to
+    ``anchor``."""
     r0 = int(np.floor(anchor[0] - extent[0] / 2.0 + 0.5))
     c0 = int(np.floor(anchor[1] - extent[1] / 2.0 + 0.5))
-    return Region(origin=(r0, c0), extent=extent, side=side)
+    return Region(origin=(r0, c0), extent=extent)
 
 
 def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
@@ -716,9 +712,13 @@ def propagate_type_a(series: RegionPairSeries,
 
 @dataclass
 class RepeatSummary:
-    """Aggregate of Z repeated experiments with both uncertainty routes."""
+    """Aggregate of Z repeated experiments with both uncertainty routes.
 
-    z: int
+    The estimates are background-corrected when the batches carry a
+    background, and plain (alpha, sigma_alpha) otherwise; ``per_batch_*``
+    hold the Z batches' values, so Z is their length.
+    """
+
     alpha_b: float
     sigma_ab: float
     eta_s: float
@@ -732,7 +732,6 @@ class RepeatSummary:
     per_batch_alpha: np.ndarray
     per_batch_sigma: np.ndarray
     per_batch_eta: np.ndarray
-    background_corrected: bool
 
 
 def _sem(values: np.ndarray) -> float:
@@ -754,8 +753,7 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
     z = len(batches)
     if z < 2:
         raise DegenerateDataError("need Z >= 2 batches")
-    corrected = batches[0].has_background
-    if any(b.has_background != corrected for b in batches):
+    if len({b.has_background for b in batches}) > 1:
         raise DegenerateDataError("batches disagree on background presence")
 
     propagated = [propagate_type_a(batch, ddof=ddof) for batch in batches]
@@ -770,15 +768,14 @@ def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
                                       for p in propagated]) / z))
 
     return RepeatSummary(
-        z=z, alpha_b=alpha_b, sigma_ab=sigma_ab, eta_s=eta_s, eta_i=eta_i,
+        alpha_b=alpha_b, sigma_ab=sigma_ab, eta_s=eta_s, eta_i=eta_i,
         u_alpha_empirical=_sem(alphas),
         u_sigma_empirical=_sem(sigmas),
         u_eta_empirical=_sem(etas),
         u_alpha_propagated=combine("u_alpha"),
         u_sigma_propagated=combine("u_sigma"),
         u_eta_propagated=combine("u_eta"),
-        per_batch_alpha=alphas, per_batch_sigma=sigmas, per_batch_eta=etas,
-        background_corrected=corrected)
+        per_batch_alpha=alphas, per_batch_sigma=sigmas, per_batch_eta=etas)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +789,7 @@ class CalibrationDiagnostics:
     search.  The fixed Type B terms are the constants ``TYPE_B_*``."""
 
     excess_noise_ratio: float
-    thermal_excess: float | None
+    thermal_excess: float
     dropped_pdc: list[int]
     dropped_background: list[int]
     cs_map: SpatialMapResult

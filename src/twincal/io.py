@@ -64,13 +64,12 @@ from .model import (
     Region,
     check_counts,
 )
-from .simulate import ExperimentConfig, KIND_BACKGROUND, KIND_PDC, Stack
+from .simulate import _KIND_CODE, ExperimentConfig, Stack
 
 _MAGIC = b"TBFS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIII32s")
-_KIND_TO_CODE = {KIND_PDC: 0, KIND_BACKGROUND: 1}
-_CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
+_CODE_TO_KIND = {code: kind for kind, code in _KIND_CODE.items()}
 
 _FMT = "{:.9g}"  # canonical table precision
 
@@ -136,7 +135,7 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
         layout = layout or (stack.kind, counts.shape[1:])
         if (stack.kind, counts.shape[1:]) != layout:
             raise StackFormatError("blocks disagree on kind or frame shape")
-        if stack.kind not in _KIND_TO_CODE:
+        if stack.kind not in _KIND_CODE:
             raise StackFormatError(f"unknown frame kind {stack.kind!r}")
         if counts.size == 0:
             raise StackFormatError("cannot write an empty stack")
@@ -146,7 +145,7 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
         raise StackFormatError(f"cannot write a stack of {count} frames")
     kind, (rows, cols) = layout
     fh.seek(0)
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_TO_CODE[kind], 0,
+    fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODE[kind], 0,
                           rows, cols, count, config_digest(config)))
 
 

@@ -86,10 +86,8 @@ class ChannelEfficiencies:
     eta_i: float
 
     def __post_init__(self) -> None:
-        for name in ("eta_s", "eta_i"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise DomainError(f"{name} must be in (0, 1], got {value!r}")
+        _check_efficiency("eta_s", self.eta_s)
+        _check_efficiency("eta_i", self.eta_i)
 
     @property
     def eta_plus(self) -> float:
@@ -414,17 +412,17 @@ def predict_covariance(mu: float, eta_s: float, eta_i: float,
     return m_tot * eta_s * eta_i * mu * (1.0 + mu)
 
 
-def predict_sigma(ch: ChannelEfficiencies, mu: float, m_tot: float = 1) -> float:
+def predict_sigma(ch: ChannelEfficiencies, mu: float) -> float:
     """Noise reduction factor of the raw difference N_s - N_i.
 
     sigma = 1 - eta_plus + (eta_minus**2 / (2 eta_plus)) * (1/2 + mu).
     For balanced channels this is exactly 1 - eta; the imbalance term is
     non-negative and carries the thermal excess.  The value does not depend
-    on the mode count (it cancels between numerator and shot-noise
-    denominator); ``m_tot`` is validated for interface symmetry only.  It
-    is ``predict_sigma_with_jitter`` without jitter.
+    on the mode count, which cancels between numerator and shot-noise
+    denominator, so none is taken.  It is ``predict_sigma_with_jitter``
+    without jitter.
     """
-    return predict_sigma_with_jitter(ch, mu, 0.0, m_tot)
+    return predict_sigma_with_jitter(ch, mu, 0.0, 1)
 
 
 def predict_sigma_with_jitter(ch: ChannelEfficiencies, mu_bar: float,

@@ -316,7 +316,7 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
 
     np.rint(counts, out=counts)
     np.clip(counts, 0.0, None, out=counts)
-    if counts.max() > 0xFFFFFFFF:
+    if counts.max() > np.iinfo(COUNT_DTYPE).max:
         raise StackFormatError("counts outside the u32 range")
     return counts, energy
 

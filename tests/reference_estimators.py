@@ -265,8 +265,5 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
         curvature = float(values[i - 1, j] + values[i + 1, j]
                           + values[i, j - 1] + values[i, j + 1]
                           - 4.0 * values[i, j])
-    return SpatialMapResult(values=values,
-                            row_offsets=np.arange(-er, er + 1),
-                            col_offsets=np.arange(-ec, ec + 1),
-                            argmin=argmin, min_value=best, ties=ties,
-                            curvature=curvature)
+    return SpatialMapResult(values=values, argmin=argmin, min_value=best,
+                            ties=ties, curvature=curvature)

@@ -124,7 +124,8 @@ def test_criterion_03_jitter_excess_noise():
     region_s = cfg.signal_region()
     series = build_series(generate_stack(cfg, 2000).counts, region_s,
                           cfg.geometry.conjugate_region(region_s))
-    ratio, _ = excess_noise(series)
+    ratio, _ = excess_noise(series,
+                            cfg.modes.total_modes(cfg.modes.spatial_modes))
     raw = estimate_sigma_raw(series)
     alpha = estimate_alpha(series)
     balanced = estimate_sigma_alpha(series, alpha)

@@ -133,7 +133,8 @@ def test_excess_noise_follows_variance_ddof(run_dir):
     pdc = generate_stack(cfg, params.z_batches * params.frames_per_batch)
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch, kind="background")
-    ratios = [_calibrate(cfg, dataclasses.replace(params, variance_ddof=ddof),
+    ratios = [_calibrate(dataclasses.replace(params, variance_ddof=ddof),
+                         cfg.geometry, params.region_s,
                          _region_modes(cfg, params), pdc.counts,
                          bg.counts)[2].excess_noise_ratio
               for ddof in (0, 1)]
@@ -432,7 +433,7 @@ def test_calibrate_memory_is_not_a_stack_copy(tmp_path):
     spike(bg, [250], analysed_pixels(cfg, params), np.random.default_rng(9))
     tracemalloc.start()
     try:
-        _, _, diagnostics = _calibrate(cfg, params,
+        _, _, diagnostics = _calibrate(params, cfg.geometry, params.region_s,
                                        _region_modes(cfg, params), pdc, bg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -482,15 +483,32 @@ def workload_run(tmp_path, workload, seed, frames_per_batch):
     return cfg, params, config
 
 
+SPREAD_AREAS = ((6, 2), (2, 10))
+
+
 @pytest.mark.parametrize("background", [True, False])
-@pytest.mark.parametrize("workload", ["reference", "large-frame"])
+@pytest.mark.parametrize(
+    "workload, areas",
+    [("reference", None), ("large-frame", None),
+     ("reference", SPREAD_AREAS), ("large-frame", SPREAD_AREAS)],
+    ids=["reference", "large-frame", "reference-spread",
+         "large-frame-spread"])
 def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
-                                                        background):
+                                                        areas, background):
     # find-cs, area-scan and calibrate read only the box they analyse;
     # their tables must be those of the estimators run on the whole
     # frames with the whole geometry
-    from twincal.cli import _calibrate, _region_modes
+    from twincal.cli import _calibrate, _hull, _region_modes
     cfg, params, config = workload_run(tmp_path, workload, 7, 90)
+    if areas:
+        # rows from the tall area, columns from the wide one: the box
+        # area-scan reads is no single area's pair
+        params = dataclasses.replace(params, areas=areas)
+        save_run_config(config, cfg, params)
+        pairs = [[r, cfg.geometry.conjugate_region(r)] for r in (
+            estimate.anchored_region(params.region_s.center, a)
+            for a in areas)]
+        assert all(_hull(pair) != _hull(sum(pairs, [])) for pair in pairs)
     data, got, want = (tmp_path / n for n in ("data", "got", "want"))
     want.mkdir()
     assert main(["simulate", "--config", str(config), "--out", str(data),
@@ -510,13 +528,55 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
     tio.write_area_scan_csv(want / "area_scan.csv", estimate.area_scan(
         pdc, bg, cfg.geometry, params.region_s.center, params.areas,
         cell_px=cfg.modes.coherence_cell_px, ddof=params.variance_ddof))
-    _, summary, diagnostics = _calibrate(cfg, params,
+    _, summary, diagnostics = _calibrate(params, cfg.geometry,
+                                         params.region_s,
                                          _region_modes(cfg, params), pdc, bg)
     tio.write_calibration_csv(want / "calibration.csv", summary, diagnostics)
     tio.write_batches_csv(want / "batches.csv", summary)
     for name in ("cs_map.csv", "area_scan.csv", "calibration.csv",
                  "batches.csv"):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, path, kind, expected", [
+    (["find-cs", "--stack", "background.tbs"],
+     "background.tbs", "background", "pdc_on"),
+    (["area-scan", "--pdc", "background.tbs"],
+     "background.tbs", "background", "pdc_on"),
+    (["calibrate", "--pdc", "background.tbs", "--background", "pdc.tbs"],
+     "background.tbs", "background", "pdc_on"),
+    (["calibrate", "--pdc", "pdc.tbs", "--background", "pdc.tbs"],
+     "pdc.tbs", "pdc_on", "background"),
+], ids=["find-cs", "area-scan", "calibrate-swapped", "calibrate-two-pdc"])
+def test_stack_of_the_wrong_kind_is_refused(run_dir, capsys, argv, path,
+                                            kind, expected):
+    # each flag takes one stack kind; the header's kind is checked before
+    # any estimator runs
+    tmp_path, config = run_dir
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(data),
+                 "--quiet"]) == 0
+    argv = [str(data / a) if a.endswith(".tbs") else a for a in argv]
+    assert main([argv[0], "--config", str(config), "--out", str(out),
+                 "--quiet", *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert "error[StackFormatError]" in err
+    assert (f"{data / path}: header kind {kind!r}, expected {expected!r}"
+            in err)
+    assert list(out.iterdir()) == []
+
+
+def test_one_batch_calibration_is_refused_before_reading(tmp_path, capsys):
+    # calibrate needs Z >= 2 batches for the spread of their estimates: it
+    # stops on the config, before it opens a stack, so a missing one is
+    # no 3
+    cfg, params, config = large_frames(tmp_path, 9, 1, 125)
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(tmp_path / "missing.tbs"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and "z_batches >= 2, got 1" in err
+    assert not (out / "calibration.csv").exists()
 
 
 def test_calibrate_memory_is_bounded_by_the_boxes(tmp_path):

@@ -211,9 +211,9 @@ class TestTransmittance:
 class TestExcessNoise:
     def test_poisson_series_at_shot_noise(self):
         s = poisson_series(seed=5)
-        ratio, thermal = excess_noise(s)
+        ratio, thermal = excess_noise(s, 4)
         assert ratio == pytest.approx(1.0, abs=0.05)
-        assert thermal is None
+        assert thermal == 0.5 * (s.n_s + s.n_i).mean() / 4
 
     def test_thermal_level_without_jitter(self):
         # Correlated twin beams: Var(N_s+N_i)/E[N_s+N_i] = 1 + eta + 2*eta*mu
@@ -236,16 +236,17 @@ class TestExcessNoise:
         rs = cfg.signal_region()
         series = build_series(generate_stack(cfg, 800).counts, rs,
                               cfg.geometry.conjugate_region(rs))
-        ratio, _ = excess_noise(series)
+        ratio, _ = excess_noise(
+            series, cfg.modes.total_modes(cfg.modes.spatial_modes))
         assert 1e3 < ratio < 1e4
 
     def test_variance_follows_ddof(self):
         s = poisson_series(n=50, seed=9)
         total = s.n_s + s.n_i
         for ddof in (0, 1):
-            ratio, _ = excess_noise(s, ddof=ddof)
+            ratio, _ = excess_noise(s, 1, ddof=ddof)
             assert ratio == np.var(total, ddof=ddof) / total.mean()
-        assert excess_noise(s, ddof=0)[0] < excess_noise(s)[0]
+        assert excess_noise(s, 1, ddof=0)[0] < excess_noise(s, 1)[0]
 
 
 class TestBalancingKillsJitter:
@@ -559,7 +560,7 @@ class TestRepeatExperiment:
 
     def test_summary_consistency(self):
         summary = repeat_experiment(self.build_batches())
-        assert summary.z == 6
+        assert len(summary.per_batch_alpha) == 6
         assert summary.eta_s / summary.eta_i == pytest.approx(
             summary.alpha_b, abs=1e-12)
         assert abs(summary.eta_s - 0.613) < 4 * summary.u_eta_empirical

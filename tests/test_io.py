@@ -450,16 +450,13 @@ class TestTables:
     def result(self):
         per_batch = np.zeros(8)
         summary = RepeatSummary(
-            z=8, eta_s=0.613211111, eta_i=0.609632222, alpha_b=0.994163333,
+            eta_s=0.613211111, eta_i=0.609632222, alpha_b=0.994163333,
             sigma_ab=0.384744444, u_eta_empirical=0.011,
             u_alpha_empirical=4e-05, u_sigma_empirical=0.011,
             u_alpha_propagated=5e-05, u_sigma_propagated=0.012,
             u_eta_propagated=0.012, per_batch_alpha=per_batch,
-            per_batch_sigma=per_batch, per_batch_eta=per_batch,
-            background_corrected=True)
+            per_batch_sigma=per_batch, per_batch_eta=per_batch)
         cs_map = SpatialMapResult(values=np.zeros((1, 1)),
-                                  row_offsets=np.zeros(1, dtype=int),
-                                  col_offsets=np.zeros(1, dtype=int),
                                   argmin=(0, 0), min_value=0.0, ties=[(0, 0)],
                                   curvature=None)
         return summary, CalibrationDiagnostics(
@@ -490,8 +487,6 @@ class TestTables:
     def test_cs_map_dimensions(self, tmp_path):
         values = np.arange(15.0).reshape(3, 5)
         result = SpatialMapResult(values=values,
-                                  row_offsets=np.arange(-1, 2),
-                                  col_offsets=np.arange(-2, 3),
                                   argmin=(-1, -2), min_value=0.0,
                                   ties=[(-1, -2)], curvature=None)
         path = tmp_path / "map.csv"

@@ -112,22 +112,21 @@ class TestPredictCovariance:
 class TestPredictSigma:
     def test_worked_example(self):
         ch = ChannelEfficiencies(0.7, 0.5)
-        assert predict_sigma(ch, 0.1, 1) == pytest.approx(0.42, rel=1e-12)
+        assert predict_sigma(ch, 0.1) == pytest.approx(0.42, rel=1e-12)
 
     def test_perfect_detection(self):
-        assert predict_sigma(ChannelEfficiencies(1.0, 1.0), 0.3, 7) == 0.0
+        assert predict_sigma(ChannelEfficiencies(1.0, 1.0), 0.3) == 0.0
 
-    @given(eta=st.floats(0.01, 1.0), mu=st.floats(1e-4, 20),
-           m=st.integers(1, 10 ** 6))
-    def test_balanced_loss_identity(self, eta, mu, m):
+    @given(eta=st.floats(0.01, 1.0), mu=st.floats(1e-4, 20))
+    def test_balanced_loss_identity(self, eta, mu):
         ch = ChannelEfficiencies(eta, eta)
-        assert predict_sigma(ch, mu, m) == 1.0 - eta
+        assert predict_sigma(ch, mu) == 1.0 - eta
 
     @given(es=st.floats(0.01, 1.0), ei=st.floats(0.01, 1.0),
            mu=st.floats(1e-4, 20))
     def test_lower_bound(self, es, ei, mu):
         ch = ChannelEfficiencies(es, ei)
-        assert predict_sigma(ch, mu, 1) >= 1.0 - ch.eta_plus
+        assert predict_sigma(ch, mu) >= 1.0 - ch.eta_plus
 
 
 class TestPredictSigmaWithJitter:
@@ -135,7 +134,7 @@ class TestPredictSigmaWithJitter:
         ch = ChannelEfficiencies(0.62, 0.60)
         for mu in (0.05, 0.1, 2.0388, 17.3):
             assert predict_sigma_with_jitter(ch, mu, 0.0, 5000) == \
-                predict_sigma(ch, mu, 5000)
+                predict_sigma(ch, mu)
 
     def test_balanced_channels_ignore_jitter(self):
         ch = ChannelEfficiencies(0.55, 0.55)
@@ -170,7 +169,7 @@ class TestPredictSigmaWithJitter:
         var_mu = (0.3 * 0.1) ** 2  # linear gain map
         predicted = predict_sigma_with_jitter(ch, 0.1, var_mu, m_tot)
         # the jitter term must dominate the test, not just perturb it
-        assert predicted > 2 * predict_sigma(ch, 0.1, m_tot)
+        assert predicted > 2 * predict_sigma(ch, 0.1)
         # batch scatter as the sampling error of the raw estimator
         per_batch = [estimate_sigma_raw(b) for b in series.batches(10)]
         measured = estimate_sigma_raw(series)
