@@ -58,12 +58,8 @@ def _load_config(args):
 
 def _read_stack(path, box, kind) -> simulate.Stack:
     """Read the ``box`` of every frame of a stack file of ``kind``,
-    warning when no sidecar vouched for its config.  A stack of the other
-    kind is a StackFormatError."""
-    stack, _ = io.read_stack(path, box)
-    if stack.kind != kind:
-        raise StackFormatError(f"{path}: header kind {stack.kind!r}, "
-                               f"expected {kind!r}")
+    warning when no sidecar vouched for its config."""
+    stack, _ = io.read_stack(path, box, kind)
     if not stack.digest_verified:
         print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
               "the config digest was not verified", file=sys.stderr)
@@ -109,13 +105,13 @@ def _outdir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg, params = _load_config(args)
-    out = _outdir(args)
     doc = io.run_config_to_dict(cfg, params)
 
     n_pdc = params.z_batches * params.frames_per_batch
     n_bg = params.z_batches * params.background_frames_per_batch
-    if max(n_pdc, n_bg) > 0xFFFFFFFF:
+    if max(n_pdc, n_bg) > io.MAX_FRAMES:
         raise StackFormatError(f"{max(n_pdc, n_bg)} frames overflow the u32 count")
+    out = _outdir(args)
     pdc_path = out / "pdc.tbs"
     block_energies = []
 
@@ -142,14 +138,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_find_cs(args) -> int:
     cfg, params = _load_config(args)
-    out = _outdir(args)
     box = _hull(_analysed(cfg.geometry, params.region_s,
                           params.cs_search_extent))
     geometry, region_s = cfg.geometry.crop(box, params.region_s)
     stack = _read_stack(args.stack, box, simulate.KIND_PDC)
     result = estimate.sigma_spatial_map(stack.counts, region_s, geometry,
                                         params.cs_search_extent)
-    io.write_cs_map_csv(out / "cs_map.csv", result)
+    io.write_cs_map_csv(_outdir(args) / "cs_map.csv", result)
     _say(args, f"spatial-map minimum at offset {result.argmin}, "
                f"value {result.min_value:.6g}"
                + (f", ties {result.ties}" if len(result.ties) > 1 else ""))
@@ -158,7 +153,6 @@ def cmd_find_cs(args) -> int:
 
 def cmd_area_scan(args) -> int:
     cfg, params = _load_config(args)
-    out = _outdir(args)
     if not params.areas:
         raise ConfigError("analysis.areas is empty; nothing to scan")
     regions = []
@@ -175,6 +169,7 @@ def cmd_area_scan(args) -> int:
                                 params.areas,
                                 cell_px=cfg.modes.coherence_cell_px,
                                 ddof=params.variance_ddof)
+    out = _outdir(args)
     io.write_area_scan_csv(out / "area_scan.csv", points)
     _say(args, f"wrote {out / 'area_scan.csv'} ({len(points)} areas)")
     return 0
@@ -250,7 +245,6 @@ def _report(args, params, out, s, d) -> None:
 
 def cmd_calibrate(args) -> int:
     cfg, params = _load_config(args)
-    out = _outdir(args)
     m_tot = _region_modes(cfg, params)
     if params.z_batches < 2:
         raise ConfigError("calibrate needs analysis.z_batches >= 2, "
@@ -263,7 +257,7 @@ def cmd_calibrate(args) -> int:
           if args.background else None)
     _, summary, diagnostics = _calibrate(params, geometry, region_s, m_tot,
                                          pdc, bg)
-    _report(args, params, out, summary, diagnostics)
+    _report(args, params, _outdir(args), summary, diagnostics)
     return 0
 
 

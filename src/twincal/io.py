@@ -69,6 +69,9 @@ from .simulate import _KIND_CODE, ExperimentConfig, Stack
 _MAGIC = b"TBFS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIII32s")
+# The most frames a stack file can hold: the largest value of the
+# header's u32 count field.
+MAX_FRAMES = (1 << 8 * struct.calcsize("<I")) - 1
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_CODE.items()}
 
 _FMT = "{:.9g}"  # canonical table precision
@@ -141,7 +144,7 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
             raise StackFormatError("cannot write an empty stack")
         fh.write(np.ascontiguousarray(counts).data)
         count += len(counts)
-    if not 0 < count <= 0xFFFFFFFF:
+    if not 0 < count <= MAX_FRAMES:
         raise StackFormatError(f"cannot write a stack of {count} frames")
     kind, (rows, cols) = layout
     fh.seek(0)
@@ -149,13 +152,16 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
                           rows, cols, count, config_digest(config)))
 
 
-def read_stack(path, box: Region | None = None) -> tuple[Stack, str]:
+def read_stack(path, box: Region | None = None,
+               kind: str | None = None) -> tuple[Stack, str]:
     """Read a frame stack, or the ``box`` of each of its frames; returns
     (stack, config digest hex).
 
     The header, the file size (``os.fstat``) and the sidecar, when
     present, are checked before any payload byte is read, in that order;
     ``stack.digest_verified`` records whether the sidecar check ran.  A
+    header of another kind than ``kind``, when given, raises
+    StackFormatError with the header checks.  A
     ``box`` (a Region of the frame, whose side is ignored) leaving the
     frame then raises GeometryError; without a box the whole frame is
     read.  The payload is read a tile of whole frames at a time into one
@@ -178,6 +184,10 @@ def read_stack(path, box: Region | None = None) -> tuple[Stack, str]:
             raise CorruptHeaderError(f"{path}: unsupported version {version}")
         if kind_code not in _CODE_TO_KIND:
             raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
+        if kind not in (None, _CODE_TO_KIND[kind_code]):
+            raise StackFormatError(f"{path}: header kind "
+                                   f"{_CODE_TO_KIND[kind_code]!r}, "
+                                   f"expected {kind!r}")
         if 0 in (count, rows, cols):
             raise CorruptHeaderError(f"{path}: empty stack {count}x{rows}x{cols}")
         expected = count * rows * cols * 4

@@ -63,8 +63,8 @@ def _run_workers(work, jobs) -> list:
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
         return [work(jobs)]
-    # Imported here, as in ``simulate.iter_stack``: commands that never
-    # pool do not pay the import.
+    # Imported here, so that commands which never pool do not pay the
+    # ~5 ms import.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:

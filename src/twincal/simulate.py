@@ -20,17 +20,16 @@ block.  Every result is a ``Stack`` of u32 counts: ``iter_stack`` yields
 one per block, ``generate_stack`` copies those blocks into one array, and
 ``render_frame`` returns a one-frame Stack cut from its block.
 
-``iter_stack`` renders its blocks concurrently, one thread per CPU the
-process may run on, into float64 work blocks that it reuses for the
-whole stack, and yields them in block order as u32.  Since every block
-draws only from its own stream, the frames do not depend on how many
-CPUs there are.
+``iter_stack`` renders its blocks in rounds on ``model._run_workers``,
+one worker per CPU the process may run on, into float64 work blocks that
+it reuses for the whole stack, and yields them in block order as u32.
+Since every block draws only from its own stream, the frames do not
+depend on how many CPUs there are.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,13 +320,19 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
     return counts, energy
 
 
-def _render_task(cfg: ExperimentConfig, kind: str, blocks: range,
+def _render_task(cfg: ExperimentConfig, kind: str, count: int, blocks: range,
                  work: np.ndarray, noise: np.ndarray) -> list:
-    """Render consecutive ``blocks`` into consecutive blocks of ``work``;
-    returns their (counts, energies)."""
-    return [_render_block(cfg, kind, b, work[k * _BLOCK_FRAMES:
-                                             (k + 1) * _BLOCK_FRAMES], noise)
-            for k, b in enumerate(blocks)]
+    """Render consecutive ``blocks`` into consecutive blocks of ``work``
+    and cast each into a u32 Stack of its frames among the first
+    ``count``; returns (block index, Stack) pairs, leaving ``work`` free."""
+    rendered = []
+    for k, b in enumerate(blocks):
+        counts, energy = _render_block(
+            cfg, kind, b, work[k * _BLOCK_FRAMES:(k + 1) * _BLOCK_FRAMES], noise)
+        n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
+        rendered.append((b, Stack(counts=counts[:n].astype(COUNT_DTYPE),
+                                  kind=kind, pulse_energy=energy[:n])))
+    return rendered
 
 
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
@@ -344,21 +349,21 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
 
     Each Stack holds ``_BLOCK_FRAMES`` frames, the last one fewer when
     ``count`` is not a multiple of the block size, in an array of its
-    own.  Blocks are rendered on a pool of one thread per CPU the process
-    may run on, in tasks of consecutive blocks: as many as fit in
-    ``_TASK_BYTES`` of float64 (at least one), but few enough that every
-    thread gets a task.  This call allocates one float64 work block and
-    one noise buffer per worker and reuses them for the whole stack; the
-    calling thread casts a finished task's blocks into fresh u32 arrays
-    before its work block goes to the next task.
+    own.  Blocks are rendered in tasks of consecutive blocks: as many as
+    fit in ``_TASK_BYTES`` of float64 (at least one), but few enough that
+    each of the W CPUs the process may run on gets a task.  This call
+    allocates W float64 work blocks and noise buffers and reuses them for
+    the whole stack.  It renders in rounds: each round gives the next W
+    tasks one work block each, renders them on ``model._run_workers``
+    (whose workers cast their blocks into fresh u32 arrays) and yields
+    that round's blocks before the next round starts.
 
-    Memory stays under, per worker, the work block (512*rows*cols B per
-    block of a task), the noise buffer (8*_NOISE_CHUNK_ELEMENTS B, or
+    Memory stays under, per work block, the work block (512*rows*cols B
+    per block of a task), the noise buffer (8*_NOISE_CHUNK_ELEMENTS B, or
     512*rows*cols B if smaller) and one block's other draws (under
     4*_NOISE_CHUNK_ELEMENTS B of straylight, plus 512*(px**2 + 4) B per
-    coherence cell), plus the u32 blocks of two tasks (256*rows*cols B
-    per block).  A one-block request, or a process on one CPU, renders in
-    the calling thread.
+    coherence cell), plus one round's u32 blocks (256*rows*cols B per
+    block).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -369,43 +374,32 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
     per_task = max(1, min(_TASK_BYTES // block_bytes, n_blocks // cpus))
     tasks = [range(b, min(b + per_task, n_blocks))
              for b in range(0, n_blocks, per_task)]
-    workers = min(cpus, len(tasks))
     works = [(np.empty((per_task * _BLOCK_FRAMES,) + shape),
               np.empty((_noise_frames(cfg.geometry),) + shape))
-             for _ in range(workers)]
+             for _ in range(min(cpus, len(tasks)))]
+    for r in range(0, len(tasks), len(works)):
+        # Bound to no name, the round's blocks are freed once yielded.
+        yield from _render_round(cfg, kind, count, list(zip(tasks[r:], works)))
 
-    def cast(task, rendered):
-        # Copy the task's blocks out of its work block, which is then free.
-        blocks = []
-        for b, (counts, energy) in zip(task, rendered):
-            n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
-            blocks.append(Stack(counts=counts[:n].astype(COUNT_DTYPE), kind=kind,
-                                pulse_energy=energy[:n]))
-        return blocks
 
-    if workers == 1:
-        for task in tasks:
-            yield from cast(task, _render_task(cfg, kind, task, *works[0]))
-        return
-    # Imported here, so that commands which never render do not pay the
-    # ~5 ms import.
-    from concurrent.futures import ThreadPoolExecutor
+def _render_round(cfg: ExperimentConfig, kind: str, count: int,
+                  jobs: list) -> list:
+    """The u32 Stacks of the (task, work buffers) ``jobs``, in block order.
 
-    # numpy draws and fills the work blocks with the GIL released, and
-    # every block owns its stream.  Workers call only the private
-    # _render_task, so wrappers put around the public functions (as the
-    # benchmark's tracer does) still run in the calling thread alone.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque((task, work, pool.submit(_render_task, cfg, kind,
-                                                 task, *work))
-                        for task, work in zip(tasks, works))
-        for t in range(workers, len(tasks) + workers):
-            task, work, future = pending.popleft()
-            blocks = cast(task, future.result())
-            if t < len(tasks):
-                pending.append((tasks[t], work, pool.submit(
-                    _render_task, cfg, kind, tasks[t], *work)))
-            yield from blocks
+    Every job owns its buffers, so workers may take any share of the jobs
+    (``_cpu_count`` may change between rounds).  numpy draws and fills
+    the work blocks with the GIL released, and every block owns its
+    stream.  Workers call only the private ``_render_task``, so wrappers
+    put around the public functions (as the benchmark's tracer does)
+    still run in the calling thread alone.
+    """
+    rendered = model._run_workers(
+        lambda dealt: [done for task, work in dealt
+                       for done in _render_task(cfg, kind, count, task, *work)],
+        jobs)
+    return [block for _, block in
+            sorted((done for part in rendered for done in part),
+                   key=lambda done: done[0])]
 
 
 def generate_stack(cfg: ExperimentConfig, count: int,

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import struct
 import types
 from unittest import mock
 
@@ -208,6 +209,34 @@ class TestStackErrors:
         frames, digest = read_stack(path)
         assert len(frames.counts) == 4 and len(digest) == 64
         assert not frames.digest_verified
+
+    def test_wrong_kind_is_refused_before_the_size_check(self, tmp_path):
+        # the kind is a header check: a file one byte short reports the
+        # kind, not its size
+        path = self.write_valid(tmp_path)  # pdc_on
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(StackFormatError) as refused:
+            read_stack(path, kind=KIND_BACKGROUND)
+        assert type(refused.value) is StackFormatError
+        assert str(refused.value) == (f"{path}: header kind 'pdc_on', "
+                                      "expected 'background'")
+        with pytest.raises(TruncatedPayloadError):
+            read_stack(path, kind=KIND_PDC)
+
+    def test_the_expected_kind_reads_the_stack(self, tmp_path):
+        path = self.write_valid(tmp_path)
+        whole, digest = read_stack(path)
+        for kind in (None, KIND_PDC):
+            back, back_digest = read_stack(path, kind=kind)
+            assert np.array_equal(back.counts, whole.counts)
+            assert back.kind == KIND_PDC and back_digest == digest
+
+    def test_frame_ceiling_is_the_largest_header_count(self):
+        fields = (b"TBFS", 1, 0, 0, 5, 6)  # magic .. cols
+        tio._HEADER.pack(*fields, tio.MAX_FRAMES, bytes(32))
+        with pytest.raises(struct.error):
+            tio._HEADER.pack(*fields, tio.MAX_FRAMES + 1, bytes(32))
+        assert tio.MAX_FRAMES == 2 ** 32 - 1
 
     def test_non_integral_counts_rejected(self, tmp_path):
         frame = reassigned(np.array([[[1.5, 2.0]]]))

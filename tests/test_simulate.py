@@ -6,6 +6,7 @@ predictors, which double as the cross-checks of those predictors.
 
 import collections
 import dataclasses
+import itertools
 import threading
 import tracemalloc
 
@@ -435,13 +436,37 @@ class TestConcurrentRendering:
         assert peak < (workers + 2) * block_bytes
 
     def test_closing_the_stream_stops_its_threads(self, monkeypatch):
+        # every round's threads stop before its first block is yielded
         force_workers(monkeypatch, 2)
         before = threading.active_count()
         stream = iter_stack(concurrent_config(seed=65), 640)
         next(stream)
-        assert threading.active_count() > before
+        assert threading.active_count() == before
         stream.close()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
+    def test_cpu_count_changing_between_rounds_does_not_change_output(
+            self, monkeypatch, kind):
+        # every round deals its tasks out afresh; a worker handed several
+        # tasks must keep their work blocks apart and their order
+        cfg = concurrent_config(seed=70)
+        serial = [simulate._render_block(cfg, kind, b) for b in range(16)]
+        counts = np.concatenate([c for c, _ in serial])
+        energy = np.concatenate([e for _, e in serial])
+        calls = itertools.count()
+        monkeypatch.setattr(model, "_cpu_count",
+                            lambda: (2, 1, 4, 3)[next(calls) % 4])
+        for n in (130, 700, 1000):
+            stack = generate_stack(cfg, n, kind)
+            assert np.array_equal(stack.counts, counts[:n])
+            assert np.array_equal(stack.pulse_energy, energy[:n])
+            blocks = list(iter_stack(cfg, n, kind))
+            assert np.array_equal(np.concatenate([b.counts for b in blocks]),
+                                  counts[:n])
+            assert np.array_equal(
+                np.concatenate([b.pulse_energy for b in blocks]), energy[:n])
+        assert next(calls) > 12  # several rounds per stack
 
     @pytest.mark.parametrize("count", [5, 640])
     def test_unknown_kind_raises_and_leaves_no_thread(self, monkeypatch,
