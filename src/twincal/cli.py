@@ -153,14 +153,9 @@ def cmd_find_cs(args) -> int:
 
 def cmd_area_scan(args) -> int:
     cfg, params = _load_config(args)
-    if not params.areas:
-        raise ConfigError("analysis.areas is empty; nothing to scan")
-    regions = []
-    for extent in params.areas:
-        region = estimate.anchored_region(params.region_s.center, extent)
-        cfg.geometry.validate_region(region)
-        regions += [region, cfg.geometry.conjugate_region(region)]
-    box = _hull(regions)
+    pairs = estimate.area_pairs(cfg.geometry, params.region_s.center,
+                                params.areas)
+    box = _hull([region for pair in pairs for region in pair])
     geometry, region_s = cfg.geometry.crop(box, params.region_s)
     pdc = _read_stack(args.pdc, box, simulate.KIND_PDC).counts
     bg = (_read_stack(args.background, box, simulate.KIND_BACKGROUND).counts

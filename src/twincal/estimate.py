@@ -628,40 +628,47 @@ def anchored_region(anchor: tuple[float, float],
     return Region(origin=(r0, c0), extent=extent)
 
 
-def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
-              anchor: tuple[float, float], areas, cell_px: int = 1,
-              ddof: int = 1) -> list[AreaScanPoint]:
-    """Noise reduction factor versus detection-area size.
-
-    ``areas`` is an ascending list of (height, width) superpixel extents;
-    each signal region is anchored at ``anchor`` and paired with its exact
-    conjugate, so the pair is symmetric about the symmetry centre.  Both
-    the uncorrected and (when background frames are given) the
-    background-corrected curves are returned.
-    """
+def area_pairs(geometry: FrameGeometry, anchor: tuple[float, float],
+               areas) -> list[tuple[Region, Region]]:
+    """The (signal, idler) region pair of each of ``areas``, an ascending
+    list of (height, width) superpixel extents: each signal region is
+    anchored at ``anchor`` and paired with its exact conjugate, so the
+    pair is symmetric about the symmetry centre.  DomainError when
+    ``areas`` is empty or not sorted by size, GeometryError when a
+    region leaves its half of the frame."""
     areas = list(areas)
     if not areas:
         raise DomainError("areas must be non-empty")
     sizes = [h * w for h, w in areas]
     if sizes != sorted(sizes):
         raise DomainError("areas must be sorted ascending")
-
     pairs = []
     for extent in areas:
         region_s = anchored_region(anchor, tuple(extent))
         geometry.validate_region(region_s)
         pairs.append((region_s, geometry.conjugate_region(region_s)))
+    return pairs
 
+
+def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
+              anchor: tuple[float, float], areas, cell_px: int = 1,
+              ddof: int = 1) -> list[AreaScanPoint]:
+    """Noise reduction factor versus detection-area size.
+
+    ``areas`` and ``anchor`` give the region pairs of ``area_pairs``.
+    Both the uncorrected and (when background frames are given) the
+    background-corrected curves are returned.
+    """
     points = []
-    for extent, (region_s, region_i) in zip(areas, pairs):
+    for region_s, region_i in area_pairs(geometry, anchor, areas):
         series = build_series(pdc_frames, region_s, region_i, bg_frames)
         sigma_a = estimate_sigma_alpha(series, ddof=ddof)
         sigma_ab = None
         if series.has_background:
             sigma_ab = estimate_sigma_alpha_b(series, ddof=ddof)
         points.append(AreaScanPoint(
-            extent=tuple(extent),
-            coherence_cells=extent[0] * extent[1] / float(cell_px * cell_px),
+            extent=region_s.extent,
+            coherence_cells=region_s.area / float(cell_px * cell_px),
             sigma_alpha=sigma_a, sigma_alpha_b=sigma_ab))
     return points
 
@@ -681,7 +688,6 @@ class TypeAUncertainty:
     u_alpha: float
     u_sigma: float
     u_eta: float
-    cov_alpha_sigma: float
 
 
 def propagate_type_a(series: RegionPairSeries,
@@ -706,8 +712,7 @@ def propagate_type_a(series: RegionPairSeries,
         raise DegenerateDataError("uncertainty propagation produced NaN")
     return TypeAUncertainty(alpha=alpha, sigma=sigma, eta=eta,
                             u_alpha=float(u[0]), u_sigma=float(u[1]),
-                            u_eta=float(u[2]),
-                            cov_alpha_sigma=float(cov[0, 1]))
+                            u_eta=float(u[2]))
 
 
 @dataclass

@@ -24,8 +24,12 @@ the region blocks it needs to float64 itself.
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
 (sorted keys), so identical inputs produce byte-identical files.  A run
-configuration is read key by key: an absent key takes the default
-declared on its dataclass, and an unknown key is a ConfigError.
+configuration document is made from the config dataclasses themselves:
+every field is a key of its section, a nested dataclass is an object and
+a tuple is a list; a region holds only its origin and extent.  It is
+read key by key: an absent key takes the default declared on its
+dataclass, and an unknown key is a ConfigError that names its section
+(``experiment.channel``).
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ import json
 import os
 import struct
 import uuid
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,16 +60,7 @@ from .estimate import (
     RepeatSummary,
     SpatialMapResult,
 )
-from .model import (
-    COUNT_DTYPE,
-    BackgroundModel,
-    ChannelEfficiencies,
-    FrameGeometry,
-    ModeStructure,
-    PulseModel,
-    Region,
-    check_counts,
-)
+from .model import COUNT_DTYPE, Region, check_counts
 from .simulate import _KIND_CODE, ExperimentConfig, Stack
 
 _MAGIC = b"TBFS"
@@ -263,76 +260,61 @@ class AnalysisParams:
             raise ConfigError("transmittances must be in (0, 1]")
 
 
-def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc["modes"]["grid"] = list(cfg.modes.grid)
-    doc["geometry"]["cs"] = list(cfg.geometry.cs)
-    doc["cs_offset"] = list(cfg.cs_offset)
-    return doc
+# get_type_hints evaluates every annotation anew on each call, most of
+# the time a run config took to load; a config class's hints never change.
+_type_hints = cache(get_type_hints)
 
 
-def _from_keys(cls, doc: dict, section: str, converted: dict):
-    """``cls`` built from the document's keys, with ``converted`` replacing
-    the values that need a type of their own.  Absent keys take the
-    dataclass defaults; an unknown key is a ConfigError."""
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+def _doc_fields(cls) -> list:
+    """The fields of ``cls`` its document holds: all of them, but a
+    Region's side, which a config region never sets."""
+    return [f for f in fields(cls) if (cls, f.name) != (Region, "side")]
+
+
+def _to_doc(obj):
+    """A config dataclass as a JSON document: nested dataclasses become
+    objects and tuples become lists."""
+    if is_dataclass(obj):
+        return {f.name: _to_doc(getattr(obj, f.name))
+                for f in _doc_fields(type(obj))}
+    if isinstance(obj, tuple):
+        return [_to_doc(v) for v in obj]
+    return obj
+
+
+def _from_doc(kind, doc, section: str):
+    """A value of type ``kind`` read from its document, the inverse of
+    ``_to_doc``.  A dataclass is built key by key: an absent key takes
+    the dataclass default, and an unknown key, a document that is not an
+    object or a value of the wrong shape is a ConfigError naming
+    ``section``."""
+    if get_origin(kind) is tuple:  # every config tuple holds one type
+        return tuple(_from_doc(get_args(kind)[0], v, section) for v in doc)
+    if not is_dataclass(kind):
+        return doc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} section: expected an object, "
+                          f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in _doc_fields(kind)})
     if unknown:
         raise ConfigError(f"{section} section: unknown keys {unknown}")
-    return cls(**{**doc, **converted})
-
-
-def experiment_from_dict(doc: dict) -> ExperimentConfig:
+    hints = _type_hints(kind)
     try:
-        modes = dict(doc["modes"], grid=tuple(doc["modes"]["grid"]))
-        geometry = dict(doc["geometry"], cs=tuple(doc["geometry"]["cs"]))
-        converted = {"channel": ChannelEfficiencies(**doc["channel"]),
-                     "modes": ModeStructure(**modes),
-                     "pulse": PulseModel(**doc["pulse"]),
-                     "background": BackgroundModel(**doc["background"]),
-                     "geometry": FrameGeometry(**geometry)}
-        if "cs_offset" in doc:
-            converted["cs_offset"] = tuple(doc["cs_offset"])
-        return _from_keys(ExperimentConfig, doc, "experiment", converted)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"experiment section: {exc}") from exc
-
-
-def analysis_to_dict(params: AnalysisParams) -> dict:
-    doc = asdict(params)
-    doc["region_s"] = {"origin": list(params.region_s.origin),
-                       "extent": list(params.region_s.extent)}
-    doc["cs_search_extent"] = list(params.cs_search_extent)
-    doc["areas"] = [list(a) for a in params.areas]
-    return doc
-
-
-def analysis_from_dict(doc: dict) -> AnalysisParams:
-    try:
-        region = doc["region_s"]
-        unknown = sorted(set(region) - {"origin", "extent"})
-        if unknown:
-            raise ConfigError(f"analysis.region_s section: unknown keys {unknown}")
-        converted = {"region_s": Region(origin=tuple(region["origin"]),
-                                        extent=tuple(region["extent"]))}
-        if "cs_search_extent" in doc:
-            converted["cs_search_extent"] = tuple(doc["cs_search_extent"])
-        if "areas" in doc:
-            converted["areas"] = tuple(tuple(a) for a in doc["areas"])
-        return _from_keys(AnalysisParams, doc, "analysis", converted)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"analysis section: {exc}") from exc
+        return kind(**{key: _from_doc(hints[key], value, f"{section}.{key}")
+                       for key, value in doc.items()})
+    except TypeError as exc:
+        raise ConfigError(f"{section} section: {exc}") from exc
 
 
 def run_config_to_dict(cfg: ExperimentConfig, params: AnalysisParams) -> dict:
-    return {"experiment": experiment_to_dict(cfg),
-            "analysis": analysis_to_dict(params)}
+    return {"experiment": _to_doc(cfg), "analysis": _to_doc(params)}
 
 
 def run_config_from_dict(doc: dict) -> tuple[ExperimentConfig, AnalysisParams]:
-    if "experiment" not in doc or "analysis" not in doc:
+    if not isinstance(doc, dict) or not {"experiment", "analysis"} <= doc.keys():
         raise ConfigError("run config needs 'experiment' and 'analysis' sections")
-    return (experiment_from_dict(doc["experiment"]),
-            analysis_from_dict(doc["analysis"]))
+    return (_from_doc(ExperimentConfig, doc["experiment"], "experiment"),
+            _from_doc(AnalysisParams, doc["analysis"], "analysis"))
 
 
 def save_run_config(path, cfg: ExperimentConfig, params: AnalysisParams) -> None:

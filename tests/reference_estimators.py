@@ -176,8 +176,7 @@ def propagate_type_a(series, ddof: int = 1) -> TypeAUncertainty:
     alpha, sigma, eta = _estimates_from_moments(mom, n, m, ddof)
     return TypeAUncertainty(alpha=alpha, sigma=sigma, eta=eta,
                             u_alpha=float(u[0]), u_sigma=float(u[1]),
-                            u_eta=float(u[2]),
-                            cov_alpha_sigma=float(cov[0, 1]))
+                            u_eta=float(u[2]))
 
 
 def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, mask=None):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from twincal.simulate import generate_stack
 from twincal import estimate, model, presets, simulate
 from twincal import io as tio
 
+from test_io import REFUSED_EDITS, edited_config_doc
 from test_simulate import make_config
 
 
@@ -577,6 +579,40 @@ def test_one_batch_calibration_is_refused_before_reading(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error[ConfigError]" in err and "z_batches >= 2, got 1" in err
     assert not (out / "calibration.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, message", REFUSED_EDITS.values(),
+                         ids=REFUSED_EDITS)
+def test_refused_documents_exit_2(tmp_path, capsys, path, value, message):
+    config, out = tmp_path / "run.json", tmp_path / "out"
+    config.write_text(json.dumps(edited_config_doc(path, value)))
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]: ")
+    assert re.search(message, err.removeprefix("error[ConfigError]: "))
+    assert not out.exists()
+
+
+def test_unsorted_areas_are_refused_before_reading(run_dir, capsys):
+    # area-scan derives its region pairs, and so checks the areas' order,
+    # before it opens a stack
+    tmp_path, config = run_dir
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(data),
+                 "--quiet"]) == 0
+    cfg, params = load_run_config(config)
+    save_run_config(config, cfg,
+                    dataclasses.replace(params, areas=((5, 8), (1, 1))))
+    with mock.patch.object(tio, "read_stack", wraps=tio.read_stack) as read:
+        assert main(["area-scan", "--config", str(config), "--out",
+                     str(out), "--pdc", str(data / "pdc.tbs"),
+                     "--background", str(data / "background.tbs"),
+                     "--quiet"]) == 2
+    assert read.call_count == 0
+    err = capsys.readouterr().err
+    assert "error[DomainError]" in err and "sorted ascending" in err
     assert not out.exists()
 
 

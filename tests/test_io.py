@@ -29,12 +29,8 @@ from twincal.estimate import (
 )
 from twincal.io import (
     AnalysisParams,
-    analysis_from_dict,
-    analysis_to_dict,
     config_bytes,
     config_digest,
-    experiment_from_dict,
-    experiment_to_dict,
     load_run_config,
     read_stack,
     run_config_from_dict,
@@ -46,6 +42,7 @@ from twincal.io import (
     write_cs_map_csv,
     write_stack,
 )
+from twincal import presets
 from twincal.model import Region
 from twincal.simulate import KIND_BACKGROUND, KIND_PDC, Stack
 
@@ -72,6 +69,52 @@ def a_config_doc():
     cfg = make_config()
     params = AnalysisParams(region_s=Region((4, 3), (5, 8)))
     return run_config_to_dict(cfg, params)
+
+
+DELETE = object()
+
+# Edits that make a run-config document refused: the path of the key, its
+# new value (DELETE removes it) and the ConfigError message expected.
+REFUSED_EDITS = {
+    **{f"unknown-key-in-{'.'.join(path)}": (
+        (*path, "bogus"), 1,
+        rf"^{'[.]'.join(path)} section: unknown keys \['bogus'\]$")
+       for path in (("experiment",), ("experiment", "channel"),
+                    ("experiment", "modes"), ("experiment", "pulse"),
+                    ("experiment", "background"), ("experiment", "geometry"),
+                    ("analysis",), ("analysis", "region_s"))},
+    "side-in-region_s": (("analysis", "region_s", "side"), "signal",
+                         r"^analysis[.]region_s section: unknown keys"),
+    "missing-section": (("analysis",), DELETE,
+                        "needs 'experiment' and 'analysis' sections"),
+    "missing-required-key": (("experiment", "channel", "eta_s"), DELETE,
+                             r"^experiment[.]channel section: .*'eta_s'"),
+    "missing-required-section": (("experiment", "geometry"), DELETE,
+                                 r"^experiment section: .*'geometry'"),
+    "list-for-object": (("experiment", "channel"), [0.6, 0.6],
+                        r"^experiment[.]channel section: expected an object"),
+    "list-for-region": (("analysis", "region_s"), [[4, 3], [5, 8]],
+                        r"^analysis[.]region_s section: expected an object"),
+    "number-for-list": (("experiment", "modes", "grid"), 5,
+                        r"^experiment[.]modes section: "),
+    "numbers-for-pairs": (("analysis", "areas"), [1, 2],
+                          r"^analysis section: "),
+}
+
+
+def edited_config_doc(path, value):
+    """``a_config_doc()`` with the key at ``path`` set to ``value``, or
+    removed when ``value`` is DELETE."""
+    doc = a_config_doc()
+    *parents, key = path
+    section = doc
+    for name in parents:
+        section = section[name]
+    if value is DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    return doc
 
 
 class TestStackRoundTrip:
@@ -400,16 +443,23 @@ class TestBoxRead:
             (whole.kind, whole.digest_verified, digest)
 
 
+def round_trip(cfg, params):
+    return run_config_from_dict(run_config_to_dict(cfg, params))
+
+
+A_PARAMS = AnalysisParams(region_s=Region((4, 3), (5, 8)))
+
+
 class TestRunConfig:
     def test_experiment_round_trip(self):
         cfg = make_config(jitter=0.1, straylight=300.0, tracks=True,
                           read_noise=4.0, binning=2, idler_ratio=0.89,
                           cs_offset=(1.5, -0.5), cosmic_rate=0.02, seed=77)
-        assert experiment_from_dict(experiment_to_dict(cfg)) == cfg
+        assert round_trip(cfg, A_PARAMS)[0] == cfg
 
     def test_sinh2_pulse_round_trip(self):
         cfg = make_config(gain_map="sinh2", gain_const=1.06, jitter=0.1)
-        assert experiment_from_dict(experiment_to_dict(cfg)) == cfg
+        assert round_trip(cfg, A_PARAMS)[0] == cfg
 
     def test_analysis_round_trip(self):
         params = AnalysisParams(region_s=Region((4, 3), (5, 8)),
@@ -419,7 +469,7 @@ class TestRunConfig:
                                 areas=((1, 1), (5, 8)),
                                 cosmic_mad_k=12.0, variance_ddof=0,
                                 tau_s=0.95, tau_i=0.97)
-        assert analysis_from_dict(analysis_to_dict(params)) == params
+        assert round_trip(make_config(), params)[1] == params
 
     def test_file_round_trip(self, tmp_path):
         cfg = make_config(seed=11)
@@ -452,16 +502,34 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=key):
                 run_config_from_dict(doc)
 
+    @pytest.mark.parametrize("path, value, message",
+                             REFUSED_EDITS.values(), ids=REFUSED_EDITS)
+    def test_refused_documents_name_their_section(self, path, value,
+                                                  message):
+        with pytest.raises(ConfigError, match=message):
+            run_config_from_dict(edited_config_doc(path, value))
+
+    def test_a_document_that_is_not_an_object_is_a_config_error(self):
+        for doc in (["experiment", "analysis"], 5, None):
+            with pytest.raises(ConfigError, match="sections"):
+                run_config_from_dict(doc)
+
+    def test_reference_document_digest_is_pinned(self):
+        # the format of every sidecar and .tbs header digest
+        doc = run_config_to_dict(presets.reference_experiment(),
+                                 presets.reference_analysis())
+        assert config_digest(doc).hex() == (
+            "bb42741caf6d60d98a84499db34c5a75060b964f60b93ae0c52ac4c7fa073144")
+
     def test_absent_keys_take_the_dataclass_defaults(self):
         doc = a_config_doc()
         exp, ana = doc["experiment"], doc["analysis"]
         for key in ("cs_offset", "cosmic_ray_rate", "master_seed"):
             del exp[key]
         ana = {"region_s": ana["region_s"]}
-        assert experiment_from_dict(exp) == dataclasses.replace(
-            make_config(), master_seed=0)
-        assert analysis_from_dict(ana) == AnalysisParams(
-            region_s=Region((4, 3), (5, 8)))
+        exp, ana = run_config_from_dict({"experiment": exp, "analysis": ana})
+        assert exp == dataclasses.replace(make_config(), master_seed=0)
+        assert ana == AnalysisParams(region_s=Region((4, 3), (5, 8)))
 
     def test_invalid_values_are_config_errors(self):
         doc = a_config_doc()
