@@ -56,16 +56,6 @@ def _load_config(args):
     return cfg, params
 
 
-def _read_stack(path, box, kind) -> simulate.Stack:
-    """Read the ``box`` of every frame of a stack file of ``kind``,
-    warning when no sidecar vouched for its config."""
-    stack, _ = io.read_stack(path, box, kind)
-    if not stack.digest_verified:
-        print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
-              "the config digest was not verified", file=sys.stderr)
-    return stack
-
-
 def _analysed(geometry, region_s, extent) -> list:
     """What the centre search reads: ``region_s`` and the idler window
     holding its conjugate at every shift up to ``extent``."""
@@ -91,6 +81,32 @@ def _hull(regions):
     bottom = max(r.origin[0] + r.extent[0] for r in regions)
     right = max(r.origin[1] + r.extent[1] for r in regions)
     return Region(origin=(top, left), extent=(bottom - top, right - left))
+
+
+def _read_boxes(cfg, region_s, regions, pdc, background=None):
+    """Read the box of every frame that holds ``regions`` (``_hull``) from
+    the pdc stack file and, when given, the background one; returns the
+    geometry of the box, ``region_s`` moved into it
+    (``FrameGeometry.crop``) and the two (frames, rows, cols) count
+    arrays, None for no background.
+
+    A stack of the wrong kind is a StackFormatError, and one whose frames
+    do not hold the box or are not the shape of ``cfg.geometry`` a
+    GeometryError, each raised before any payload byte is read.  A stack
+    no sidecar vouched for is read with a warning.
+    """
+    box = _hull(regions)
+    geometry, region_s = cfg.geometry.crop(box, region_s)
+
+    def read(path, kind):
+        stack, _ = io.read_stack(path, box, kind, cfg.geometry.shape)
+        if not stack.digest_verified:
+            print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
+                  "the config digest was not verified", file=sys.stderr)
+        return stack.counts
+
+    return (geometry, region_s, read(pdc, simulate.KIND_PDC),
+            read(background, simulate.KIND_BACKGROUND) if background else None)
 
 
 def _outdir(args) -> Path:
@@ -138,11 +154,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_find_cs(args) -> int:
     cfg, params = _load_config(args)
-    box = _hull(_analysed(cfg.geometry, params.region_s,
-                          params.cs_search_extent))
-    geometry, region_s = cfg.geometry.crop(box, params.region_s)
-    stack = _read_stack(args.stack, box, simulate.KIND_PDC)
-    result = estimate.sigma_spatial_map(stack.counts, region_s, geometry,
+    geometry, region_s, pdc, _ = _read_boxes(
+        cfg, params.region_s, _analysed(cfg.geometry, params.region_s,
+                                        params.cs_search_extent), args.stack)
+    result = estimate.sigma_spatial_map(pdc, region_s, geometry,
                                         params.cs_search_extent)
     io.write_cs_map_csv(_outdir(args) / "cs_map.csv", result)
     _say(args, f"spatial-map minimum at offset {result.argmin}, "
@@ -155,11 +170,9 @@ def cmd_area_scan(args) -> int:
     cfg, params = _load_config(args)
     pairs = estimate.area_pairs(cfg.geometry, params.region_s.center,
                                 params.areas)
-    box = _hull([region for pair in pairs for region in pair])
-    geometry, region_s = cfg.geometry.crop(box, params.region_s)
-    pdc = _read_stack(args.pdc, box, simulate.KIND_PDC).counts
-    bg = (_read_stack(args.background, box, simulate.KIND_BACKGROUND).counts
-          if args.background else None)
+    geometry, region_s, pdc, bg = _read_boxes(
+        cfg, params.region_s, [region for pair in pairs for region in pair],
+        args.pdc, args.background)
     points = estimate.area_scan(pdc, bg, geometry, region_s.center,
                                 params.areas,
                                 cell_px=cfg.modes.coherence_cell_px,
@@ -244,12 +257,10 @@ def cmd_calibrate(args) -> int:
     if params.z_batches < 2:
         raise ConfigError("calibrate needs analysis.z_batches >= 2, "
                           f"got {params.z_batches}")
-    box = _hull(_analysed(cfg.geometry, params.region_s,
-                          params.cs_search_extent))
-    geometry, region_s = cfg.geometry.crop(box, params.region_s)
-    pdc = _read_stack(args.pdc, box, simulate.KIND_PDC).counts
-    bg = (_read_stack(args.background, box, simulate.KIND_BACKGROUND).counts
-          if args.background else None)
+    geometry, region_s, pdc, bg = _read_boxes(
+        cfg, params.region_s, _analysed(cfg.geometry, params.region_s,
+                                        params.cs_search_extent),
+        args.pdc, args.background)
     _, summary, diagnostics = _calibrate(params, geometry, region_s, m_tot,
                                          pdc, bg)
     _report(args, params, _outdir(args), summary, diagnostics)

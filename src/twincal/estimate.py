@@ -16,6 +16,11 @@ Conventions
   dtype or shape with StackFormatError; ``region_sum``,
   ``build_series`` and ``area_scan`` sum any numeric array in float64.
   Region blocks are cast to float64 before any difference.
+* A Region is an origin and an extent.  The frame's geometry decides
+  which half it must lie on (``FrameGeometry.validate_region``), and
+  every region leaving the frame, whether a region sum, the cosmic-ray
+  filter or the geometry meets it, raises the one GeometryError of
+  ``Region.check_inside``.
 * The spatial map and the cosmic-ray filter deal their frame tiles or
   pixel lane blocks out to one worker per CPU the process may run on
   (``model._run_workers``).  Each worker fills its own rows of the
@@ -40,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import DegenerateDataError, DomainError, GeometryError
-from .model import COUNT_DTYPE, FrameGeometry, Region, SIDE_SIGNAL, check_counts
+from .errors import DegenerateDataError, DomainError
+from .model import COUNT_DTYPE, FrameGeometry, Region, check_counts
 
 # Fixed systematic (Type B) terms reported with every calibration: the
 # residual of excess-noise nullification by balancing, and the relative
@@ -125,17 +130,9 @@ def region_sum(counts: np.ndarray, region: Region):
     ``counts`` is one frame or a stack.  The float64 sums of integral
     counts are exact whatever the input dtype.
     """
-    _check_in_frame(region, counts.shape[-2:])
+    region.check_inside(counts.shape[-2:])
     return counts[..., region.row_slice, region.col_slice].sum(
         axis=(-2, -1), dtype=np.float64)
-
-
-def _check_in_frame(region: Region, shape) -> None:
-    """GeometryError unless ``region`` lies inside frames of ``shape``."""
-    if not region.inside(shape):
-        raise GeometryError(
-            f"region {region.origin}+{region.extent} leaves the frame "
-            f"{tuple(shape)}")
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
@@ -434,7 +431,7 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     if not regions:
         raise DomainError("no region to filter")
     for region in regions:
-        _check_in_frame(region, frames.shape[1:])
+        region.check_inside(frames.shape[1:])
     # Lane blocks of a region's pixels, whole rows of it or part of one
     # row, dealt out to the workers; each worker takes the median, then
     # the absolute deviations in place and their median, and compares
@@ -570,8 +567,6 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     any CPU count.
     """
     check_counts(frames)
-    if region_s.side != SIDE_SIGNAL:
-        raise GeometryError("region_s must lie on the signal half")
     geometry.validate_region(region_s)
     # Every candidate region is valid, before any data is touched, when
     # the search window holding them all is.

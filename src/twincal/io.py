@@ -13,7 +13,9 @@ Stack file layout (little endian)::
     payload count * rows * cols u32 counts, row-major, frame-major
 
 ``read_stack`` checks the header, the file size and the sidecar digest
-before it reads any payload byte, then returns the payload, or one box
+before it reads any payload byte, and then that the box it is asked
+for lies in the frame (``Region.check_inside``) and that the frames
+have the shape asked for.  It returns the payload, or one box
 of rows and columns of every frame, as a read-only ``<u4`` array of
 shape (count, box rows, box cols).  A box is read a tile of whole frames
 at a time into one reused buffer, and only its pixels are kept: the
@@ -26,10 +28,13 @@ the digest ties the two files together.  Serialisation is canonical
 (sorted keys), so identical inputs produce byte-identical files.  A run
 configuration document is made from the config dataclasses themselves:
 every field is a key of its section, a nested dataclass is an object and
-a tuple is a list; a region holds only its origin and extent.  It is
-read key by key: an absent key takes the default declared on its
-dataclass, and an unknown key is a ConfigError that names its section
-(``experiment.channel``).
+a tuple is a list; a region holds only its origin and extent, as the
+half it lies on is the geometry's to decide.  It is read key by key: an
+absent key takes the default declared on its dataclass, and an unknown
+key, at the top level or in a section, is a ConfigError.  So is a value
+that does not match its field's type hint: an int is no bool, a float
+any number but a bool, a tuple a list of its length.  Each message
+names the section (``experiment.channel``) and the key.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import uuid
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -149,8 +155,8 @@ def _write_payload_and_header(fh, blocks, config: dict) -> None:
                           rows, cols, count, config_digest(config)))
 
 
-def read_stack(path, box: Region | None = None,
-               kind: str | None = None) -> tuple[Stack, str]:
+def read_stack(path, box: Region | None = None, kind: str | None = None,
+               shape: tuple[int, int] | None = None) -> tuple[Stack, str]:
     """Read a frame stack, or the ``box`` of each of its frames; returns
     (stack, config digest hex).
 
@@ -158,16 +164,16 @@ def read_stack(path, box: Region | None = None,
     present, are checked before any payload byte is read, in that order;
     ``stack.digest_verified`` records whether the sidecar check ran.  A
     header of another kind than ``kind``, when given, raises
-    StackFormatError with the header checks.  A
-    ``box`` (a Region of the frame, whose side is ignored) leaving the
-    frame then raises GeometryError; without a box the whole frame is
-    read.  The payload is read a tile of whole frames at a time into one
-    reused buffer, and only the box of each frame is copied out, so
-    beyond the result the reader holds one tile (``_READ_TILE_BYTES``, or
-    one frame if larger).  A file that ends early raises
-    TruncatedPayloadError and nothing is returned.  The counts are a
-    read-only (frames, box rows, box cols) u32 array.  Pulse energies are
-    not persisted and come back as NaN.
+    StackFormatError with the header checks.  A ``box`` (a Region of the
+    frame) leaving the frame then raises GeometryError, and so do frames
+    of another (rows, cols) than ``shape``, when given; without a box the
+    whole frame is read.  The payload is read a tile of whole frames at
+    a time into one reused buffer, and only the box of each frame is
+    copied out, so beyond the result the reader holds one tile
+    (``_READ_TILE_BYTES``, or one frame if larger).  A file that ends
+    early raises TruncatedPayloadError and nothing is returned.  The
+    counts are a read-only (frames, box rows, box cols) u32 array.
+    Pulse energies are not persisted and come back as NaN.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -204,9 +210,10 @@ def read_stack(path, box: Region | None = None,
 
         if box is None:
             box = Region((0, 0), (rows, cols))
-        if not box.inside((rows, cols)):
-            raise GeometryError(f"{path}: box {box.origin}+{box.extent} "
-                                f"leaves the {rows}x{cols} frame")
+        box.check_inside((rows, cols), f"{path}: box")
+        if shape not in (None, (rows, cols)):
+            raise GeometryError(f"{path}: {rows}x{cols} frames, expected "
+                                f"{shape[0]}x{shape[1]}")
         counts = np.empty((count, *box.extent), dtype=COUNT_DTYPE)
         tile = np.empty((max(1, _READ_TILE_BYTES // (rows * cols * 4)),
                          rows, cols), dtype=COUNT_DTYPE)
@@ -265,45 +272,65 @@ class AnalysisParams:
 _type_hints = cache(get_type_hints)
 
 
-def _doc_fields(cls) -> list:
-    """The fields of ``cls`` its document holds: all of them, but a
-    Region's side, which a config region never sets."""
-    return [f for f in fields(cls) if (cls, f.name) != (Region, "side")]
-
-
 def _to_doc(obj):
     """A config dataclass as a JSON document: nested dataclasses become
     objects and tuples become lists."""
     if is_dataclass(obj):
         return {f.name: _to_doc(getattr(obj, f.name))
-                for f in _doc_fields(type(obj))}
+                for f in fields(obj)}
     if isinstance(obj, tuple):
         return [_to_doc(v) for v in obj]
     return obj
 
 
 def _from_doc(kind, doc, section: str):
-    """A value of type ``kind`` read from its document, the inverse of
-    ``_to_doc``.  A dataclass is built key by key: an absent key takes
-    the dataclass default, and an unknown key, a document that is not an
-    object or a value of the wrong shape is a ConfigError naming
-    ``section``."""
-    if get_origin(kind) is tuple:  # every config tuple holds one type
-        return tuple(_from_doc(get_args(kind)[0], v, section) for v in doc)
-    if not is_dataclass(kind):
-        return doc
+    """The config dataclass ``kind`` built from its document, the inverse
+    of ``_to_doc``, key by key: an absent key takes the dataclass
+    default.  An unknown key, a document that is not an object and a
+    value that does not match its field's type hint (``_checked``) are
+    ConfigErrors naming ``section``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} section: expected an object, "
                           f"got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in _doc_fields(kind)})
+    unknown = sorted(set(doc) - {f.name for f in fields(kind)})
     if unknown:
         raise ConfigError(f"{section} section: unknown keys {unknown}")
     hints = _type_hints(kind)
+    values = {key: (_from_doc(hints[key], value, f"{section}.{key}")
+                    if is_dataclass(hints[key]) else
+                    _checked(hints[key], value, f"{section} section: {key}"))
+              for key, value in doc.items()}
     try:
-        return kind(**{key: _from_doc(hints[key], value, f"{section}.{key}")
-                       for key, value in doc.items()})
+        return kind(**values)
     except TypeError as exc:
         raise ConfigError(f"{section} section: {exc}") from exc
+
+
+def _checked(hint, value, where: str):
+    """``value`` read as the type ``hint`` of a config field, or a
+    ConfigError naming ``where``.  A tuple is a list of its length, or of
+    any length for ``tuple[X, ...]``; ``X | None`` takes null; an int is
+    a float, but a bool is neither an int nor a float."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        any_length = args[-1] is Ellipsis
+        if not (isinstance(value, list)
+                and (any_length or len(value) == len(args))):
+            length = "" if any_length else f" of {len(args)}"
+            raise ConfigError(f"{where} must be a list{length}, "
+                              f"got {value!r}")
+        kinds = args[:1] * len(value) if any_length else args
+        return tuple(_checked(k, v, f"{where}[{i}]")
+                     for i, (k, v) in enumerate(zip(kinds, value)))
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None:
+            return value
+        hint = args[0]
+    allowed = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or \
+            not isinstance(value, allowed):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def run_config_to_dict(cfg: ExperimentConfig, params: AnalysisParams) -> dict:
@@ -313,6 +340,9 @@ def run_config_to_dict(cfg: ExperimentConfig, params: AnalysisParams) -> dict:
 def run_config_from_dict(doc: dict) -> tuple[ExperimentConfig, AnalysisParams]:
     if not isinstance(doc, dict) or not {"experiment", "analysis"} <= doc.keys():
         raise ConfigError("run config needs 'experiment' and 'analysis' sections")
+    unknown = sorted(doc.keys() - {"experiment", "analysis"})
+    if unknown:
+        raise ConfigError(f"run config: unknown top-level keys {unknown}")
     return (_from_doc(ExperimentConfig, doc["experiment"], "experiment"),
             _from_doc(AnalysisParams, doc["analysis"], "analysis"))
 

@@ -22,9 +22,6 @@ from .errors import DomainError, GeometryError, StackFormatError
 GAIN_LINEAR = "linear"
 GAIN_SINH2 = "sinh2"
 
-SIDE_SIGNAL = "signal"
-SIDE_IDLER = "idler"
-
 # The one count type of a frame stack: the simulator renders it, a stack
 # file holds it, and the stack estimators take nothing else.
 COUNT_DTYPE = np.dtype("<u4")
@@ -233,17 +230,15 @@ class BackgroundModel:
 
 @dataclass(frozen=True)
 class Region:
-    """A rectangular block of superpixels on one beam half."""
+    """A rectangular block of superpixels.  Which beam half it must lie on
+    is the frame's to say (``FrameGeometry.validate_region``)."""
 
     origin: tuple[int, int]
     extent: tuple[int, int]
-    side: str = SIDE_SIGNAL
 
     def __post_init__(self) -> None:
         if min(self.extent) < 1:
             raise GeometryError(f"region extent must be positive, got {self.extent!r}")
-        if self.side not in (SIDE_SIGNAL, SIDE_IDLER):
-            raise GeometryError(f"unknown side {self.side!r}")
 
     @property
     def row_slice(self) -> slice:
@@ -262,11 +257,15 @@ class Region:
         return (self.origin[0] + (self.extent[0] - 1) / 2.0,
                 self.origin[1] + (self.extent[1] - 1) / 2.0)
 
-    def inside(self, shape: tuple[int, int]) -> bool:
-        """Whether the region lies within frames of ``shape`` (rows, cols),
-        where slicing would clip it silently."""
+    def check_inside(self, shape, name: str = "region") -> None:
+        """GeometryError, naming the region ``name``, unless it lies
+        within frames of ``shape`` (rows, cols), where slicing would clip
+        it silently."""
         (r0, c0), (h, w) = self.origin, self.extent
-        return 0 <= r0 and 0 <= c0 and r0 + h <= shape[0] and c0 + w <= shape[1]
+        if not (0 <= r0 and 0 <= c0 and r0 + h <= shape[0]
+                and c0 + w <= shape[1]):
+            raise GeometryError(f"{name} {self.origin}+{self.extent} leaves "
+                                f"the {shape[0]}x{shape[1]} frame")
 
 
 @dataclass(frozen=True)
@@ -306,20 +305,22 @@ class FrameGeometry:
         """Point-reflect a region through cs, optionally shifted.
 
         The reflection of superpixels [o, o + n) is [2*cs - o - n + 1,
-        2*cs - o + 1); with 2*cs integral the result is grid-aligned.
+        2*cs - o + 1); with 2*cs integral the result is grid-aligned.  It
+        must lie on the half opposite the one holding the region's first
+        column, so conjugating twice gives the region back.
         """
         r0 = int(round(2.0 * self.cs[0])) - region.origin[0] - region.extent[0] + 1
         c0 = int(round(2.0 * self.cs[1])) - region.origin[1] - region.extent[1] + 1
-        side = SIDE_IDLER if region.side == SIDE_SIGNAL else SIDE_SIGNAL
         conj = Region(origin=(r0 + shift[0], c0 + shift[1]),
-                      extent=region.extent, side=side)
-        self.validate_region(conj)
+                      extent=region.extent)
+        self.validate_region(conj, idler=region.origin[1] < self.beam_split)
         return conj
 
     def search_window(self, region_s: Region,
                       extent: tuple[int, int]) -> Region:
         """The box holding the conjugate of ``region_s`` at every shift
-        of up to ``extent`` superpixels per axis: the idler search window.
+        of up to ``extent`` superpixels per axis: the search window, on
+        the half opposite ``region_s`` (the idler half for a signal one).
 
         The box is valid exactly when every shifted conjugate is, since
         its corners are those of the extreme shifts.
@@ -330,8 +331,9 @@ class FrameGeometry:
         base = self.conjugate_region(region_s)
         (r0, c0), (h, w) = base.origin, base.extent
         window = Region(origin=(r0 - er, c0 - ec),
-                        extent=(h + 2 * er, w + 2 * ec), side=base.side)
-        self.validate_region(window)
+                        extent=(h + 2 * er, w + 2 * ec))
+        self.validate_region(window,
+                             idler=region_s.origin[1] < self.beam_split)
         return window
 
     def crop(self, box: Region,
@@ -349,21 +351,18 @@ class FrameGeometry:
                                  cs=(self.cs[0] - dr, self.cs[1] - dc),
                                  beam_split=self.beam_split - dc)
         moved = Region(origin=(region.origin[0] - dr, region.origin[1] - dc),
-                       extent=region.extent, side=region.side)
+                       extent=region.extent)
         return geometry, moved
 
-    def validate_region(self, region: Region) -> None:
-        if not region.inside(self.shape):
-            raise GeometryError(
-                f"region {region.origin}+{region.extent} leaves the "
-                f"{self.rows}x{self.cols} frame")
+    def validate_region(self, region: Region, idler: bool = False) -> None:
+        """GeometryError unless ``region`` lies inside the frame and wholly
+        on the signal half, or on the idler half when ``idler`` is set."""
+        region.check_inside(self.shape)
         c0, w = region.origin[1], region.extent[1]
-        if region.side == SIDE_SIGNAL:
-            if c0 + w > self.beam_split:
-                raise GeometryError("signal region crosses into the idler half")
-        else:
-            if c0 < self.beam_split:
-                raise GeometryError("idler region crosses into the signal half")
+        if not idler and c0 + w > self.beam_split:
+            raise GeometryError("signal region crosses into the idler half")
+        if idler and c0 < self.beam_split:
+            raise GeometryError("idler region crosses into the signal half")
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,12 @@ def reference_experiment(master_seed: int = 20260809) -> ExperimentConfig:
 
 def reference_analysis(z_batches: int = 8, frames_per_batch: int = 500,
                        background_frames_per_batch: int = 500) -> AnalysisParams:
-    """Analysis parameters of the canned run: Z batches of N + M frames."""
+    """Analysis parameters of the canned run: Z batches of N + M frames,
+    every other parameter at its AnalysisParams default."""
     cfg = reference_experiment()
     return AnalysisParams(
         region_s=cfg.signal_region(),
         z_batches=z_batches,
         frames_per_batch=frames_per_batch,
         background_frames_per_batch=background_frames_per_batch,
-        cs_search_extent=(3, 3),
-        areas=(),
-        cosmic_mad_k=10.0,
-        variance_ddof=1,
     )

@@ -44,7 +44,6 @@ from .model import (
     ModeStructure,
     PulseModel,
     Region,
-    SIDE_SIGNAL,
     check_counts,
 )
 
@@ -121,7 +120,7 @@ class ExperimentConfig:
     def signal_region(self) -> Region:
         """The emission block of the signal beam as a Region."""
         region = Region(origin=self.signal_block_origin(),
-                        extent=self.modes.block_shape, side=SIDE_SIGNAL)
+                        extent=self.modes.block_shape)
         self.geometry.validate_region(region)
         return region
 

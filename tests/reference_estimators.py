@@ -24,9 +24,9 @@ same values bit for bit.
 
 import numpy as np
 
-from twincal.errors import DegenerateDataError, DomainError, GeometryError
+from twincal.errors import DegenerateDataError, DomainError
 from twincal.estimate import SpatialMapResult, TypeAUncertainty
-from twincal.model import FrameGeometry, Region, SIDE_SIGNAL
+from twincal.model import FrameGeometry, Region
 
 
 def region_sums(frames, region):
@@ -221,8 +221,6 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     the mean pair sum; frames are then averaged.  Correlated displacements
     produce a dip, uncorrelated ones a plateau near 1 + excess noise.
     """
-    if region_s.side != SIDE_SIGNAL:
-        raise GeometryError("region_s must lie on the signal half")
     geometry.validate_region(region_s)
     er, ec = search_extent
     if er < 0 or ec < 0:

@@ -677,3 +677,31 @@ def test_region_smaller_than_a_cell_is_refused_before_reading(tmp_path,
     assert "region_s (1, 1)" in err and "2x2 coherence cell" in err
     assert not (out / "calibration.csv").exists()
     assert not out.exists()
+
+
+def test_stack_larger_than_the_config_frame_is_a_geometry_error(run_dir,
+                                                                capsys):
+    # frames that hold the analysed box, but are not the config's 13x30,
+    # belong to another geometry: each command refuses them
+    tmp_path, config = run_dir
+    cfg, params = load_run_config(config)
+    doc = tio.run_config_to_dict(cfg, params)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, kind in (("pdc.tbs", simulate.KIND_PDC),
+                       ("background.tbs", simulate.KIND_BACKGROUND)):
+        large = np.zeros((120, 16, 36), dtype=model.COUNT_DTYPE)
+        large[:, :13, :30] = generate_stack(cfg, 120, kind).counts
+        tio.write_stack(out / name, [simulate.Stack(large, kind)], doc)
+    stacks = ["--pdc", str(out / "pdc.tbs"),
+              "--background", str(out / "background.tbs")]
+    for argv in (["find-cs", "--stack", str(out / "pdc.tbs")],
+                 ["area-scan", *stacks], ["calibrate", *stacks],
+                 ["calibrate", "--pdc", str(out / "pdc.tbs")]):
+        assert main([argv[0], "--config", str(config), "--out", str(out),
+                     "--quiet", *argv[1:]]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"error[GeometryError]: {out / 'pdc.tbs'}: 16x36 "
+                       "frames, expected 13x30\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "background.tbs", "background.tbs.json", "pdc.tbs", "pdc.tbs.json"]

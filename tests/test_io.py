@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io as stdio
 import os
 import struct
 import types
@@ -99,6 +100,50 @@ REFUSED_EDITS = {
                         r"^experiment[.]modes section: "),
     "numbers-for-pairs": (("analysis", "areas"), [1, 2],
                           r"^analysis section: "),
+    "unknown-top-level-key": (("extra",), 1,
+                              r"^run config: unknown top-level keys \['extra'\]$"),
+    # values that do not match their field's type hint
+    "string-for-pair": (("analysis", "region_s", "origin"), "ab",
+                        r"^analysis[.]region_s section: origin must be a "
+                        r"list of 2, got 'ab'$"),
+    "object-for-pair": (("analysis", "cs_search_extent"), {"a": 1, "b": 2},
+                        r"^analysis section: cs_search_extent must be a "
+                        r"list of 2, "),
+    "three-for-pair": (("analysis", "cs_search_extent"), [3, 3, 3],
+                       r"^analysis section: cs_search_extent must be a "
+                       r"list of 2, got \[3, 3, 3\]$"),
+    "one-for-pair": (("experiment", "cs_offset"), [1.0],
+                     r"^experiment section: cs_offset must be a list of 2, "
+                     r"got \[1[.]0\]$"),
+    "bool-for-int": (("analysis", "z_batches"), True,
+                     r"^analysis section: z_batches must be int, got True$"),
+    "float-for-int": (("analysis", "frames_per_batch"), 500.0,
+                      r"^analysis section: frames_per_batch must be int, "
+                      r"got 500[.]0$"),
+    "floats-for-ints": (("experiment", "modes", "grid"), [5.0, 8.0],
+                        r"^experiment[.]modes section: grid\[0\] must be "
+                        r"int, got 5[.]0$"),
+    "bool-in-areas": (("analysis", "areas"), [[1, 1], [2, True]],
+                      r"^analysis section: areas\[1\]\[1\] must be int, "
+                      r"got True$"),
+    "string-for-areas": (("analysis", "areas"), "ab",
+                         r"^analysis section: areas must be a list, "
+                         r"got 'ab'$"),
+    "bool-for-float": (("experiment", "channel", "eta_s"), True,
+                       r"^experiment[.]channel section: eta_s must be "
+                       r"float, got True$"),
+    "string-for-optional-float": (("experiment", "pulse", "gain_const"), "1",
+                                  r"^experiment[.]pulse section: gain_const "
+                                  r"must be float, got '1'$"),
+    "int-for-bool": (("experiment", "background", "straylight_tracks_pulse"),
+                     1, r"^experiment[.]background section: "
+                        r"straylight_tracks_pulse must be bool, got 1$"),
+    "number-for-string": (("experiment", "pulse", "gain_map"), 3,
+                          r"^experiment[.]pulse section: gain_map must be "
+                          r"str, got 3$"),
+    "null-for-int": (("experiment", "master_seed"), None,
+                     r"^experiment section: master_seed must be int, "
+                     r"got None$"),
 }
 
 
@@ -396,6 +441,31 @@ class TestStackErrors:
             read_stack(path, box)
 
     @pytest.mark.parametrize("box", [None, Region((1, 1), (2, 3))])
+    def test_frames_of_another_shape_are_refused_before_the_payload(
+            self, tmp_path, monkeypatch, box):
+        # frames that hold the box but are not of the expected shape are
+        # refused with the header checks: no payload byte is read
+        path = self.write_valid(tmp_path)  # 4 frames of 5x6
+        whole = read_stack(path, box)[0].counts
+
+        class HeaderOnly(stdio.BufferedReader):
+            def readinto(self, buffer):
+                raise AssertionError("payload read")
+
+        monkeypatch.setattr(tio, "open", lambda path, mode: HeaderOnly(
+            stdio.FileIO(path, mode)), raising=False)
+        for shape in ((5, 7), (6, 6), (4, 6)):
+            with pytest.raises(GeometryError) as refused:
+                read_stack(path, box, shape=shape)
+            assert str(refused.value) == (
+                f"{path}: 5x6 frames, expected {shape[0]}x{shape[1]}")
+        with pytest.raises(AssertionError, match="payload read"):
+            read_stack(path, box, shape=(5, 6))
+        monkeypatch.undo()
+        assert np.array_equal(read_stack(path, box, shape=(5, 6))[0].counts,
+                              whole)
+
+    @pytest.mark.parametrize("box", [None, Region((1, 1), (2, 3))])
     def test_a_payload_that_ends_early_returns_nothing(self, tmp_path,
                                                        monkeypatch, box):
         # the file shrinks after its size was checked: readinto comes up
@@ -530,6 +600,16 @@ class TestRunConfig:
         exp, ana = run_config_from_dict({"experiment": exp, "analysis": ana})
         assert exp == dataclasses.replace(make_config(), master_seed=0)
         assert ana == AnalysisParams(region_s=Region((4, 3), (5, 8)))
+
+    def test_ints_load_as_floats_and_null_as_none(self):
+        # an int where a float belongs is kept as it is, so the document
+        # round-trips byte for byte
+        doc = edited_config_doc(("experiment", "geometry", "cs"), [6, 14.5])
+        doc["experiment"]["channel"]["eta_s"] = 1
+        exp, ana = run_config_from_dict(doc)
+        assert exp.geometry.cs == (6, 14.5) and exp.channel.eta_s == 1
+        assert exp.pulse.gain_const is None
+        assert config_bytes(run_config_to_dict(exp, ana)) == config_bytes(doc)
 
     def test_invalid_values_are_config_errors(self):
         doc = a_config_doc()

@@ -233,7 +233,7 @@ class TestTypes:
         region = Region(origin=(4, 3), extent=(5, 8))
         conj = geo.conjugate_region(region)
         assert conj.origin == (4, 19)
-        assert conj.side == "idler"
+        geo.validate_region(conj, idler=True)
         # conjugating back recovers the original placement
         back = geo.conjugate_region(conj)
         assert back.origin == region.origin
@@ -274,7 +274,7 @@ def test_search_window_is_the_box_of_every_shifted_conjugate(
               max(b.origin[1] + w for b in blocks))
     assert window.origin == top
     assert window.extent == (bottom[0] - top[0], bottom[1] - top[1])
-    assert window.side == "idler"
+    geo.validate_region(window, idler=c0 < half)
 
 
 def test_search_window_rejects_a_negative_extent():
@@ -314,7 +314,7 @@ def test_crop_moves_every_derived_region_by_the_box_origin(
     dr, dc = box.origin
 
     def move(r):
-        return Region((r.origin[0] - dr, r.origin[1] - dc), r.extent, r.side)
+        return Region((r.origin[0] - dr, r.origin[1] - dc), r.extent)
 
     assert moved == move(region)
     assert (cut.rows, cut.cols) == box.extent
@@ -395,3 +395,43 @@ def test_run_workers_reraises_a_second_workers_exception_as_itself(
     assert info.value is boom
     assert raised_on and raised_on[0] != caller
     assert stopped == [2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 9), half=st.integers(1, 8), cs2=st.integers(-2, 2),
+       h=st.integers(1, 9), w=st.integers(1, 8), r0=st.integers(0, 8),
+       c0=st.integers(0, 15))
+def test_conjugation_is_an_involution_across_the_halves(rows, half, cs2, h,
+                                                        w, r0, c0):
+    # a region wholly on either half has its conjugate on the other, and
+    # conjugating that gives the region back
+    geo = FrameGeometry(rows=rows, cols=2 * half,
+                        cs=((rows - 1) / 2.0, (2 * half - 1 + cs2) / 2.0),
+                        beam_split=half)
+    region = Region(origin=(r0, c0), extent=(h, w))
+    signal = c0 < half
+    try:
+        geo.validate_region(region, idler=not signal)
+        conj = geo.conjugate_region(region)
+    except GeometryError:
+        return
+    geo.validate_region(conj, idler=signal)
+    with pytest.raises(GeometryError):
+        geo.validate_region(conj, idler=not signal)
+    assert geo.conjugate_region(conj) == region
+
+
+def test_one_bounds_check_names_the_frame():
+    # the geometry, the region sums and the cosmic-ray filter refuse a
+    # region leaving the frame with the same message
+    from twincal.estimate import cosmic_ray_filter, region_sum
+    geo = FrameGeometry(rows=4, cols=6, cs=(1.5, 2.5), beam_split=3)
+    frames = np.zeros((5, 4, 6), dtype=model.COUNT_DTYPE)
+    region = Region((2, 1), (3, 2))
+    for check in (lambda: geo.validate_region(region),
+                  lambda: geo.validate_region(region, idler=True),
+                  lambda: region_sum(frames, region),
+                  lambda: cosmic_ray_filter(frames, regions=[region])):
+        with pytest.raises(GeometryError) as refused:
+            check()
+        assert str(refused.value) == "region (2, 1)+(3, 2) leaves the 4x6 frame"
