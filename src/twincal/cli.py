@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, io, presets, simulate
-from .model import Region
+from .model import COUNT_DTYPE, Region
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -115,6 +115,18 @@ def _outdir(args) -> Path:
     return out
 
 
+def _rendered(cfg, kind, energies):
+    """The ``io.write_stack`` fill of a stack of ``len(energies)`` frames:
+    ``simulate.render_stack`` hands each block to ``put`` as a u32 Stack
+    and keeps its pulse energies in ``energies``."""
+    def fill(put):
+        def store(first, counts, energy):
+            energies[first:first + len(energy)] = energy
+            put(first, simulate.Stack(counts.astype(COUNT_DTYPE), kind))
+        simulate.render_stack(cfg, kind, len(energies), store)
+    return fill
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -128,27 +140,17 @@ def cmd_simulate(args) -> int:
     if max(n_pdc, n_bg) > io.MAX_FRAMES:
         raise StackFormatError(f"{max(n_pdc, n_bg)} frames overflow the u32 count")
     out = _outdir(args)
-    pdc_path = out / "pdc.tbs"
-    block_energies = []
-
-    def pdc_blocks():  # to the file as rendered, keeping the energies
-        for block in simulate.iter_stack(cfg, n_pdc, simulate.KIND_PDC):
-            block_energies.append(block.pulse_energy)
-            yield block
-
-    io.write_stack(pdc_path, pdc_blocks(), doc)
-    energies = np.concatenate(block_energies)
-    _say(args, f"wrote {pdc_path} ({n_pdc} frames), digest "
-               f"{io.config_digest(doc).hex()}")
-    _say(args, f"pulse energy mean {energies.mean():.4f}, "
-               f"std {energies.std(ddof=1):.4f}")
-
-    if n_bg:
-        bg_path = out / "background.tbs"
-        blocks = simulate.iter_stack(cfg, n_bg, simulate.KIND_BACKGROUND)
-        io.write_stack(bg_path, blocks, doc)
-        _say(args, f"wrote {bg_path} ({n_bg} frames), digest "
-                   f"{io.config_digest(doc).hex()}")
+    for name, kind, count in (("pdc.tbs", simulate.KIND_PDC, n_pdc),
+                              ("background.tbs", simulate.KIND_BACKGROUND, n_bg)):
+        if count:
+            energies = np.empty(count)
+            io.write_stack(out / name, _rendered(cfg, kind, energies), doc,
+                           count)
+            _say(args, f"wrote {out / name} ({count} frames), digest "
+                       f"{io.config_digest(doc).hex()}")
+        if kind == simulate.KIND_PDC:
+            _say(args, f"pulse energy mean {energies.mean():.4f}, "
+                       f"std {energies.std(ddof=1):.4f}")
     return 0
 
 

@@ -12,6 +12,11 @@ Stack file layout (little endian)::
     digest  32s  SHA-256 of the JSON sidecar written next to the stack
     payload count * rows * cols u32 counts, row-major, frame-major
 
+``write_stack`` writes each block of frames at its place in the file
+(``os.pwrite``), so the blocks of one stack may come from several
+threads in any order, and packs the header last, once every frame has
+been written exactly once.
+
 ``read_stack`` checks the header, the file size and the sidecar digest
 before it reads any payload byte, and then that the box it is asked
 for lies in the frame (``Region.check_inside``) and that the frames
@@ -33,19 +38,20 @@ half it lies on is the geometry's to decide.  It is read key by key: an
 absent key takes the default declared on its dataclass, and an unknown
 key, at the top level or in a section, is a ConfigError.  So is a value
 that does not match its field's type hint: an int is no bool, a float
-any number but a bool, a tuple a list of its length.  Each message
-names the section (``experiment.channel``) and the key.
+any finite number but a bool, a tuple a list of its length.  Each
+message names the section (``experiment.channel``) and the key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import uuid
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, reduce
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -101,17 +107,24 @@ def config_digest(config: dict) -> bytes:
 # Stack files
 # ---------------------------------------------------------------------------
 
-def write_stack(path, blocks, config: dict) -> None:
+def write_stack(path, blocks, config: dict, count: int | None = None) -> None:
     """Write blocks of frames as one stack file, and its JSON sidecar.
 
     ``blocks`` is an iterable of Stacks of one kind and frame shape, such
-    as ``[stack]`` or the blocks of ``iter_stack``, written one at a time
-    as they are.  A block whose counts are not a 3-D ``COUNT_DTYPE``
-    array, as after a reassignment of ``stack.counts``, raises
-    StackFormatError; only the dtype and shape are checked, never the
-    values.  Both files are written under temporary names in the target
-    directory and renamed over ``path`` and its sidecar only once the
-    header is packed: a failed write removes its temporary files and
+    as ``[stack]`` or the blocks of ``iter_stack``, written one after
+    another as they come.  Given ``count``, it is instead a function
+    ``fill(put)`` that calls ``put(first, block)``, from any thread, for
+    each Stack ``block`` of a stack of ``count`` frames, ``first`` being
+    the index of the block's first frame.  Each block is written at its
+    frames' place in the file (``os.pwrite``; a short write is an
+    OSError), and the header is packed only once every frame is written
+    exactly once: a frame left unwritten, written twice or outside the
+    stack raises StackFormatError.  A block whose counts are not a 3-D
+    ``COUNT_DTYPE`` array, as after a reassignment of ``stack.counts``,
+    raises StackFormatError; only the dtype and shape are checked, never
+    the values.  Both files are written under temporary names in the
+    target directory and renamed over ``path`` and its sidecar only once
+    the header is packed: a failed write removes its temporary files and
     leaves whatever was at ``path`` untouched.
     """
     path = Path(path)
@@ -121,7 +134,7 @@ def write_stack(path, blocks, config: dict) -> None:
                            for p in (path, side))
     try:
         with open(tmp_stack, "xb") as fh:
-            _write_payload_and_header(fh, blocks, config)
+            _write_payload_and_header(fh, blocks, config, count)
         tmp_side.write_bytes(config_bytes(config))
         os.replace(tmp_stack, path)
         os.replace(tmp_side, side)
@@ -131,26 +144,39 @@ def write_stack(path, blocks, config: dict) -> None:
         raise
 
 
-def _write_payload_and_header(fh, blocks, config: dict) -> None:
-    """Stream the blocks' counts after a header gap, then pack the header."""
-    count, layout = 0, None
-    fh.seek(_HEADER.size)
-    for stack in blocks:
+def _write_payload_and_header(fh, blocks, config: dict, count) -> None:
+    """Write each block at its frames' offset after the header, check that
+    the blocks agree and hold every frame once, then pack the header."""
+    written, layouts = [], set()
+
+    def put(first, stack):
         counts = stack.counts
         check_counts(counts)
-        layout = layout or (stack.kind, counts.shape[1:])
-        if (stack.kind, counts.shape[1:]) != layout:
-            raise StackFormatError("blocks disagree on kind or frame shape")
         if stack.kind not in _KIND_CODE:
             raise StackFormatError(f"unknown frame kind {stack.kind!r}")
-        if counts.size == 0:
-            raise StackFormatError("cannot write an empty stack")
-        fh.write(np.ascontiguousarray(counts).data)
-        count += len(counts)
+        if counts.size == 0 or first < 0:
+            raise StackFormatError(f"cannot write {len(counts)} frames at "
+                                   f"frame {first}")
+        if os.pwrite(fh.fileno(), np.ascontiguousarray(counts).data,
+                     _HEADER.size + first * counts[0].nbytes) != counts.nbytes:
+            raise OSError(f"short write of frames {first}+{len(counts)}")
+        written.append((first, len(counts)))
+        layouts.add((stack.kind, counts.shape[1:]))
+        return first + len(counts)
+
+    if count is None:  # one block after another
+        count = reduce(put, blocks, 0)
+    else:
+        blocks(put)
+    written.sort()
+    if [f for f, _ in written] + [count] != [0] + [f + n for f, n in written]:
+        raise StackFormatError(f"the blocks do not hold each of the {count} "
+                               "frames once")
     if not 0 < count <= MAX_FRAMES:
         raise StackFormatError(f"cannot write a stack of {count} frames")
-    kind, (rows, cols) = layout
-    fh.seek(0)
+    if len(layouts) > 1:
+        raise StackFormatError("blocks disagree on kind or frame shape")
+    (kind, (rows, cols)), = layouts
     fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODE[kind], 0,
                           rows, cols, count, config_digest(config)))
 
@@ -310,7 +336,8 @@ def _checked(hint, value, where: str):
     """``value`` read as the type ``hint`` of a config field, or a
     ConfigError naming ``where``.  A tuple is a list of its length, or of
     any length for ``tuple[X, ...]``; ``X | None`` takes null; an int is
-    a float, but a bool is neither an int nor a float."""
+    a float, but a bool is neither an int nor a float, and a float is
+    finite (JSON's ``NaN`` and ``Infinity`` are refused)."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         any_length = args[-1] is Ellipsis
@@ -330,6 +357,8 @@ def _checked(hint, value, where: str):
     if isinstance(value, bool) != (hint is bool) or \
             not isinstance(value, allowed):
         raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 

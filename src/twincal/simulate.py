@@ -16,15 +16,19 @@ block of ``_BLOCK_FRAMES`` frames, in a fixed order:
 Every block owns an RNG stream derived from (master_seed, kind,
 block_index), so stacks are bit-reproducible, a stack of n frames is a
 prefix of any longer stack, and one frame is re-rendered by rendering its
-block.  Every result is a ``Stack`` of u32 counts: ``iter_stack`` yields
-one per block, ``generate_stack`` copies those blocks into one array, and
+block.  Every result is a ``Stack`` of u32 counts: ``generate_stack``
+fills one array, ``iter_stack`` yields one per block, and
 ``render_frame`` returns a one-frame Stack cut from its block.
 
-``iter_stack`` renders its blocks in rounds on ``model._run_workers``,
-one worker per CPU the process may run on, into float64 work blocks that
-it reuses for the whole stack, and yields them in block order as u32.
-Since every block draws only from its own stream, the frames do not
-depend on how many CPUs there are.
+``render_stack`` deals every block of a stack out in one
+``model._run_workers`` call, one worker per CPU the process may run on.
+Each worker renders its blocks into one float64 work block and one
+noise buffer that it reuses, and hands each block to the caller's
+``put``, which casts it to u32 where it is kept: a slice of
+``generate_stack``'s array, a block of ``iter_stack``'s round, or its
+frames' place in the file ``simulate`` writes.  Since every block draws
+only from its own stream, the frames do not depend on how many CPUs
+there are.
 """
 
 from __future__ import annotations
@@ -66,11 +70,6 @@ _BLOCK_FRAMES = 64
 # 3-13 % slower than 2^15 on both frame sizes.  13x30 frames draw a block
 # at once.
 _NOISE_CHUNK_ELEMENTS = 1 << 15
-
-# A pool task renders consecutive blocks into one work block of up to
-# about this many bytes, so that small frames pay one hand-off for
-# several blocks.
-_TASK_BYTES = 1 << 20
 
 # Added cosmic-ray amplitude: 20x the larger of the frame median and the
 # struck superpixel, so a hit on a bright emission pixel still stands out.
@@ -319,21 +318,6 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
     return counts, energy
 
 
-def _render_task(cfg: ExperimentConfig, kind: str, count: int, blocks: range,
-                 work: np.ndarray, noise: np.ndarray) -> list:
-    """Render consecutive ``blocks`` into consecutive blocks of ``work``
-    and cast each into a u32 Stack of its frames among the first
-    ``count``; returns (block index, Stack) pairs, leaving ``work`` free."""
-    rendered = []
-    for k, b in enumerate(blocks):
-        counts, energy = _render_block(
-            cfg, kind, b, work[k * _BLOCK_FRAMES:(k + 1) * _BLOCK_FRAMES], noise)
-        n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
-        rendered.append((b, Stack(counts=counts[:n].astype(COUNT_DTYPE),
-                                  kind=kind, pulse_energy=energy[:n])))
-    return rendered
-
-
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
                  kind: str = KIND_PDC) -> Stack:
     """Frame ``pulse_index`` as a one-frame Stack, by rendering its block."""
@@ -343,78 +327,84 @@ def render_frame(cfg: ExperimentConfig, pulse_index: int,
                  pulse_energy=energy[k:k + 1].copy())
 
 
+def render_stack(cfg: ExperimentConfig, kind: str, count: int, put,
+                 blocks: range | None = None) -> None:
+    """Render the first ``count`` frames of a stack, or those of them in
+    ``blocks`` (a range of RNG block indices), in one
+    ``model._run_workers`` call.
+
+    Each worker renders its blocks into one float64 work block and one
+    noise buffer that it allocates and reuses, and calls
+    ``put(first, counts, energy)`` for each block with the index of its
+    first frame and the float64 counts and energies of its frames among
+    the first ``count``.  ``put`` runs on the worker's thread and must
+    cast and store the block before it returns, as the work block is
+    then rendered over.  Workers call only private helpers and ``put``,
+    so wrappers put around the public functions (as the benchmark's
+    tracer does) still run in the calling thread alone.
+    """
+    shape = cfg.geometry.shape
+
+    def work(dealt):
+        counts = np.empty((_BLOCK_FRAMES,) + shape)
+        noise = np.empty((_noise_frames(cfg.geometry),) + shape)
+        for b in dealt:
+            _, energy = _render_block(cfg, kind, b, counts, noise)
+            n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
+            put(b * _BLOCK_FRAMES, counts[:n], energy[:n])
+
+    model._run_workers(work, list(range(-(-count // _BLOCK_FRAMES))
+                                  if blocks is None else blocks))
+
+
 def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
     """Yield ``count`` frames as one u32 Stack per RNG block, in block order.
 
     Each Stack holds ``_BLOCK_FRAMES`` frames, the last one fewer when
     ``count`` is not a multiple of the block size, in an array of its
-    own.  Blocks are rendered in tasks of consecutive blocks: as many as
-    fit in ``_TASK_BYTES`` of float64 (at least one), but few enough that
-    each of the W CPUs the process may run on gets a task.  This call
-    allocates W float64 work blocks and noise buffers and reuses them for
-    the whole stack.  It renders in rounds: each round gives the next W
-    tasks one work block each, renders them on ``model._run_workers``
-    (whose workers cast their blocks into fresh u32 arrays) and yields
-    that round's blocks before the next round starts.
+    own.  Blocks are rendered in rounds of one block per CPU the process
+    may run on: each round is one ``render_stack`` call, whose workers
+    cast each block into a u32 array of its own, and the round's blocks
+    are yielded before the next round starts.
 
-    Memory stays under, per work block, the work block (512*rows*cols B
-    per block of a task), the noise buffer (8*_NOISE_CHUNK_ELEMENTS B, or
-    512*rows*cols B if smaller) and one block's other draws (under
-    4*_NOISE_CHUNK_ELEMENTS B of straylight, plus 512*(px**2 + 4) B per
-    coherence cell), plus one round's u32 blocks (256*rows*cols B per
-    block).
+    Memory stays under, per CPU, a work block (512*rows*cols B), a noise
+    buffer (8*_NOISE_CHUNK_ELEMENTS B, or 512*rows*cols B if smaller),
+    one block's other draws (under 4*_NOISE_CHUNK_ELEMENTS B of
+    straylight, plus 512*(px**2 + 4) B per coherence cell) and the
+    round's u32 block (256*rows*cols B).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    shape = cfg.geometry.shape
     n_blocks = -(-count // _BLOCK_FRAMES)
     cpus = model._cpu_count()
-    block_bytes = 8 * _BLOCK_FRAMES * math.prod(shape)
-    per_task = max(1, min(_TASK_BYTES // block_bytes, n_blocks // cpus))
-    tasks = [range(b, min(b + per_task, n_blocks))
-             for b in range(0, n_blocks, per_task)]
-    works = [(np.empty((per_task * _BLOCK_FRAMES,) + shape),
-              np.empty((_noise_frames(cfg.geometry),) + shape))
-             for _ in range(min(cpus, len(tasks)))]
-    for r in range(0, len(tasks), len(works)):
-        # Bound to no name, the round's blocks are freed once yielded.
-        yield from _render_round(cfg, kind, count, list(zip(tasks[r:], works)))
+    rendered = {}
 
+    def put(first, counts, energy):
+        rendered[first] = Stack(counts=counts.astype(COUNT_DTYPE), kind=kind,
+                                pulse_energy=energy)
 
-def _render_round(cfg: ExperimentConfig, kind: str, count: int,
-                  jobs: list) -> list:
-    """The u32 Stacks of the (task, work buffers) ``jobs``, in block order.
-
-    Every job owns its buffers, so workers may take any share of the jobs
-    (``_cpu_count`` may change between rounds).  numpy draws and fills
-    the work blocks with the GIL released, and every block owns its
-    stream.  Workers call only the private ``_render_task``, so wrappers
-    put around the public functions (as the benchmark's tracer does)
-    still run in the calling thread alone.
-    """
-    rendered = model._run_workers(
-        lambda dealt: [done for task, work in dealt
-                       for done in _render_task(cfg, kind, count, task, *work)],
-        jobs)
-    return [block for _, block in
-            sorted((done for part in rendered for done in part),
-                   key=lambda done: done[0])]
+    for b in range(0, n_blocks, cpus):
+        render_stack(cfg, kind, count, put, range(b, min(b + cpus, n_blocks)))
+        while rendered:  # popped, a block is freed once its caller drops it
+            yield rendered.pop(min(rendered))
 
 
 def generate_stack(cfg: ExperimentConfig, count: int,
                    kind: str = KIND_PDC) -> Stack:
     """Materialise a stack of mutually independent frames.
 
-    The u32 blocks of ``iter_stack`` are copied into one preallocated
-    ``COUNT_DTYPE`` array, so every stack is a prefix of any longer one
-    with the same config and kind.
+    ``render_stack``'s workers cast each block straight into its slice
+    of one preallocated ``COUNT_DTYPE`` array, so every stack is a
+    prefix of any longer one with the same config and kind.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     stack = Stack(counts=np.empty((count,) + cfg.geometry.shape, COUNT_DTYPE),
                   kind=kind, pulse_energy=np.empty(count))
-    for b, block in enumerate(iter_stack(cfg, count, kind)):
-        k = slice(b * _BLOCK_FRAMES, (b + 1) * _BLOCK_FRAMES)
-        stack.counts[k] = block.counts
-        stack.pulse_energy[k] = block.pulse_energy
+
+    def put(first, counts, energy):
+        stack.counts[first:first + len(counts)] = counts
+        stack.pulse_energy[first:first + len(counts)] = energy
+
+    render_stack(cfg, kind, count, put)
     return stack

@@ -1,8 +1,10 @@
 """End-to-end command tests through the argparse entry point."""
 
 import dataclasses
+import functools
 import json
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -10,14 +12,15 @@ import numpy as np
 import pytest
 
 from twincal.cli import main
+from twincal.errors import StackFormatError
 from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
 from twincal.model import Region
 from twincal.simulate import generate_stack
-from twincal import estimate, model, presets, simulate
+from twincal import cli, estimate, model, presets, simulate
 from twincal import io as tio
 
 from test_io import REFUSED_EDITS, edited_config_doc
-from test_simulate import make_config
+from test_simulate import concurrent_config, make_config
 
 
 @pytest.fixture()
@@ -61,6 +64,136 @@ def test_simulate_is_reproducible_and_seed_sensitive(run_dir):
     a = (out1 / "pdc.tbs").read_bytes()
     c = (out3 / "pdc.tbs").read_bytes()
     assert len(a) == len(c) and a != c  # same schema, different payload
+
+
+@functools.cache
+def serial_blocks(kind):
+    """The counts and energies of the first 16 blocks of
+    ``concurrent_config(seed=71)``, rendered one by one."""
+    blocks = [simulate._render_block(concurrent_config(seed=71), kind, b)
+              for b in range(16)]
+    return (np.concatenate([c for c, _ in blocks]),
+            np.concatenate([e for _, e in blocks]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 1000])
+def test_simulate_writes_the_generated_and_the_serial_stacks(
+        tmp_path, capsys, monkeypatch, count, workers):
+    # the blocks simulate writes where they belong from its workers make
+    # the file of the stack generate_stack fills in memory, whose frames
+    # are those of the serial blocks; a run config asks for at least two
+    # frames, so one frame goes through simulate's writer directly
+    cfg = concurrent_config(seed=71)
+    params = AnalysisParams(region_s=Region((4, 3), (5, 8)), z_batches=1,
+                            frames_per_batch=max(count, 2),
+                            background_frames_per_batch=max(count, 2))
+    config, out = tmp_path / "run.json", tmp_path / "out"
+    save_run_config(config, cfg, params)
+    doc = tio.run_config_to_dict(cfg, params)
+    monkeypatch.setattr(model, "_cpu_count", lambda: workers)
+    if count > 1:
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) \
+            == 0
+        printed = capsys.readouterr().out
+    else:
+        out.mkdir()
+        for name, kind in (("pdc.tbs", simulate.KIND_PDC),
+                           ("background.tbs", simulate.KIND_BACKGROUND)):
+            tio.write_stack(out / name, cli._rendered(cfg, kind, np.empty(1)),
+                            doc, 1)
+    for name, kind in (("pdc.tbs", simulate.KIND_PDC),
+                       ("background.tbs", simulate.KIND_BACKGROUND)):
+        counts, energy = serial_blocks(kind)
+        stack = generate_stack(cfg, count, kind)
+        assert np.array_equal(stack.counts, counts[:count])
+        tio.write_stack(tmp_path / name, [stack], doc)
+        written = (out / name).read_bytes()
+        assert written == (tmp_path / name).read_bytes()
+        assert written[52:] == counts[:count].astype("<u4").tobytes()
+        assert (out / f"{name}.json").read_bytes() == tio.config_bytes(doc)
+    if count > 1:
+        energy = serial_blocks(simulate.KIND_PDC)[1][:count]
+        assert f"pulse energy mean {energy.mean():.4f}, " \
+               f"std {energy.std(ddof=1):.4f}" in printed
+
+
+def test_eight_writers_under_a_short_switch_interval(tmp_path, monkeypatch):
+    # eight workers put their blocks, note them and keep their energies in
+    # one shared array; a lost or misplaced block changes the bytes or is
+    # refused, and a lost energy leaves a value of the filler
+    monkeypatch.setattr(model, "_cpu_count", lambda: 8)
+    cfg = concurrent_config(seed=71)
+    counts, energy = serial_blocks(simulate.KIND_PDC)
+    energies = np.full(1000, np.nan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tio.write_stack(tmp_path / "pdc.tbs",
+                        cli._rendered(cfg, simulate.KIND_PDC, energies), {},
+                        1000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "pdc.tbs").read_bytes()[52:] == \
+        counts[:1000].astype("<u4").tobytes()
+    assert np.array_equal(energies, energy[:1000])
+
+
+@pytest.mark.parametrize("failure", ["u32-overflow", "sixth-block"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_worker_failing_mid_stack_keeps_the_earlier_stacks(
+        run_dir, capsys, monkeypatch, workers, failure):
+    # simulate exits 3 and leaves the files of an earlier run byte for
+    # byte, with no temporary file beside them
+    tmp_path, config = run_dir
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(model, "_cpu_count", lambda: workers)
+    if failure == "u32-overflow":
+        cfg, params = load_run_config(config)
+        save_run_config(config, dataclasses.replace(
+            cfg, background=dataclasses.replace(cfg.background,
+                                                straylight_mean=5e9)), params)
+    else:  # 480 frames are 8 blocks: the others are written around it
+        render = simulate._render_block
+
+        def failing(cfg, kind, block, *buffers):
+            if block == 5:
+                raise StackFormatError("block 5 failed")
+            return render(cfg, kind, block, *buffers)
+
+        monkeypatch.setattr(simulate, "_render_block", failing)
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 3
+    assert "error[StackFormatError]" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, key, token, message", [
+    ("simulate", "mean_mu", "Infinity",
+     "experiment.pulse section: mean_mu must be finite, got inf"),
+    ("simulate", "cosmic_ray_rate", "NaN",
+     "experiment section: cosmic_ray_rate must be finite, got nan"),
+    ("calibrate", "cosmic_mad_k", "-Infinity",
+     "analysis section: cosmic_mad_k must be finite, got -inf"),
+])
+def test_non_finite_config_values_exit_2(run_dir, capsys, command, key,
+                                         token, message):
+    # JSON's NaN and Infinity tokens, as a hand-edited run config holds them
+    tmp_path, config = run_dir
+    text, count = re.subn(rf'"{key}": [^,\n]+', f'"{key}": {token}',
+                          config.read_text())
+    assert count == 1
+    config.write_text(text)
+    out = tmp_path / "out"
+    stacks = ["--pdc", str(tmp_path / "pdc.tbs")] if command == "calibrate" \
+        else []
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--quiet", *stacks]) == 2
+    assert capsys.readouterr().err == f"error[ConfigError]: {message}\n"
+    assert not out.exists()
 
 
 def test_find_cs_reports_argmin(run_dir, capsys):

@@ -144,6 +144,13 @@ REFUSED_EDITS = {
     "null-for-int": (("experiment", "master_seed"), None,
                      r"^experiment section: master_seed must be int, "
                      r"got None$"),
+    # JSON's Infinity and NaN, which Python reads as floats
+    "infinity-for-float": (("experiment", "pulse", "mean_mu"), float("inf"),
+                           r"^experiment[.]pulse section: mean_mu must be "
+                           r"finite, got inf$"),
+    "nan-for-float": (("experiment", "cosmic_ray_rate"), float("nan"),
+                      r"^experiment section: cosmic_ray_rate must be finite, "
+                      r"got nan$"),
 }
 
 
@@ -480,6 +487,72 @@ class TestStackErrors:
                            match="payload ended after 470 of 480 bytes"):
             read_stack(path, box)
 
+
+
+
+def fill_of(firsts, block):
+    """A ``write_stack`` fill that puts ``block`` at each frame of
+    ``firsts``, in that order."""
+    def fill(put):
+        for first in firsts:
+            put(first, block)
+    return fill
+
+
+class TestPositionalWrites:
+    def test_blocks_put_from_threads_in_any_order(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+        frames = random_frames(np.random.default_rng(6), 9, 4, 6)
+        firsts = [8, 2, 0, 6, 4]  # blocks of two frames, the last one of one
+
+        def fill(put):
+            with ThreadPoolExecutor(3) as pool:
+                list(pool.map(lambda f: put(f, Stack(frames.counts[f:f + 2])),
+                              firsts))
+
+        write_stack(tmp_path / "pooled.tbs", fill, a_config_doc(), 9)
+        write_stack(tmp_path / "whole.tbs", [frames], a_config_doc())
+        assert (tmp_path / "pooled.tbs").read_bytes() == \
+            (tmp_path / "whole.tbs").read_bytes()
+
+    @pytest.mark.parametrize("firsts", [
+        [0, 4], [4, 0], [0, 2], [],           # a frame left unwritten
+        [0, 2, 2, 4], [0, 1, 3, 4], [0, 2, 4, 0],  # one written twice
+        [0, 2, 5],                            # one past the end
+    ])
+    def test_a_frame_missed_or_written_twice_is_refused(self, tmp_path,
+                                                         firsts):
+        # the header is packed only for a payload every frame of which was
+        # written once; a refused fill leaves the earlier stack as it was
+        path = tmp_path / "x.tbs"
+        old = Stack(np.arange(90, dtype=np.uint32).reshape(3, 5, 6))
+        write_stack(path, [old], a_config_doc())
+        before = path.read_bytes(), sidecar_path(path).read_bytes()
+        block = Stack(np.ones((2, 5, 6), np.uint32))
+        with pytest.raises(StackFormatError,
+                           match="do not hold each of the 6 frames once"):
+            write_stack(path, fill_of(firsts, block), {"other": 1}, 6)
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["x.tbs", "x.tbs.json"]
+
+    def test_a_negative_frame_is_refused_before_it_is_written(self, tmp_path):
+        block = Stack(np.ones((2, 5, 6), np.uint32))
+        with pytest.raises(StackFormatError,
+                           match="cannot write 2 frames at frame -2"):
+            write_stack(tmp_path / "x.tbs", fill_of([0, -2, 2], block),
+                        a_config_doc(), 4)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_short_write_is_an_os_error(self, tmp_path, monkeypatch):
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset:
+                            pwrite(fd, data, offset) - 1)
+        block = Stack(np.ones((2, 5, 6), np.uint32))
+        with pytest.raises(OSError, match=r"short write of frames 2[+]2"):
+            write_stack(tmp_path / "x.tbs", fill_of([2], block),
+                        a_config_doc(), 4)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBoxRead:
