@@ -419,7 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("find-cs", help="spatial noise-reduction map")
+    p = sub.add_parser(
+        "find-cs", help="spatial noise-reduction map",
+        description="Map the spatial noise reduction over idler "
+        "displacements and report its minimum.  Every frame is mapped, "
+        "cosmic-ray hits included: the minimum's position survives a few "
+        "hits, but the values do not (on the large-frame benchmark "
+        "workload at seed 1 the minimum reads 2.589 against 0.863 "
+        "without the 6 frames the cosmic-ray filter drops).  calibrate "
+        "maps filtered frames.")
     common(p)
     p.add_argument("--stack", required=True, help="illuminated stack file")
     p.set_defaults(func=cmd_find_cs)

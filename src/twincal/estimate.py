@@ -15,7 +15,8 @@ Conventions
   counts.  The cosmic-ray filter and the spatial map refuse any other
   dtype or shape with StackFormatError; ``region_sum``,
   ``build_series`` and ``area_scan`` sum any numeric array in float64.
-  Region blocks are cast to float64 before any difference.
+  Region blocks are cast to float64, or to int64 in the spatial map,
+  before any difference.
 * A Region is an origin and an extent.  The frame's geometry decides
   which half it must lie on (``FrameGeometry.validate_region``), and
   every region leaving the frame, whether a region sum, the cosmic-ray
@@ -456,70 +457,121 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
 # ---------------------------------------------------------------------------
 
 # The spatial map's workers read tiles of as many frames as keep their
-# float64 search windows within this many elements in all: on W CPUs
-# each worker's window holds 1/W of it.  With its summed-area table,
-# signal block and deviations a worker's tile takes at most about 3.5x its
-# window's bytes.  Measured on the u32 pdc boxes of 4000 x 13 x 30
-# counts (region 5 x 8) and 1000 x 48 x 128 counts (region 20 x 32),
-# both with a +-3 search (2-vCPU Xeon, 21 interleaved rounds, medians):
-# on two workers, budgets of 2^17 and 2^18 time within 4 % of each
-# other and 2^19 5-17 % slower, while 2^16 is 1.3-1.6x and 2^15
-# 2.3-2.7x slower, as the workers then hand the interpreter lock back
-# and forth between many short numpy calls; on one CPU, 2^16 and 2^17
-# time within 4 % of each other, 2^15 up to 15 % and 2^18 1.2-1.3x
-# slower.
+# int64 search windows within this many elements in all: on W CPUs each
+# worker's window holds 1/W of it.  With its signal block, the square of
+# its window, the window sums and the per-displacement tables, a
+# worker's tile takes 3.4x its window's bytes on a 26 x 38 window with
+# a 20 x 32 region and 4.8x on an 11 x 14 window with a 5 x 8 region.
+# Measured on the u32 pdc boxes of 1000 x 48 x 128 counts (region
+# 20 x 32) and 4000 x 13 x 30 counts (region 5 x 8), both with a +-3
+# search (2-vCPU host, glibc's mmap threshold fixed at 128 KiB, 9
+# interleaved rounds of 9 maps each, medians): pooled, 2^17 times
+# 35.7 ms on the large box and 28.6 ms on the small one, 2^18 33.3 and
+# 29.0 ms, 2^16 54.8 and 45.0 ms; on one CPU, 2^17 times 52.1 and
+# 35.3 ms, 2^16 45.3 and 33.9 ms, 2^18 51.2 and 43.0 ms.  Quartiles
+# spread 3-20 ms, so only 2^16 pooled and 2^18 on the small box on one
+# CPU are clearly slower; 2^19 was no faster than 2^18 on a draft of
+# this kernel.
 _SPATIAL_TILE_ELEMENTS = 1 << 17
 
 
+def _window_sums(a: np.ndarray, size: int, axis: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the sums of every ``size`` consecutive entries of
+    ``a`` along ``axis``: the first by one sum, each next one by adding
+    the entry that enters and taking away the one that leaves (exact on
+    integers).  Returns ``out``."""
+    a, sums = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    a[:size].sum(axis=0, out=sums[0])
+    for j in range(len(sums) - 1):
+        np.subtract(a[j + size], a[j], out=sums[j + 1])
+        sums[j + 1] += sums[j]
+    return out
+
+
+def _product_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-frame sums of a * b over (frames, rows, cols) integer blocks:
+    one ``np.einsum`` on int64, a product and a sum on Python integers."""
+    if a.dtype == object:
+        return (a * b).sum(axis=(1, 2))
+    return np.einsum("frc,frc->f", a, b)
+
+
 def _map_tiles(frames, region_s: Region, window: Region,
-               search_extent: tuple[int, int], shifts, per_frame: np.ndarray,
+               search_extent: tuple[int, int], per_frame: np.ndarray,
                starts, tile: int) -> None:
     """Fill the rows of ``per_frame`` of the tiles of ``tile`` frames that
-    begin at ``starts``, in tile buffers of this worker's own: row f,
-    column k holds frame f's value at displacement ``shifts[k]``."""
+    begin at ``starts``, in tile buffers of this worker's own: row f
+    holds frame f's values at every displacement, in row-major
+    (dr, dc) order.
+
+    Frame f's value at a displacement is N / (P D) for its P pairs of
+    signal counts s and idler counts i, with pair sum D and
+    N = P (Sss - 2 Ssi + Sii) - (Ss - Si)^2, the exact integer
+    P^2 var(s - i).  Ss and Sss come from the signal block, Si and Sii
+    from window sums of the search window and of its square, and the
+    cross term Ssi from one product sum per displacement.  N and P D are
+    formed exactly and each rounded once to float64 before the division.
+    A tile's counts are taken less its smallest count b, which leaves
+    s - i as it is, and D adds 2 P b back.  Every term then fits int64
+    while 4 P^2 R^2 < 2^63 and 2 P^2 (b + R) < 2^63, for the tile's
+    count range R; a tile beyond that takes the same sums in Python
+    integers.
+    """
     n = len(frames)
     er, ec = search_extent
     h, w = region_s.extent
     rows, cols = window.extent
+    p = h * w
     # Conjugate pairing reverses both axes of an idler block, so in the
     # search window flipped on both axes the block of shift (dr, dc) is
-    # the forward slice at (er - dr, ec - dc).
-    sig = np.empty((min(tile, n), h, w))
-    flipped = np.empty((len(sig), rows, cols))
-    sat = np.zeros((len(sig), rows + 1, cols + 1))
-    dev = np.empty((len(sig), h * w))
+    # the forward slice at (er - dr, ec - dc).  Every per-displacement
+    # table below is in that flipped order, and is written reversed.
+    t = min(tile, n)
+    buffers = (np.empty((t, h, w), np.int64),
+               np.empty((2, t, rows, cols), np.int64),
+               np.empty((2, t, 2 * er + 1, cols), np.int64),
+               np.empty((2, t, 2 * er + 1, 2 * ec + 1), np.int64),
+               np.empty((2, t, 2 * er + 1, 2 * ec + 1), np.int64))
     for f in starts:
         g = min(f + tile, n)
-        s, win, table, d = sig[:g - f], flipped[:g - f], sat[:g - f], dev[:g - f]
+        views = [b[..., :g - f, :, :] for b in buffers]
+        s, win = views[0], views[1][0]
         np.copyto(s, frames[f:g, region_s.row_slice, region_s.col_slice])
         np.copyto(win, frames[f:g, window.row_slice,
                               window.col_slice][:, ::-1, ::-1])
-        # Every idler sum from four corners of the window's summed-area
-        # table (exact for integral counts), in (er - dr, ec - dc) order,
-        # then reversed into the order of ``shifts``.
-        np.cumsum(win, axis=1, out=table[:, 1:, 1:])
-        np.cumsum(table[:, 1:, 1:], axis=2, out=table[:, 1:, 1:])
-        idl_sum = (table[:, h:, w:] - table[:, :-h, w:] - table[:, h:, :-w]
-                   + table[:, :-h, :-w])[:, ::-1, ::-1].reshape(g - f, -1)
-        sig_sum = s.sum(axis=(1, 2))
-        denom = sig_sum[:, None] + idl_sum
-        if np.any(denom <= 0.0):
+        low = int(min(s.min(), win.min()))
+        spread = int(max(s.max(), win.max())) - low
+        s -= low
+        win -= low
+        if (4 * p * p * spread * spread >= 1 << 63
+                or 2 * p * p * (low + spread) >= 1 << 63):
+            views = [v.astype(object) for v in views]
+        s, wins, column_sums, moments, (denom, num) = views
+        win = wins[0]
+        np.square(win, out=wins[1])
+        # Every idler sum Si and sum of squares Sii.
+        idl_sum, idl_sq = _window_sums(_window_sums(wins, h, 2, column_sums),
+                                       w, 3, moments)
+        sig_sum = s.sum(axis=(1, 2))[:, None, None]
+        np.add(idl_sum, sig_sum + 2 * p * low, out=denom)
+        if np.any(denom <= 0):
             raise DegenerateDataError("empty region pair in spatial map")
-        # np.var(sig - idl, axis=(1, 2)) * (h*w) / denom in np.var's own
-        # order of operations: the mean of the differences, the squared
-        # deviations, their pairwise sum over the h*w pairs of a frame,
-        # / (h*w), then * (h*w) / denom.
-        mean = (sig_sum[:, None] - idl_sum) / (h * w)
-        out = per_frame[f:g]
-        for k, (dr, dc) in enumerate(shifts):
-            np.subtract(s, win[:, er - dr:er - dr + h, ec - dc:ec - dc + w],
-                        out=d.reshape(s.shape))
-            d -= mean[:, k, None]
-            np.square(d, out=d)
-            d.sum(axis=1, out=out[:, k])
-        out /= h * w
-        out *= h * w
-        out /= denom
+        denom *= p
+        for i in range(2 * er + 1):
+            for j in range(2 * ec + 1):
+                num[:, i, j] = _product_sums(s, win[:, i:i + h, j:j + w])
+        num *= -2
+        num += _product_sums(s, s)[:, None, None]
+        num += idl_sq
+        num *= p
+        np.subtract(sig_sum, idl_sum, out=idl_sum)
+        np.square(idl_sum, out=idl_sum)
+        num -= idl_sum
+        if num.dtype == object:
+            num, denom = num.astype(np.float64), denom.astype(np.float64)
+        np.divide(num, denom, out=per_frame[f:g].reshape(
+            g - f, 2 * er + 1, 2 * ec + 1)[:, ::-1, ::-1])
 
 
 @dataclass
@@ -559,12 +611,13 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     memory is one budget's worth of tiles on any CPU count (3.5 MB on a
     26 x 38 search window).  An empty region pair raises
     DegenerateDataError from whichever worker meets it.  The frame-axis
-    mean of the table is taken in the calling thread.  The pair sums
-    come from a summed-area table and the variance repeats ``np.var``'s
-    arithmetic, so while region sums stay exact in float64 (below 2**53,
-    so for any region of up to 2**21 superpixels) the map is
-    bit-identical to one whole-stack ``np.var`` per displacement, on
-    any CPU count.
+    mean of the table is taken in the calling thread.  Each per-frame
+    value comes from exact integer moments of the pairs
+    (``_map_tiles``): the numerator P^2 var and the denominator P D
+    (P pairs, pair sum D) are exact integers, each rounded once to
+    float64 before the division, on any u32 counts.  So the map is the
+    same to the last bit on any CPU count, and may differ from
+    ``np.var``'s arithmetic in its last bits.
     """
     check_counts(frames)
     geometry.validate_region(region_s)
@@ -581,7 +634,7 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     per_frame = np.empty((n, len(shifts)))
     model._run_workers(
         lambda starts: _map_tiles(frames, region_s, window, search_extent,
-                                  shifts, per_frame, starts, tile),
+                                  per_frame, starts, tile),
         range(0, n, tile))
     # One sum down the frame axis of the whole table: with more than one
     # displacement it adds the frames in order, as a running per-shift

@@ -18,8 +18,16 @@ frames it does.
 
 ``sigma_spatial_map`` is the former whole-stack map: one float64 copy of
 the stack's signal block and search window, a reversed idler view and an
-``np.var`` per shift.  On integral counts the tiled map must return the
-same values bit for bit.
+``np.var`` per shift.  ``spatial_map`` is the same statistic frame by
+frame.  Both round as ``np.var`` does, so the tiled map, which forms
+each value from exact integer moments, must match them to a relative
+1e-10 and locate the same minimum wherever no exact tie is split.
+
+``exact_spatial_map`` is the map's definition in Python integers: per
+frame and shift the exact N = P sum(d^2) - (sum d)^2 of the P pair
+differences d and the exact P D of the pair sum D, each rounded once to
+float64 and divided.  The tiled map must return its values bit for bit
+on any counts.
 """
 
 import numpy as np
@@ -248,9 +256,50 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
         if np.any(denom <= 0.0):
             raise DegenerateDataError("empty region pair in spatial map")
         per_frame[:, k] = np.var(sig - idl, axis=(1, 2)) * (h * w) / denom
+    return _map_result(per_frame, shifts, search_extent)
+
+
+def exact_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
+                      search_extent: tuple[int, int] = (3, 3)) -> SpatialMapResult:
+    """The spatial map from exact integer moments of the whole stack.
+
+    Per frame and shift the P pair differences d = s - i give
+    N = P sum(d^2) - (sum d)^2 = P^2 var(d) and the pair sum D, both as
+    Python integers; the value is float(N) / float(P D), var(d) P / D
+    with N and P D each rounded once before the division.  Frames are
+    then averaged as the tiled map averages them.
+    """
+    window = geometry.search_window(region_s, search_extent)
+    er, ec = search_extent
+    shifts = [(dr, dc) for dr in range(-er, er + 1) for dc in range(-ec, ec + 1)]
+    if len(frames) == 0:
+        raise DegenerateDataError("no frames supplied")
+    h, w = region_s.extent
+    p = h * w
+    sig = np.asarray(frames)[:, region_s.row_slice,
+                             region_s.col_slice].astype(object)
+    win = np.asarray(frames)[:, window.row_slice,
+                             window.col_slice].astype(object)
+    per_frame = np.empty((len(frames), len(shifts)))
+    for k, (dr, dc) in enumerate(shifts):
+        # Conjugate pairing reverses both axes of the idler block.
+        idl = win[:, er + dr:er + dr + h, ec + dc:ec + dc + w][:, ::-1, ::-1]
+        d = sig - idl
+        num = p * (d * d).sum(axis=(1, 2)) - d.sum(axis=(1, 2)) ** 2
+        pair_sum = sig.sum(axis=(1, 2)) + idl.sum(axis=(1, 2))
+        if any(x <= 0 for x in pair_sum):
+            raise DegenerateDataError("empty region pair in spatial map")
+        per_frame[:, k] = [float(a) / float(p * b)
+                           for a, b in zip(num, pair_sum)]
+    return _map_result(per_frame, shifts, search_extent)
+
+
+def _map_result(per_frame, shifts, search_extent) -> SpatialMapResult:
+    """The map, its minimum and curvature from (frames, shifts) values."""
+    er, ec = search_extent
     # Summing down the frame axis adds the frames in order, as a running
     # per-shift total would.
-    flat = per_frame.sum(axis=0) / len(frames)
+    flat = per_frame.sum(axis=0) / len(per_frame)
     values = flat.reshape(2 * er + 1, 2 * ec + 1)
     best = float(flat.min())
     ties = [shifts[i] for i in np.flatnonzero(flat == best)]

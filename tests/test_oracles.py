@@ -9,11 +9,14 @@ of the raw-moment formulas.  The chunked cosmic-ray filter is checked
 against the former whole-stack filter, with the per-pixel shot-noise
 floor, and its single-kth median against ``np.median``; the frames it
 drops on rendered stacks are checked against the same seed rendered
-without cosmic rays.  The tiled spatial map is checked bit for bit against the
-former whole-stack map.
+without cosmic rays.  The tiled spatial map is checked bit for bit against
+the map's definition in Python integers, on any counts and any worker
+count, and against the former ``np.var`` maps to a relative 1e-10 and
+by the minimum they locate.
 """
 
 import dataclasses
+import math
 import sys
 import threading
 import warnings
@@ -88,20 +91,22 @@ def stack_cases(draw, min_frames=1):
 @settings(max_examples=200, deadline=None)
 @given(stack_cases())
 def test_spatial_map_matches_per_frame_loop(case):
+    # np.var's rounding can split an exact tie, so the minimum and its
+    # ties come from the exact map
     geometry, region, extent, counts = case
     try:
-        values, argmin, ties = ref.spatial_map(counts, region, geometry,
-                                               extent)
+        values, _, _ = ref.spatial_map(counts, region, geometry, extent)
     except DegenerateDataError:
         for frames in as_inputs(counts):
             with pytest.raises(DegenerateDataError):
                 sigma_spatial_map(frames, region, geometry, extent)
         return
+    exact = ref.exact_spatial_map(counts, region, geometry, extent)
     for frames in as_inputs(counts):
         result = sigma_spatial_map(frames, region, geometry, extent)
         np.testing.assert_allclose(result.values, values, rtol=1e-10, atol=0)
-        assert result.argmin == argmin
-        assert result.ties == ties
+        assert result.argmin == exact.argmin
+        assert result.ties == exact.ties
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,8 +169,7 @@ def test_spatial_map_matches_whole_stack_kernel_bit_for_bit(case, tile):
         budget = tile * (region.extent[0] + 2 * extent[0]) * (
             region.extent[1] + 2 * extent[1])
     try:
-        want = ref.sigma_spatial_map(counts.astype(np.float64), region,
-                                     geometry, extent)
+        want = ref.exact_spatial_map(counts, region, geometry, extent)
     except DegenerateDataError:
         want = None
     with pytest.MonkeyPatch.context() as patch:
@@ -453,8 +457,8 @@ def gained_counts(n_frames, shape, seed):
 def test_spatial_map_is_bit_identical_on_any_worker_count(
         monkeypatch, workers, tiles, extra, tile):
     # frame counts that leave a partial last tile; every worker count
-    # must give the whole-stack kernel's values, with one call per
-    # worker, the first one on the calling thread
+    # must give the exact map's values, with one call per worker, the
+    # first one on the calling thread
     force_workers(monkeypatch, workers)
     if tile is None:
         tile = estimate._SPATIAL_TILE_ELEMENTS // (workers * MAP_WINDOW.area)
@@ -463,8 +467,7 @@ def test_spatial_map_is_bit_identical_on_any_worker_count(
                             tile * workers * MAP_WINDOW.area)
     n_frames = tiles * tile + extra
     counts = gained_counts(n_frames, MAP_GEOMETRY.shape, n_frames)
-    want = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
-                                 MAP_GEOMETRY, (3, 3))
+    want = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     threads, _ = record_threads(monkeypatch, "_map_tiles")
     got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     assert np.array_equal(got.values, want.values)
@@ -543,8 +546,7 @@ def test_refusals_and_single_workers_start_no_thread(monkeypatch):
     force_workers(monkeypatch, 1)
     monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", MAP_WINDOW.area)
     monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 20)
-    want = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
-                                 MAP_GEOMETRY, (3, 3))
+    want = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     assert np.array_equal(got.values, want.values)  # 20 one-frame tiles
     cosmic_ray_filter(counts, regions=[MAP_WINDOW])  # 154 lane blocks
@@ -559,8 +561,7 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
                         3 * 8 * MAP_WINDOW.area)
     monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 2 * 8 * 301)
     counts = gained_counts(301, MAP_GEOMETRY.shape, 8)
-    want_map = ref.sigma_spatial_map(counts.astype(np.float64), MAP_REGION,
-                                     MAP_GEOMETRY, (3, 3))
+    want_map = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     mask = np.zeros(MAP_GEOMETRY.shape, dtype=bool)
     mask[MAP_WINDOW.row_slice, MAP_WINDOW.col_slice] = True
     want_dropped = ref.cosmic_ray_filter(counts, 2.0, mask)[1]
@@ -584,3 +585,103 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     for got_map, got_dropped in results:
         assert np.array_equal(got_map.values, want_map.values)
         assert got_dropped == want_dropped
+
+
+def count_product_sums(monkeypatch):
+    """Record every ``np.einsum`` call: the map's int64 path makes one per
+    displacement and tile, its Python-integer path none."""
+    calls = []
+    einsum = np.einsum
+
+    def recorded(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    return calls
+
+
+# A 1 x 2 region searched +-1 column: P = 2, so a tile stays on int64
+# while 4 P^2 R^2 < 2^63, for count ranges R up to EDGE_RANGE.
+EDGE_GEOMETRY = FrameGeometry(rows=1, cols=8, cs=(0.0, 3.5), beam_split=4)
+EDGE_REGION = Region((0, 1), (1, 2))
+EDGE_RANGE = math.isqrt(((1 << 63) - 1) // 16)
+
+
+@pytest.mark.parametrize("spread, on_int64", [
+    (EDGE_RANGE, True), (EDGE_RANGE + 1, False)],
+    ids=["range-below-bound", "range-above-bound"])
+def test_spatial_map_is_exact_on_either_side_of_the_int64_bound(
+        monkeypatch, spread, on_int64):
+    # counts of 0 or R put the moments near the largest values the range
+    # allows; both sides of the bound give the exact map bit for bit
+    rng = np.random.default_rng(spread)
+    counts = rng.choice([0, spread], (6,) + EDGE_GEOMETRY.shape)
+    counts[:, 0, 1] = spread  # no empty pair sum
+    counts[0, 0, 4] = 0       # the tile's range is R
+    want = ref.exact_spatial_map(counts, EDGE_REGION, EDGE_GEOMETRY, (0, 1))
+    calls = count_product_sums(monkeypatch)
+    for frames in as_inputs(counts):
+        got = sigma_spatial_map(frames, EDGE_REGION, EDGE_GEOMETRY, (0, 1))
+        assert np.array_equal(got.values, want.values)
+        assert got.ties == want.ties
+    assert bool(calls) == on_int64
+
+
+def test_full_scale_signal_against_empty_idler_is_exact():
+    # s = 2^32 - 1 and i = 0 at every pair: a range far beyond the int64
+    # bound, and a zero variance that no rounding may disturb
+    counts = np.zeros((3,) + MAP_GEOMETRY.shape, np.uint32)
+    counts[:, MAP_REGION.row_slice, MAP_REGION.col_slice] = 2 ** 32 - 1
+    want = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert np.array_equal(got.values, want.values)
+    assert not got.values.any()
+
+
+def test_a_large_common_count_keeps_the_tile_on_int64(monkeypatch):
+    # counts near the top of u32: less the tile's smallest count their
+    # range is a few hundred, so the tile stays on int64 and its values
+    # are the exact map's.  The pair differences are those of the
+    # unshifted counts, so frame by frame each value is the unshifted
+    # one scaled by the ratio of the pair sums.
+    counts = gained_counts(8, MAP_GEOMETRY.shape, 5)
+    common = 2 ** 32 - 1 - int(counts.max())
+    shifted = counts + np.uint32(common)
+    calls = count_product_sums(monkeypatch)
+    got = sigma_spatial_map(shifted, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert calls
+    want = ref.exact_spatial_map(shifted, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert np.array_equal(got.values, want.values)
+    conj = MAP_GEOMETRY.conjugate_region(MAP_REGION)
+    for frame in range(len(counts)):
+        one, one_shifted = counts[frame:frame + 1], shifted[frame:frame + 1]
+        pair_sum = (ref.region_sums(one, MAP_REGION)
+                    + ref.region_sums(one, conj))[0]
+        scale = pair_sum / (pair_sum + 2 * MAP_REGION.area * common)
+        unshifted = sigma_spatial_map(one, MAP_REGION, MAP_GEOMETRY, (0, 0))
+        value = sigma_spatial_map(one_shifted, MAP_REGION, MAP_GEOMETRY,
+                                  (0, 0)).values[0, 0]
+        assert value == pytest.approx(unshifted.values[0, 0] * scale,
+                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("experiment, region_s", [
+    (reference_experiment, Region((4, 3), (5, 8))),
+    (lambda seed: dataclasses.replace(large_frame_experiment(seed),
+                                      cosmic_ray_rate=0.02),
+     Region((14, 16), (20, 32))),
+], ids=["reference", "large-frame"])
+def test_exact_map_keeps_the_np_var_minimum_on_rendered_stacks(
+        experiment, region_s, seed):
+    # the exact map may differ from np.var's in its last bits; on both
+    # benchmark geometries, cosmic rays included, it must pick the same
+    # symmetry centre
+    cfg = experiment(seed)
+    counts = generate_stack(cfg, 200).counts
+    got = sigma_spatial_map(counts, region_s, cfg.geometry, (3, 3))
+    want = ref.sigma_spatial_map(counts.astype(np.float64), region_s,
+                                 cfg.geometry, (3, 3))
+    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
+    assert got.argmin == want.argmin and got.ties == want.ties
