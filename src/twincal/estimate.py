@@ -22,14 +22,16 @@ Conventions
   every region leaving the frame, whether a region sum, the cosmic-ray
   filter or the geometry meets it, raises the one GeometryError of
   ``Region.check_inside``.
-* The spatial map and the cosmic-ray filter deal their frame tiles or
-  pixel lane blocks out to one worker per CPU the process may run on
-  (``model._run_workers``).  Each worker fills its own rows of the
-  map's per-frame table, or flags the frames its own lane blocks
-  reject, in buffers of its own; the map's frame-axis sum and the OR
-  of the filter's flags run in the calling thread.  So every value is
-  the same on any CPU count, and one worker runs in the calling thread
-  without starting a thread.
+* The spatial map, the cosmic-ray filter and the region sums of
+  ``build_series`` and ``area_scan`` deal their frame tiles, pixel lane
+  blocks or (frames, region) sums out to one worker per CPU the process
+  may run on (``model._run_workers``).  Each worker fills its own rows
+  of the map's per-frame table, flags the frames its own lane blocks
+  reject, or takes its own region sums, in buffers of its own; the
+  map's frame-axis sum, the OR of the filter's flags and the
+  estimators run in the calling thread.  So every value is the same on
+  any CPU count, and one worker runs in the calling thread without
+  starting a thread.
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
@@ -132,21 +134,48 @@ def region_sum(counts: np.ndarray, region: Region):
     counts are exact whatever the input dtype.
     """
     region.check_inside(counts.shape[-2:])
+    return _region_total(counts, region)
+
+
+def _region_total(counts, region: Region):
     return counts[..., region.row_slice, region.col_slice].sum(
         axis=(-2, -1), dtype=np.float64)
+
+
+def _pair_series(pairs, pdc_frames, bg_frames=None, kept=slice(None),
+                 bg_kept=slice(None)) -> list[RegionPairSeries]:
+    """The ``build_series`` of each (signal, idler) region pair of
+    ``pairs``.  Every region is bounds-checked first; then the region
+    sums, two per pair and stack, are dealt out to the workers
+    (``model._run_workers``), each writing its own sums, and come back
+    in job order."""
+    stacks = [(pdc_frames, kept)]
+    if bg_frames is not None:
+        stacks.append((bg_frames, bg_kept))
+    jobs = [(frames, region) for pair in pairs for frames, _ in stacks
+            for region in pair]
+    for frames, region in jobs:
+        region.check_inside(frames.shape[-2:])
+    sums = [None] * len(jobs)
+
+    def work(mine):
+        for j, (frames, region) in mine:
+            sums[j] = _region_total(frames, region)
+
+    model._run_workers(work, list(enumerate(jobs)))
+    sums = iter(sums)  # n_s, n_i, then m_s, m_i of each pair in turn
+    return [RegionPairSeries(*(next(sums)[k] for _, k in stacks for _ in pair))
+            for pair in pairs]
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
                  bg_frames: np.ndarray | None = None, kept=slice(None),
                  bg_kept=slice(None)) -> RegionPairSeries:
     """Integrate a conjugate region pair over the kept frames of (frames,
-    rows, cols) stacks: ``kept`` and ``bg_kept`` index the per-frame sums."""
-    kwargs = {}
-    if bg_frames is not None:
-        kwargs = {"m_s": region_sum(bg_frames, region_s)[bg_kept],
-                  "m_i": region_sum(bg_frames, region_i)[bg_kept]}
-    return RegionPairSeries(region_sum(pdc_frames, region_s)[kept],
-                            region_sum(pdc_frames, region_i)[kept], **kwargs)
+    rows, cols) stacks: ``kept`` and ``bg_kept`` index the per-frame sums.
+    The 2 or 4 region sums run on the workers (``_pair_series``)."""
+    return _pair_series([(region_s, region_i)], pdc_frames, bg_frames, kept,
+                        bg_kept)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +734,15 @@ def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
 
     ``areas`` and ``anchor`` give the region pairs of ``area_pairs``.
     Both the uncorrected and (when background frames are given) the
-    background-corrected curves are returned.
+    background-corrected curves are returned, one point per area in
+    ``areas`` order.  The region sums of every area are dealt out to the
+    workers in one ``_pair_series`` call, after every region is
+    bounds-checked; the estimators then run in the calling thread.
     """
+    pairs = area_pairs(geometry, anchor, areas)
     points = []
-    for region_s, region_i in area_pairs(geometry, anchor, areas):
-        series = build_series(pdc_frames, region_s, region_i, bg_frames)
+    for (region_s, _), series in zip(pairs, _pair_series(pairs, pdc_frames,
+                                                         bg_frames)):
         sigma_a = estimate_sigma_alpha(series, ddof=ddof)
         sigma_ab = None
         if series.has_background:

@@ -22,11 +22,15 @@ before it reads any payload byte, and then that the box it is asked
 for lies in the frame (``Region.check_inside``) and that the frames
 have the shape asked for.  It returns the payload, or one box
 of rows and columns of every frame, as a read-only ``<u4`` array of
-shape (count, box rows, box cols).  A box is read a tile of whole frames
-at a time into one reused buffer, and only its pixels are kept: the
-commands that analyse a few regions of large frames hold those regions,
-not the stack.  There is no conversion to float; analysis code casts
-the region blocks it needs to float64 itself.
+shape (count, box rows, box cols).  The payload's tiles of whole frames
+are dealt out to one worker per CPU the process may run on
+(``model._run_workers``).  Each of the W workers fills its one reused
+tile buffer, 1/W of the read budget, with one positional read
+(``os.preadv``) per tile, and copies the box of those frames into its
+own frames of the result.  Only the box's pixels are kept: the commands
+that analyse a few regions of large frames hold those regions, not the
+stack.  There is no conversion to float; analysis code casts the region
+blocks it needs to float64 itself.
 
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
@@ -51,13 +55,14 @@ import os
 import struct
 import uuid
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import model
 from .errors import (
     ConfigError,
     CorruptHeaderError,
@@ -85,8 +90,10 @@ _CODE_TO_KIND = {code: kind for kind, code in _KIND_CODE.items()}
 
 _FMT = "{:.9g}"  # canonical table precision
 
-# ``read_stack`` reads a box of each frame through a buffer of whole frames
-# of about this many bytes, reused for every tile of the stack.
+# ``read_stack``'s read budget: each of its W workers reads the box of each
+# frame through one reused buffer of whole frames of about 1/W of this many
+# bytes, filled by one positional read per tile, so the W buffers together
+# hold one budget.
 _READ_TILE_BYTES = 1 << 20
 
 
@@ -193,13 +200,18 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
     StackFormatError with the header checks.  A ``box`` (a Region of the
     frame) leaving the frame then raises GeometryError, and so do frames
     of another (rows, cols) than ``shape``, when given; without a box the
-    whole frame is read.  The payload is read a tile of whole frames at
-    a time into one reused buffer, and only the box of each frame is
-    copied out, so beyond the result the reader holds one tile
-    (``_READ_TILE_BYTES``, or one frame if larger).  A file that ends
-    early raises TruncatedPayloadError and nothing is returned.  The
-    counts are a read-only (frames, box rows, box cols) u32 array.
-    Pulse energies are not persisted and come back as NaN.
+    whole frame is read.  The payload's tiles of whole frames are dealt
+    out to W = ``model._cpu_count()`` workers (``model._run_workers``).
+    Each worker reuses one tile buffer of 1/W of ``_READ_TILE_BYTES``
+    (or one frame if larger), fills it with one positional read
+    (``os.preadv``) per tile and copies the box of those frames into its
+    own frames of the result, so beyond the result the workers hold one
+    budget together.  A file that ends early raises
+    TruncatedPayloadError at the smallest payload position a short read
+    stopped at, so the message is the same on any CPU count, and nothing
+    is returned.  The counts are a read-only (frames, box rows, box
+    cols) u32 array.  Pulse energies are not persisted and come back as
+    NaN.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -241,20 +253,36 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
             raise GeometryError(f"{path}: {rows}x{cols} frames, expected "
                                 f"{shape[0]}x{shape[1]}")
         counts = np.empty((count, *box.extent), dtype=COUNT_DTYPE)
-        tile = np.empty((max(1, _READ_TILE_BYTES // (rows * cols * 4)),
-                         rows, cols), dtype=COUNT_DTYPE)
-        for f in range(0, count, len(tile)):
-            frames = tile[:count - f]
-            got = fh.readinto(frames)  # short only at the end of the file
-            if got != frames.nbytes:
-                raise TruncatedPayloadError(
-                    f"{path}: payload ended after {f * frames[0].nbytes + got}"
-                    f" of {expected} bytes")
-            counts[f:f + len(frames)] = frames[:, box.row_slice, box.col_slice]
+        size = max(1, _READ_TILE_BYTES // (model._cpu_count() * rows * cols
+                                           * 4))
+        ends = model._run_workers(
+            partial(_read_tiles, fh.fileno(), counts, box, (size, rows, cols)),
+            range(0, count, size))
+    short = [end for end in ends if end is not None]
+    if short:
+        raise TruncatedPayloadError(f"{path}: payload ended after "
+                                    f"{min(short)} of {expected} bytes")
     counts.flags.writeable = False
     stack = Stack(counts=counts, kind=_CODE_TO_KIND[kind_code],
                   digest_verified=verified)
     return stack, digest.hex()
+
+
+def _read_tiles(fd, counts, box: Region, tile_shape, firsts):
+    """Read the tile of frames starting at each of ``firsts`` from the
+    stack file ``fd`` into one buffer of ``tile_shape`` and copy the box
+    of each frame into ``counts``.  Returns the payload byte at which a
+    short read ended, or None when every tile was read whole."""
+    tile = np.empty(tile_shape, dtype=COUNT_DTYPE)
+    for first in firsts:
+        frames = tile[:len(counts) - first]
+        start = first * frames[0].nbytes
+        got = os.preadv(fd, [frames], _HEADER.size + start)
+        if got != frames.nbytes:  # short only at the end of the file
+            return start + got
+        counts[first:first + len(frames)] = \
+            frames[:, box.row_slice, box.col_slice]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ def check_counts(counts) -> None:
 
 def _cpu_count() -> int:
     """Number of CPUs this process may run on: the thread count of every
-    pooled stage (rendering, the spatial map, the cosmic-ray filter)."""
+    pooled stage (rendering, stack reads, the cosmic-ray filter, the
+    spatial map, region sums)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -2,9 +2,9 @@
 
 import dataclasses
 import hashlib
-import io as stdio
 import os
 import struct
+import sys
 import types
 from unittest import mock
 
@@ -43,7 +43,7 @@ from twincal.io import (
     write_cs_map_csv,
     write_stack,
 )
-from twincal import presets
+from twincal import model, presets
 from twincal.model import Region
 from twincal.simulate import KIND_BACKGROUND, KIND_PDC, Stack
 
@@ -455,12 +455,12 @@ class TestStackErrors:
         path = self.write_valid(tmp_path)  # 4 frames of 5x6
         whole = read_stack(path, box)[0].counts
 
-        class HeaderOnly(stdio.BufferedReader):
-            def readinto(self, buffer):
-                raise AssertionError("payload read")
+        def payload_read(fd, buffers, offset):
+            raise AssertionError("payload read")
 
-        monkeypatch.setattr(tio, "open", lambda path, mode: HeaderOnly(
-            stdio.FileIO(path, mode)), raising=False)
+        # the payload's one read call; the last read below shows the spy
+        # sees a payload read
+        monkeypatch.setattr(os, "preadv", payload_read)
         for shape in ((5, 7), (6, 6), (4, 6)):
             with pytest.raises(GeometryError) as refused:
                 read_stack(path, box, shape=shape)
@@ -475,17 +475,23 @@ class TestStackErrors:
     @pytest.mark.parametrize("box", [None, Region((1, 1), (2, 3))])
     def test_a_payload_that_ends_early_returns_nothing(self, tmp_path,
                                                        monkeypatch, box):
-        # the file shrinks after its size was checked: readinto comes up
-        # short, and that is an error, not a part stack
+        # the file shrinks after its size was checked: a read comes up
+        # short, and that is an error, not a part stack.  With 280 bytes
+        # cut, three one-frame tiles come up short on up to three
+        # workers, and the message still names where the payload ends.
         path = self.write_valid(tmp_path)
         full = path.stat().st_size
-        _truncate(path)
-        monkeypatch.setattr(tio, "_READ_TILE_BYTES", 5 * 6 * 4)
+        payload = path.read_bytes()
         monkeypatch.setattr(os, "fstat",
                             lambda fd: types.SimpleNamespace(st_size=full))
-        with pytest.raises(TruncatedPayloadError,
-                           match="payload ended after 470 of 480 bytes"):
-            read_stack(path, box)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(tio, "_READ_TILE_BYTES", workers * 5 * 6 * 4)
+            for cut, left in ((10, 470), (280, 200)):
+                path.write_bytes(payload[:-cut])
+                with pytest.raises(TruncatedPayloadError, match="payload "
+                                   f"ended after {left} of 480 bytes"):
+                    read_stack(path, box)
 
 
 
@@ -560,9 +566,10 @@ class TestBoxRead:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7),
-           count=st.integers(1, 23), seed=st.integers(0, 2 ** 16))
+           count=st.integers(1, 23), seed=st.integers(0, 2 ** 16),
+           workers=st.integers(1, 3))
     def test_box_equals_the_slice_of_a_whole_read(
-            self, tmp_path_factory, data, rows, cols, count, seed):
+            self, tmp_path_factory, data, rows, cols, count, seed, workers):
         rng = np.random.default_rng(seed)
         frames = Stack(rng.integers(0, 2 ** 32, (count, rows, cols),
                                     dtype=np.uint64).astype(np.uint32))
@@ -572,11 +579,15 @@ class TestBoxRead:
         c0 = data.draw(st.integers(0, cols - 1))
         box = Region((r0, c0), (data.draw(st.integers(1, rows - r0)),
                                 data.draw(st.integers(1, cols - c0))))
-        # tiles of 1 to 4 frames, so most stacks end in a part tile
+        # tiles of 1 to 4 frames per worker, so most stacks end in a part
+        # tile, dealt out to 1 to 3 workers
         tile = data.draw(st.integers(1, 4 * rows * cols * 4 + 3))
         whole, digest = read_stack(path)
-        with mock.patch.object(tio, "_READ_TILE_BYTES", tile):
+        with mock.patch.object(tio, "_READ_TILE_BYTES", tile * workers), \
+                mock.patch.object(model, "_cpu_count", lambda: workers):
             back, box_digest = read_stack(path, box)
+            assert np.array_equal(read_stack(path)[0].counts, frames.counts)
+        assert np.array_equal(whole.counts, frames.counts)
         want = whole.counts[:, box.row_slice, box.col_slice]
         assert back.counts.dtype == np.dtype("<u4")
         assert back.counts.shape == want.shape
@@ -584,6 +595,25 @@ class TestBoxRead:
         assert not back.counts.flags.writeable
         assert (back.kind, back.digest_verified, box_digest) == \
             (whole.kind, whole.digest_verified, digest)
+
+    def test_eight_readers_under_a_short_switch_interval(self, tmp_path,
+                                                         monkeypatch):
+        # eight workers copy the boxes of their one-frame tiles into one
+        # shared result; a lost or misplaced frame changes the counts
+        monkeypatch.setattr(model, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(tio, "_READ_TILE_BYTES", 8 * 7 * 9 * 4)
+        frames = random_frames(np.random.default_rng(5), 301, 7, 9)
+        path = tmp_path / "stack.tbs"
+        write_stack(path, [frames], a_config_doc())
+        box = Region((1, 2), (5, 6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            backs = [read_stack(path, box)[0].counts for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for back in backs:
+            assert np.array_equal(back, frames.counts[:, 1:6, 2:8])
 
 
 def round_trip(cfg, params):

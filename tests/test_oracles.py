@@ -27,7 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twincal import estimate, model
-from twincal.errors import DegenerateDataError, DomainError, StackFormatError
+from twincal.errors import (
+    DegenerateDataError,
+    DomainError,
+    GeometryError,
+    StackFormatError,
+)
 from twincal.estimate import (
     _median_rows,
     anchored_region,
@@ -506,6 +511,54 @@ def test_cosmic_ray_filter_is_identical_on_any_worker_count(
     assert threading.get_ident() in threads
 
 
+SCAN_AREAS = [(1, 1), (2, 2), (2, 4), (3, 5), (5, 8)]
+
+
+def reference_series(pdc, region_s, region_i, bg=None, kept=slice(None),
+                     bg_kept=slice(None)):
+    """The conjugate region pair's series from the loop region sums."""
+    kwargs = {}
+    if bg is not None:
+        kwargs = {"m_s": ref.region_sums(bg, region_s)[bg_kept],
+                  "m_i": ref.region_sums(bg, region_i)[bg_kept]}
+    return RegionPairSeries(ref.region_sums(pdc, region_s)[kept],
+                            ref.region_sums(pdc, region_i)[kept], **kwargs)
+
+
+@pytest.mark.parametrize("background", [False, True])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_region_sums_are_identical_on_any_worker_count(
+        monkeypatch, workers, background):
+    # build_series deals its 2 or 4 sums, area_scan the sums of all its
+    # areas in one call; every series and point is the loop oracle's,
+    # with the points in areas order
+    force_workers(monkeypatch, workers)
+    pdc = gained_counts(203, MAP_GEOMETRY.shape, workers)
+    bg = gained_counts(101, MAP_GEOMETRY.shape, 7) if background else None
+    region_i = MAP_GEOMETRY.conjugate_region(MAP_REGION, shift=(1, -1))
+    kept, bg_kept = np.arange(0, 203, 2), np.arange(1, 101)
+    threads, _ = record_threads(monkeypatch, "_region_total")
+    got = build_series(pdc, MAP_REGION, region_i, bg, kept, bg_kept)
+    want = reference_series(pdc, MAP_REGION, region_i, bg, kept, bg_kept)
+    for name in ("n_s", "n_i", "m_s", "m_i"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert len(threads) == (4 if background else 2)
+    assert threading.get_ident() in threads  # worker 0
+
+    threads.clear()
+    anchor = MAP_REGION.center
+    points = area_scan(pdc, bg, MAP_GEOMETRY, anchor, SCAN_AREAS, ddof=1)
+    assert [p.extent for p in points] == SCAN_AREAS
+    for point, (region_s, region_i) in zip(
+            points, estimate.area_pairs(MAP_GEOMETRY, anchor, SCAN_AREAS)):
+        series = reference_series(pdc, region_s, region_i, bg)
+        assert point.sigma_alpha == estimate_sigma_alpha(series)
+        assert point.sigma_alpha_b == (
+            estimate_sigma_alpha_b(series) if background else None)
+    assert len(threads) == len(SCAN_AREAS) * (4 if background else 2)
+    assert threading.get_ident() in threads
+
+
 def test_degenerate_tile_of_a_second_worker_raises_unwrapped(monkeypatch):
     # one-frame tiles on two workers: frame 3 is the second worker's, and
     # its empty region pair raises there, as itself
@@ -540,6 +593,14 @@ def test_refusals_and_single_workers_start_no_thread(monkeypatch):
     with pytest.raises(DomainError, match="count must be >= 1"):
         next(iter_stack(reference_experiment(1), 0))
     counts = gained_counts(20, MAP_GEOMETRY.shape, 3)
+    # a region leaving the frame is refused before any region sum is dealt
+    threads, _ = record_threads(monkeypatch, "_region_total")
+    with pytest.raises(GeometryError, match="leaves the 13x30 frame"):
+        build_series(counts, MAP_REGION, Region((10, 20), (5, 8)), counts)
+    with pytest.raises(GeometryError, match="leaves the 13x20 frame"):
+        area_scan(counts[:, :, :20], None, MAP_GEOMETRY, MAP_REGION.center,
+                  SCAN_AREAS)
+    assert threads == []
     one_pixel = [Region((0, 0), (1, 1))]
     cosmic_ray_filter(counts, regions=one_pixel)  # one lane block
     sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))  # one tile
@@ -565,13 +626,17 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     mask = np.zeros(MAP_GEOMETRY.shape, dtype=bool)
     mask[MAP_WINDOW.row_slice, MAP_WINDOW.col_slice] = True
     want_dropped = ref.cosmic_ray_filter(counts, 2.0, mask)[1]
+    want_scan = area_scan(counts, counts[::-1] // 4, MAP_GEOMETRY,
+                          MAP_REGION.center, sorted(SCAN_AREAS * 2))
     results = []
 
     def run():
         for _ in range(5):
             results.append((
                 sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3)),
-                cosmic_ray_filter(counts, 2.0, regions=[MAP_WINDOW])[1]))
+                cosmic_ray_filter(counts, 2.0, regions=[MAP_WINDOW])[1],
+                area_scan(counts, counts[::-1] // 4, MAP_GEOMETRY,
+                          MAP_REGION.center, sorted(SCAN_AREAS * 2))))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -582,9 +647,10 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and len(results) == 5
-    for got_map, got_dropped in results:
+    for got_map, got_dropped, got_scan in results:
         assert np.array_equal(got_map.values, want_map.values)
         assert got_dropped == want_dropped
+        assert got_scan == want_scan
 
 
 def count_product_sums(monkeypatch):
