@@ -15,8 +15,10 @@ Conventions
   counts.  The cosmic-ray filter and the spatial map refuse any other
   dtype or shape with StackFormatError; ``region_sum``,
   ``build_series`` and ``area_scan`` sum any numeric array in float64.
-  Region blocks are cast to float64, or to int64 in the spatial map,
-  before any difference.
+  The spatial map casts its region blocks to int64 before any
+  difference.  The cosmic-ray filter keeps its pixel lanes in u32 and
+  takes only differences that cannot be negative: a lane's counts less
+  the upper value of its middle pair, or the lower one less its counts.
 * A Region is an origin and an extent.  The frame's geometry decides
   which half it must lie on (``FrameGeometry.validate_region``), and
   every region leaving the frame, whether a region sum, the cosmic-ray
@@ -357,64 +359,83 @@ def excess_noise(series: RegionPairSeries, m_tot: int, ddof: int = 1):
 # Cosmic-ray rejection
 # ---------------------------------------------------------------------------
 
-# The cosmic-ray filter's per-superpixel statistics run over float64
-# lane buffers of about this many elements (1 MB) in all, split evenly
+# The cosmic-ray filter's per-superpixel statistics run over u32 lane
+# buffers of about this many elements (512 KiB) in all, split evenly
 # between the workers, each filling its buffer with a chunk of pixel
-# lanes at a time.  Measured on the u32 boxes of 4000 x 13 x 30 and
-# 1000 x 48 x 128 counts that ``calibrate`` reads (2-vCPU Xeon, 21
-# interleaved rounds, medians): budgets of 2^16 to 2^18 elements time
-# within 13 % of each other pooled and within 19 % on one CPU, inside
-# the rounds' spread; with one buffer, 2^13 was 1.6-1.9x and 2^21 1.3x
-# slower.  A lane block is filled in one transposed copy and compared
-# with its thresholds in one pass, by the worker that took its
-# statistics.
+# lanes at a time.  Measured on the two u32 boxes of 4000 x 11 x 27
+# (reference) and 1000 x 26 x 99 counts (large-frame) that
+# ``calibrate`` filters (2-vCPU Xeon, two sweeps of 9 interleaved
+# rounds, medians of both boxes' filters): 2^17 took 8.8-14.7 /
+# 21.7-32.6 ms pooled and 7.9-13.2 / 18.7-26.8 ms on one CPU.  Pooled,
+# 2^16 was 1.3-1.6x slower; 2^18 was 0.78-0.80x on the large box and
+# level on the small one.  On one CPU both were within 0.97-1.14x.
+# The transposed copy that fills a lane block takes 46-60 % of the
+# filter's time on one CPU.
 _FILTER_CHUNK_ELEMENTS = 1 << 17
 
 
-def _median_rows(rows: np.ndarray) -> np.ndarray:
-    """``np.median(rows, axis=1)`` bit for bit, reordering each row in place.
+def _middle_pair(rows: np.ndarray):
+    """The middle pair (a, b) of each row of ``rows``, in its own dtype,
+    reordering each row in place so that its lower half holds values no
+    larger than a and its upper half, from b on, none smaller than b.
 
-    A single kth value takes numpy's fast selection path, where the two
-    middle kth values ``np.median`` asks for on an even row do not; after
-    it, the lower middle value is the maximum of the lower half.  ``rows``
-    is a 2-D array of finite values; the result is float64.
+    For rows of n values and h = n // 2, b is the h-th smallest value and
+    a the largest of the h below it on an even row, b itself on an odd
+    one, so (a + b) / 2 is the row's median.  A single kth value takes
+    numpy's fast selection path, where the two middle kth values
+    ``np.median`` asks for on an even row do not.
     """
     n = rows.shape[1]
     h = n // 2
     rows.partition(h, axis=1)
-    upper = rows[:, h].astype(np.float64)
-    if n % 2:
-        return upper
-    return (rows[:, :h].max(axis=1) + upper) / 2.0
+    b = rows[:, h].copy()
+    return (b if n % 2 else rows[:, :h].max(axis=1)), b
 
 
 def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
     """Flag the frames any lane block of ``blocks`` rejects, through one
-    float64 buffer of ``size`` elements of this worker's own.
+    u32 buffer of ``size`` elements of this worker's own.
 
     A block is the (n, k, m) u32 view of k x m pixels of a region.  Each
-    pixel's median and unscaled MAD are taken in the buffer, and its
-    threshold formed from them; returns the n frame flags.
+    pixel's median and unscaled MAD are taken in the buffer, in the count
+    type, and its threshold formed from them; only the pixels whose
+    largest count exceeds their threshold are compared frame by frame.
+    Returns the n frame flags.
     """
-    buffer = np.empty(size)
+    buffer = np.empty(size, COUNT_DTYPE)
     bad = np.zeros(n, dtype=bool)
+    h = n // 2
     for pixels in blocks:
         _, k, m = pixels.shape
         lanes = buffer[:k * m * n].reshape(k, m, n)
         np.copyto(lanes, pixels.transpose(1, 2, 0))
         lanes = lanes.reshape(k * m, n)
-        median = _median_rows(lanes)
-        lanes -= median[:, None]
-        np.abs(lanes, out=lanes)
-        scale = _median_rows(lanes) * 1.4826
+        a, b = _middle_pair(lanes)
+        peak = lanes[:, h:].max(axis=1)
+        # |x - median| is (a - x) + g for the lower half and (x - b) + g
+        # for the upper one, with g = (b - a) / 2.  Neither a - x nor
+        # x - b can be negative, so both are taken in place in the count
+        # type, and the MAD is their median plus g.
+        low, high = lanes[:, :h], lanes[:, h:]
+        np.subtract(a[:, None], low, out=low)
+        np.subtract(high, b[:, None], out=high)
+        dev_a, dev_b = _middle_pair(lanes)
+        # Every term is a multiple of 1/2 below 2^33, so each float64 sum
+        # and halving is exact: these are ``np.median``'s values.
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        median = (a + b) / 2.0
+        mad = (dev_a.astype(np.float64) + dev_b) / 2.0 + (b - a) / 2.0
         floor = np.sqrt(np.maximum(median, 1.0))
-        threshold = median + mad_k * np.maximum(scale, floor)
+        threshold = median + mad_k * np.maximum(mad * 1.4826, floor)
         # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
         # clipped to the largest count, which nothing exceeds: compared in
         # the count type, no block is converted.
         threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
-        threshold = threshold.astype(COUNT_DTYPE).reshape(k, m)
-        bad |= np.any(pixels > threshold, axis=(1, 2))
+        threshold = threshold.astype(COUNT_DTYPE)
+        crossed = np.flatnonzero(peak > threshold)
+        if crossed.size:
+            r, c = np.divmod(crossed, m)
+            bad |= np.any(pixels[:, r, c] > threshold[crossed], axis=1)
     return bad
 
 
@@ -441,17 +462,20 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     dtype or shape raises StackFormatError, and a region leaving the
     frame GeometryError, before any worker starts.  The pixels are taken
     a block of lanes at a time, the blocks dealt out to one worker per
-    CPU; each worker takes a block's medians and MADs, forms its
-    thresholds and compares its counts with them in their own type, with
-    the same result as the float64 comparison, and flags the frames it
-    rejects.  The calling thread ORs the workers' flags.  Per worker the
-    memory is one float64 lane buffer, one comparison mask no larger
-    than its lane block and one flag per frame; the workers split one
-    lane budget (``_FILTER_CHUNK_ELEMENTS``, 1 MiB), so their buffers
-    together take no more memory than one worker's would.  Returns the
-    kept frame indices as an array, for ``frames[kept]`` or
-    ``build_series``, and the discarded frame indices as a list; no frame
-    is copied.
+    CPU; each worker takes a block's medians and MADs in the count type
+    (``_filter_lanes``), each exactly the float64 value ``np.median``
+    gives, and forms its thresholds.  Only the pixels whose largest
+    count exceeds their threshold are compared frame by frame, in the
+    count type, with the same result as the float64 comparison; the
+    worker flags the frames they reject and the calling thread ORs the
+    workers' flags.  Per worker the memory is one u32 lane buffer, the
+    counts of the pixels that cross their threshold and one flag per
+    frame; the workers split one lane budget
+    (``_FILTER_CHUNK_ELEMENTS``, 512 KiB), so their buffers together
+    take no more memory than one worker's would.  Returns the kept
+    frame indices as an array, for ``frames[kept]`` or
+    ``build_series``, and the discarded frame indices as a list; no
+    frame is copied.
     """
     check_counts(frames)
     n = len(frames)
@@ -463,10 +487,10 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     for region in regions:
         region.check_inside(frames.shape[1:])
     # Lane blocks of a region's pixels, whole rows of it or part of one
-    # row, dealt out to the workers; each worker takes the median, then
-    # the absolute deviations in place and their median, and compares
-    # one block at a time.  Each lane is independent, so neither the
-    # chunking nor the worker count changes a value.
+    # row, dealt out to the workers; each worker takes the middle pair,
+    # then the deviations from it in place and their middle pair, and
+    # compares one block at a time.  Each lane is independent, so
+    # neither the chunking nor the worker count changes a value.
     chunk = max(1, _FILTER_CHUNK_ELEMENTS // (model._cpu_count() * n))
     blocks = []
     for region in regions:

@@ -7,9 +7,9 @@ mismatch.  The
 analytic delta method is checked against the central-difference gradient
 of the raw-moment formulas.  The chunked cosmic-ray filter is checked
 against the former whole-stack filter, with the per-pixel shot-noise
-floor, and its single-kth median against ``np.median``; the frames it
-drops on rendered stacks are checked against the same seed rendered
-without cosmic rays.  The tiled spatial map is checked bit for bit against
+floor, on any u32 counts, and the u32 middle pair its medians and MADs
+come from against ``np.median``; the frames it drops on rendered stacks
+are checked against the same seed rendered without cosmic rays.  The tiled spatial map is checked bit for bit against
 the map's definition in Python integers, on any counts and any worker
 count, and against the former ``np.var`` maps to a relative 1e-10 and
 by the minimum they locate.
@@ -34,7 +34,7 @@ from twincal.errors import (
     StackFormatError,
 )
 from twincal.estimate import (
-    _median_rows,
+    _middle_pair,
     anchored_region,
     area_scan,
     build_series,
@@ -286,32 +286,25 @@ def test_delta_method_matches_finite_difference_reference(case):
 
 @st.composite
 def median_rows(draw):
-    """A (rows, length) float64 or u32 array of finite values, with odd and
-    even lengths from 1 up, drawn from a few values (heavy ties) or from
-    the whole dtype."""
+    """A (rows, length) u32 array, with odd and even lengths from 1 up,
+    drawn from a few values (heavy ties) or from the whole u32 range."""
     rows = draw(st.integers(1, 4))
     length = draw(st.one_of(st.integers(1, 70), st.integers(71, 2000)))
-    dtype = draw(st.sampled_from([np.float64, np.uint32]))
-    spread = draw(st.sampled_from(["ties", "wide"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if spread == "ties":
-        return rng.integers(0, draw(st.integers(1, 3)) + 1,
-                            (rows, length)).astype(dtype)
-    if dtype == np.uint32:
-        return rng.integers(0, 2 ** 32, (rows, length), dtype=np.uint32)
-    # wide enough that two middle values can overflow their sum; + 0.0
-    # maps -0.0 to 0.0, since the two compare equal and which one a
-    # partition leaves in the middle is unspecified, here as in np.median
-    return rng.uniform(-1.0, 1.0, (rows, length)) * np.finfo(float).max + 0.0
+    high = draw(st.sampled_from([2, 3, 4, 2 ** 32]))
+    return rng.integers(0, high, (rows, length), dtype=np.uint32)
 
 
 @settings(max_examples=300, deadline=None)
 @given(median_rows())
 def test_median_rows_is_np_median_bit_for_bit(rows):
-    with np.errstate(over="ignore"):
-        want = np.median(rows, axis=1)
-        got = _median_rows(rows.copy())
-    assert got.dtype == want.dtype == np.float64
+    # (a + b) / 2 of two u32 counts is exact in float64, even where a + b
+    # would overflow the count type
+    a, b = _middle_pair(rows.copy())
+    assert a.dtype == b.dtype == np.uint32
+    got = (a.astype(np.float64) + b) / 2.0
+    want = np.median(rows, axis=1)
+    assert want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
 
@@ -374,6 +367,55 @@ def test_cosmic_ray_filter_matches_reference_on_regions(
     dropped = check_against_reference(counts, mad_k, regions, mask)
     whole = ref.cosmic_ray_filter(counts, mad_k)[1]
     assert set(dropped) < set(whole)
+
+
+@st.composite
+def filter_cases(draw):
+    """u32 counts of 3 to 300 frames of 4 x 5 pixels, drawn from a few
+    values (heavy ties), the whole u32 range, within 4 of the largest
+    count, or Poisson with spikes, and two regions inside the frame."""
+    n = draw(st.one_of(st.integers(3, 40), st.integers(41, 300)))
+    shape = (n, 4, 5)
+    spread = draw(st.sampled_from(["ties", "wide", "top", "spiked"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if spread == "ties":
+        counts = rng.integers(0, draw(st.integers(1, 3)) + 1, shape)
+    elif spread == "wide":
+        counts = rng.integers(0, 2 ** 32, shape, dtype=np.uint64)
+    elif spread == "top":
+        counts = 2 ** 32 - 1 - rng.integers(0, 5, shape)
+    else:
+        counts = rng.poisson(40.0 * rng.normal(1.0, 0.1, (n, 1, 1)), shape)
+        spikes = rng.integers(0, counts.size, draw(st.integers(1, 5)))
+        counts.reshape(-1)[spikes] += rng.integers(100, 10 ** 6, spikes.size)
+    regions = []
+    for _ in range(2):
+        r0, c0 = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+        regions.append(Region((r0, c0), (draw(st.integers(1, 4 - r0)),
+                                         draw(st.integers(1, 5 - c0)))))
+    return counts.astype(np.uint32), regions
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_cases(), st.sampled_from([0.1, 1.0, 2.0, 10.0]),
+       st.integers(1, 3), st.integers(1, 4))
+def test_cosmic_ray_filter_matches_reference_on_any_counts(
+        case, mad_k, chunk_pixels, workers):
+    # Guards the lane statistics taken in the count type, whose MAD adds
+    # (b - a) / 2 to the middle pair of the unsigned a - x and x - b, and
+    # the comparison of only the lanes whose largest count crosses their
+    # threshold: mad_k = 0.1 takes nearly every lane through it, counts
+    # near 2^32 - 1 clip their thresholds.  Lane blocks of 1-3 pixels
+    # split the regions' rows between 1-4 workers.
+    counts, regions = case
+    mask = np.zeros(counts.shape[1:], dtype=bool)
+    for region in regions:
+        mask[region.row_slice, region.col_slice] = True
+    with pytest.MonkeyPatch.context() as patch:
+        force_workers(patch, workers)
+        patch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
+                      chunk_pixels * workers * len(counts))
+        check_against_reference(counts, mad_k, regions, mask)
 
 
 def large_frame_experiment(seed):
