@@ -37,7 +37,6 @@ from .estimate import (
     eta_from_sigma,
     excess_noise,
     propagate_type_a,
-    region_sum,
     repeat_experiment,
     sigma_spatial_map,
 )

@@ -13,8 +13,8 @@ Conventions
   are returned as-is (clamping would bias the efficiency upward).
 * Frame stacks are (frames, rows, cols) arrays of ``COUNT_DTYPE`` (u32)
   counts.  The cosmic-ray filter and the spatial map refuse any other
-  dtype or shape with StackFormatError; ``region_sum``,
-  ``build_series`` and ``area_scan`` sum any numeric array in float64.
+  dtype or shape with StackFormatError; ``build_series`` and
+  ``area_scan`` sum any numeric array in float64.
   The spatial map casts its region blocks to int64 before any
   difference.  The cosmic-ray filter keeps its pixel lanes in u32 and
   takes only differences that cannot be negative: a lane's counts less
@@ -127,16 +127,6 @@ class RegionPairSeries:
             out.append(RegionPairSeries(self.n_s[l * n:(l + 1) * n],
                                         self.n_i[l * n:(l + 1) * n], **kwargs))
         return out
-
-
-def region_sum(counts: np.ndarray, region: Region):
-    """Sum of superpixel counts over a region, per frame; bounds-checked.
-
-    ``counts`` is one frame or a stack.  The float64 sums of integral
-    counts are exact whatever the input dtype.
-    """
-    region.check_inside(counts.shape[-2:])
-    return _region_total(counts, region)
 
 
 def _region_total(counts, region: Region):

@@ -420,11 +420,20 @@ def test_reproduce_reference_run(tmp_path, capsys):
     assert table["sigma_alpha_b"][2] == pytest.approx(0.384, abs=0.04)
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    stdout = capsys.readouterr().out
-    assert "FAIL" not in stdout
-    assert stdout.count("PASS") == 6
+def test_help_lists_exactly_the_commands(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert ("{simulate,find-cs,area-scan,calibrate,reproduce-table1}"
+            in capsys.readouterr().out)
+
+
+def test_selftest_is_not_a_command(capsys):
+    # the invariants it checked are the acceptance criteria's
+    with pytest.raises(SystemExit) as done:
+        main(["selftest"])
+    assert done.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -797,19 +806,21 @@ def test_stack_smaller_than_the_analysed_box_is_a_geometry_error(run_dir,
 
 def test_region_smaller_than_a_cell_is_refused_before_reading(tmp_path,
                                                               capsys):
-    # a 1x1 region_s on 2-px cells covers no whole cell: calibrate stops
-    # on the config, before it opens a stack, so a missing one is no 3
+    # a region_s narrower or shorter than a 2-px cell covers no whole
+    # cell, whatever its area: calibrate stops on the config, before it
+    # opens a stack, so a missing one is no 3
     cfg, params, config = large_frames(tmp_path, 9, 4, 125)
-    save_run_config(config, cfg, dataclasses.replace(
-        params, region_s=Region((20, 28), (1, 1))))
     out = tmp_path / "out"
-    assert main(["calibrate", "--config", str(config), "--out", str(out),
-                 "--pdc", str(tmp_path / "missing.tbs"), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert "error[DomainError]" in err
-    assert "region_s (1, 1)" in err and "2x2 coherence cell" in err
-    assert not (out / "calibration.csv").exists()
-    assert not out.exists()
+    for extent in ((1, 1), (1, 8), (8, 1)):
+        save_run_config(config, cfg, dataclasses.replace(
+            params, region_s=Region((20, 28), extent)))
+        assert main(["calibrate", "--config", str(config), "--out",
+                     str(out), "--pdc", str(tmp_path / "missing.tbs"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "error[DomainError]" in err
+        assert f"region_s {extent}" in err and "2x2 coherence cell" in err
+        assert not out.exists()
 
 
 def test_stack_larger_than_the_config_frame_is_a_geometry_error(run_dir,

@@ -31,7 +31,6 @@ from twincal.estimate import (
     eta_from_sigma,
     excess_noise,
     propagate_type_a,
-    region_sum,
     repeat_experiment,
     sigma_spatial_map,
 )
@@ -57,21 +56,6 @@ def poisson_series(mean=10_000.0, n=4000, seed=0, background=False):
                   "m_i": rng.poisson(mean / 20, n).astype(float)}
     return RegionPairSeries(rng.poisson(mean, n).astype(float),
                             rng.poisson(mean, n).astype(float), **kwargs)
-
-
-class TestRegionSum:
-    def test_zero_frame(self):
-        frame = np.zeros((6, 10))
-        assert region_sum(frame, Region((1, 1), (2, 3))) == 0.0
-
-    def test_all_ones_region(self):
-        frame = np.ones((10, 20))
-        assert region_sum(frame, Region((2, 4), (5, 8))) == 40.0
-
-    def test_bounds_error(self):
-        frame = np.ones((6, 10))
-        with pytest.raises(GeometryError):
-            region_sum(frame, Region((4, 8), (3, 3)))
 
 
 class TestAlpha:

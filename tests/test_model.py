@@ -424,13 +424,13 @@ def test_conjugation_is_an_involution_across_the_halves(rows, half, cs2, h,
 def test_one_bounds_check_names_the_frame():
     # the geometry, the region sums and the cosmic-ray filter refuse a
     # region leaving the frame with the same message
-    from twincal.estimate import cosmic_ray_filter, region_sum
+    from twincal.estimate import build_series, cosmic_ray_filter
     geo = FrameGeometry(rows=4, cols=6, cs=(1.5, 2.5), beam_split=3)
     frames = np.zeros((5, 4, 6), dtype=model.COUNT_DTYPE)
     region = Region((2, 1), (3, 2))
     for check in (lambda: geo.validate_region(region),
                   lambda: geo.validate_region(region, idler=True),
-                  lambda: region_sum(frames, region),
+                  lambda: build_series(frames, region, region),
                   lambda: cosmic_ray_filter(frames, regions=[region])):
         with pytest.raises(GeometryError) as refused:
             check()
