@@ -55,11 +55,12 @@ def _load_config(args):
     return cfg, params
 
 
-def _analysed(geometry, region_s, extent) -> list:
-    """What the centre search reads: ``region_s`` and the idler window
-    holding its conjugate at every shift up to ``extent``."""
-    geometry.validate_region(region_s)
-    return [region_s, geometry.search_window(region_s, extent)]
+def _analysed(geometry, params) -> list:
+    """What the centre search reads: region_s and the idler window holding
+    its conjugate at every shift up to the search extent."""
+    geometry.validate_region(params.region_s)
+    return [params.region_s,
+            geometry.search_window(params.region_s, params.cs_search_extent)]
 
 
 def _region_modes(cfg, params) -> int:
@@ -82,11 +83,11 @@ def _hull(regions):
     return Region(origin=(top, left), extent=(bottom - top, right - left))
 
 
-def _read_boxes(cfg, region_s, regions, pdc, background=None):
+def _read_boxes(cfg, regions, pdc, background=None):
     """Read the box of every frame that holds ``regions`` (``_hull``) from
     the pdc stack file and, when given, the background one; returns the
-    geometry of the box, ``region_s`` moved into it
-    (``FrameGeometry.crop``) and the two (frames, rows, cols) count
+    geometry of the box, ``regions`` moved into it, in order
+    (``FrameGeometry.crop``), and the two (frames, rows, cols) count
     arrays, None for no background.
 
     A stack of the wrong kind is a StackFormatError, and one whose frames
@@ -95,7 +96,7 @@ def _read_boxes(cfg, region_s, regions, pdc, background=None):
     no sidecar vouched for is read with a warning.
     """
     box = _hull(regions)
-    geometry, region_s = cfg.geometry.crop(box, region_s)
+    geometry, regions = cfg.geometry.crop(box, regions)
 
     def read(path, kind):
         stack, _ = io.read_stack(path, box, kind, cfg.geometry.shape)
@@ -104,7 +105,7 @@ def _read_boxes(cfg, region_s, regions, pdc, background=None):
                   "the config digest was not verified", file=sys.stderr)
         return stack.counts
 
-    return (geometry, region_s, read(pdc, simulate.KIND_PDC),
+    return (geometry, regions, read(pdc, simulate.KIND_PDC),
             read(background, simulate.KIND_BACKGROUND) if background else None)
 
 
@@ -155,9 +156,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_find_cs(args) -> int:
     cfg, params = _load_config(args)
-    geometry, region_s, pdc, _ = _read_boxes(
-        cfg, params.region_s, _analysed(cfg.geometry, params.region_s,
-                                        params.cs_search_extent), args.stack)
+    geometry, (region_s, _), pdc, _ = _read_boxes(
+        cfg, _analysed(cfg.geometry, params), args.stack)
     result = estimate.sigma_spatial_map(pdc, region_s, geometry,
                                         params.cs_search_extent)
     io.write_cs_map_csv(_outdir(args) / "cs_map.csv", result)
@@ -171,42 +171,41 @@ def cmd_area_scan(args) -> int:
     cfg, params = _load_config(args)
     pairs = estimate.area_pairs(cfg.geometry, params.region_s.center,
                                 params.areas)
-    geometry, region_s, pdc, bg = _read_boxes(
-        cfg, params.region_s, [region for pair in pairs for region in pair],
-        args.pdc, args.background)
-    points = estimate.area_scan(pdc, bg, geometry, region_s.center,
-                                params.areas,
-                                cell_px=cfg.modes.coherence_cell_px,
-                                ddof=params.variance_ddof)
+    _, regions, pdc, bg = _read_boxes(
+        cfg, [region for pair in pairs for region in pair], args.pdc,
+        args.background)
+    points = estimate.area_scan(
+        pdc, bg, list(zip(regions[::2], regions[1::2])),
+        cell_px=cfg.modes.coherence_cell_px, ddof=params.variance_ddof)
     out = _outdir(args)
     io.write_area_scan_csv(out / "area_scan.csv", points)
     _say(args, f"wrote {out / 'area_scan.csv'} ({len(points)} areas)")
     return 0
 
 
-def _calibrate(params, geometry, region_s, m_tot, pdc, bg):
+def _calibrate(params, geometry, regions, m_tot, pdc, bg):
     """Shared calibration chain: filter, locate, batch, estimate.
 
-    ``geometry`` and ``region_s`` describe the frames of ``pdc`` and
-    ``bg``: the whole frame and ``params.region_s``, or a box of it and
-    the region moved into the box (``FrameGeometry.crop``).  The stacks
-    are (frames, rows, cols) count arrays; ``bg`` may be None.  ``m_tot``
-    is the mode count of ``region_s`` (``_region_modes``).  A frame is
-    dropped only for a cosmic-ray hit in the pixels analysed.  Returns
-    the conjugate-region series estimated from, its RepeatSummary and the
-    CalibrationDiagnostics.
+    ``regions`` is ``_analysed``'s [region_s, search window] as the
+    frames of ``pdc`` and ``bg`` hold them, and ``geometry`` those
+    frames': the whole frame's, or a box's with the regions moved into
+    it (``_read_boxes``).  The stacks are (frames, rows, cols) count
+    arrays; ``bg`` may be None.  ``m_tot`` is the mode count of
+    region_s (``_region_modes``).  A frame is dropped only for a
+    cosmic-ray hit in ``regions``.  Returns the conjugate-region series
+    estimated from, its RepeatSummary and the CalibrationDiagnostics.
     """
     ddof = params.variance_ddof
+    region_s = regions[0]
 
     # Only the pixels the estimators read can spoil them: region_s and
     # the idler window the centre search draws its regions from.
-    analysed = _analysed(geometry, region_s, params.cs_search_extent)
     pdc_kept, pdc_dropped = estimate.cosmic_ray_filter(
-        pdc, params.cosmic_mad_k, regions=analysed)
+        pdc, params.cosmic_mad_k, regions=regions)
     bg_kept, bg_dropped = None, []
     if bg is not None:
         bg_kept, bg_dropped = estimate.cosmic_ray_filter(
-            bg, params.cosmic_mad_k, regions=analysed)
+            bg, params.cosmic_mad_k, regions=regions)
 
     cs_map = estimate.sigma_spatial_map(pdc[pdc_kept[:20]], region_s,
                                         geometry, params.cs_search_extent)
@@ -258,11 +257,9 @@ def cmd_calibrate(args) -> int:
     if params.z_batches < 2:
         raise ConfigError("calibrate needs analysis.z_batches >= 2, "
                           f"got {params.z_batches}")
-    geometry, region_s, pdc, bg = _read_boxes(
-        cfg, params.region_s, _analysed(cfg.geometry, params.region_s,
-                                        params.cs_search_extent),
-        args.pdc, args.background)
-    _, summary, diagnostics = _calibrate(params, geometry, region_s, m_tot,
+    geometry, regions, pdc, bg = _read_boxes(
+        cfg, _analysed(cfg.geometry, params), args.pdc, args.background)
+    _, summary, diagnostics = _calibrate(params, geometry, regions, m_tot,
                                          pdc, bg)
     _report(args, params, _outdir(args), summary, diagnostics)
     return 0
@@ -281,8 +278,8 @@ def cmd_reproduce_table1(args) -> int:
     pdc = simulate.generate_stack(cfg, n, simulate.KIND_PDC).counts
     bg = simulate.generate_stack(cfg, m, simulate.KIND_BACKGROUND).counts
 
-    series, summary, diagnostics = _calibrate(params, cfg.geometry,
-                                              params.region_s, m_tot, pdc, bg)
+    series, summary, diagnostics = _calibrate(
+        params, cfg.geometry, _analysed(cfg.geometry, params), m_tot, pdc, bg)
     ddof = params.variance_ddof
     alpha = estimate.estimate_alpha(series)
     simulated = {

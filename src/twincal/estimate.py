@@ -23,7 +23,7 @@ Conventions
   which half it must lie on (``FrameGeometry.validate_region``), and
   every region leaving the frame, whether a region sum, the cosmic-ray
   filter or the geometry meets it, raises the one GeometryError of
-  ``Region.check_inside``.
+  ``Region.check_inside``.  ``area_scan`` takes the pairs its caller built.
 * The spatial map, the cosmic-ray filter and the region sums of
   ``build_series`` and ``area_scan`` deal their frame tiles, pixel lane
   blocks or (frames, region) sums out to one worker per CPU the process
@@ -741,19 +741,16 @@ def area_pairs(geometry: FrameGeometry, anchor: tuple[float, float],
     return pairs
 
 
-def area_scan(pdc_frames, bg_frames, geometry: FrameGeometry,
-              anchor: tuple[float, float], areas, cell_px: int = 1,
+def area_scan(pdc_frames, bg_frames, pairs, cell_px: int = 1,
               ddof: int = 1) -> list[AreaScanPoint]:
-    """Noise reduction factor versus detection-area size.
-
-    ``areas`` and ``anchor`` give the region pairs of ``area_pairs``.
-    Both the uncorrected and (when background frames are given) the
-    background-corrected curves are returned, one point per area in
-    ``areas`` order.  The region sums of every area are dealt out to the
-    workers in one ``_pair_series`` call, after every region is
-    bounds-checked; the estimators then run in the calling thread.
+    """Noise reduction factor versus detection-area size, one point per
+    (signal, idler) region pair of ``pairs`` (as ``area_pairs`` builds
+    them), in order: its signal extent, its area in ``cell_px``-px
+    cells, and the uncorrected and (given background frames)
+    background-corrected sigma.  The region sums of every pair are dealt
+    out to the workers in one ``_pair_series`` call, after every region
+    is bounds-checked; the estimators run in the calling thread.
     """
-    pairs = area_pairs(geometry, anchor, areas)
     points = []
     for (region_s, _), series in zip(pairs, _pair_series(pairs, pdc_frames,
                                                          bg_frames)):

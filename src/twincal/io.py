@@ -20,11 +20,12 @@ been written exactly once.
 ``read_stack`` checks the header, the file size and the sidecar digest
 before it reads any payload byte, and then that the box it is asked
 for lies in the frame (``Region.check_inside``) and that the frames
-have the shape asked for.  It returns the payload, or one box
-of rows and columns of every frame, as a read-only ``<u4`` array of
-shape (count, box rows, box cols).  The payload's tiles of whole frames
-are dealt out to one worker per CPU the process may run on
-(``model._run_workers``).  Each of the W workers fills its one reused
+have the shape asked for.  It returns the payload, or one box of rows
+and columns of every frame, as a read-only ``<u4`` array of shape
+(count, box rows, box cols), in a ``Stack`` of the header's kind; no
+pulse energy is stored, in the file or the Stack.  The payload's tiles
+of whole frames are dealt out to one worker per CPU the process may run
+on (``model._run_workers``).  Each of the W workers fills its one reused
 tile buffer, 1/W of the read budget, with one positional read
 (``os.preadv``) per tile, and copies the box of those frames into its
 own frames of the result.  Only the box's pixels are kept: the commands
@@ -210,8 +211,7 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
     TruncatedPayloadError at the smallest payload position a short read
     stopped at, so the message is the same on any CPU count, and nothing
     is returned.  The counts are a read-only (frames, box rows, box
-    cols) u32 array.  Pulse energies are not persisted and come back as
-    NaN.
+    cols) u32 array.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)

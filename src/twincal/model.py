@@ -338,9 +338,9 @@ class FrameGeometry:
         return window
 
     def crop(self, box: Region,
-             region: Region) -> tuple["FrameGeometry", Region]:
-        """The geometry of the frame cut down to ``box``, and ``region`` in
-        its coordinates.
+             regions) -> tuple["FrameGeometry", list[Region]]:
+        """The geometry of the frame cut down to ``box``, and each of
+        ``regions`` in its coordinates, in order.
 
         Every position moves by the box origin, an integer shift: cs and
         beam_split with it, so conjugates, search windows and anchored
@@ -351,9 +351,8 @@ class FrameGeometry:
         geometry = FrameGeometry(rows=box.extent[0], cols=box.extent[1],
                                  cs=(self.cs[0] - dr, self.cs[1] - dc),
                                  beam_split=self.beam_split - dc)
-        moved = Region(origin=(region.origin[0] - dr, region.origin[1] - dc),
-                       extent=region.extent)
-        return geometry, moved
+        return geometry, [Region(origin=(r.origin[0] - dr, r.origin[1] - dc),
+                                 extent=r.extent) for r in regions]
 
     def validate_region(self, region: Region, idler: bool = False) -> None:
         """GeometryError unless ``region`` lies inside the frame and wholly

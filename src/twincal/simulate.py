@@ -16,19 +16,21 @@ block of ``_BLOCK_FRAMES`` frames, in a fixed order:
 Every block owns an RNG stream derived from (master_seed, kind,
 block_index), so stacks are bit-reproducible, a stack of n frames is a
 prefix of any longer stack, and one frame is re-rendered by rendering its
-block.  Every result is a ``Stack`` of u32 counts: ``generate_stack``
-fills one array, ``iter_stack`` yields one per block, and
-``render_frame`` returns a one-frame Stack cut from its block.
+block.  Every result is a ``Stack`` of u32 counts, which holds what a
+stack file holds and no pulse energy: ``generate_stack`` fills one
+array, ``iter_stack`` yields one per block, and ``render_frame``
+returns a one-frame Stack cut from its block.
 
 ``render_stack`` deals every block of a stack out in one
 ``model._run_workers`` call, one worker per CPU the process may run on.
 Each worker renders its blocks into one float64 work block and one
-noise buffer that it reuses, and hands each block to the caller's
-``put``, which casts it to u32 where it is kept: a slice of
-``generate_stack``'s array, a block of ``iter_stack``'s round, or its
-frames' place in the file ``simulate`` writes.  Since every block draws
-only from its own stream, the frames do not depend on how many CPUs
-there are.
+noise buffer that it reuses, and hands each block and its pulse
+energies to the caller's ``put``, which casts the block to u32 where it
+is kept: a slice of ``generate_stack``'s array, a block of
+``iter_stack``'s round, or its frames' place in the file ``simulate``
+writes, whose ``put`` alone keeps the energies.  Since every block
+draws only from its own stream, the frames do not depend on how many
+CPUs there are.
 """
 
 from __future__ import annotations
@@ -143,21 +145,16 @@ class Stack:
     and positions in it are frame positions less the box origin
     (``FrameGeometry.crop``).
 
-    ``pulse_energy`` holds one relative energy per frame (NaN where it is
-    not known, as for stacks read from a file).  ``digest_verified`` is
-    true only for a stack read from a file whose JSON sidecar matched the
-    digest stored in its header.
+    ``digest_verified`` is true only for a stack read from a file whose
+    JSON sidecar matched the digest stored in its header.
     """
 
     counts: np.ndarray
     kind: str = KIND_PDC
-    pulse_energy: np.ndarray | None = None
     digest_verified: bool = False
 
     def __post_init__(self) -> None:
         check_counts(self.counts)
-        if self.pulse_energy is None:
-            self.pulse_energy = np.full(len(self.counts), math.nan)
 
 
 def _round_half_away(x: float) -> int:
@@ -238,16 +235,13 @@ def _noise_frames(geo: FrameGeometry) -> int:
 
 
 def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
-                  work: np.ndarray | None = None,
-                  noise: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(counts of shape (_BLOCK_FRAMES, rows, cols), energies) of one block.
+                  counts: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Render one block into ``counts`` and return its pulse energies.
 
-    The counts are rendered into ``work``, a float64 array of that shape,
-    which is zero-filled first, and read noise is drawn a chunk of frames
-    at a time into ``noise``, a float64 array of (chunk, rows, cols).
-    Either is allocated when not given.  The counts are integral, >= 0,
-    and within the u32 range.
+    ``counts`` is a float64 work block of (_BLOCK_FRAMES, rows, cols),
+    which is zero-filled first, and read noise is drawn a chunk of
+    frames at a time into ``noise``, a float64 array of (chunk, rows,
+    cols).  The counts are integral, >= 0, and within the u32 range.
     """
     if kind not in _KIND_CODE:
         raise DomainError(f"unknown frame kind {kind!r}")
@@ -255,7 +249,6 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
         entropy=cfg.master_seed, spawn_key=(_KIND_CODE[kind], block_index)))
     n = _BLOCK_FRAMES
     geo = cfg.geometry
-    counts = np.empty((n,) + geo.shape) if work is None else work
     counts.fill(0.0)
     energy, mu = sample_pulse(cfg.pulse, rng, size=n)
 
@@ -278,8 +271,6 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
     # Noise is drawn a few frames at a time, in the order of one draw over
     # the whole block, so the draws are the same and their temporaries
     # stay small.
-    if noise is None:
-        noise = np.empty((_noise_frames(geo),) + geo.shape)
     step = len(noise)
     chunks = [slice(k, min(k + step, n)) for k in range(0, n, step)]
     bg = cfg.background
@@ -315,16 +306,20 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
     np.clip(counts, 0.0, None, out=counts)
     if counts.max() > np.iinfo(COUNT_DTYPE).max:
         raise StackFormatError("counts outside the u32 range")
-    return counts, energy
+    return energy
 
 
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
                  kind: str = KIND_PDC) -> Stack:
-    """Frame ``pulse_index`` as a one-frame Stack, by rendering its block."""
-    counts, energy = _render_block(cfg, kind, pulse_index // _BLOCK_FRAMES)
-    k = pulse_index % _BLOCK_FRAMES
-    return Stack(counts=counts[k:k + 1].astype(COUNT_DTYPE), kind=kind,
-                 pulse_energy=energy[k:k + 1].copy())
+    """Frame ``pulse_index`` as a one-frame Stack, by rendering its block
+    alone (``render_stack``)."""
+    frame = []
+    block = pulse_index // _BLOCK_FRAMES
+    render_stack(cfg, kind, pulse_index + 1,
+                 lambda first, counts, energy: frame.append(
+                     counts[-1:].astype(COUNT_DTYPE)),
+                 range(block, block + 1))
+    return Stack(counts=frame[0], kind=kind)
 
 
 def render_stack(cfg: ExperimentConfig, kind: str, count: int, put,
@@ -349,7 +344,7 @@ def render_stack(cfg: ExperimentConfig, kind: str, count: int, put,
         counts = np.empty((_BLOCK_FRAMES,) + shape)
         noise = np.empty((_noise_frames(cfg.geometry),) + shape)
         for b in dealt:
-            _, energy = _render_block(cfg, kind, b, counts, noise)
+            energy = _render_block(cfg, kind, b, counts, noise)
             n = min(_BLOCK_FRAMES, count - b * _BLOCK_FRAMES)
             put(b * _BLOCK_FRAMES, counts[:n], energy[:n])
 
@@ -380,8 +375,7 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
     rendered = {}
 
     def put(first, counts, energy):
-        rendered[first] = Stack(counts=counts.astype(COUNT_DTYPE), kind=kind,
-                                pulse_energy=energy)
+        rendered[first] = Stack(counts=counts.astype(COUNT_DTYPE), kind=kind)
 
     for b in range(0, n_blocks, cpus):
         render_stack(cfg, kind, count, put, range(b, min(b + cpus, n_blocks)))
@@ -400,11 +394,10 @@ def generate_stack(cfg: ExperimentConfig, count: int,
     if count < 1:
         raise DomainError("count must be >= 1")
     stack = Stack(counts=np.empty((count,) + cfg.geometry.shape, COUNT_DTYPE),
-                  kind=kind, pulse_energy=np.empty(count))
+                  kind=kind)
 
     def put(first, counts, energy):
         stack.counts[first:first + len(counts)] = counts
-        stack.pulse_energy[first:first + len(counts)] = energy
 
     render_stack(cfg, kind, count, put)
     return stack

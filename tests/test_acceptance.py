@@ -17,6 +17,7 @@ import pytest
 
 from twincal.estimate import (
     RegionPairSeries,
+    area_pairs,
     area_scan,
     build_series,
     cosmic_ray_filter,
@@ -190,16 +191,16 @@ def test_criterion_06_area_scan():
     cfg = make_config(eta_s=0.25, eta_i=0.25, mu=1.0, m_t=100, cell_px=2,
                       grid=(20, 32), rows=46, cols=140, split=70,
                       cs=(22.5, 69.5), seed=1006)
-    anchor = cfg.signal_region().center
     areas = [(2, 2), (3, 3), (5, 5), (7, 7), (9, 9), (13, 13), (17, 17),
              (21, 21), (25, 25), (31, 31), (40, 64)]
+    pairs = area_pairs(cfg.geometry, cfg.signal_region().center, areas)
     groups, per_group = 12, 1000
     stream = (frame for block in iter_stack(cfg, groups * per_group)
               for frame in block.counts)
     curves = np.array([
         [p.sigma_alpha for p in area_scan(
             np.stack(list(itertools.islice(stream, per_group))),
-            None, cfg.geometry, anchor, areas, cell_px=2)]
+            None, pairs, cell_px=2)]
         for _ in range(groups)])
     mean = curves.mean(axis=0)
 

@@ -20,7 +20,7 @@ from twincal import cli, estimate, model, presets, simulate
 from twincal import io as tio
 
 from test_io import REFUSED_EDITS, edited_config_doc
-from test_simulate import concurrent_config, make_config
+from test_simulate import concurrent_config, make_config, render_blocks
 
 
 @pytest.fixture()
@@ -70,10 +70,7 @@ def test_simulate_is_reproducible_and_seed_sensitive(run_dir):
 def serial_blocks(kind):
     """The counts and energies of the first 16 blocks of
     ``concurrent_config(seed=71)``, rendered one by one."""
-    blocks = [simulate._render_block(concurrent_config(seed=71), kind, b)
-              for b in range(16)]
-    return (np.concatenate([c for c, _ in blocks]),
-            np.concatenate([e for _, e in blocks]))
+    return render_blocks(concurrent_config(seed=71), kind, range(16))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -262,14 +259,14 @@ def test_calibrate_reports_transmittance_corrected_efficiencies(run_dir,
 
 
 def test_excess_noise_follows_variance_ddof(run_dir):
-    from twincal.cli import _calibrate, _region_modes
+    from twincal.cli import _analysed, _calibrate, _region_modes
     _, config = run_dir
     cfg, params = load_run_config(config)
     pdc = generate_stack(cfg, params.z_batches * params.frames_per_batch)
     bg = generate_stack(cfg, params.z_batches *
                         params.background_frames_per_batch, kind="background")
     ratios = [_calibrate(dataclasses.replace(params, variance_ddof=ddof),
-                         cfg.geometry, params.region_s,
+                         cfg.geometry, _analysed(cfg.geometry, params),
                          _region_modes(cfg, params), pdc.counts,
                          bg.counts)[2].excess_noise_ratio
               for ddof in (0, 1)]
@@ -570,15 +567,16 @@ def test_calibrate_memory_is_not_a_stack_copy(tmp_path):
     # both u32 stacks lose frames to the filter (the background one to a
     # spike of its own); the kept ones are used by index, so the chain's
     # peak is a small part of the stacks it reads
-    from twincal.cli import _calibrate, _region_modes
+    from twincal.cli import _analysed, _calibrate, _region_modes
     cfg, params, _ = large_frames(tmp_path, 9, 4, 125)
     pdc = generate_stack(cfg, 500).counts
     bg = generate_stack(cfg, 500, kind="background").counts
     spike(bg, [250], analysed_pixels(cfg, params), np.random.default_rng(9))
     tracemalloc.start()
     try:
-        _, _, diagnostics = _calibrate(params, cfg.geometry, params.region_s,
-                                       _region_modes(cfg, params), pdc, bg)
+        _, _, diagnostics = _calibrate(
+            params, cfg.geometry, _analysed(cfg.geometry, params),
+            _region_modes(cfg, params), pdc, bg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -642,7 +640,7 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
     # find-cs, area-scan and calibrate read only the box they analyse;
     # their tables must be those of the estimators run on the whole
     # frames with the whole geometry
-    from twincal.cli import _calibrate, _hull, _region_modes
+    from twincal.cli import _analysed, _calibrate, _hull, _region_modes
     cfg, params, config = workload_run(tmp_path, workload, 7, 90)
     if areas:
         # rows from the tall area, columns from the wide one: the box
@@ -670,11 +668,12 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
     tio.write_cs_map_csv(want / "cs_map.csv", estimate.sigma_spatial_map(
         pdc, params.region_s, cfg.geometry, params.cs_search_extent))
     tio.write_area_scan_csv(want / "area_scan.csv", estimate.area_scan(
-        pdc, bg, cfg.geometry, params.region_s.center, params.areas,
+        pdc, bg, estimate.area_pairs(cfg.geometry, params.region_s.center,
+                                     params.areas),
         cell_px=cfg.modes.coherence_cell_px, ddof=params.variance_ddof))
-    _, summary, diagnostics = _calibrate(params, cfg.geometry,
-                                         params.region_s,
-                                         _region_modes(cfg, params), pdc, bg)
+    _, summary, diagnostics = _calibrate(
+        params, cfg.geometry, _analysed(cfg.geometry, params),
+        _region_modes(cfg, params), pdc, bg)
     tio.write_calibration_csv(want / "calibration.csv", summary, diagnostics)
     tio.write_batches_csv(want / "batches.csv", summary)
     for name in ("cs_map.csv", "area_scan.csv", "calibration.csv",

@@ -19,6 +19,7 @@ from twincal.errors import (
 from twincal.estimate import (
     RegionPairSeries,
     anchored_region,
+    area_pairs,
     area_scan,
     build_series,
     correct_for_transmittance,
@@ -493,7 +494,7 @@ class TestAreaScan:
     def test_unsorted_areas_rejected(self):
         cfg = make_config(seed=116)
         with pytest.raises(DomainError):
-            area_scan([], None, cfg.geometry, (6, 6), [(3, 3), (2, 2)])
+            area_pairs(cfg.geometry, (6, 6), [(3, 3), (2, 2)])
 
     def test_curve_shape_and_asymptote(self):
         cfg = make_config(eta_s=0.5, eta_i=0.5, mu=1.0, m_t=200, cell_px=2,
@@ -504,7 +505,8 @@ class TestAreaScan:
         anchor = cfg.signal_region().center
         areas = [(1, 1), (3, 3), (5, 5), (9, 9), (15, 19)]
         pdc = generate_stack(cfg, 1200).counts
-        points = area_scan(pdc, None, cfg.geometry, anchor, areas, cell_px=2)
+        points = area_scan(pdc, None, area_pairs(cfg.geometry, anchor, areas),
+                           cell_px=2)
         values = [p.sigma_alpha for p in points]
         assert values[0] > values[-1] + 0.15
         assert all(p.sigma_alpha_b is None for p in points)
@@ -523,12 +525,36 @@ class TestAreaScan:
         anchor = cfg.signal_region().center
         pdc = generate_stack(cfg, 800).counts
         bg = generate_stack(cfg, 800, KIND_BACKGROUND).counts
-        points = area_scan(pdc, bg, cfg.geometry, anchor,
-                           [(2, 2), (5, 8)], cell_px=1)
+        points = area_scan(pdc, bg,
+                           area_pairs(cfg.geometry, anchor, [(2, 2), (5, 8)]),
+                           cell_px=1)
         final = points[-1]
         assert final.sigma_alpha_b == pytest.approx(0.4, abs=0.06)
         # uncorrected curve sits above the corrected one
         assert final.sigma_alpha > final.sigma_alpha_b
+
+    def test_pairs_sharing_no_anchor_are_each_their_own_series(self):
+        # two disjoint tiles of the emission block, the larger first, each
+        # with its conjugate: no anchor or size order ties the pairs, and
+        # each point is its own pair's estimate
+        cfg = make_config(eta_s=0.6, eta_i=0.6, mu=1.0, m_t=300,
+                          straylight=40.0, read_noise=2.0, seed=120)
+        block = cfg.signal_region()
+        (r0, c0), (h, w) = block.origin, block.extent
+        tiles = [Region((r0, c0), (3, w // 2)),
+                 Region((r0 + 3, c0 + w // 2), (h - 3, w // 2))]
+        pairs = [(t, cfg.geometry.conjugate_region(t)) for t in tiles]
+        pdc = generate_stack(cfg, 300).counts
+        bg = generate_stack(cfg, 200, KIND_BACKGROUND).counts
+        for frames in (None, bg):
+            points = area_scan(pdc, frames, pairs, cell_px=1)
+            assert [p.extent for p in points] == [t.extent for t in tiles]
+            assert [p.coherence_cells for p in points] == [12.0, 8.0]
+            for point, (region_s, region_i) in zip(points, pairs):
+                series = build_series(pdc, region_s, region_i, frames)
+                assert point.sigma_alpha == estimate_sigma_alpha(series)
+                assert point.sigma_alpha_b == (
+                    None if frames is None else estimate_sigma_alpha_b(series))
 
 
 class TestRepeatExperiment:

@@ -310,16 +310,16 @@ def test_crop_moves_every_derived_region_by_the_box_origin(
     bottom = max(r0 + h, window.origin[0] + window.extent[0]) + extra
     right = window.origin[1] + window.extent[1]
     box = Region(origin=(top, left), extent=(bottom - top, right - left))
-    cut, moved = geo.crop(box, region)
+    cut, (moved, moved_window) = geo.crop(box, [region, window])
     dr, dc = box.origin
 
     def move(r):
         return Region((r.origin[0] - dr, r.origin[1] - dc), r.extent)
 
-    assert moved == move(region)
+    assert (moved, moved_window) == (move(region), move(window))
     assert (cut.rows, cut.cols) == box.extent
     cut.validate_region(moved)
-    assert cut.search_window(moved, (er, ec)) == move(window)
+    assert cut.search_window(moved, (er, ec)) == moved_window
     for shift in ((0, 0), (er, -ec)):
         assert cut.conjugate_region(moved, shift) == \
             move(geo.conjugate_region(region, shift))

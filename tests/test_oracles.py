@@ -36,6 +36,7 @@ from twincal.errors import (
 from twincal.estimate import (
     _middle_pair,
     anchored_region,
+    area_pairs,
     area_scan,
     build_series,
     cosmic_ray_filter,
@@ -146,6 +147,7 @@ def test_series_are_bit_identical(case, data):
         st.tuples(st.integers(1, h), st.integers(1, w)), min_size=1,
         max_size=4))
     extents.sort(key=lambda e: e[0] * e[1])
+    pairs = area_pairs(geometry, region.center, extents)
     want = []
     for extent in extents:
         sub = anchored_region(region.center, extent)
@@ -156,10 +158,10 @@ def test_series_are_bit_identical(case, data):
         except DegenerateDataError:
             for frames in as_inputs(counts):
                 with pytest.raises(DegenerateDataError):
-                    area_scan(frames, None, geometry, region.center, extents)
+                    area_scan(frames, None, pairs)
             return
     for frames in as_inputs(counts):
-        points = area_scan(frames, None, geometry, region.center, extents)
+        points = area_scan(frames, None, pairs)
         assert [p.sigma_alpha for p in points] == want
 
 
@@ -589,10 +591,10 @@ def test_region_sums_are_identical_on_any_worker_count(
 
     threads.clear()
     anchor = MAP_REGION.center
-    points = area_scan(pdc, bg, MAP_GEOMETRY, anchor, SCAN_AREAS, ddof=1)
+    pairs = area_pairs(MAP_GEOMETRY, anchor, SCAN_AREAS)
+    points = area_scan(pdc, bg, pairs, ddof=1)
     assert [p.extent for p in points] == SCAN_AREAS
-    for point, (region_s, region_i) in zip(
-            points, estimate.area_pairs(MAP_GEOMETRY, anchor, SCAN_AREAS)):
+    for point, (region_s, region_i) in zip(points, pairs):
         series = reference_series(pdc, region_s, region_i, bg)
         assert point.sigma_alpha == estimate_sigma_alpha(series)
         assert point.sigma_alpha_b == (
@@ -640,8 +642,8 @@ def test_refusals_and_single_workers_start_no_thread(monkeypatch):
     with pytest.raises(GeometryError, match="leaves the 13x30 frame"):
         build_series(counts, MAP_REGION, Region((10, 20), (5, 8)), counts)
     with pytest.raises(GeometryError, match="leaves the 13x20 frame"):
-        area_scan(counts[:, :, :20], None, MAP_GEOMETRY, MAP_REGION.center,
-                  SCAN_AREAS)
+        area_scan(counts[:, :, :20], None,
+                  area_pairs(MAP_GEOMETRY, MAP_REGION.center, SCAN_AREAS))
     assert threads == []
     one_pixel = [Region((0, 0), (1, 1))]
     cosmic_ray_filter(counts, regions=one_pixel)  # one lane block
@@ -668,8 +670,9 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     mask = np.zeros(MAP_GEOMETRY.shape, dtype=bool)
     mask[MAP_WINDOW.row_slice, MAP_WINDOW.col_slice] = True
     want_dropped = ref.cosmic_ray_filter(counts, 2.0, mask)[1]
-    want_scan = area_scan(counts, counts[::-1] // 4, MAP_GEOMETRY,
-                          MAP_REGION.center, sorted(SCAN_AREAS * 2))
+    scan_pairs = area_pairs(MAP_GEOMETRY, MAP_REGION.center,
+                            sorted(SCAN_AREAS * 2))
+    want_scan = area_scan(counts, counts[::-1] // 4, scan_pairs)
     results = []
 
     def run():
@@ -677,8 +680,7 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
             results.append((
                 sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3)),
                 cosmic_ray_filter(counts, 2.0, regions=[MAP_WINDOW])[1],
-                area_scan(counts, counts[::-1] // 4, MAP_GEOMETRY,
-                          MAP_REGION.center, sorted(SCAN_AREAS * 2))))
+                area_scan(counts, counts[::-1] // 4, scan_pairs)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

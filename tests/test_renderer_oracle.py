@@ -24,7 +24,7 @@ from twincal.model import Region
 from twincal.simulate import generate_stack
 
 import reference_renderer as ref
-from test_simulate import make_config
+from test_simulate import make_config, rendered_energies
 
 FRAMES = 3000
 P_MIN = 1e-3
@@ -67,7 +67,7 @@ def laws(counts, energies, cfg):
 def test_block_renderer_matches_per_frame_law(name):
     cfg = CONFIGS[name]
     stack = generate_stack(cfg, FRAMES)
-    block = laws(stack.counts, stack.pulse_energy, cfg)
+    block = laws(stack.counts, rendered_energies(cfg, FRAMES), cfg)
     reference = laws(*ref.render_stack(cfg, FRAMES), cfg)
     pvalues = {key: scipy.stats.ks_2samp(block[key], reference[key]).pvalue
                for key in block if np.ptp(reference[key]) > 0}

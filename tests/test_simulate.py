@@ -62,6 +62,32 @@ def make_config(eta_s=0.6, eta_i=0.6, mu=0.1, m_t=5000, grid=(5, 8),
     )
 
 
+def render_blocks(cfg, kind, blocks):
+    """(float64 counts, energies) of ``blocks``, block indices rendered one
+    by one in this thread, each into fresh buffers of its own: the serial
+    oracle of the pooled renders."""
+    shape = cfg.geometry.shape
+    counts, energies = [], []
+    for b in blocks:
+        counts.append(np.empty((simulate._BLOCK_FRAMES,) + shape))
+        noise = np.empty((simulate._noise_frames(cfg.geometry),) + shape)
+        energies.append(simulate._render_block(cfg, kind, b, counts[-1],
+                                               noise))
+    return np.concatenate(counts), np.concatenate(energies)
+
+
+def rendered_energies(cfg, count, kind=KIND_PDC):
+    """The pulse energies of a stack's first ``count`` frames, as
+    ``render_stack`` hands them to its ``put``."""
+    energies = np.full(count, np.nan)
+
+    def put(first, counts, energy):
+        energies[first:first + len(energy)] = energy
+
+    simulate.render_stack(cfg, kind, count, put)
+    return energies
+
+
 def inject_cosmic_ray(frame, rng):
     """A u32 copy of one (rows, cols) frame with one cosmic-ray spike
     added by the simulator's spike law, re-quantised."""
@@ -242,26 +268,25 @@ class TestDeterminism:
         a = generate_stack(cfg, 20)
         b = generate_stack(cfg, 20)
         assert np.array_equal(a.counts, b.counts)
-        assert np.array_equal(a.pulse_energy, b.pulse_energy)
+        assert np.array_equal(rendered_energies(cfg, 20),
+                              rendered_energies(cfg, 20))
 
     def test_block_boundaries_do_not_change_output(self):
         cfg = make_config(straylight=50.0, jitter=0.05, seed=32)
         full = generate_stack(cfg, 200)
+        energies = rendered_energies(cfg, 200)
         for n in (1, 63, 64, 65, 130):
             part = generate_stack(cfg, n)
             assert np.array_equal(part.counts, full.counts[:n])
-            assert np.array_equal(part.pulse_energy, full.pulse_energy[:n])
+            assert np.array_equal(rendered_energies(cfg, n), energies[:n])
         for k in (0, 63, 64, 127, 199):
             frame = render_frame(cfg, k)
             assert frame.counts.dtype == COUNT_DTYPE
             assert np.array_equal(frame.counts, full.counts[k:k + 1])
-            assert np.array_equal(frame.pulse_energy, full.pulse_energy[k:k + 1])
         blocks = list(iter_stack(cfg, 200))
         assert [len(b.counts) for b in blocks] == [64, 64, 64, 8]
         streamed = np.concatenate([b.counts for b in blocks])
         assert np.array_equal(streamed, full.counts)
-        assert np.array_equal(np.concatenate([b.pulse_energy for b in blocks]),
-                              full.pulse_energy)
 
     def test_out_of_order_rendering_matches_stack(self):
         cfg = make_config(jitter=0.1, seed=33)
@@ -318,19 +343,15 @@ class TestConcurrentRendering:
     def test_worker_count_does_not_change_output(self, monkeypatch, workers,
                                                  kind):
         cfg = concurrent_config(seed=61)
-        serial = [simulate._render_block(cfg, kind, b) for b in range(16)]
-        counts = np.concatenate([c for c, _ in serial])
-        energy = np.concatenate([e for _, e in serial])
+        counts, energy = render_blocks(cfg, kind, range(16))
         force_workers(monkeypatch, workers)
         for n in (1, 63, 64, 65, 130, 1000):
             stack = generate_stack(cfg, n, kind)
             assert np.array_equal(stack.counts, counts[:n])
-            assert np.array_equal(stack.pulse_energy, energy[:n])
+            assert np.array_equal(rendered_energies(cfg, n, kind), energy[:n])
             blocks = list(iter_stack(cfg, n, kind))
             assert np.array_equal(np.concatenate([b.counts for b in blocks]),
                                   counts[:n])
-            assert np.array_equal(
-                np.concatenate([b.pulse_energy for b in blocks]), energy[:n])
 
     def test_noise_chunks_do_not_change_output(self, monkeypatch):
         cfg = concurrent_config(seed=62)
@@ -339,7 +360,7 @@ class TestConcurrentRendering:
         def blocks(chunk_elements):
             monkeypatch.setattr(simulate, "_NOISE_CHUNK_ELEMENTS",
                                 chunk_elements)
-            return [simulate._render_block(cfg, kind, 0)
+            return [render_blocks(cfg, kind, [0])
                     for kind in (KIND_PDC, KIND_BACKGROUND)]
 
         whole = blocks(1 << 30)  # one draw over the whole block
@@ -358,15 +379,14 @@ class TestConcurrentRendering:
                make_config(mu=1.5, m_t=100, jitter=0.05, straylight=50.0,
                            read_noise=2.0, cosmic_rate=0.3, seed=67))
         monkeypatch.setattr(simulate, "_NOISE_CHUNK_ELEMENTS", chunk_elements)
-        fresh, energy = simulate._render_block(cfg, kind, 2)
+        fresh, energy = render_blocks(cfg, kind, [2])
         shape = cfg.geometry.shape
         for fill in (np.nan, 1e300):
             work = np.full(fresh.shape, fill)
             noise = np.full((simulate._noise_frames(cfg.geometry),) + shape,
                             fill)
-            counts, e = simulate._render_block(cfg, kind, 2, work, noise)
-            assert counts is work
-            assert counts.tobytes() == fresh.tobytes()
+            e = simulate._render_block(cfg, kind, 2, work, noise)
+            assert work.tobytes() == fresh.tobytes()
             assert e.tobytes() == energy.tobytes()
 
     @pytest.mark.parametrize("cell_px", [1, 2])
@@ -378,15 +398,12 @@ class TestConcurrentRendering:
         cfg = (concurrent_config(seed=68) if cell_px == 2 else
                make_config(straylight=50.0, read_noise=2.0, seed=68))
         count = 11 * 64 - 5
-        serial = [simulate._render_block(cfg, KIND_PDC, b) for b in range(11)]
+        counts, _ = render_blocks(cfg, KIND_PDC, range(11))
         force_workers(monkeypatch, workers)
         blocks = list(iter_stack(cfg, count))
         assert all(b.counts.dtype == np.dtype("<u4") for b in blocks)
         assert np.array_equal(np.concatenate([b.counts for b in blocks]),
-                              np.concatenate([c for c, _ in serial])[:count])
-        assert np.array_equal(
-            np.concatenate([b.pulse_energy for b in blocks]),
-            np.concatenate([e for _, e in serial])[:count])
+                              counts[:count])
         for k, a in enumerate(blocks):
             for b in blocks[k + 1:]:
                 assert not np.shares_memory(a.counts, b.counts)
@@ -451,21 +468,17 @@ class TestConcurrentRendering:
         # every round deals its tasks out afresh; a worker handed several
         # tasks must keep their work blocks apart and their order
         cfg = concurrent_config(seed=70)
-        serial = [simulate._render_block(cfg, kind, b) for b in range(16)]
-        counts = np.concatenate([c for c, _ in serial])
-        energy = np.concatenate([e for _, e in serial])
+        counts, energy = render_blocks(cfg, kind, range(16))
         calls = itertools.count()
         monkeypatch.setattr(model, "_cpu_count",
                             lambda: (2, 1, 4, 3)[next(calls) % 4])
         for n in (130, 700, 1000):
             stack = generate_stack(cfg, n, kind)
             assert np.array_equal(stack.counts, counts[:n])
-            assert np.array_equal(stack.pulse_energy, energy[:n])
+            assert np.array_equal(rendered_energies(cfg, n, kind), energy[:n])
             blocks = list(iter_stack(cfg, n, kind))
             assert np.array_equal(np.concatenate([b.counts for b in blocks]),
                                   counts[:n])
-            assert np.array_equal(
-                np.concatenate([b.pulse_energy for b in blocks]), energy[:n])
         assert next(calls) > 12  # several rounds per stack
 
     @pytest.mark.parametrize("count", [5, 640])
