@@ -27,13 +27,15 @@ Conventions
 * The spatial map, the cosmic-ray filter and the region sums of
   ``build_series`` and ``area_scan`` deal their frame tiles, pixel lane
   blocks or (frames, region) sums out to one worker per CPU the process
-  may run on (``model._run_workers``).  Each worker fills its own rows
-  of the map's per-frame table, flags the frames its own lane blocks
-  reject, or takes its own region sums, in buffers of its own; the
-  map's frame-axis sum, the OR of the filter's flags and the
-  estimators run in the calling thread.  So every value is the same on
-  any CPU count, and one worker runs in the calling thread without
-  starting a thread.
+  may run on (``model._run_workers``).  The workers take the jobs from
+  one shared iterator, and the results are combined without regard to
+  order.  Each worker fills the rows of the map's per-frame table of
+  the tiles it takes, flags the frames its lane blocks reject, or takes
+  its region sums, in buffers of its own; the map's frame-axis sum, the
+  OR of the filter's flags and the estimators run in the calling
+  thread.  So every value is the same on any CPU count and whichever
+  worker takes which job, and one worker runs in the calling thread
+  without starting a thread.
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
@@ -139,8 +141,9 @@ def _pair_series(pairs, pdc_frames, bg_frames=None, kept=slice(None),
     """The ``build_series`` of each (signal, idler) region pair of
     ``pairs``.  Every region is bounds-checked first; then the region
     sums, two per pair and stack, are dealt out to the workers
-    (``model._run_workers``), each writing its own sums, and come back
-    in job order."""
+    (``model._run_workers``), which take them from one shared iterator
+    and write each sum at its job's index, so the series come back in
+    job order whichever worker took which sum."""
     stacks = [(pdc_frames, kept)]
     if bg_frames is not None:
         stacks.append((bg_frames, bg_kept))
@@ -452,15 +455,16 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     dtype or shape raises StackFormatError, and a region leaving the
     frame GeometryError, before any worker starts.  The pixels are taken
     a block of lanes at a time, the blocks dealt out to one worker per
-    CPU; each worker takes a block's medians and MADs in the count type
+    CPU from one shared iterator; each worker takes a block's medians
+    and MADs in the count type
     (``_filter_lanes``), each exactly the float64 value ``np.median``
     gives, and forms its thresholds.  Only the pixels whose largest
     count exceeds their threshold are compared frame by frame, in the
     count type, with the same result as the float64 comparison; the
     worker flags the frames they reject and the calling thread ORs the
-    workers' flags.  Per worker the memory is one u32 lane buffer, the
-    counts of the pixels that cross their threshold and one flag per
-    frame; the workers split one lane budget
+    workers' flags, in whatever order they come.  Per worker the memory
+    is one u32 lane buffer, the counts of the pixels that cross their
+    threshold and one flag per frame; the workers split one lane budget
     (``_FILTER_CHUNK_ELEMENTS``, 512 KiB), so their buffers together
     take no more memory than one worker's would.  Returns the kept
     frame indices as an array, for ``frames[kept]`` or
@@ -647,9 +651,10 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
     dtype or shape raises StackFormatError), read a tile of frames at a
-    time.  The tiles are dealt out to one worker per CPU, each filling
-    its own rows of one (frames, displacements) table of per-frame
-    values in tile buffers of its own.  The workers' tiles split one
+    time.  The tiles are dealt out to one worker per CPU from one shared
+    iterator, each worker filling the rows of the tiles it takes in one
+    (frames, displacements) table of per-frame values, in tile buffers
+    of its own.  The workers' tiles split one
     budget (``_SPATIAL_TILE_ELEMENTS``), so beyond the table the working
     memory is one budget's worth of tiles on any CPU count (3.5 MB on a
     26 x 38 search window).  An empty region pair raises

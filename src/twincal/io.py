@@ -25,13 +25,15 @@ and columns of every frame, as a read-only ``<u4`` array of shape
 (count, box rows, box cols), in a ``Stack`` of the header's kind; no
 pulse energy is stored, in the file or the Stack.  The payload's tiles
 of whole frames are dealt out to one worker per CPU the process may run
-on (``model._run_workers``).  Each of the W workers fills its one reused
-tile buffer, 1/W of the read budget, with one positional read
-(``os.preadv``) per tile, and copies the box of those frames into its
-own frames of the result.  Only the box's pixels are kept: the commands
-that analyse a few regions of large frames hold those regions, not the
-stack.  There is no conversion to float; analysis code casts the region
-blocks it needs to float64 itself.
+on (``model._run_workers``): the workers take the tiles from one shared
+iterator, and the results are combined without regard to order.  Each
+of the W workers fills its one reused tile buffer, 1/W of the read
+budget, with one positional read (``os.preadv``) per tile it takes, and
+copies the box of those frames into their frames of the result.  Only
+the box's pixels are kept: the commands that analyse a few regions of
+large frames hold those regions, not the stack.  There is no conversion
+to float; analysis code casts the region blocks it needs to float64
+itself.
 
 The JSON sidecar (``<stack>.json``) carries the full run configuration;
 the digest ties the two files together.  Serialisation is canonical
@@ -202,15 +204,16 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
     frame) leaving the frame then raises GeometryError, and so do frames
     of another (rows, cols) than ``shape``, when given; without a box the
     whole frame is read.  The payload's tiles of whole frames are dealt
-    out to W = ``model._cpu_count()`` workers (``model._run_workers``).
-    Each worker reuses one tile buffer of 1/W of ``_READ_TILE_BYTES``
-    (or one frame if larger), fills it with one positional read
-    (``os.preadv``) per tile and copies the box of those frames into its
-    own frames of the result, so beyond the result the workers hold one
-    budget together.  A file that ends early raises
-    TruncatedPayloadError at the smallest payload position a short read
-    stopped at, so the message is the same on any CPU count, and nothing
-    is returned.  The counts are a read-only (frames, box rows, box
+    out to W = ``model._cpu_count()`` workers (``model._run_workers``),
+    which take them from one shared iterator.  Each worker reuses one
+    tile buffer of 1/W of ``_READ_TILE_BYTES`` (or one frame if larger),
+    fills it with one positional read (``os.preadv``) per tile it takes
+    and copies the box of those frames into their frames of the result,
+    so beyond the result the workers hold one budget together.  A file
+    that ends early raises TruncatedPayloadError at the smallest payload
+    position a short read stopped at, so the message is the same on any
+    CPU count and whichever worker read which tile, and nothing is
+    returned.  The counts are a read-only (frames, box rows, box
     cols) u32 array.
     """
     with open(path, "rb") as fh:

@@ -22,15 +22,16 @@ array, ``iter_stack`` yields one per block, and ``render_frame``
 returns a one-frame Stack cut from its block.
 
 ``render_stack`` deals every block of a stack out in one
-``model._run_workers`` call, one worker per CPU the process may run on.
-Each worker renders its blocks into one float64 work block and one
-noise buffer that it reuses, and hands each block and its pulse
+``model._run_workers`` call, one worker per CPU the process may run on;
+the workers take the blocks from one shared iterator.  Each worker
+renders the blocks it takes into one float64 work block and one noise
+buffer that it reuses, and hands each block and its pulse
 energies to the caller's ``put``, which casts the block to u32 where it
 is kept: a slice of ``generate_stack``'s array, a block of
 ``iter_stack``'s round, or its frames' place in the file ``simulate``
 writes, whose ``put`` alone keeps the energies.  Since every block
 draws only from its own stream, the frames do not depend on how many
-CPUs there are.
+CPUs there are or on which worker renders which block.
 """
 
 from __future__ import annotations
@@ -326,10 +327,11 @@ def render_stack(cfg: ExperimentConfig, kind: str, count: int, put,
                  blocks: range | None = None) -> None:
     """Render the first ``count`` frames of a stack, or those of them in
     ``blocks`` (a range of RNG block indices), in one
-    ``model._run_workers`` call.
+    ``model._run_workers`` call, whose workers take the blocks from one
+    shared iterator.
 
-    Each worker renders its blocks into one float64 work block and one
-    noise buffer that it allocates and reuses, and calls
+    Each worker renders the blocks it takes into one float64 work block
+    and one noise buffer that it allocates and reuses, and calls
     ``put(first, counts, energy)`` for each block with the index of its
     first frame and the float64 counts and energies of its frames among
     the first ``count``.  ``put`` runs on the worker's thread and must

@@ -361,7 +361,7 @@ def test_background_losing_its_frames_is_an_error(run_dir, capsys, spiked):
 
 
 def test_empty_pair_on_a_second_worker_exits_5(run_dir, capsys, monkeypatch):
-    # one-frame map tiles on two workers: frame 3 is the second worker's
+    # one-frame map tiles on two workers: whichever meets frame 3 raises
     tmp_path, config = run_dir
     cfg, params = load_run_config(config)
     stack = generate_stack(cfg, 6)

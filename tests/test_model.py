@@ -6,6 +6,7 @@ moments, plain arithmetic for the multimode identities.  Monte-Carlo
 cross-checks of the same predictors live in test_simulate.py.
 """
 
+import os
 import threading
 import time
 
@@ -339,8 +340,9 @@ def force_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_run_workers_deals_the_jobs_and_returns_in_worker_order(
         monkeypatch, cpus):
-    # worker k of W gets jobs[k::W]; the first worker finishes last, and
-    # the results still come back in worker order
+    # the workers take the jobs from one shared iterator: every job runs
+    # exactly once, on at most W threads, and each worker that ran returns
+    # one result; the calling thread is one of them and takes the first job
     force_cpus(monkeypatch, cpus)
     caller = threading.get_ident()
     for n_jobs in sorted({1, cpus - 1, cpus, 3 * cpus + 1} - {0}):
@@ -348,16 +350,20 @@ def test_run_workers_deals_the_jobs_and_returns_in_worker_order(
         workers = min(cpus, n_jobs)
 
         def work(dealt):
-            k = jobs.index(dealt[0])
-            time.sleep(0.005 * (workers - 1 - k))
-            return threading.get_ident(), dealt
+            taken = []
+            for job in dealt:
+                taken.append(job)
+                time.sleep(0.002)  # the other workers take their share
+            return threading.get_ident(), taken
 
         results = model._run_workers(work, jobs)
-        assert [dealt for _, dealt in results] == \
-            [jobs[k::workers] for k in range(workers)]
+        assert sorted(job for _, taken in results for job in taken) == \
+            sorted(jobs)
         threads = [thread for thread, _ in results]
-        assert threads[0] == caller
-        assert caller not in threads[1:]
+        assert 1 <= len(threads) <= workers
+        assert len(set(threads)) == len(threads)
+        assert dict(results)[caller][0] == jobs[0]
+        assert all(taken for _, taken in results)
 
 
 @pytest.mark.parametrize("cpus, n_jobs", [(1, 5), (4, 1)])
@@ -374,27 +380,171 @@ def test_run_workers_on_one_cpu_or_one_job_starts_no_thread(
 
 def test_run_workers_reraises_a_second_workers_exception_as_itself(
         monkeypatch):
-    # worker 1 raises on its own thread; the exception comes out as the
-    # same object once worker 2, which is still running, has stopped
+    # a pool thread raises while the calling thread still holds its first
+    # job; the exception comes out as the same object once the calling
+    # thread has stopped
     force_cpus(monkeypatch, 3)
     caller = threading.get_ident()
-    boom = ValueError("worker 1")
+    boom = ValueError("pool thread")
     raised_on, stopped = [], []
+    taken = threading.Event()
 
     def work(dealt):
-        if dealt == [1, 4]:
+        if threading.get_ident() != caller:
+            taken.set()
             raised_on.append(threading.get_ident())
             raise boom
-        if dealt == [2, 5]:
-            time.sleep(0.05)
-            stopped.append(2)
+        assert taken.wait(10)
+        time.sleep(0.05)
+        stopped.append(list(dealt))
         return dealt
 
     with pytest.raises(ValueError) as info:
         model._run_workers(work, list(range(6)))
     assert info.value is boom
-    assert raised_on and raised_on[0] != caller
-    assert stopped == [2]
+    assert raised_on and caller not in raised_on
+    assert len(stopped) == 1
+
+
+def test_run_workers_reuses_its_threads(monkeypatch):
+    # the pool's threads outlive a call: a second call starts none
+    force_cpus(monkeypatch, 3)
+    model._run_workers(lambda dealt: list(dealt), list(range(9)))
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for n_jobs in (2, 3, 9):
+        results = model._run_workers(lambda dealt: list(dealt),
+                                     list(range(n_jobs)))
+        assert sorted(j for taken in results for j in taken) == \
+            list(range(n_jobs))
+
+
+def test_run_workers_grows_the_pool_with_the_cpu_count(monkeypatch):
+    # W workers meet at a barrier on their first job, so the call returns
+    # only when the pool has grown to W - 1 threads, all running at once
+    force_cpus(monkeypatch, 2)
+    model._run_workers(lambda dealt: list(dealt), [0, 1])
+    workers = model._POOL.threads + 3
+    force_cpus(monkeypatch, workers)
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def work(dealt):
+        first = next(dealt)
+        barrier.wait()
+        return threading.get_ident(), [first, *dealt]
+
+    results = model._run_workers(work, list(range(2 * workers)))
+    assert model._POOL.threads == workers - 1
+    assert len({thread for thread, _ in results}) == workers
+    assert sorted(j for _, taken in results for j in taken) == \
+        list(range(2 * workers))
+
+
+def test_run_workers_does_not_wait_for_busy_pool_threads(monkeypatch):
+    # every pool thread is held by another caller's jobs: a call whose
+    # jobs its calling thread drains alone still returns, and so does one
+    # whose worker stops early, as a short read does; their tasks run
+    # nothing once the pool threads are free
+    force_cpus(monkeypatch, 2)
+    model._run_workers(lambda dealt: list(dealt), [0, 1])
+    workers = model._POOL.threads + 1
+    force_cpus(monkeypatch, workers)
+    release, holding = threading.Event(), threading.Semaphore(0)
+
+    def hold(dealt):
+        for _ in dealt:
+            holding.release()
+            assert release.wait(10)
+
+    holder = threading.Thread(target=model._run_workers,
+                              args=(hold, range(workers)))
+    holder.start()
+    try:
+        for _ in range(workers):
+            assert holding.acquire(timeout=10)
+        calls = []
+
+        def work(dealt):
+            calls.append(threading.get_ident())
+            return list(dealt)
+
+        def stop_early(dealt):
+            calls.append(threading.get_ident())
+            return next(dealt)
+
+        assert model._run_workers(work, list(range(10))) == [list(range(10))]
+        assert model._run_workers(stop_early, list(range(10))) == [0]
+        assert calls == [threading.get_ident()] * 2
+    finally:
+        release.set()
+        holder.join(10)
+    assert not holder.is_alive()
+    time.sleep(0.05)  # the freed threads take the late tasks
+    assert calls == [threading.get_ident()] * 2
+
+
+def test_run_workers_nested_and_concurrent_calls_complete(monkeypatch):
+    # a worker's own pooled call cannot wait for the threads running its
+    # caller's jobs, and two callers at once each run every job once
+    force_cpus(monkeypatch, 3)
+
+    def inner(dealt):
+        return [10 * j for j in dealt]
+
+    def outer(dealt):
+        return [sorted(x for part in model._run_workers(inner, range(j, j + 5))
+                       for x in part) for j in dealt]
+
+    results = model._run_workers(outer, list(range(6)))
+    assert sorted(row for part in results for row in part) == \
+        [[10 * k for k in range(j, j + 5)] for j in range(6)]
+
+    start, done = threading.Barrier(2, timeout=10), []
+
+    def caller():
+        start.wait()
+        for _ in range(20):
+            done.append(sorted(j for part in model._run_workers(
+                lambda dealt: list(dealt), range(50)) for j in part))
+
+    callers = [threading.Thread(target=caller) for _ in range(2)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in callers)
+    assert done == [list(range(50))] * 40
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_run_workers_in_a_forked_child(monkeypatch):
+    # the child holds none of the parent's pool threads; its pool starts
+    # afresh, and two workers meet at a barrier on their first jobs
+    force_cpus(monkeypatch, 2)
+    model._run_workers(lambda dealt: list(dealt), [0, 1])
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            barrier = threading.Barrier(2, timeout=10)
+
+            def work(dealt):
+                first = next(dealt)
+                barrier.wait()
+                return [first, *dealt]
+
+            results = model._run_workers(work, list(range(8)))
+            if (len(results) == 2 and model._POOL.threads == 1
+                    and sorted(j for part in results for j in part)
+                    == list(range(8))):
+                code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -506,8 +506,8 @@ def gained_counts(n_frames, shape, seed):
 def test_spatial_map_is_bit_identical_on_any_worker_count(
         monkeypatch, workers, tiles, extra, tile):
     # frame counts that leave a partial last tile; every worker count
-    # must give the exact map's values, with one call per worker, the
-    # first one on the calling thread
+    # must give the exact map's values, with one call per worker on at
+    # most W threads, the calling thread among them
     force_workers(monkeypatch, workers)
     if tile is None:
         tile = estimate._SPATIAL_TILE_ELEMENTS // (workers * MAP_WINDOW.area)
@@ -521,7 +521,8 @@ def test_spatial_map_is_bit_identical_on_any_worker_count(
     got = sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     assert np.array_equal(got.values, want.values)
     assert got.argmin == want.argmin and got.ties == want.ties
-    assert len(threads) == min(workers, -(-n_frames // tile))
+    assert 1 <= len(threads) <= min(workers, -(-n_frames // tile))
+    assert len(set(threads)) == len(threads)
     assert threading.get_ident() in threads
 
 
@@ -551,7 +552,8 @@ def test_cosmic_ray_filter_is_identical_on_any_worker_count(
     assert dropped == want_dropped and len(dropped) >= 5
     assert np.array_equal(counts[kept], want_kept)
     chunks = 4 + 5 * 3 if chunk_pixels else 2  # lane blocks of both regions
-    assert len(threads) == min(workers, chunks)
+    assert 1 <= len(threads) <= min(workers, chunks)
+    assert len(set(threads)) == len(threads)
     assert threading.get_ident() in threads
 
 
@@ -604,13 +606,27 @@ def test_region_sums_are_identical_on_any_worker_count(
 
 
 def test_degenerate_tile_of_a_second_worker_raises_unwrapped(monkeypatch):
-    # one-frame tiles on two workers: frame 3 is the second worker's, and
-    # its empty region pair raises there, as itself
+    # one-frame tiles on two workers: the calling thread holds frame 0
+    # until the pool thread has met frame 3, whose empty region pair
+    # raises there, as itself
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", 1)
     counts = gained_counts(6, MAP_GEOMETRY.shape, 1)
     counts[3] = 0
-    _, raised = record_threads(monkeypatch, "_map_tiles")
+    raised, met = [], threading.Event()
+    original, caller = estimate._map_tiles, threading.get_ident()
+
+    def held(*args):
+        if threading.get_ident() == caller:
+            assert met.wait(10)
+        try:
+            return original(*args)
+        except DegenerateDataError:
+            raised.append(threading.get_ident())
+            met.set()
+            raise
+
+    monkeypatch.setattr(estimate, "_map_tiles", held)
     with pytest.raises(DegenerateDataError) as info:
         sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     assert info.type is DegenerateDataError

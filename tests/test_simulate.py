@@ -337,6 +337,12 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(model, "_cpu_count", lambda: workers)
 
 
+def warm_pool(workers):
+    """Grow the process-wide worker pool to ``workers`` - 1 threads, which
+    then outlive every call."""
+    model._run_workers(lambda dealt: list(dealt), range(workers))
+
+
 class TestConcurrentRendering:
     @pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -416,6 +422,9 @@ class TestConcurrentRendering:
             generate_stack(cfg, 130, KIND_BACKGROUND)
 
     def test_short_stacks_start_no_thread(self, monkeypatch):
+        # a fresh pool, as in a new process: one block runs in the calling
+        # thread, and the first two-block stack starts the pool's thread
+        monkeypatch.setattr(model, "_POOL", model._Pool())
         started = []
         start = threading.Thread.start
 
@@ -453,8 +462,10 @@ class TestConcurrentRendering:
         assert peak < (workers + 2) * block_bytes
 
     def test_closing_the_stream_stops_its_threads(self, monkeypatch):
-        # every round's threads stop before its first block is yielded
+        # every round's workers stop before its first block is yielded,
+        # and no thread beyond the pool's is left running
         force_workers(monkeypatch, 2)
+        warm_pool(2)
         before = threading.active_count()
         stream = iter_stack(concurrent_config(seed=65), 640)
         next(stream)
@@ -485,6 +496,7 @@ class TestConcurrentRendering:
     def test_unknown_kind_raises_and_leaves_no_thread(self, monkeypatch,
                                                       count):
         force_workers(monkeypatch, 2)
+        warm_pool(2)
         cfg = concurrent_config(seed=66)
         before = threading.active_count()
         with pytest.raises(DomainError):
