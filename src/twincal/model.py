@@ -11,11 +11,10 @@ converge to and what the estimators invert.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ def _cpu_count() -> int:
     """Number of CPUs this process may run on: the most workers of every
     pooled stage (rendering, stack reads, the cosmic-ray filter, the
     spatial map, region sums).  ``_run_workers`` reads it on every call
-    and grows its pool to match."""
+    and makes a larger pool when it grows."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -56,80 +55,9 @@ def _cpu_count() -> int:
 _END = object()  # no job left
 
 
-class _Dealing:
-    """The jobs of one ``_run_workers`` call: an iterator its workers
-    pull from under one lock, the started workers still running, their
-    results and the first exception raised."""
-
-    def __init__(self, work, jobs):
-        self.work = work
-        self.jobs = iter(jobs)
-        self.lock = threading.Lock()
-        self.stopped = threading.Condition(self.lock)
-        self.running = 0
-        self.results = []
-        self.error = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        with self.lock:
-            return next(self.jobs)
-
-    def run(self, first=_END):
-        """Run ``work`` on the job ``first``, already counted as running,
-        and then on the jobs it pulls; a pool thread claims its first job
-        here, and does nothing when none is left."""
-        with self.lock:
-            if first is _END:
-                first = next(self.jobs, _END)
-                if first is _END:
-                    return
-                self.running += 1
-            work = self.work
-        try:
-            results, error = [work(itertools.chain((first,), self))], None
-        except BaseException as exc:  # re-raised by the calling thread
-            results, error = [], exc
-        with self.lock:
-            self.results += results
-            if error is not None:
-                self.jobs = iter(())  # deal no further job
-                self.error = self.error or error
-            self.running -= 1
-            self.stopped.notify()
-
-
-class _Pool:
-    """Daemon threads that run the ``_Dealing`` put on their queue."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.tasks = queue.SimpleQueue()
-        self.threads = 0
-
-    def deal(self, dealing, count):
-        """Put ``dealing`` on the queue ``count`` times, with at least
-        ``count`` threads to take it."""
-        with self.lock:
-            while self.threads < count:
-                threading.Thread(target=_serve, args=(self.tasks,),
-                                 name=f"twincal-worker-{self.threads + 1}",
-                                 daemon=True).start()
-                self.threads += 1
-        for _ in range(count):
-            self.tasks.put(dealing)
-
-
-def _serve(tasks):
-    while True:
-        tasks.get().run()
-
-
 def _reset_pool():
     global _POOL
-    _POOL = _Pool()  # a forked child holds none of its parent's threads
+    _POOL = 0, None  # (threads, executor); a forked child holds no thread
 
 
 _reset_pool()
@@ -146,29 +74,57 @@ def _run_workers(work, jobs) -> list:
     takes, so ``work`` allocates its buffers once per worker; every job
     runs exactly once, and callers combine the results without regard
     to order.  The calling thread claims the first job and is a worker;
-    the others come from one process-wide pool of daemon threads, which
-    grows to W - 1 threads and starts again in a forked child.  One CPU
-    or one job starts no thread.  A pool thread that has not started by
-    the time the jobs run out (or the caller's ``work`` returns) does
-    nothing and is not waited for, so a call from inside a worker, or
-    from two threads at once, cannot deadlock.  An exception raised by
-    a worker deals no further job, and the first one is re-raised as it
-    is once every started worker has stopped.
+    the others are W - 1 tasks on one process-wide ``ThreadPoolExecutor``
+    of W - 1 threads, made afresh when W outgrows it and in a forked
+    child.  One CPU or one job starts no thread.  A task that finds no
+    job left does nothing, and one that has not started when the
+    caller's ``work`` returns is cancelled and not waited for, so a call
+    from inside a worker, or from two threads at once, cannot deadlock.
+    An exception raised by a worker deals no further job, and the first
+    one is re-raised as it is once every started worker has stopped.
     """
+    global _POOL
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
         return [work(jobs)]
-    dealing = _Dealing(work, jobs)
-    first, dealing.running = next(dealing.jobs), 1  # before any thread sees it
-    _POOL.deal(dealing, workers - 1)
-    dealing.run(first)
-    with dealing.lock:
-        dealing.jobs, dealing.work = iter(()), None  # late threads do nothing
-        while dealing.running:
-            dealing.stopped.wait()
-    if dealing.error is not None:
-        raise dealing.error
-    return dealing.results
+    threads, pool = _POOL
+    if threads < workers - 1:  # callers still on the old pool finish there
+        pool = ThreadPoolExecutor(workers - 1, "twincal-worker")
+        _POOL = workers - 1, pool
+    lock, pending, errors = threading.Lock(), iter(jobs), []
+
+    def dealt(job):
+        while job is not _END:
+            yield job
+            with lock:
+                job = next(pending, _END)
+
+    def run(job=_END):
+        nonlocal pending
+        if job is _END:  # a task claims its first job here
+            with lock:
+                job = next(pending, _END)
+            if job is _END:
+                return _END
+        try:
+            return work(dealt(job))
+        except BaseException as exc:  # re-raised by the calling thread
+            with lock:
+                pending = iter(())  # deal no further job
+                errors.append(exc)
+            return _END
+
+    # The executor starts a thread only when it counts no idle one, and it
+    # counts one each time a task ends.  No task ends before the last is
+    # submitted, so a new pool starts all its threads at once.
+    with lock:
+        first = next(pending)
+        tasks = [pool.submit(run) for _ in range(workers - 1)]
+    results = [run(first)]
+    results += [task.result() for task in tasks if not task.cancel()]
+    if errors:
+        raise errors[0]
+    return [result for result in results if result is not _END]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ moments, plain arithmetic for the multimode identities.  Monte-Carlo
 cross-checks of the same predictors live in test_simulate.py.
 """
 
+import gc
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +341,12 @@ def force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
 
 
+def pool_threads():
+    """The live threads of the worker pool."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("twincal-worker")]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_run_workers_deals_the_jobs_and_returns_in_worker_order(
         monkeypatch, cpus):
@@ -407,7 +417,10 @@ def test_run_workers_reraises_a_second_workers_exception_as_itself(
 
 
 def test_run_workers_reuses_its_threads(monkeypatch):
-    # the pool's threads outlive a call: a second call starts none
+    # the pool's threads outlive a call: a second call starts none, also
+    # when the first call made the pool and its jobs were quick
+    monkeypatch.setattr(model, "_POOL", model._POOL)
+    model._reset_pool()
     force_cpus(monkeypatch, 3)
     model._run_workers(lambda dealt: list(dealt), list(range(9)))
 
@@ -427,7 +440,8 @@ def test_run_workers_grows_the_pool_with_the_cpu_count(monkeypatch):
     # only when the pool has grown to W - 1 threads, all running at once
     force_cpus(monkeypatch, 2)
     model._run_workers(lambda dealt: list(dealt), [0, 1])
-    workers = model._POOL.threads + 3
+    old = pool_threads()
+    workers = len(old) + 3
     force_cpus(monkeypatch, workers)
     barrier = threading.Barrier(workers, timeout=10)
 
@@ -437,7 +451,10 @@ def test_run_workers_grows_the_pool_with_the_cpu_count(monkeypatch):
         return threading.get_ident(), [first, *dealt]
 
     results = model._run_workers(work, list(range(2 * workers)))
-    assert model._POOL.threads == workers - 1
+    gc.collect()  # the pool it outgrew is freed, and its idle threads exit
+    for thread in old:
+        thread.join(10)
+    assert len(pool_threads()) == workers - 1
     assert len({thread for thread, _ in results}) == workers
     assert sorted(j for _, taken in results for j in taken) == \
         list(range(2 * workers))
@@ -450,14 +467,14 @@ def test_run_workers_does_not_wait_for_busy_pool_threads(monkeypatch):
     # nothing once the pool threads are free
     force_cpus(monkeypatch, 2)
     model._run_workers(lambda dealt: list(dealt), [0, 1])
-    workers = model._POOL.threads + 1
+    workers = len(pool_threads()) + 1
     force_cpus(monkeypatch, workers)
-    release, holding = threading.Event(), threading.Semaphore(0)
+    release, holding, held = threading.Event(), threading.Semaphore(0), []
 
     def hold(dealt):
         for _ in dealt:
             holding.release()
-            assert release.wait(10)
+            held.append(release.wait(10))  # False: held until it timed out
 
     holder = threading.Thread(target=model._run_workers,
                               args=(hold, range(workers)))
@@ -482,13 +499,15 @@ def test_run_workers_does_not_wait_for_busy_pool_threads(monkeypatch):
         release.set()
         holder.join(10)
     assert not holder.is_alive()
+    assert held == [True] * workers
     time.sleep(0.05)  # the freed threads take the late tasks
     assert calls == [threading.get_ident()] * 2
 
 
 def test_run_workers_nested_and_concurrent_calls_complete(monkeypatch):
     # a worker's own pooled call cannot wait for the threads running its
-    # caller's jobs, and two callers at once each run every job once
+    # caller's jobs, and two callers at once each run every job once, also
+    # with the threads switched every 10 us
     force_cpus(monkeypatch, 3)
 
     def inner(dealt):
@@ -511,10 +530,15 @@ def test_run_workers_nested_and_concurrent_calls_complete(monkeypatch):
                 lambda dealt: list(dealt), range(50)) for j in part))
 
     callers = [threading.Thread(target=caller) for _ in range(2)]
-    for thread in callers:
-        thread.start()
-    for thread in callers:
-        thread.join(30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
     assert done == [list(range(50))] * 40
 
@@ -537,7 +561,7 @@ def test_run_workers_in_a_forked_child(monkeypatch):
                 return [first, *dealt]
 
             results = model._run_workers(work, list(range(8)))
-            if (len(results) == 2 and model._POOL.threads == 1
+            if (len(results) == 2 and len(pool_threads()) == 1
                     and sorted(j for part in results for j in part)
                     == list(range(8))):
                 code = 0
@@ -545,6 +569,32 @@ def test_run_workers_in_a_forked_child(monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+_USE_THE_POOL = """
+import os, sys
+from twincal import model
+model._cpu_count = lambda: 3
+model._run_workers(lambda dealt: list(dealt), range(9))
+if sys.argv[1] == "fork":
+    pid = os.fork()
+    if pid == 0:
+        model._run_workers(lambda dealt: list(dealt), range(9))
+        sys.exit(7)
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_process_that_used_the_pool_exits():
+    # the pool's threads are joined at exit, so they must end by
+    # themselves: a process that used the pool exits normally, and so does
+    # a forked child that used its own pool and leaves through sys.exit
+    env = dict(os.environ, PYTHONPATH=str(Path(model.__file__).parents[1]))
+    for case, code in (("use", 0), ("fork", 7)):
+        done = subprocess.run([sys.executable, "-c", _USE_THE_POOL, case],
+                              env=env, timeout=60)
+        assert done.returncode == code
 
 
 @settings(max_examples=300, deadline=None)

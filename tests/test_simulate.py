@@ -424,7 +424,8 @@ class TestConcurrentRendering:
     def test_short_stacks_start_no_thread(self, monkeypatch):
         # a fresh pool, as in a new process: one block runs in the calling
         # thread, and the first two-block stack starts the pool's thread
-        monkeypatch.setattr(model, "_POOL", model._Pool())
+        monkeypatch.setattr(model, "_POOL", model._POOL)
+        model._reset_pool()
         started = []
         start = threading.Thread.start
 
