@@ -120,6 +120,9 @@ def _run_workers(work, jobs) -> list:
     with lock:
         first = next(pending)
         tasks = [pool.submit(run) for _ in range(workers - 1)]
+    # A raised error's traceback holds this frame: without the local, a
+    # pool that W later outgrows is freed at once, not at the next gc.
+    del pool
     results = [run(first)]
     results += [task.result() for task in tasks if not task.cancel()]
     if errors:

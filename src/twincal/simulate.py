@@ -103,11 +103,10 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise DomainError("master_seed must fit in 64 bits")
         # Fail early if the emission blocks cannot sit inside their halves.
-        self.signal_region()
-        self.idler_block_origin()
+        self.idler_region()
 
-    def signal_block_origin(self) -> tuple[int, int]:
-        """Placement of the signal emission block.
+    def signal_region(self) -> Region:
+        """The emission block of the signal beam.
 
         Rows are centred on the symmetry centre, columns in the middle of
         the signal half; the placement is derived, not configured, so the
@@ -117,22 +116,16 @@ class ExperimentConfig:
         height, width = self.modes.block_shape
         r0 = int(math.floor(geo.cs[0] - (height - 1) / 2.0 + 0.5))
         c0 = int(math.floor((geo.beam_split - width) / 2.0))
-        return (r0, c0)
-
-    def signal_region(self) -> Region:
-        """The emission block of the signal beam as a Region."""
-        region = Region(origin=self.signal_block_origin(),
-                        extent=self.modes.block_shape)
-        self.geometry.validate_region(region)
+        region = Region(origin=(r0, c0), extent=(height, width))
+        geo.validate_region(region)
         return region
 
-    def idler_block_origin(self) -> tuple[int, int]:
-        """Origin of the idler deposition block (conjugate + rounded offset)."""
-        signal = self.signal_region()
+    def idler_region(self) -> Region:
+        """The idler deposition block: the signal block's conjugate,
+        displaced by the rounded ``cs_offset``."""
         shift = (_round_half_away(self.cs_offset[0]),
                  _round_half_away(self.cs_offset[1]))
-        conj = self.geometry.conjugate_region(signal, shift=shift)
-        return conj.origin
+        return self.geometry.conjugate_region(self.signal_region(), shift=shift)
 
 
 @dataclass
@@ -258,16 +251,14 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
             mu[:, None, None], cfg.modes.temporal_modes, cfg.channel, rng,
             size=(n,) + cfg.modes.grid)
         px = cfg.modes.coherence_cell_px
-        sig_r0, sig_c0 = cfg.signal_block_origin()
-        idl_r0, idl_c0 = cfg.idler_block_origin()
-        height, width = cfg.modes.block_shape
+        sig, idl = cfg.signal_region(), cfg.idler_region()
         # Conjugation is a point reflection: cell (a, b) lands at the
         # rotated slot of the idler block.  Sub-cell positions are
         # uncorrelated physically, so the idler spread is a fresh draw.
         _spread_cells(det_s, px, rng,
-                      counts[:, sig_r0:sig_r0 + height, sig_c0:sig_c0 + width])
+                      counts[:, sig.row_slice, sig.col_slice])
         _spread_cells(det_i[:, ::-1, ::-1], px, rng,
-                      counts[:, idl_r0:idl_r0 + height, idl_c0:idl_c0 + width])
+                      counts[:, idl.row_slice, idl.col_slice])
 
     # Noise is drawn a few frames at a time, in the order of one draw over
     # the whole block, so the draws are the same and their temporaries

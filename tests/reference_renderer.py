@@ -67,8 +67,8 @@ def render_frame(cfg, pulse_index, kind=KIND_PDC):
                                     size=grid[0] * grid[1])
         det_s = rng.binomial(pre, cfg.channel.eta_s).reshape(grid)
         det_i = rng.binomial(pre, cfg.channel.eta_i).reshape(grid)
-        sig_r0, sig_c0 = cfg.signal_block_origin()
-        idl_r0, idl_c0 = cfg.idler_block_origin()
+        sig_r0, sig_c0 = cfg.signal_region().origin
+        idl_r0, idl_c0 = cfg.idler_region().origin
         height, width = cfg.modes.block_shape
         counts[sig_r0:sig_r0 + height, sig_c0:sig_c0 + width] += \
             _spread_cells(det_s, px, rng)

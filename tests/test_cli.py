@@ -3,9 +3,12 @@
 import dataclasses
 import functools
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -423,6 +426,16 @@ def test_help_lists_exactly_the_commands(capsys):
     assert done.value.code == 0
     assert ("{simulate,find-cs,area-scan,calibrate,reproduce-table1}"
             in capsys.readouterr().out)
+
+
+def test_python_m_twincal_lists_exactly_the_commands():
+    # runs __main__.py in a fresh interpreter, through the package root
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "twincal", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert re.findall(r"\{(.*?)\}", done.stdout) == \
+        ["simulate,find-cs,area-scan,calibrate,reproduce-table1"] * 2
 
 
 def test_selftest_is_not_a_command(capsys):

@@ -6,7 +6,6 @@ moments, plain arithmetic for the multimode identities.  Monte-Carlo
 cross-checks of the same predictors live in test_simulate.py.
 """
 
-import gc
 import os
 import subprocess
 import sys
@@ -451,8 +450,7 @@ def test_run_workers_grows_the_pool_with_the_cpu_count(monkeypatch):
         return threading.get_ident(), [first, *dealt]
 
     results = model._run_workers(work, list(range(2 * workers)))
-    gc.collect()  # the pool it outgrew is freed, and its idle threads exit
-    for thread in old:
+    for thread in old:  # the pool it outgrew is freed: its idle threads exit
         thread.join(10)
     assert len(pool_threads()) == workers - 1
     assert len({thread for thread, _ in results}) == workers

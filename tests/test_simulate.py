@@ -235,7 +235,7 @@ class TestRenderFrame:
 
     def test_offset_rounding_is_half_away_from_zero(self):
         cfg = make_config(cs_offset=(0.5, -0.5))
-        assert cfg.idler_block_origin() == (
+        assert cfg.idler_region().origin == (
             cfg.geometry.conjugate_region(cfg.signal_region()).origin[0] + 1,
             cfg.geometry.conjugate_region(cfg.signal_region()).origin[1] - 1)
 
