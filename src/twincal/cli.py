@@ -267,8 +267,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_reproduce_table1(args) -> int:
     out = _outdir(args)
-    seed = args.seed if args.seed is not None else 20260809
-    cfg = presets.reference_experiment(master_seed=seed)
+    cfg = presets.reference_experiment()
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     params = presets.reference_analysis()
     m_tot = _region_modes(cfg, params)
 

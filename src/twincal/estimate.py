@@ -26,14 +26,14 @@ Conventions
   ``Region.check_inside``.  ``area_scan`` takes the pairs its caller built.
 * The spatial map, the cosmic-ray filter and the region sums of
   ``build_series`` and ``area_scan`` deal their frame tiles, pixel lane
-  blocks or (frames, region) sums out to one worker per CPU the process
-  may run on (``model._run_workers``).  The workers take the jobs from
-  one shared iterator, and the results are combined without regard to
-  order.  Each worker fills the rows of the map's per-frame table of
-  the tiles it takes, flags the frames its lane blocks reject, or takes
-  its region sums, in buffers of its own; the map's frame-axis sum, the
-  OR of the filter's flags and the estimators run in the calling
-  thread.  So every value is the same on any CPU count and whichever
+  blocks or (frames, region) sums out to the workers of
+  ``model._run_workers``, which take them from one shared iterator; the
+  results are combined without regard to order.  Each worker fills the
+  rows of the map's per-frame table of the tiles it takes, flags the
+  frames its lane blocks reject, or takes its region sums, in buffers
+  of its own of a fixed budget; the map's frame-axis sum, the OR of the
+  filter's flags and the estimators run in the calling thread.  So the
+  jobs and every value are the same on any CPU count and whichever
   worker takes which job, and one worker runs in the calling thread
   without starting a thread.
 * Each estimator formula is written once.  ``_estimates`` evaluates
@@ -352,19 +352,19 @@ def excess_noise(series: RegionPairSeries, m_tot: int, ddof: int = 1):
 # Cosmic-ray rejection
 # ---------------------------------------------------------------------------
 
-# The cosmic-ray filter's per-superpixel statistics run over u32 lane
-# buffers of about this many elements (512 KiB) in all, split evenly
-# between the workers, each filling its buffer with a chunk of pixel
-# lanes at a time.  Measured on the two u32 boxes of 4000 x 11 x 27
-# (reference) and 1000 x 26 x 99 counts (large-frame) that
-# ``calibrate`` filters (2-vCPU Xeon, two sweeps of 9 interleaved
-# rounds, medians of both boxes' filters): 2^17 took 8.8-14.7 /
-# 21.7-32.6 ms pooled and 7.9-13.2 / 18.7-26.8 ms on one CPU.  Pooled,
-# 2^16 was 1.3-1.6x slower; 2^18 was 0.78-0.80x on the large box and
-# level on the small one.  On one CPU both were within 0.97-1.14x.
-# The transposed copy that fills a lane block takes 46-60 % of the
+# Each cosmic-ray filter worker takes its per-superpixel statistics in
+# one u32 lane buffer of about this many elements (256 KiB), a chunk of
+# pixel lanes at a time.  Measured on the two u32 boxes of
+# 4000 x 11 x 27 (reference) and 1000 x 26 x 99 counts (large-frame)
+# that ``calibrate`` filters (2-vCPU Xeon, two sweeps of 9 interleaved
+# rounds, medians of both boxes' filters): on two workers, 2^16 per
+# worker took 8.8-14.7 / 21.7-32.6 ms, 2^15 was 1.3-1.6x slower and
+# 2^17 0.78-0.80x on the large box, level on the small one; on one
+# worker, 2^17 took 7.9-13.2 / 18.7-26.8 ms and 2^16 and 2^18
+# 0.97-1.14x that.  2^16 keeps the two-worker runs' lane blocks.  The
+# transposed copy that fills a lane block takes 46-60 % of the
 # filter's time on one CPU.
-_FILTER_CHUNK_ELEMENTS = 1 << 17
+_FILTER_CHUNK_ELEMENTS = 1 << 16
 
 
 def _middle_pair(rows: np.ndarray):
@@ -454,22 +454,21 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array; any other
     dtype or shape raises StackFormatError, and a region leaving the
     frame GeometryError, before any worker starts.  The pixels are taken
-    a block of lanes at a time, the blocks dealt out to one worker per
-    CPU from one shared iterator; each worker takes a block's medians
-    and MADs in the count type
-    (``_filter_lanes``), each exactly the float64 value ``np.median``
-    gives, and forms its thresholds.  Only the pixels whose largest
+    a block of lanes at a time, the blocks dealt out to the workers of
+    ``model._run_workers`` from one shared iterator; each worker takes
+    a block's medians and MADs in the count type (``_filter_lanes``),
+    each exactly the float64 value ``np.median`` gives, and forms its
+    thresholds.  Only the pixels whose largest
     count exceeds their threshold are compared frame by frame, in the
     count type, with the same result as the float64 comparison; the
     worker flags the frames they reject and the calling thread ORs the
     workers' flags, in whatever order they come.  Per worker the memory
-    is one u32 lane buffer, the counts of the pixels that cross their
-    threshold and one flag per frame; the workers split one lane budget
-    (``_FILTER_CHUNK_ELEMENTS``, 512 KiB), so their buffers together
-    take no more memory than one worker's would.  Returns the kept
-    frame indices as an array, for ``frames[kept]`` or
-    ``build_series``, and the discarded frame indices as a list; no
-    frame is copied.
+    is one u32 lane buffer of at most ``_FILTER_CHUNK_ELEMENTS``
+    (256 KiB), the counts of the pixels that cross their threshold and
+    one flag per frame, so the lane blocks are the same on any CPU
+    count.  Returns the kept frame indices as an array, for
+    ``frames[kept]`` or ``build_series``, and the discarded frame
+    indices as a list; no frame is copied.
     """
     check_counts(frames)
     n = len(frames)
@@ -485,7 +484,7 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     # then the deviations from it in place and their middle pair, and
     # compares one block at a time.  Each lane is independent, so
     # neither the chunking nor the worker count changes a value.
-    chunk = max(1, _FILTER_CHUNK_ELEMENTS // (model._cpu_count() * n))
+    chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
     blocks = []
     for region in regions:
         block = frames[:, region.row_slice, region.col_slice]
@@ -503,23 +502,23 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
 # Symmetry-centre search
 # ---------------------------------------------------------------------------
 
-# The spatial map's workers read tiles of as many frames as keep their
-# int64 search windows within this many elements in all: on W CPUs each
-# worker's window holds 1/W of it.  With its signal block, the square of
-# its window, the window sums and the per-displacement tables, a
-# worker's tile takes 3.4x its window's bytes on a 26 x 38 window with
-# a 20 x 32 region and 4.8x on an 11 x 14 window with a 5 x 8 region.
+# Each worker of the spatial map reads tiles of as many frames as keep
+# its int64 search window within this many elements.  With its signal
+# block, the square of its window, the window sums and the
+# per-displacement tables, a worker's tile takes 3.4x its window's bytes
+# on a 26 x 38 window with a 20 x 32 region and 4.8x on an 11 x 14
+# window with a 5 x 8 region.
 # Measured on the u32 pdc boxes of 1000 x 48 x 128 counts (region
 # 20 x 32) and 4000 x 13 x 30 counts (region 5 x 8), both with a +-3
 # search (2-vCPU host, glibc's mmap threshold fixed at 128 KiB, 9
-# interleaved rounds of 9 maps each, medians): pooled, 2^17 times
-# 35.7 ms on the large box and 28.6 ms on the small one, 2^18 33.3 and
-# 29.0 ms, 2^16 54.8 and 45.0 ms; on one CPU, 2^17 times 52.1 and
-# 35.3 ms, 2^16 45.3 and 33.9 ms, 2^18 51.2 and 43.0 ms.  Quartiles
-# spread 3-20 ms, so only 2^16 pooled and 2^18 on the small box on one
-# CPU are clearly slower; 2^19 was no faster than 2^18 on a draft of
-# this kernel.
-_SPATIAL_TILE_ELEMENTS = 1 << 17
+# interleaved rounds of 9 maps each, medians): pooled on two workers,
+# 2^16 per worker times 35.7 ms on the large box and 28.6 ms on the
+# small one, 2^17 33.3 and 29.0 ms, 2^15 54.8 and 45.0 ms; on one
+# worker, 2^17 times 52.1 and 35.3 ms, 2^16 45.3 and 33.9 ms, 2^18
+# 51.2 and 43.0 ms.  Quartiles spread 3-20 ms, so only 2^15 pooled and
+# 2^18 on the small box on one worker are clearly slower; a budget of
+# 2^19 in all was no faster than 2^18 on a draft of this kernel.
+_SPATIAL_TILE_ELEMENTS = 1 << 16
 
 
 def _window_sums(a: np.ndarray, size: int, axis: int,
@@ -651,13 +650,13 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array (any other
     dtype or shape raises StackFormatError), read a tile of frames at a
-    time.  The tiles are dealt out to one worker per CPU from one shared
-    iterator, each worker filling the rows of the tiles it takes in one
-    (frames, displacements) table of per-frame values, in tile buffers
-    of its own.  The workers' tiles split one
-    budget (``_SPATIAL_TILE_ELEMENTS``), so beyond the table the working
-    memory is one budget's worth of tiles on any CPU count (3.5 MB on a
-    26 x 38 search window).  An empty region pair raises
+    time.  The tiles are dealt out to the workers of
+    ``model._run_workers`` from one shared iterator, each worker filling
+    the rows of the tiles it takes in one (frames, displacements) table
+    of per-frame values, in tile buffers of its own of one budget
+    (``_SPATIAL_TILE_ELEMENTS``).  So the tiles are the same on any CPU
+    count, and beyond the table each worker holds one budget's worth of
+    tiles (1.8 MB on a 26 x 38 search window).  An empty region pair raises
     DegenerateDataError from whichever worker meets it.  The frame-axis
     mean of the table is taken in the calling thread.  Each per-frame
     value comes from exact integer moments of the pairs
@@ -678,7 +677,7 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     if n == 0:
         raise DegenerateDataError("no frames supplied")
 
-    tile = max(1, _SPATIAL_TILE_ELEMENTS // (model._cpu_count() * window.area))
+    tile = max(1, _SPATIAL_TILE_ELEMENTS // window.area)
     per_frame = np.empty((n, len(shifts)))
     model._run_workers(
         lambda starts: _map_tiles(frames, region_s, window, search_extent,

@@ -24,12 +24,12 @@ have the shape asked for.  It returns the payload, or one box of rows
 and columns of every frame, as a read-only ``<u4`` array of shape
 (count, box rows, box cols), in a ``Stack`` of the header's kind; no
 pulse energy is stored, in the file or the Stack.  The payload's tiles
-of whole frames are dealt out to one worker per CPU the process may run
-on (``model._run_workers``): the workers take the tiles from one shared
-iterator, and the results are combined without regard to order.  Each
-of the W workers fills its one reused tile buffer, 1/W of the read
-budget, with one positional read (``os.preadv``) per tile it takes, and
-copies the box of those frames into their frames of the result.  Only
+of whole frames are dealt out to the workers of ``model._run_workers``,
+which take them from one shared iterator, and the results are combined
+without regard to order.  Each worker fills its one reused tile buffer,
+one read budget, with one positional read (``os.preadv``) per tile it
+takes, and copies the box of those frames into their frames of the
+result.  The tiles are the same on any CPU count.  Only
 the box's pixels are kept: the commands that analyse a few regions of
 large frames hold those regions, not the stack.  There is no conversion
 to float; analysis code casts the region blocks it needs to float64
@@ -93,11 +93,10 @@ _CODE_TO_KIND = {code: kind for kind, code in _KIND_CODE.items()}
 
 _FMT = "{:.9g}"  # canonical table precision
 
-# ``read_stack``'s read budget: each of its W workers reads the box of each
-# frame through one reused buffer of whole frames of about 1/W of this many
-# bytes, filled by one positional read per tile, so the W buffers together
-# hold one budget.
-_READ_TILE_BYTES = 1 << 20
+# ``read_stack``'s read budget per worker: each worker reads the box of
+# each frame through one reused buffer of whole frames of about this
+# many bytes, filled by one positional read per tile.
+_READ_TILE_BYTES = 1 << 19
 
 
 def sidecar_path(path) -> Path:
@@ -204,12 +203,12 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
     frame) leaving the frame then raises GeometryError, and so do frames
     of another (rows, cols) than ``shape``, when given; without a box the
     whole frame is read.  The payload's tiles of whole frames are dealt
-    out to W = ``model._cpu_count()`` workers (``model._run_workers``),
-    which take them from one shared iterator.  Each worker reuses one
-    tile buffer of 1/W of ``_READ_TILE_BYTES`` (or one frame if larger),
-    fills it with one positional read (``os.preadv``) per tile it takes
-    and copies the box of those frames into their frames of the result,
-    so beyond the result the workers hold one budget together.  A file
+    out to the workers of ``model._run_workers``, which take them from
+    one shared iterator.  Each worker reuses one tile buffer of
+    ``_READ_TILE_BYTES`` (or one frame if larger), fills it with one
+    positional read (``os.preadv``) per tile it takes and copies the box
+    of those frames into their frames of the result, so beyond the
+    result each worker holds one budget.  A file
     that ends early raises TruncatedPayloadError at the smallest payload
     position a short read stopped at, so the message is the same on any
     CPU count and whichever worker read which tile, and nothing is
@@ -256,8 +255,7 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
             raise GeometryError(f"{path}: {rows}x{cols} frames, expected "
                                 f"{shape[0]}x{shape[1]}")
         counts = np.empty((count, *box.extent), dtype=COUNT_DTYPE)
-        size = max(1, _READ_TILE_BYTES // (model._cpu_count() * rows * cols
-                                           * 4))
+        size = max(1, _READ_TILE_BYTES // (rows * cols * 4))
         ends = model._run_workers(
             partial(_read_tiles, fh.fileno(), counts, box, (size, rows, cols)),
             range(0, count, size))

@@ -7,6 +7,10 @@ pre-detection photon number, and each arm is thinned independently with its
 channel efficiency.  The predictors below are the exact first and second
 moments of region sums under that model; they are what the simulator must
 converge to and what the estimators invert.
+
+``_run_workers`` is every pooled stage's thread pool and the only reader
+of the CPU count.  Each stage sizes its jobs by a fixed buffer budget per
+worker, so W workers hold W budgets and take the same jobs on any W.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ def check_counts(counts) -> None:
 
 
 def _cpu_count() -> int:
-    """Number of CPUs this process may run on: the most workers of every
-    pooled stage (rendering, stack reads, the cosmic-ray filter, the
-    spatial map, region sums).  ``_run_workers`` reads it on every call
+    """Number of CPUs this process may run on: the most workers of a
+    ``_run_workers`` call, its only reader, which reads it on every call
     and makes a larger pool when it grows."""
     try:
         return len(os.sched_getaffinity(0))

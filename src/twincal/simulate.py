@@ -21,17 +21,17 @@ stack file holds and no pulse energy: ``generate_stack`` fills one
 array, ``iter_stack`` yields one per block, and ``render_frame``
 returns a one-frame Stack cut from its block.
 
-``render_stack`` deals every block of a stack out in one
-``model._run_workers`` call, one worker per CPU the process may run on;
-the workers take the blocks from one shared iterator.  Each worker
-renders the blocks it takes into one float64 work block and one noise
-buffer that it reuses, and hands each block and its pulse
-energies to the caller's ``put``, which casts the block to u32 where it
-is kept: a slice of ``generate_stack``'s array, a block of
-``iter_stack``'s round, or its frames' place in the file ``simulate``
-writes, whose ``put`` alone keeps the energies.  Since every block
-draws only from its own stream, the frames do not depend on how many
-CPUs there are or on which worker renders which block.
+``render_stack`` deals every block of a stack out to the workers of
+one ``model._run_workers`` call, which take the blocks from one shared
+iterator.  Each worker renders the blocks it takes into one float64
+work block and one noise buffer that it reuses, and hands each block
+and its pulse energies to the caller's ``put``, which casts the block
+to u32 where it is kept: a slice of ``generate_stack``'s array, the
+array of one of ``iter_stack``'s blocks, or its frames' place in the
+file ``simulate`` writes, whose ``put`` alone keeps the energies.
+Since every block draws only from its own stream, the frames do not
+depend on how many CPUs there are or on which worker renders which
+block.
 """
 
 from __future__ import annotations
@@ -301,17 +301,25 @@ def _render_block(cfg: ExperimentConfig, kind: str, block_index: int,
     return energy
 
 
+def _render_one(cfg: ExperimentConfig, kind: str, block: int,
+                count: int) -> np.ndarray:
+    """The u32 counts of ``block``'s frames among the first ``count``,
+    rendered alone by ``render_stack`` in the calling thread."""
+    kept = []
+    render_stack(cfg, kind, count,
+                 lambda first, counts, energy: kept.append(
+                     counts.astype(COUNT_DTYPE)),
+                 range(block, block + 1))
+    return kept[0]
+
+
 def render_frame(cfg: ExperimentConfig, pulse_index: int,
                  kind: str = KIND_PDC) -> Stack:
     """Frame ``pulse_index`` as a one-frame Stack, by rendering its block
-    alone (``render_stack``)."""
-    frame = []
-    block = pulse_index // _BLOCK_FRAMES
-    render_stack(cfg, kind, pulse_index + 1,
-                 lambda first, counts, energy: frame.append(
-                     counts[-1:].astype(COUNT_DTYPE)),
-                 range(block, block + 1))
-    return Stack(counts=frame[0], kind=kind)
+    alone (``_render_one``)."""
+    block = _render_one(cfg, kind, pulse_index // _BLOCK_FRAMES,
+                        pulse_index + 1)
+    return Stack(counts=block[-1:].copy(), kind=kind)
 
 
 def render_stack(cfg: ExperimentConfig, kind: str, count: int, put,
@@ -350,30 +358,19 @@ def iter_stack(cfg: ExperimentConfig, count: int, kind: str = KIND_PDC):
 
     Each Stack holds ``_BLOCK_FRAMES`` frames, the last one fewer when
     ``count`` is not a multiple of the block size, in an array of its
-    own.  Blocks are rendered in rounds of one block per CPU the process
-    may run on: each round is one ``render_stack`` call, whose workers
-    cast each block into a u32 array of its own, and the round's blocks
-    are yielded before the next round starts.
+    own.  Each block is rendered in the calling thread when it is asked
+    for, by one ``render_stack`` call (``_render_one``).
 
-    Memory stays under, per CPU, a work block (512*rows*cols B), a noise
-    buffer (8*_NOISE_CHUNK_ELEMENTS B, or 512*rows*cols B if smaller),
-    one block's other draws (under 4*_NOISE_CHUNK_ELEMENTS B of
-    straylight, plus 512*(px**2 + 4) B per coherence cell) and the
-    round's u32 block (256*rows*cols B).
+    Beyond the blocks the caller keeps, memory stays under a work block
+    (512*rows*cols B), a noise buffer (8*_NOISE_CHUNK_ELEMENTS B, or
+    512*rows*cols B if smaller), one block's other draws (under
+    4*_NOISE_CHUNK_ELEMENTS B of straylight, plus 512*(px**2 + 4) B per
+    coherence cell) and the u32 block (256*rows*cols B).
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    n_blocks = -(-count // _BLOCK_FRAMES)
-    cpus = model._cpu_count()
-    rendered = {}
-
-    def put(first, counts, energy):
-        rendered[first] = Stack(counts=counts.astype(COUNT_DTYPE), kind=kind)
-
-    for b in range(0, n_blocks, cpus):
-        render_stack(cfg, kind, count, put, range(b, min(b + cpus, n_blocks)))
-        while rendered:  # popped, a block is freed once its caller drops it
-            yield rendered.pop(min(rendered))
+    for b in range(-(-count // _BLOCK_FRAMES)):
+        yield Stack(counts=_render_one(cfg, kind, b, count), kind=kind)
 
 
 def generate_stack(cfg: ExperimentConfig, count: int,

@@ -771,8 +771,8 @@ def test_unsorted_areas_are_refused_before_reading(run_dir, capsys):
 
 
 def test_calibrate_memory_is_bounded_by_the_boxes(tmp_path):
-    # calibrate holds the analysed box of each stack and one tile of
-    # working memory, not the stacks
+    # calibrate holds the analysed box of each stack and one read tile
+    # per worker, not the stacks
     cfg, params, config = large_frames(tmp_path, 9, 4, 125)
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(config), "--out", str(data),
@@ -793,7 +793,7 @@ def test_calibrate_memory_is_bounded_by_the_boxes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * box_bytes + 2 * tio._READ_TILE_BYTES
+    assert peak < 2 * box_bytes + 2 * model._cpu_count() * tio._READ_TILE_BYTES
     assert peak < stacks_nbytes / 2
 
 

@@ -486,7 +486,7 @@ class TestStackErrors:
                             lambda fd: types.SimpleNamespace(st_size=full))
         for workers in (1, 2, 3):
             monkeypatch.setattr(model, "_cpu_count", lambda: workers)
-            monkeypatch.setattr(tio, "_READ_TILE_BYTES", workers * 5 * 6 * 4)
+            monkeypatch.setattr(tio, "_READ_TILE_BYTES", 5 * 6 * 4)
             for cut, left in ((10, 470), (280, 200)):
                 path.write_bytes(payload[:-cut])
                 with pytest.raises(TruncatedPayloadError, match="payload "
@@ -583,7 +583,7 @@ class TestBoxRead:
         # tile, dealt out to 1 to 3 workers
         tile = data.draw(st.integers(1, 4 * rows * cols * 4 + 3))
         whole, digest = read_stack(path)
-        with mock.patch.object(tio, "_READ_TILE_BYTES", tile * workers), \
+        with mock.patch.object(tio, "_READ_TILE_BYTES", tile), \
                 mock.patch.object(model, "_cpu_count", lambda: workers):
             back, box_digest = read_stack(path, box)
             assert np.array_equal(read_stack(path)[0].counts, frames.counts)
@@ -601,7 +601,7 @@ class TestBoxRead:
         # eight workers copy the boxes of their one-frame tiles into one
         # shared result; a lost or misplaced frame changes the counts
         monkeypatch.setattr(model, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(tio, "_READ_TILE_BYTES", 8 * 7 * 9 * 4)
+        monkeypatch.setattr(tio, "_READ_TILE_BYTES", 7 * 9 * 4)
         frames = random_frames(np.random.default_rng(5), 301, 7, 9)
         path = tmp_path / "stack.tbs"
         write_stack(path, [frames], a_config_doc())

@@ -51,14 +51,17 @@ from twincal.estimate import (
 )
 from twincal.model import FrameGeometry, Region
 from twincal.presets import reference_experiment
+from twincal.io import read_stack, write_stack
 from twincal.simulate import (
     KIND_BACKGROUND,
     KIND_PDC,
+    Stack,
     generate_stack,
     iter_stack,
 )
 
 import reference_estimators as ref
+from test_io import a_config_doc
 from test_simulate import REFUSED_DTYPES, inject_cosmic_ray, refused_counts
 
 
@@ -416,7 +419,7 @@ def test_cosmic_ray_filter_matches_reference_on_any_counts(
     with pytest.MonkeyPatch.context() as patch:
         force_workers(patch, workers)
         patch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
-                      chunk_pixels * workers * len(counts))
+                      chunk_pixels * len(counts))
         check_against_reference(counts, mad_k, regions, mask)
 
 
@@ -510,10 +513,10 @@ def test_spatial_map_is_bit_identical_on_any_worker_count(
     # most W threads, the calling thread among them
     force_workers(monkeypatch, workers)
     if tile is None:
-        tile = estimate._SPATIAL_TILE_ELEMENTS // (workers * MAP_WINDOW.area)
+        tile = estimate._SPATIAL_TILE_ELEMENTS // MAP_WINDOW.area
     else:
         monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS",
-                            tile * workers * MAP_WINDOW.area)
+                            tile * MAP_WINDOW.area)
     n_frames = tiles * tile + extra
     counts = gained_counts(n_frames, MAP_GEOMETRY.shape, n_frames)
     want = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
@@ -537,7 +540,7 @@ def test_cosmic_ray_filter_is_identical_on_any_worker_count(
     force_workers(monkeypatch, workers)
     if chunk_pixels is not None:
         monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS",
-                            chunk_pixels * workers * n_frames)
+                            chunk_pixels * n_frames)
     counts = gained_counts(n_frames, (6, 9), workers)
     rng = np.random.default_rng(n_frames)
     for k in rng.choice(n_frames, 5, replace=False):
@@ -555,6 +558,32 @@ def test_cosmic_ray_filter_is_identical_on_any_worker_count(
     assert 1 <= len(threads) <= min(workers, chunks)
     assert len(set(threads)) == len(threads)
     assert threading.get_ident() in threads
+
+
+def test_dealt_jobs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
+    # each worker's read, lane and map budgets are fixed, so the read
+    # tiles, lane blocks and map tiles are the same on 1, 2 and 4 CPUs;
+    # 1000 frames of 13x30 make several jobs of each
+    counts = gained_counts(1000, MAP_GEOMETRY.shape, 9)
+    path = tmp_path / "stack.tbs"
+    write_stack(path, [Stack(counts=counts)], a_config_doc())
+    original, dealt = model._run_workers, []
+
+    def recorded(work, jobs):
+        dealt[-1].append([(job.shape, job.ctypes.data)
+                          if isinstance(job, np.ndarray) else job
+                          for job in jobs])
+        return original(work, jobs)
+
+    monkeypatch.setattr(model, "_run_workers", recorded)
+    for workers in (1, 2, 4):
+        force_workers(monkeypatch, workers)
+        dealt.append([])
+        read_stack(path)
+        cosmic_ray_filter(counts, regions=[MAP_WINDOW])
+        sigma_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
+    assert [len(jobs) > 1 for jobs in dealt[0]] == [True] * 3
+    assert dealt[1] == dealt[0] and dealt[2] == dealt[0]
 
 
 SCAN_AREAS = [(1, 1), (2, 2), (2, 4), (3, 5), (5, 8)]
@@ -678,9 +707,8 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     # frames its own lane blocks reject; a worker writing outside its rows
     # or reading outside its pixels would change a value
     force_workers(monkeypatch, 8)
-    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS",
-                        3 * 8 * MAP_WINDOW.area)
-    monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 2 * 8 * 301)
+    monkeypatch.setattr(estimate, "_SPATIAL_TILE_ELEMENTS", 3 * MAP_WINDOW.area)
+    monkeypatch.setattr(estimate, "_FILTER_CHUNK_ELEMENTS", 2 * 301)
     counts = gained_counts(301, MAP_GEOMETRY.shape, 8)
     want_map = ref.exact_spatial_map(counts, MAP_REGION, MAP_GEOMETRY, (3, 3))
     mask = np.zeros(MAP_GEOMETRY.shape, dtype=bool)

@@ -463,7 +463,7 @@ class TestConcurrentRendering:
         assert peak < (workers + 2) * block_bytes
 
     def test_closing_the_stream_stops_its_threads(self, monkeypatch):
-        # every round's workers stop before its first block is yielded,
+        # each block renders in the calling thread before it is yielded,
         # and no thread beyond the pool's is left running
         force_workers(monkeypatch, 2)
         warm_pool(2)
@@ -477,8 +477,9 @@ class TestConcurrentRendering:
     @pytest.mark.parametrize("kind", [KIND_PDC, KIND_BACKGROUND])
     def test_cpu_count_changing_between_rounds_does_not_change_output(
             self, monkeypatch, kind):
-        # every round deals its tasks out afresh; a worker handed several
-        # tasks must keep their work blocks apart and their order
+        # every render_stack call, one per stack or one per iter_stack
+        # block, reads the CPU count afresh; a worker handed several
+        # blocks must keep their work blocks apart and their order
         cfg = concurrent_config(seed=70)
         counts, energy = render_blocks(cfg, kind, range(16))
         calls = itertools.count()
@@ -491,7 +492,7 @@ class TestConcurrentRendering:
             blocks = list(iter_stack(cfg, n, kind))
             assert np.array_equal(np.concatenate([b.counts for b in blocks]),
                                   counts[:n])
-        assert next(calls) > 12  # several rounds per stack
+        assert next(calls) > 12  # one call per iter_stack block
 
     @pytest.mark.parametrize("count", [5, 640])
     def test_unknown_kind_raises_and_leaves_no_thread(self, monkeypatch,
