@@ -14,11 +14,13 @@ Conventions
 * Frame stacks are (frames, rows, cols) arrays of ``COUNT_DTYPE`` (u32)
   counts.  The cosmic-ray filter and the spatial map refuse any other
   dtype or shape with StackFormatError; ``build_series`` and
-  ``area_scan`` sum any numeric array in float64.
-  The spatial map casts its region blocks to int64 before any
-  difference.  The cosmic-ray filter keeps its pixel lanes in u32 and
-  takes only differences that cannot be negative: a lane's counts less
-  the upper value of its middle pair, or the lower one less its counts.
+  ``area_scan`` sum any numeric array in float64, u32 counts through a
+  uint64 sum cast once.  The spatial map copies its blocks into float64
+  frame lanes less the tile's smallest count, where every sum it forms
+  is an exact integer, and casts those sums to int64 for N and P D.
+  The cosmic-ray filter keeps its pixel lanes in u32 and takes only
+  differences that cannot be negative: a lane's counts less the upper
+  value of its middle pair, or the lower one less its counts.
 * A Region is an origin and an extent.  The frame's geometry decides
   which half it must lie on (``FrameGeometry.validate_region``), and
   every region leaving the frame, whether a region sum, the cosmic-ray
@@ -46,10 +48,12 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
 from .errors import DegenerateDataError, DomainError
@@ -132,8 +136,14 @@ class RegionPairSeries:
 
 
 def _region_total(counts, region: Region):
-    return counts[..., region.row_slice, region.col_slice].sum(
-        axis=(-2, -1), dtype=np.float64)
+    """Per-frame sums of ``region`` in float64.  ``COUNT_DTYPE`` counts
+    are summed exactly in uint64 and cast once: below 2^53, as the sum of
+    any region of fewer than 2^21 superpixels is, these are the float64
+    sums' values, found faster."""
+    block = counts[..., region.row_slice, region.col_slice]
+    if block.dtype == COUNT_DTYPE:
+        return block.sum(axis=(-2, -1), dtype=np.uint64).astype(np.float64)
+    return block.sum(axis=(-2, -1), dtype=np.float64)
 
 
 def _pair_series(pairs, pdc_frames, bg_frames=None, kept=slice(None),
@@ -503,121 +513,153 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
 # ---------------------------------------------------------------------------
 
 # Each worker of the spatial map reads tiles of as many frames as keep
-# its int64 search window within this many elements.  With its signal
-# block, the square of its window, the window sums and the
-# per-displacement tables, a worker's tile takes 3.4x its window's bytes
-# on a 26 x 38 window with a 20 x 32 region and 4.8x on an 11 x 14
-# window with a 5 x 8 region.
+# its search window within this many elements.  With its signal lanes,
+# one row of squares, the window sums and the per-displacement tables,
+# a worker's tile takes 2.5x its window's float64 bytes on a 26 x 38
+# window with a 20 x 32 region (1.3 MB) and 4.2x on an 11 x 14 window
+# with a 5 x 8 region (2.2 MB).
 # Measured on the u32 pdc boxes of 1000 x 48 x 128 counts (region
 # 20 x 32) and 4000 x 13 x 30 counts (region 5 x 8), both with a +-3
-# search (2-vCPU host, glibc's mmap threshold fixed at 128 KiB, 9
-# interleaved rounds of 9 maps each, medians): pooled on two workers,
-# 2^16 per worker times 35.7 ms on the large box and 28.6 ms on the
-# small one, 2^17 33.3 and 29.0 ms, 2^15 54.8 and 45.0 ms; on one
-# worker, 2^17 times 52.1 and 35.3 ms, 2^16 45.3 and 33.9 ms, 2^18
-# 51.2 and 43.0 ms.  Quartiles spread 3-20 ms, so only 2^15 pooled and
-# 2^18 on the small box on one worker are clearly slower; a budget of
-# 2^19 in all was no faster than 2^18 on a draft of this kernel.
+# search (2-vCPU host, glibc's mmap threshold fixed at 128 KiB, 20
+# interleaved rounds of 3 maps each, medians): pooled on two workers,
+# 2^15 per worker times 27.4 ms on the large box and 17.2 ms on the
+# small one, 2^16 21.7 and 16.5 ms, 2^17 19.9 and 19.8 ms, 2^18 19.9
+# and 21.0 ms; on one worker 32.0 and 22.7, 28.1 and 20.7, 27.7 and
+# 19.8, 28.1 and 21.3 ms.  Quartiles spread up to 7 ms pooled.  End to
+# end, perfbench's find_cs_s read 21.8 and 14.8 ms at 2^16 against 21.3
+# and 14.6 ms at 2^17 (medians of 4 alternating pairs, level), so 2^16
+# keeps half the memory per worker.
 _SPATIAL_TILE_ELEMENTS = 1 << 16
 
 
-def _window_sums(a: np.ndarray, size: int, axis: int,
-                 out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the sums of every ``size`` consecutive entries of
-    ``a`` along ``axis``: the first by one sum, each next one by adding
-    the entry that enters and taking away the one that leaves (exact on
-    integers).  Returns ``out``."""
-    a, sums = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    a[:size].sum(axis=0, out=sums[0])
-    for j in range(len(sums) - 1):
-        np.subtract(a[j + size], a[j], out=sums[j + 1])
-        sums[j + 1] += sums[j]
-    return out
-
-
-def _product_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-frame sums of a * b over (frames, rows, cols) integer blocks:
-    one ``np.einsum`` on int64, a product and a sum on Python integers."""
-    if a.dtype == object:
-        return (a * b).sum(axis=(1, 2))
-    return np.einsum("frc,frc->f", a, b)
+def _lanes(buffer: np.ndarray, k: int, *shapes) -> list[np.ndarray]:
+    """Consecutive views of ``buffer`` of each of ``shapes`` with a last
+    axis of ``k`` frames, each C-contiguous, so every op on a view runs
+    along contiguous frame lanes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape) * k
+        views.append(buffer[at:at + size].reshape(*shape, k))
+        at += size
+    return views
 
 
 def _map_tiles(frames, region_s: Region, window: Region,
                search_extent: tuple[int, int], per_frame: np.ndarray,
                starts, tile: int) -> None:
     """Fill the rows of ``per_frame`` of the tiles of ``tile`` frames that
-    begin at ``starts``, in tile buffers of this worker's own: row f
-    holds frame f's values at every displacement, in row-major
+    begin at ``starts``, in buffers of this worker's own, allocated once:
+    row f holds frame f's values at every displacement, in row-major
     (dr, dc) order.
 
     Frame f's value at a displacement is N / (P D) for its P pairs of
     signal counts s and idler counts i, with pair sum D and
     N = P (Sss - 2 Ssi + Sii) - (Ss - Si)^2, the exact integer
-    P^2 var(s - i).  Ss and Sss come from the signal block, Si and Sii
-    from window sums of the search window and of its square, and the
-    cross term Ssi from one product sum per displacement.  N and P D are
-    formed exactly and each rounded once to float64 before the division.
-    A tile's counts are taken less its smallest count b, which leaves
-    s - i as it is, and D adds 2 P b back.  Every term then fits int64
-    while 4 P^2 R^2 < 2^63 and 2 P^2 (b + R) < 2^63, for the tile's
-    count range R; a tile beyond that takes the same sums in Python
-    integers.
+    P^2 var(s - i).  A tile's signal block and search window are copied
+    once into float64 lanes of shape (rows, cols, frames), less the
+    tile's smallest count b, which leaves s - i as it is (D adds 2 P b
+    back); every op after the copy runs along contiguous frames.  Ss and
+    Sss come from the signal lanes, Si and Sii from running sums along
+    the window lanes, and the cross sums Ssi of every displacement from
+    one float64 ``np.einsum``.  With the tile's count range R, every
+    lane value, product and partial sum is then a non-negative integer
+    below 2^53 while P R^2 < 2^53, so these sums, and Sss - 2 Ssi + Sii
+    formed from them, are exact in any order.  They are cast to int64
+    once, where N and P D are formed, which fits while 4 P^2 R^2 < 2^63
+    and 2 P^2 (b + R) < 2^63; each is rounded once to float64 before the
+    division.  A tile beyond any of these bounds takes the same sums in
+    Python integers.
     """
     n = len(frames)
     er, ec = search_extent
     h, w = region_s.extent
     rows, cols = window.extent
     p = h * w
-    # Conjugate pairing reverses both axes of an idler block, so in the
-    # search window flipped on both axes the block of shift (dr, dc) is
-    # the forward slice at (er - dr, ec - dc).  Every per-displacement
-    # table below is in that flipped order, and is written reversed.
+    ny, nx = 2 * er + 1, 2 * ec + 1
+    # Conjugate pairing reverses both axes of an idler block, so with the
+    # signal block reversed on both axes the idler block of shift
+    # (dr, dc) is the forward slice of the search window at
+    # (er + dr, ec + dc), and every per-displacement table below is in
+    # row-major (dr, dc) order.
+    lane_shapes = ((h, w), (rows, cols), (cols,), (2, ny, cols),
+                   (2, ny, nx), (2,))
+    table_shapes = ((ny, nx), (ny, nx), (ny, nx), (2,))
     t = min(tile, n)
-    buffers = (np.empty((t, h, w), np.int64),
-               np.empty((2, t, rows, cols), np.int64),
-               np.empty((2, t, 2 * er + 1, cols), np.int64),
-               np.empty((2, t, 2 * er + 1, 2 * ec + 1), np.int64),
-               np.empty((2, t, 2 * er + 1, 2 * ec + 1), np.int64))
+    lane_buffer = np.empty(sum(math.prod(s) for s in lane_shapes) * t)
+    table_buffer = np.empty(sum(math.prod(s) for s in table_shapes) * t,
+                            np.int64)
     for f in starts:
         g = min(f + tile, n)
-        views = [b[..., :g - f, :, :] for b in buffers]
-        s, win = views[0], views[1][0]
-        np.copyto(s, frames[f:g, region_s.row_slice, region_s.col_slice])
-        np.copyto(win, frames[f:g, window.row_slice,
-                              window.col_slice][:, ::-1, ::-1])
-        low = int(min(s.min(), win.min()))
-        spread = int(max(s.max(), win.max())) - low
-        s -= low
-        win -= low
-        if (4 * p * p * spread * spread >= 1 << 63
-                or 2 * p * p * (low + spread) >= 1 << 63):
-            views = [v.astype(object) for v in views]
-        s, wins, column_sums, moments, (denom, num) = views
-        win = wins[0]
-        np.square(win, out=wins[1])
-        # Every idler sum Si and sum of squares Sii.
-        idl_sum, idl_sq = _window_sums(_window_sums(wins, h, 2, column_sums),
-                                       w, 3, moments)
-        sig_sum = s.sum(axis=(1, 2))[:, None, None]
-        np.add(idl_sum, sig_sum + 2 * p * low, out=denom)
-        if np.any(denom <= 0):
+        k = g - f
+        views, tables = _lanes(lane_buffer, k, *lane_shapes), table_buffer
+        s, win = views[:2]
+        block = frames[f:g, region_s.row_slice, region_s.col_slice]
+        np.copyto(s, block.transpose(1, 2, 0)[::-1, ::-1])
+        block = frames[f:g, window.row_slice, window.col_slice]
+        np.copyto(win, block.transpose(1, 2, 0))
+        counts = lane_buffer[:(p + rows * cols) * k]  # s and win, one run
+        low, high = int(counts.min()), int(counts.max())
+        spread = high - low
+        if (p * spread * spread < 1 << 53
+                and 4 * p * p * spread * spread < 1 << 63
+                and 2 * p * p * high < 1 << 63):
+            counts -= low
+        else:
+            lanes = np.empty(lane_buffer.size, object)
+            lanes[:counts.size] = counts.astype(np.int64) - low
+            views = _lanes(lanes, k, *lane_shapes)
+            tables = np.empty(table_buffer.size, object)
+        s, win, row, column_sums, moments, sig = views
+        num, idl_sum, denom, (ss, pair_base) = _lanes(tables, k,
+                                                      *table_shapes)
+        # Every idler sum Si and sum of squares Sii: running sums of h
+        # rows, then of w columns.  Each step takes away the lane that
+        # leaves before it adds the one that enters, so no partial sum
+        # exceeds a window sum; a row's squares are formed in ``row``.
+        col_sum, col_sq = column_sums
+        win[:h].sum(axis=0, out=col_sum[0])
+        np.einsum("rcf,rcf->cf", win[:h], win[:h], out=col_sq[0])
+        for j in range(ny - 1):
+            np.subtract(col_sum[j], win[j], out=col_sum[j + 1])
+            col_sum[j + 1] += win[j + h]
+            np.square(win[j], out=row)
+            np.subtract(col_sq[j], row, out=col_sq[j + 1])
+            np.square(win[j + h], out=row)
+            col_sq[j + 1] += row
+        a, sums = np.moveaxis(column_sums, 2, 0), np.moveaxis(moments, 2, 0)
+        a[:w].sum(axis=0, out=sums[0])
+        for j in range(nx - 1):
+            np.subtract(sums[j], a[j], out=sums[j + 1])
+            sums[j + 1] += a[j + w]
+        s.sum(axis=(0, 1), out=sig[0])
+        np.einsum("rcf,rcf->f", s, s, out=sig[1])
+        # The idler block of every displacement, as (ny, nx, k, h, w);
+        # the cross sums Ssi take the column sums' place.
+        blocks = sliding_window_view(win, (h, w), axis=(0, 1))
+        cross = column_sums.reshape(-1)[:ny * nx * k].reshape(ny, nx, k)
+        np.einsum("rcf,ijfrc->ijf", s, blocks, out=cross)
+        # Sss - 2 Ssi + Sii as (Sii - Ssi) + (Sss - Ssi): each term and
+        # the sum, a sum of squares, are integers below 2^53.
+        np.subtract(moments[1], cross, out=moments[1])
+        np.subtract(sig[1], cross, out=cross)
+        cross += moments[1]
+        np.copyto(num, cross, casting="unsafe")
+        np.copyto(idl_sum, moments[0], casting="unsafe")
+        np.copyto(ss, sig[0], casting="unsafe")
+        np.add(ss, 2 * p * low, out=pair_base)
+        np.add(idl_sum, pair_base, out=denom)
+        if denom.min() <= 0:
             raise DegenerateDataError("empty region pair in spatial map")
         denom *= p
-        for i in range(2 * er + 1):
-            for j in range(2 * ec + 1):
-                num[:, i, j] = _product_sums(s, win[:, i:i + h, j:j + w])
-        num *= -2
-        num += _product_sums(s, s)[:, None, None]
-        num += idl_sq
         num *= p
-        np.subtract(sig_sum, idl_sum, out=idl_sum)
+        np.subtract(ss, idl_sum, out=idl_sum)
         np.square(idl_sum, out=idl_sum)
         num -= idl_sum
         if num.dtype == object:
             num, denom = num.astype(np.float64), denom.astype(np.float64)
-        np.divide(num, denom, out=per_frame[f:g].reshape(
-            g - f, 2 * er + 1, 2 * ec + 1)[:, ::-1, ::-1])
+        np.divide(num, denom, out=cross)
+        np.copyto(per_frame[f:g].T.reshape(ny, nx, k), cross,
+                  casting="unsafe")
 
 
 @dataclass
@@ -655,16 +697,18 @@ def sigma_spatial_map(frames, region_s: Region, geometry: FrameGeometry,
     the rows of the tiles it takes in one (frames, displacements) table
     of per-frame values, in tile buffers of its own of one budget
     (``_SPATIAL_TILE_ELEMENTS``).  So the tiles are the same on any CPU
-    count, and beyond the table each worker holds one budget's worth of
-    tiles (1.8 MB on a 26 x 38 search window).  An empty region pair raises
+    count, and beyond the table each worker holds the frame lanes and
+    per-displacement tables of one tile (1.3 MB on a 26 x 38 search
+    window, 2.2 MB on an 11 x 14 one).  An empty region pair raises
     DegenerateDataError from whichever worker meets it.  The frame-axis
     mean of the table is taken in the calling thread.  Each per-frame
     value comes from exact integer moments of the pairs
-    (``_map_tiles``): the numerator P^2 var and the denominator P D
-    (P pairs, pair sum D) are exact integers, each rounded once to
-    float64 before the division, on any u32 counts.  So the map is the
-    same to the last bit on any CPU count, and may differ from
-    ``np.var``'s arithmetic in its last bits.
+    (``_map_tiles``), float64 sums of integers below 2^53 cast to
+    int64: the numerator P^2 var and the denominator P D (P pairs, pair
+    sum D) are exact integers, each rounded once to float64 before the
+    division, on any u32 counts.  So the map is the same to the last bit
+    on any CPU count, and may differ from ``np.var``'s arithmetic in its
+    last bits.
     """
     check_counts(frames)
     geometry.validate_region(region_s)

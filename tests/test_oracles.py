@@ -634,6 +634,24 @@ def test_region_sums_are_identical_on_any_worker_count(
     assert threading.get_ident() in threads
 
 
+def test_region_sums_of_counts_near_the_u32_top_are_exact():
+    # u32 counts within 1000 of 2^32 - 1: a sum in the count type would
+    # wrap, one in float32 would round; each frame's region sum is the
+    # Python-integer sum, rounded once
+    rng = np.random.default_rng(32)
+    top = np.iinfo(np.uint32).max
+    counts = (top - rng.integers(0, 1000, (7,) + MAP_GEOMETRY.shape)
+              ).astype(np.uint32)
+    region_i = MAP_GEOMETRY.conjugate_region(MAP_REGION)
+    for frames in as_inputs(counts):
+        series = build_series(frames, MAP_REGION, region_i)
+        for got, region in ((series.n_s, MAP_REGION), (series.n_i, region_i)):
+            want = [float(sum(int(x) for x in frame[region.row_slice,
+                                                    region.col_slice].flat))
+                    for frame in counts]
+            assert got.tolist() == want
+
+
 def test_degenerate_tile_of_a_second_worker_raises_unwrapped(monkeypatch):
     # one-frame tiles on two workers: the calling thread holds frame 0
     # until the pool thread has met frame 3, whose empty region pair
@@ -742,44 +760,71 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
 
 
 def count_product_sums(monkeypatch):
-    """Record every ``np.einsum`` call: the map's int64 path makes one per
-    displacement and tile, its Python-integer path none."""
+    """Record the operand dtype of every ``np.einsum`` call.  The map makes
+    three per tile (the first window row sums of squares, Sss and the
+    cross sums of every displacement): on float64 lanes on its float64
+    route, on Python integers on the other."""
     calls = []
     einsum = np.einsum
 
     def recorded(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[1].dtype)
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", recorded)
     return calls
 
 
-# A 1 x 2 region searched +-1 column: P = 2, so a tile stays on int64
-# while 4 P^2 R^2 < 2^63, for count ranges R up to EDGE_RANGE.
-EDGE_GEOMETRY = FrameGeometry(rows=1, cols=8, cs=(0.0, 3.5), beam_split=4)
-EDGE_REGION = Region((0, 1), (1, 2))
-EDGE_RANGE = math.isqrt(((1 << 63) - 1) // 16)
+def edge_case(p):
+    """A 1 x ``p`` signal region at column 1 of a one-row frame, searched
+    +-1 column: (geometry, region, first column of its search window)."""
+    half = p + 2
+    geometry = FrameGeometry(rows=1, cols=2 * half, cs=(0.0, half - 0.5),
+                             beam_split=half)
+    return geometry, Region((0, 1), (1, p)), p + 2
 
 
-@pytest.mark.parametrize("spread, on_int64", [
-    (EDGE_RANGE, True), (EDGE_RANGE + 1, False)],
-    ids=["range-below-bound", "range-above-bound"])
-def test_spatial_map_is_exact_on_either_side_of_the_int64_bound(
-        monkeypatch, spread, on_int64):
-    # counts of 0 or R put the moments near the largest values the range
-    # allows; both sides of the bound give the exact map bit for bit
-    rng = np.random.default_rng(spread)
-    counts = rng.choice([0, spread], (6,) + EDGE_GEOMETRY.shape)
-    counts[:, 0, 1] = spread  # no empty pair sum
-    counts[0, 0, 4] = 0       # the tile's range is R
-    want = ref.exact_spatial_map(counts, EDGE_REGION, EDGE_GEOMETRY, (0, 1))
+# The largest count range R, or largest count b + R, that keeps a tile of
+# P pairs on the float64 route: float64 cross sums while P R^2 < 2^53,
+# int64 N while 4 P^2 R^2 < 2^63, int64 P D while 2 P^2 (b + R) < 2^63.
+# P = 2 meets the float64 bound first, P = 512 the bound on N, and
+# P = 40000 with a large common count the bound on P D.
+FLOAT_RANGE = math.isqrt(((1 << 53) - 1) // 2)
+NUM_RANGE = math.isqrt(((1 << 63) - 1) // (4 * 512 ** 2))
+DENOM_HIGH = ((1 << 63) - 1) // (2 * 40000 ** 2)
+
+
+@pytest.mark.parametrize("p, low, high, on_float", [
+    (2, 0, FLOAT_RANGE, True), (2, 0, FLOAT_RANGE + 1, False),
+    (512, 0, NUM_RANGE, True), (512, 0, NUM_RANGE + 1, False),
+    (40000, DENOM_HIGH - 1000, DENOM_HIGH, True),
+    (40000, DENOM_HIGH - 999, DENOM_HIGH + 1, False)],
+    ids=["float-inside", "float-outside", "num-inside", "num-outside",
+         "denom-inside", "denom-outside"])
+def test_spatial_map_is_exact_on_either_side_of_each_route_bound(
+        monkeypatch, p, low, high, on_float):
+    # counts of low or high put the moments near the largest values the
+    # bound allows; just inside it the tile takes float64 cross sums and
+    # int64 N and P D, just outside it Python integers, and both give the
+    # exact map bit for bit
+    assert (p * (high - low) ** 2 < 1 << 53
+            and 4 * p * p * (high - low) ** 2 < 1 << 63
+            and 2 * p * p * high < 1 << 63) == on_float
+    geometry, region, window_col = edge_case(p)
+    rng = np.random.default_rng(p)
+    counts = low + rng.choice([0, high - low], (3,) + geometry.shape)
+    counts[:, 0, 1] = high         # the tile's largest count
+    counts[0, 0, window_col] = low  # and its smallest
+    want = ref.exact_spatial_map(counts, region, geometry, (0, 1))
     calls = count_product_sums(monkeypatch)
     for frames in as_inputs(counts):
-        got = sigma_spatial_map(frames, EDGE_REGION, EDGE_GEOMETRY, (0, 1))
+        got = sigma_spatial_map(frames, region, geometry, (0, 1))
         assert np.array_equal(got.values, want.values)
         assert got.ties == want.ties
-    assert bool(calls) == on_int64
+    tiles = -(-len(counts) // max(1, estimate._SPATIAL_TILE_ELEMENTS
+                                  // (p + 2)))
+    route = np.float64 if on_float else object
+    assert calls == [np.dtype(route)] * (3 * tiles)
 
 
 def test_full_scale_signal_against_empty_idler_is_exact():
@@ -795,16 +840,17 @@ def test_full_scale_signal_against_empty_idler_is_exact():
 
 def test_a_large_common_count_keeps_the_tile_on_int64(monkeypatch):
     # counts near the top of u32: less the tile's smallest count their
-    # range is a few hundred, so the tile stays on int64 and its values
-    # are the exact map's.  The pair differences are those of the
-    # unshifted counts, so frame by frame each value is the unshifted
-    # one scaled by the ratio of the pair sums.
+    # range is a few hundred, so the tile stays on float64 cross sums
+    # and int64 N and P D, and its values are the exact map's.  The pair
+    # differences are those of the unshifted counts, so frame by frame
+    # each value is the unshifted one scaled by the ratio of the pair
+    # sums.
     counts = gained_counts(8, MAP_GEOMETRY.shape, 5)
     common = 2 ** 32 - 1 - int(counts.max())
     shifted = counts + np.uint32(common)
     calls = count_product_sums(monkeypatch)
     got = sigma_spatial_map(shifted, MAP_REGION, MAP_GEOMETRY, (3, 3))
-    assert calls
+    assert calls == [np.dtype(np.float64)] * 3
     want = ref.exact_spatial_map(shifted, MAP_REGION, MAP_GEOMETRY, (3, 3))
     assert np.array_equal(got.values, want.values)
     conj = MAP_GEOMETRY.conjugate_region(MAP_REGION)
