@@ -41,9 +41,13 @@ Conventions
 * Each estimator formula is written once.  ``_estimates`` evaluates
   alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
   eta_s together with their per-frame influence rows; the sigma
-  estimators and the delta method of ``propagate_type_a`` call it, and
-  ``repeat_experiment`` takes each batch's values and uncertainties from
-  one ``propagate_type_a`` call.
+  estimators and the delta method of ``propagate_type_a`` call it.  It
+  takes a 1-d series or a batched one, whose arrays have a leading axis
+  of K experiments, and reduces along the frame axis only, so each row's
+  values are its own, to the last bit.  ``repeat_experiment`` takes
+  every batch's values and uncertainties from one ``propagate_type_a``
+  call on ``RegionPairSeries.batches``' (Z, frames) views, and
+  ``area_scan`` every area's sigmas from one pass over a row per pair.
 """
 
 from __future__ import annotations
@@ -76,7 +80,10 @@ class RegionPairSeries:
 
     ``n_s`` / ``n_i`` are the per-frame region sums of the illuminated
     acquisition; ``m_s`` / ``m_i`` the optional background series measured
-    with the emission off.
+    with the emission off.  A batched series holds K experiments: each
+    array is (K, frames), row k experiment k's, and the series is the
+    sequence of its K one-experiment series (``len``, indexing and
+    iteration give views, not copies).
     """
 
     n_s: np.ndarray
@@ -87,18 +94,22 @@ class RegionPairSeries:
     def __post_init__(self) -> None:
         self.n_s = np.asarray(self.n_s, dtype=np.float64)
         self.n_i = np.asarray(self.n_i, dtype=np.float64)
-        if self.n_s.shape != self.n_i.shape or self.n_s.ndim != 1:
-            raise DegenerateDataError("n_s and n_i must be 1-d and equal length")
-        if self.n_s.size < 2:
+        if self.n_s.shape != self.n_i.shape or self.n_s.ndim not in (1, 2):
+            raise DegenerateDataError("n_s and n_i must be 1-d, or 2-d for a "
+                                      "batched series, and equal length")
+        if self.n_s.shape[-1] < 2:
             raise DegenerateDataError("need at least 2 frames")
         if (self.m_s is None) != (self.m_i is None):
             raise DegenerateDataError("background series must come in pairs")
         if self.m_s is not None:
             self.m_s = np.asarray(self.m_s, dtype=np.float64)
             self.m_i = np.asarray(self.m_i, dtype=np.float64)
-            if self.m_s.shape != self.m_i.shape or self.m_s.ndim != 1:
-                raise DegenerateDataError("m_s and m_i must be 1-d and equal length")
-            if self.m_s.size < 2:
+            if (self.m_s.shape != self.m_i.shape
+                    or self.m_s.ndim != self.n_s.ndim
+                    or self.m_s.shape[:-1] != self.n_s.shape[:-1]):
+                raise DegenerateDataError("m_s and m_i must be equal length, "
+                                          "one row per experiment")
+            if self.m_s.shape[-1] < 2:
                 raise DegenerateDataError("need at least 2 background frames")
         for arr in (self.n_s, self.n_i, self.m_s, self.m_i):
             if arr is not None and not np.all(np.isfinite(arr)):
@@ -112,10 +123,26 @@ class RegionPairSeries:
 
     @property
     def n_frames(self) -> int:
-        return self.n_s.size
+        return self.n_s.shape[-1]
 
-    def batches(self, z: int) -> list["RegionPairSeries"]:
-        """Split into ``z`` equal contiguous batches (extras dropped)."""
+    def __len__(self) -> int:
+        """The number of experiments of a batched series."""
+        if self.n_s.ndim != 2:
+            raise TypeError("a 1-d series is one experiment")
+        return len(self.n_s)
+
+    def __getitem__(self, k) -> "RegionPairSeries":
+        """Experiment ``k`` of a batched series, or the batched series of
+        the experiments a slice picks."""
+        return RegionPairSeries(*(None if a is None else a[k]
+                                  for a in (self.n_s, self.n_i, self.m_s,
+                                            self.m_i)))
+
+    def batches(self, z: int) -> "RegionPairSeries":
+        """The batched series of ``z`` equal contiguous batches of a 1-d
+        series (extras dropped): each array a zero-copy (z, frames) view."""
+        if self.n_s.ndim != 1:
+            raise DomainError("only a 1-d series splits into batches")
         if z < 1:
             raise DomainError("z must be >= 1")
         n = self.n_frames // z
@@ -124,15 +151,10 @@ class RegionPairSeries:
         m = self.m_s.size // z if self.has_background else 0
         if self.has_background and m < 2:
             raise DegenerateDataError(f"cannot form {z} background batches")
-        out = []
-        for l in range(z):
-            kwargs = {}
-            if self.has_background:
-                kwargs = {"m_s": self.m_s[l * m:(l + 1) * m],
-                          "m_i": self.m_i[l * m:(l + 1) * m]}
-            out.append(RegionPairSeries(self.n_s[l * n:(l + 1) * n],
-                                        self.n_i[l * n:(l + 1) * n], **kwargs))
-        return out
+        return RegionPairSeries(
+            *(None if a is None else a[:z * size].reshape(z, size)
+              for a, size in ((self.n_s, n), (self.n_i, n), (self.m_s, m),
+                              (self.m_i, m))))
 
 
 def _region_total(counts, region: Region):
@@ -147,30 +169,33 @@ def _region_total(counts, region: Region):
 
 
 def _pair_series(pairs, pdc_frames, bg_frames=None, kept=slice(None),
-                 bg_kept=slice(None)) -> list[RegionPairSeries]:
-    """The ``build_series`` of each (signal, idler) region pair of
-    ``pairs``.  Every region is bounds-checked first; then the region
-    sums, two per pair and stack, are dealt out to the workers
-    (``model._run_workers``), which take them from one shared iterator
-    and write each sum at its job's index, so the series come back in
-    job order whichever worker took which sum."""
+                 bg_kept=slice(None)) -> RegionPairSeries:
+    """The series of every (signal, idler) region pair of ``pairs``, as
+    one batched series whose row j is pair j's ``build_series``.  Every
+    region is bounds-checked first; then the region sums, two per pair
+    and stack, are dealt out to the workers (``model._run_workers``),
+    which take them from one shared iterator and write each sum at its
+    job's index, so the rows come in pair order whichever worker took
+    which sum."""
     stacks = [(pdc_frames, kept)]
     if bg_frames is not None:
         stacks.append((bg_frames, bg_kept))
-    jobs = [(frames, region) for pair in pairs for frames, _ in stacks
-            for region in pair]
-    for frames, region in jobs:
+    # n_s of every pair, then n_i, then m_s and m_i
+    jobs = [(frames, rows, pair[side]) for frames, rows in stacks
+            for side in (0, 1) for pair in pairs]
+    for frames, _, region in jobs:
         region.check_inside(frames.shape[-2:])
-    sums = [None] * len(jobs)
+    # a row per pair of the kept frames' sums, written in place
+    sums = [np.empty((len(pairs), np.arange(len(frames))[rows].size))
+            for frames, rows in stacks for _ in (0, 1)]
 
     def work(mine):
-        for j, (frames, region) in mine:
-            sums[j] = _region_total(frames, region)
+        for j, (frames, rows, region) in mine:
+            sums[j // len(pairs)][j % len(pairs)] = _region_total(
+                frames, region)[rows]
 
     model._run_workers(work, list(enumerate(jobs)))
-    sums = iter(sums)  # n_s, n_i, then m_s, m_i of each pair in turn
-    return [RegionPairSeries(*(next(sums)[k] for _, k in stacks for _ in pair))
-            for pair in pairs]
+    return RegionPairSeries(*sums)
 
 
 def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
@@ -187,15 +212,22 @@ def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
 # Point estimators
 # ---------------------------------------------------------------------------
 
-def estimate_alpha(series: RegionPairSeries) -> float:
-    """Balancing factor E[N_s]/E[N_i] over the frame set."""
-    denom = float(series.n_i.mean())
-    if denom == 0.0:
+def _per_experiment(value):
+    """A float for one experiment's value, else the array of a batched
+    series' values, one per experiment."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def estimate_alpha(series: RegionPairSeries):
+    """Balancing factor E[N_s]/E[N_i] over the frame set: a float, or
+    one per experiment of a batched series, as every estimator gives."""
+    denom = series.n_i.mean(axis=-1)
+    if np.any(denom == 0.0):
         raise DegenerateDataError("idler mean is zero; alpha undefined")
-    return float(series.n_s.mean()) / denom
+    return _per_experiment(series.n_s.mean(axis=-1) / denom)
 
 
-def estimate_alpha_b(series: RegionPairSeries) -> float:
+def estimate_alpha_b(series: RegionPairSeries):
     """Background-corrected balancing factor.
 
     (E[N'_s] - E[M_s]) / (E[N'_i] - E[M_i]); with zero background series
@@ -203,33 +235,39 @@ def estimate_alpha_b(series: RegionPairSeries) -> float:
     """
     if not series.has_background:
         raise DegenerateDataError("background series required for alpha_b")
-    num = float(series.n_s.mean() - series.m_s.mean())
-    den = float(series.n_i.mean() - series.m_i.mean())
-    if den <= 0.0:
+    num = series.n_s.mean(axis=-1) - series.m_s.mean(axis=-1)
+    den = series.n_i.mean(axis=-1) - series.m_i.mean(axis=-1)
+    if np.any(den <= 0.0):
         raise DegenerateDataError("background-corrected idler mean is not positive")
-    if num < 0.0:
+    if np.any(num < 0.0):
         warnings.warn("background exceeds the signal-arm mean; alpha_b < 0",
                       stacklevel=2)
-    return num / den
+    return _per_experiment(num / den)
 
 
 def _estimates(series: RegionPairSeries, corrected: bool,
                alpha: float | None = None, ddof: int = 1,
                influence: bool = False):
-    """(alpha, sigma, eta_s) of one experiment and, on request, their
-    per-frame influence rows.
+    """(alpha, sigma, eta_s) of each experiment of ``series`` and, on
+    request, their per-frame influence rows.
 
-    ``corrected`` selects alpha_b and sigma_alpha_b, else alpha and
-    sigma_alpha; a given ``alpha`` is used as-is and held fixed.  With
-    ``influence`` the fourth value holds, per block (the illuminated
-    series and, when corrected, the background series), a (frames, 3)
-    array of each frame's first-order contribution to the three values:
-    the delta method's influence functions, up to an additive constant
-    per column, which a covariance removes.  They are formed from the
-    residual e = d - mean(d) of d = N_s - alpha*N_i, not from raw or
-    co-moments, whose difference would cancel Var(N_s) down to the far
-    smaller Var(d).
+    Each value is a float for a 1-d series and a (K,) array for a batched
+    one.  Every reduction runs along the last, frame axis, row by row,
+    so each experiment's values are, to the last bit, those it gives
+    alone.  ``corrected`` selects alpha_b and sigma_alpha_b, else alpha
+    and sigma_alpha; a given ``alpha`` is used as-is and held fixed.
+    With ``influence`` the fourth value holds, per block (the illuminated
+    series and, when corrected, the background series), a (..., frames,
+    3) array of each frame's first-order contribution to the three
+    values: the delta method's influence functions, up to an additive
+    constant per column, which a covariance removes.  They are formed
+    from the residual e = d - mean(d) of d = N_s - alpha*N_i, not from
+    raw or co-moments, whose difference would cancel Var(N_s) down to
+    the far smaller Var(d).
     """
+    def along(value):  # one value per experiment, against its frames
+        return np.expand_dims(value, -1)
+
     fitted = alpha is None
     if corrected:
         if not series.has_background:
@@ -239,10 +277,10 @@ def _estimates(series: RegionPairSeries, corrected: bool,
         blocks = ((series.n_s, series.n_i, 1.0), (series.m_s, series.m_i, -1.0))
         # sigma = (Var(N'_s - a*N'_i) - Var(M_s - a*M_i)) / D with
         # D = 2*(E[N'_s] - E[M_s]); alpha_b = (E[N'_s] - E[M_s]) / alpha_den
-        denom = 2.0 * float(series.n_s.mean() - series.m_s.mean())
-        if denom <= 0.0:
+        denom = 2.0 * (series.n_s.mean(axis=-1) - series.m_s.mean(axis=-1))
+        if np.any(denom <= 0.0):
             raise DegenerateDataError("background-corrected signal mean is not positive")
-        alpha_den = float(series.n_i.mean() - series.m_i.mean())
+        alpha_den = series.n_i.mean(axis=-1) - series.m_i.mean(axis=-1)
         shot_s, shot_i, ddenom_dalpha = 2.0, 0.0, 0.0
     else:
         if fitted:
@@ -250,19 +288,21 @@ def _estimates(series: RegionPairSeries, corrected: bool,
         blocks = ((series.n_s, series.n_i, 1.0),)
         # sigma = Var(N_s - a*N_i) / D with D = E[N_s] + a*E[N_i];
         # alpha = E[N_s] / alpha_den
-        denom = float(series.n_s.mean() + alpha * series.n_i.mean())
-        if denom <= 0.0:
+        denom = series.n_s.mean(axis=-1) + alpha * series.n_i.mean(axis=-1)
+        if np.any(denom <= 0.0):
             raise DegenerateDataError("shot-noise denominator is not positive")
-        alpha_den = float(series.n_i.mean())
+        alpha_den = series.n_i.mean(axis=-1)
         shot_s, shot_i, ddenom_dalpha = 1.0, alpha, alpha_den
 
     num, residuals = 0.0, []
     for x_s, x_i, sign in blocks:
-        d = x_s - alpha * x_i
-        e = d - d.mean()
+        e = along(alpha) * x_i
+        np.subtract(x_s, e, out=e)  # d, then its residual e in place
+        e -= e.mean(axis=-1, keepdims=True)
         e2 = e * e
-        num += sign * float(e2.sum() / (d.size - ddof))
-        residuals.append((x_s, x_i, sign, e, e2, d.size / (d.size - ddof)))
+        n = e.shape[-1]
+        num += sign * (e2.sum(axis=-1) / (n - ddof))
+        residuals.append((x_s, x_i, sign, e, e2, n / (n - ddof)))
     sigma = num / denom
     eta = 0.5 * (1.0 + alpha) - sigma
     if not influence:
@@ -271,44 +311,47 @@ def _estimates(series: RegionPairSeries, corrected: bool,
     # sigma = num/denom.  A frame moves num by sign*scale*e2 and denom by
     # sign*(shot_s*x_s + shot_i*x_i); alpha moves a block's variance by
     # -2*scale*mean(e*(x_i - E[x_i])) and denom by ddenom_dalpha.
-    dnum_dalpha = sum(-2.0 * sign * scale * float((e * (x_i - x_i.mean())).mean())
-                      for _, x_i, sign, e, _, scale in residuals)
+    dnum_dalpha = sum(
+        -2.0 * sign * scale
+        * (e * (x_i - x_i.mean(axis=-1, keepdims=True))).mean(axis=-1)
+        for _, x_i, sign, e, _, scale in residuals)
     dsigma_dalpha = (dnum_dalpha - sigma * ddenom_dalpha) / denom
     rows = []
     for x_s, x_i, sign, e, e2, scale in residuals:
-        row_alpha = sign * e / alpha_den if fitted else np.zeros_like(e)
-        row_sigma = (sign * (scale * e2 - sigma * (shot_s * x_s + shot_i * x_i))
-                     / denom + dsigma_dalpha * row_alpha)
-        rows.append(np.column_stack(
-            [row_alpha, row_sigma, 0.5 * row_alpha - row_sigma]))
+        row_alpha = sign * e / along(alpha_den) if fitted else np.zeros_like(e)
+        row_sigma = (sign * (scale * e2 - along(sigma)
+                             * (shot_s * x_s + along(shot_i) * x_i))
+                     / along(denom) + along(dsigma_dalpha) * row_alpha)
+        rows.append(np.stack(
+            [row_alpha, row_sigma, 0.5 * row_alpha - row_sigma], axis=-1))
     return alpha, sigma, eta, rows
 
 
 def estimate_sigma_alpha(series: RegionPairSeries, alpha: float | None = None,
-                         ddof: int = 1) -> float:
+                         ddof: int = 1):
     """Noise reduction factor of N_s - alpha*N_i, shot-noise normalised.
 
     Var(N_s - alpha*N_i) / (E[N_s] + alpha*E[N_i]); with alpha estimated
     from the same set the denominator equals 2*E[N_s].
     """
-    return _estimates(series, False, alpha, ddof)[1]
+    return _per_experiment(_estimates(series, False, alpha, ddof)[1])
 
 
-def estimate_sigma_raw(series: RegionPairSeries, ddof: int = 1) -> float:
+def estimate_sigma_raw(series: RegionPairSeries, ddof: int = 1):
     """Unbalanced noise reduction factor Var(N_s - N_i)/E[N_s + N_i]."""
     return estimate_sigma_alpha(series, 1.0, ddof)
 
 
 def estimate_sigma_alpha_b(series: RegionPairSeries,
                            alpha_b: float | None = None,
-                           ddof: int = 1) -> float:
+                           ddof: int = 1):
     """Background-corrected balanced noise reduction factor.
 
     [Var(N'_s - a*N'_i) - Var(M_s - a*M_i)] / (2*(E[N'_s] - E[M_s])) with
     a = alpha_b.  May come out negative through sampling noise; the value
     is reported as-is.
     """
-    return _estimates(series, True, alpha_b, ddof)[1]
+    return _per_experiment(_estimates(series, True, alpha_b, ddof)[1])
 
 
 def eta_from_sigma(alpha_b: float, sigma_ab: float) -> tuple[float, float]:
@@ -373,7 +416,9 @@ def excess_noise(series: RegionPairSeries, m_tot: int, ddof: int = 1):
 # worker, 2^17 took 7.9-13.2 / 18.7-26.8 ms and 2^16 and 2^18
 # 0.97-1.14x that.  2^16 keeps the two-worker runs' lane blocks.  The
 # transposed copy that fills a lane block takes 46-60 % of the
-# filter's time on one CPU.
+# filter's time on one CPU.  With each worker's thresholds formed after
+# its last block, one worker at 2^16 takes 1.04x (reference) and 1.07x
+# (large-frame) 2^17's time (medians of 16 alternating processes).
 _FILTER_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -400,14 +445,16 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
     u32 buffer of ``size`` elements of this worker's own.
 
     A block is the (n, k, m) u32 view of k x m pixels of a region.  Each
-    pixel's median and unscaled MAD are taken in the buffer, in the count
-    type, and its threshold formed from them; only the pixels whose
-    largest count exceeds their threshold are compared frame by frame.
-    Returns the n frame flags.
+    pixel's middle pair, the middle pair of its deviations from it and
+    its largest count are taken in the buffer, in the count type, and
+    kept.  After the last block the thresholds of all the worker's
+    pixels are formed in one pass, and only the pixels whose largest
+    count exceeds their threshold are compared frame by frame.  Returns
+    the n frame flags.
     """
     buffer = np.empty(size, COUNT_DTYPE)
-    bad = np.zeros(n, dtype=bool)
     h = n // 2
+    taken, stats = [], []
     for pixels in blocks:
         _, k, m = pixels.shape
         lanes = buffer[:k * m * n].reshape(k, m, n)
@@ -422,23 +469,32 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
         low, high = lanes[:, :h], lanes[:, h:]
         np.subtract(a[:, None], low, out=low)
         np.subtract(high, b[:, None], out=high)
-        dev_a, dev_b = _middle_pair(lanes)
-        # Every term is a multiple of 1/2 below 2^33, so each float64 sum
-        # and halving is exact: these are ``np.median``'s values.
-        a, b = a.astype(np.float64), b.astype(np.float64)
-        median = (a + b) / 2.0
-        mad = (dev_a.astype(np.float64) + dev_b) / 2.0 + (b - a) / 2.0
-        floor = np.sqrt(np.maximum(median, 1.0))
-        threshold = median + mad_k * np.maximum(mad * 1.4826, floor)
-        # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
-        # clipped to the largest count, which nothing exceeds: compared in
-        # the count type, no block is converted.
-        threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
-        threshold = threshold.astype(COUNT_DTYPE)
-        crossed = np.flatnonzero(peak > threshold)
-        if crossed.size:
-            r, c = np.divmod(crossed, m)
-            bad |= np.any(pixels[:, r, c] > threshold[crossed], axis=1)
+        taken.append(pixels)
+        stats.append((a, b, *_middle_pair(lanes), peak))
+    a, b, dev_a, dev_b, peak = map(np.concatenate, zip(*stats))
+    # Every term is a multiple of 1/2 below 2^33, so each float64 sum and
+    # halving is exact: these are ``np.median``'s values.
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    median = (a + b) / 2.0
+    mad = (dev_a.astype(np.float64) + dev_b) / 2.0 + (b - a) / 2.0
+    floor = np.sqrt(np.maximum(median, 1.0))
+    threshold = median + mad_k * np.maximum(mad * 1.4826, floor)
+    # An unsigned count exceeds t > 0 exactly when it exceeds floor(t),
+    # clipped to the largest count, which nothing exceeds: compared in
+    # the count type, no block is converted.
+    threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
+    threshold = threshold.astype(COUNT_DTYPE)
+    crossed = np.flatnonzero(peak > threshold)
+    bad = np.zeros(n, dtype=bool)
+    start = 0
+    for pixels in taken:  # the crossed pixels of each block, in order
+        _, k, m = pixels.shape
+        first, end = np.searchsorted(crossed, (start, start + k * m))
+        if end > first:
+            r, c = np.divmod(crossed[first:end] - start, m)
+            bad |= np.any(pixels[:, r, c] > threshold[crossed[first:end]],
+                          axis=1)
+        start += k * m
     return bad
 
 
@@ -467,16 +523,17 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     a block of lanes at a time, the blocks dealt out to the workers of
     ``model._run_workers`` from one shared iterator; each worker takes
     a block's medians and MADs in the count type (``_filter_lanes``),
-    each exactly the float64 value ``np.median`` gives, and forms its
-    thresholds.  Only the pixels whose largest
-    count exceeds their threshold are compared frame by frame, in the
-    count type, with the same result as the float64 comparison; the
-    worker flags the frames they reject and the calling thread ORs the
-    workers' flags, in whatever order they come.  Per worker the memory
-    is one u32 lane buffer of at most ``_FILTER_CHUNK_ELEMENTS``
-    (256 KiB), the counts of the pixels that cross their threshold and
-    one flag per frame, so the lane blocks are the same on any CPU
-    count.  Returns the kept frame indices as an array, for
+    each exactly the float64 value ``np.median`` gives, and after its
+    last block forms the thresholds of all its pixels in one pass.  Only
+    the pixels whose largest count exceeds their threshold are compared
+    frame by frame, in the count type, with the same result as the
+    float64 comparison; the worker flags the frames they reject and the
+    calling thread ORs the workers' flags, in whatever order they come.
+    Per worker the memory is one u32 lane buffer of at most
+    ``_FILTER_CHUNK_ELEMENTS`` (256 KiB), five u32 statistics per pixel
+    it took, the counts of the pixels that cross their threshold and one
+    flag per frame, so the lane blocks are the same on any CPU count.
+    Returns the kept frame indices as an array, for
     ``frames[kept]`` or ``build_series``, and the discarded frame
     indices as a list; no frame is copied.
     """
@@ -491,9 +548,10 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         region.check_inside(frames.shape[1:])
     # Lane blocks of a region's pixels, whole rows of it or part of one
     # row, dealt out to the workers; each worker takes the middle pair,
-    # then the deviations from it in place and their middle pair, and
-    # compares one block at a time.  Each lane is independent, so
-    # neither the chunking nor the worker count changes a value.
+    # then the deviations from it in place and their middle pair, a
+    # block at a time, and then its thresholds and comparisons at once.
+    # Each lane is independent, so neither the chunking nor the worker
+    # count changes a value.
     chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)
     blocks = []
     for region in regions:
@@ -797,20 +855,19 @@ def area_scan(pdc_frames, bg_frames, pairs, cell_px: int = 1,
     cells, and the uncorrected and (given background frames)
     background-corrected sigma.  The region sums of every pair are dealt
     out to the workers in one ``_pair_series`` call, after every region
-    is bounds-checked; the estimators run in the calling thread.
+    is bounds-checked, into one batched series, a row per pair; one pass
+    of each estimator over it, in the calling thread, gives every
+    point's sigma.
     """
-    points = []
-    for (region_s, _), series in zip(pairs, _pair_series(pairs, pdc_frames,
-                                                         bg_frames)):
-        sigma_a = estimate_sigma_alpha(series, ddof=ddof)
-        sigma_ab = None
-        if series.has_background:
-            sigma_ab = estimate_sigma_alpha_b(series, ddof=ddof)
-        points.append(AreaScanPoint(
-            extent=region_s.extent,
-            coherence_cells=region_s.area / float(cell_px * cell_px),
-            sigma_alpha=sigma_a, sigma_alpha_b=sigma_ab))
-    return points
+    series = _pair_series(pairs, pdc_frames, bg_frames)
+    sigma_a = _estimates(series, False, ddof=ddof)[1].tolist()
+    sigma_ab = [None] * len(pairs)
+    if series.has_background:
+        sigma_ab = _estimates(series, True, ddof=ddof)[1].tolist()
+    return [AreaScanPoint(extent=region_s.extent,
+                          coherence_cells=region_s.area / float(cell_px * cell_px),
+                          sigma_alpha=a, sigma_alpha_b=b)
+            for (region_s, _), a, b in zip(pairs, sigma_a, sigma_ab)]
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +877,7 @@ def area_scan(pdc_frames, bg_frames, pairs, cell_px: int = 1,
 @dataclass(frozen=True)
 class TypeAUncertainty:
     """One experiment's estimates and their delta-method standard
-    uncertainties."""
+    uncertainties, as floats, or a batched series' as (K,) arrays."""
 
     alpha: float
     sigma: float
@@ -833,7 +890,8 @@ class TypeAUncertainty:
 def propagate_type_a(series: RegionPairSeries,
                      ddof: int = 1) -> TypeAUncertainty:
     """(alpha, sigma, eta_s) and their Type A uncertainties by the delta
-    method.
+    method: floats for a 1-d series, (K,) arrays for a batched series of
+    K experiments.
 
     The estimates are those of ``repeat_experiment``: background-corrected
     when the series carries a background.  Their covariance is the sum
@@ -841,18 +899,20 @@ def propagate_type_a(series: RegionPairSeries,
     covariance over the block's frame count; only intra-frame covariances
     (signal with idler of the same shot) enter, as different frames are
     independent.  The gradient is analytic, taken by ``_estimates`` on
-    the same formulas as the point estimates.
+    the same formulas as the point estimates, in one pass over every
+    experiment; ``np.cov`` takes each experiment's rows on their own.
     """
     alpha, sigma, eta, rows = _estimates(series, series.has_background,
                                          ddof=ddof, influence=True)
-    cov = sum(np.cov(block, rowvar=False, ddof=1) / len(block)
-              for block in rows)
-    u = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    variances = np.empty(np.shape(sigma) + (3,))
+    for k in np.ndindex(np.shape(sigma)):
+        variances[k] = np.diag(sum(np.cov(block[k], rowvar=False, ddof=1)
+                                   / block.shape[-2] for block in rows))
+    u = np.sqrt(np.clip(variances, 0.0, None))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
-    return TypeAUncertainty(alpha=alpha, sigma=sigma, eta=eta,
-                            u_alpha=float(u[0]), u_sigma=float(u[1]),
-                            u_eta=float(u[2]))
+    return TypeAUncertainty(*map(_per_experiment,
+                                 (alpha, sigma, eta, *np.moveaxis(u, -1, 0))))
 
 
 @dataclass
@@ -886,41 +946,39 @@ def _sem(values: np.ndarray) -> float:
                          / (z * (z - 1))))
 
 
-def repeat_experiment(batches, ddof: int = 1) -> RepeatSummary:
+def repeat_experiment(batches: RegionPairSeries,
+                      ddof: int = 1) -> RepeatSummary:
     """Aggregate per-batch estimates and their statistical uncertainty.
 
-    Each batch is a self-contained experiment (its own balancing factor);
-    the aggregate is the plain mean over batches, the empirical
-    uncertainty the standard error of that mean, and the propagated
-    uncertainty combines the per-batch delta-method values.
+    ``batches`` is a batched series (``RegionPairSeries.batches``), one
+    row per batch.  Each batch is a self-contained experiment (its own
+    balancing factor); one ``propagate_type_a`` call takes every batch's
+    values and delta-method uncertainties.  The aggregate is the plain
+    mean over batches, the empirical uncertainty the standard error of
+    that mean, and the propagated uncertainty combines the per-batch
+    delta-method values.
     """
-    batches = list(batches)
     z = len(batches)
     if z < 2:
         raise DegenerateDataError("need Z >= 2 batches")
-    if len({b.has_background for b in batches}) > 1:
-        raise DegenerateDataError("batches disagree on background presence")
-
-    propagated = [propagate_type_a(batch, ddof=ddof) for batch in batches]
-    alphas, sigmas, etas = (np.array([getattr(p, key) for p in propagated])
-                            for key in ("alpha", "sigma", "eta"))
-    alpha_b = float(alphas.mean())
-    sigma_ab = float(sigmas.mean())
+    p = propagate_type_a(batches, ddof=ddof)
+    alpha_b = float(p.alpha.mean())
+    sigma_ab = float(p.sigma.mean())
     eta_s, eta_i = eta_from_sigma(alpha_b, sigma_ab)
-
-    def combine(key):
-        return float(np.sqrt(np.mean([getattr(p, key) ** 2
-                                      for p in propagated]) / z))
-
+    # Each u squared as a Python float, by C's pow: numpy's square, x*x,
+    # differs from it in the last bit for about 1 value in 1200.
+    u_alpha, u_sigma, u_eta = (
+        float(np.sqrt(np.mean([u ** 2 for u in us.tolist()]) / z))
+        for us in (p.u_alpha, p.u_sigma, p.u_eta))
     return RepeatSummary(
         alpha_b=alpha_b, sigma_ab=sigma_ab, eta_s=eta_s, eta_i=eta_i,
-        u_alpha_empirical=_sem(alphas),
-        u_sigma_empirical=_sem(sigmas),
-        u_eta_empirical=_sem(etas),
-        u_alpha_propagated=combine("u_alpha"),
-        u_sigma_propagated=combine("u_sigma"),
-        u_eta_propagated=combine("u_eta"),
-        per_batch_alpha=alphas, per_batch_sigma=sigmas, per_batch_eta=etas)
+        u_alpha_empirical=_sem(p.alpha),
+        u_sigma_empirical=_sem(p.sigma),
+        u_eta_empirical=_sem(p.eta),
+        u_alpha_propagated=u_alpha,
+        u_sigma_propagated=u_sigma,
+        u_eta_propagated=u_eta,
+        per_batch_alpha=p.alpha, per_batch_sigma=p.sigma, per_batch_eta=p.eta)
 
 
 # ---------------------------------------------------------------------------

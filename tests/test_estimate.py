@@ -35,6 +35,7 @@ from twincal.estimate import (
     repeat_experiment,
     sigma_spatial_map,
 )
+from twincal import model
 from twincal.model import FrameGeometry, Region
 from twincal.simulate import (
     KIND_BACKGROUND,
@@ -472,10 +473,13 @@ class TestSpatialMap:
         assert result.curvature is not None and result.curvature > 0
 
 
-def test_spatial_map_working_memory_is_bounded():
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_spatial_map_working_memory_is_bounded(monkeypatch, workers):
     # large-frame's geometry, region and search: a whole-stack float64
     # copy of the signal block and search window alone would exceed the
-    # bound
+    # bound.  Each worker holds tile buffers of its own, so the worker
+    # count is fixed rather than the host's.
+    monkeypatch.setattr(model, "_cpu_count", lambda: workers)
     geometry = FrameGeometry(rows=48, cols=128, cs=(23.5, 63.5), beam_split=64)
     region = Region((14, 16), (20, 32))
     frames = np.random.default_rng(3).poisson(
@@ -609,9 +613,10 @@ class TestRepeatExperiment:
         calls = []
         real = estimate._estimates
         monkeypatch.setattr(estimate, "_estimates",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda *a, **k: calls.append(a[0]) or real(*a, **k))
         summary = repeat_experiment(batches)
-        assert len(calls) == 3
+        # one pass over all three batches, the (3, frames) series itself
+        assert calls == [batches]
         for k, batch in enumerate(batches):
             u = propagate_type_a(batch)
             assert (u.alpha, u.sigma, u.eta) == (

@@ -259,6 +259,13 @@ def twin_series(draw):
     return series, draw(st.sampled_from([0, 1]))
 
 
+def stacked(*series):
+    """The batched series of ``series``, one experiment per row."""
+    return RegionPairSeries(*(
+        None if arrays[0] is None else np.stack(arrays)
+        for arrays in zip(*((s.n_s, s.n_i, s.m_s, s.m_i) for s in series))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(twin_series())
 def test_delta_method_matches_finite_difference_reference(case):
@@ -276,7 +283,7 @@ def test_delta_method_matches_finite_difference_reference(case):
                 with pytest.raises(DegenerateDataError):
                     estimator(series, ddof=ddof)
             return
-        summary = repeat_experiment([series, series], ddof=ddof)
+        summary = repeat_experiment(stacked(series, series), ddof=ddof)
     got = (alpha_of(series), sigma_of(series, ddof=ddof),
            summary.per_batch_eta[0])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -287,6 +294,41 @@ def test_delta_method_matches_finite_difference_reference(case):
     np.testing.assert_allclose([u.u_alpha, u.u_sigma, u.u_eta],
                                [u_ref.u_alpha, u_ref.u_sigma, u_ref.u_eta],
                                rtol=1e-5, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_series(), st.integers(2, 9))
+def test_batched_pass_is_each_batch_alone(case, z):
+    # repeat_experiment's one pass over all Z batches against each
+    # batch's own propagate_type_a, compared with ==: background on and
+    # off, background batches of another length, Z past numpy's
+    # 8-element pairwise-summation block
+    series, ddof = case
+    batches = series.batches(z)
+    keys = ("alpha", "sigma", "eta", "u_alpha", "u_sigma", "u_eta")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eta_s outside (0, 1]
+        try:
+            alone = [propagate_type_a(batch, ddof) for batch in batches]
+        except DegenerateDataError:
+            for estimator in (propagate_type_a, repeat_experiment):
+                with pytest.raises(DegenerateDataError):
+                    estimator(batches, ddof)
+            return
+        together = propagate_type_a(batches, ddof)
+        summary = repeat_experiment(batches, ddof)
+    assert len(alone) == z and batches.n_frames == series.n_frames // z
+    for key in keys:
+        assert getattr(together, key).tolist() == [getattr(u, key)
+                                                   for u in alone]
+    for key, got in (("alpha", summary.per_batch_alpha),
+                     ("sigma", summary.per_batch_sigma),
+                     ("eta", summary.per_batch_eta)):
+        assert got.tolist() == [getattr(u, key) for u in alone]
+    for key in keys[3:]:
+        want = float(np.sqrt(np.mean([getattr(u, key) ** 2 for u in alone])
+                             / z))
+        assert getattr(summary, f"{key}_propagated") == want
 
 
 @st.composite
@@ -632,6 +674,41 @@ def test_region_sums_are_identical_on_any_worker_count(
             estimate_sigma_alpha_b(series) if background else None)
     assert len(threads) == len(SCAN_AREAS) * (4 if background else 2)
     assert threading.get_ident() in threads
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 300), st.one_of(st.none(), st.integers(3, 300)),
+       st.sampled_from([0, 1]), st.integers(0, 2 ** 32 - 1))
+def test_area_scan_rows_are_each_pairs_estimates(frames, bg_frames, ddof,
+                                                 seed):
+    # area_scan's one pass over a row per pair against each pair's own
+    # series and estimators, compared with ==
+    rng = np.random.default_rng(seed)
+    mean = rng.uniform(3.0, 3000.0)
+    gain = np.maximum(rng.normal(1.0, 0.1, (frames, 1, 1)), 0.1)
+    pdc = rng.poisson(mean * gain, (frames,) + MAP_GEOMETRY.shape
+                      ).astype(np.uint32)
+    bg = None
+    if bg_frames is not None:
+        bg = rng.poisson(0.2 * mean, (bg_frames,) + MAP_GEOMETRY.shape
+                         ).astype(np.uint32)
+    pairs = area_pairs(MAP_GEOMETRY, MAP_REGION.center, SCAN_AREAS)
+    series = [build_series(pdc, region_s, region_i, bg)
+              for region_s, region_i in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # alpha_b < 0
+        try:
+            want = [(estimate_sigma_alpha(one, ddof=ddof),
+                     None if bg is None
+                     else estimate_sigma_alpha_b(one, ddof=ddof))
+                    for one in series]
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                area_scan(pdc, bg, pairs, ddof=ddof)
+            return
+        points = area_scan(pdc, bg, pairs, ddof=ddof)
+    assert [(p.sigma_alpha, p.sigma_alpha_b) for p in points] == want
+    assert [p.extent for p in points] == SCAN_AREAS
 
 
 def test_region_sums_of_counts_near_the_u32_top_are_exact():
