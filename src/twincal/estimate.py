@@ -12,10 +12,10 @@ Conventions
 * Negative noise-reduction values are possible through sampling noise and
   are returned as-is (clamping would bias the efficiency upward).
 * Frame stacks are (frames, rows, cols) arrays of ``COUNT_DTYPE`` (u32)
-  counts.  The cosmic-ray filter and the spatial map refuse any other
-  dtype or shape with StackFormatError; ``build_series`` and
-  ``area_scan`` sum any numeric array in float64, u32 counts through a
-  uint64 sum cast once.  The spatial map copies its blocks into float64
+  counts.  The cosmic-ray filter, the spatial map and the region sums
+  of ``build_series`` and ``area_scan`` refuse any other dtype or shape
+  with StackFormatError.  A region sum is a uint64 sum cast once to
+  float64.  The spatial map copies its blocks into float64
   frame lanes less the tile's smallest count, where every sum it forms
   is an exact integer, and casts those sums to int64 for N and P D.
   The cosmic-ray filter keeps its pixel lanes in u32 and takes only
@@ -44,10 +44,13 @@ Conventions
   estimators and the delta method of ``propagate_type_a`` call it.  It
   takes a 1-d series or a batched one, whose arrays have a leading axis
   of K experiments, and reduces along the frame axis only, so each row's
-  values are its own, to the last bit.  ``repeat_experiment`` takes
-  every batch's values and uncertainties from one ``propagate_type_a``
-  call on ``RegionPairSeries.batches``' (Z, frames) views, and
-  ``area_scan`` every area's sigmas from one pass over a row per pair.
+  values are its own, to the last bit.  ``propagate_type_a`` takes each
+  u from the variances of those rows along the same axis, and
+  ``repeat_experiment`` takes every batch's values and uncertainties
+  from one ``propagate_type_a`` call on ``RegionPairSeries.batches``'
+  (Z, frames) views and both routes of the aggregate's uncertainty in
+  one reduction each along the batch axis.  ``area_scan`` takes every
+  area's sigmas from one pass over a row per pair.
 """
 
 from __future__ import annotations
@@ -158,28 +161,28 @@ class RegionPairSeries:
 
 
 def _region_total(counts, region: Region):
-    """Per-frame sums of ``region`` in float64.  ``COUNT_DTYPE`` counts
-    are summed exactly in uint64 and cast once: below 2^53, as the sum of
-    any region of fewer than 2^21 superpixels is, these are the float64
-    sums' values, found faster."""
+    """Per-frame sums of ``region`` of ``COUNT_DTYPE`` counts, summed
+    exactly in uint64 and cast once to float64: exact below 2^53, as the
+    sum of any region of fewer than 2^21 superpixels is."""
     block = counts[..., region.row_slice, region.col_slice]
-    if block.dtype == COUNT_DTYPE:
-        return block.sum(axis=(-2, -1), dtype=np.uint64).astype(np.float64)
-    return block.sum(axis=(-2, -1), dtype=np.float64)
+    return block.sum(axis=(-2, -1), dtype=np.uint64).astype(np.float64)
 
 
 def _pair_series(pairs, pdc_frames, bg_frames=None, kept=slice(None),
                  bg_kept=slice(None)) -> RegionPairSeries:
     """The series of every (signal, idler) region pair of ``pairs``, as
-    one batched series whose row j is pair j's ``build_series``.  Every
-    region is bounds-checked first; then the region sums, two per pair
-    and stack, are dealt out to the workers (``model._run_workers``),
-    which take them from one shared iterator and write each sum at its
-    job's index, so the rows come in pair order whichever worker took
-    which sum."""
+    one batched series whose row j is pair j's ``build_series``.  Each
+    stack must hold ``COUNT_DTYPE`` counts (``model.check_counts``) and
+    every region must lie inside the frame; both are checked first.  Then
+    the region sums, two per pair and stack, are dealt out to the workers
+    (``model._run_workers``), which take them from one shared iterator
+    and write each sum at its job's index, so the rows come in pair order
+    whichever worker took which sum."""
     stacks = [(pdc_frames, kept)]
     if bg_frames is not None:
         stacks.append((bg_frames, bg_kept))
+    for frames, _ in stacks:
+        check_counts(frames)
     # n_s of every pair, then n_i, then m_s and m_i
     jobs = [(frames, rows, pair[side]) for frames, rows in stacks
             for side in (0, 1) for pair in pairs]
@@ -257,13 +260,13 @@ def _estimates(series: RegionPairSeries, corrected: bool,
     alone.  ``corrected`` selects alpha_b and sigma_alpha_b, else alpha
     and sigma_alpha; a given ``alpha`` is used as-is and held fixed.
     With ``influence`` the fourth value holds, per block (the illuminated
-    series and, when corrected, the background series), a (..., frames,
-    3) array of each frame's first-order contribution to the three
-    values: the delta method's influence functions, up to an additive
-    constant per column, which a covariance removes.  They are formed
-    from the residual e = d - mean(d) of d = N_s - alpha*N_i, not from
-    raw or co-moments, whose difference would cancel Var(N_s) down to
-    the far smaller Var(d).
+    series and, when corrected, the background series), a (3, ...,
+    frames) array: each frame's first-order contribution to alpha, sigma
+    and eta_s, a row each.  These are the delta method's influence
+    functions, up to an additive constant per row, which a variance
+    removes.  They are formed from the residual e = d - mean(d) of
+    d = N_s - alpha*N_i, not from raw or co-moments, whose difference
+    would cancel Var(N_s) down to the far smaller Var(d).
     """
     def along(value):  # one value per experiment, against its frames
         return np.expand_dims(value, -1)
@@ -322,8 +325,8 @@ def _estimates(series: RegionPairSeries, corrected: bool,
         row_sigma = (sign * (scale * e2 - along(sigma)
                              * (shot_s * x_s + along(shot_i) * x_i))
                      / along(denom) + along(dsigma_dalpha) * row_alpha)
-        rows.append(np.stack(
-            [row_alpha, row_sigma, 0.5 * row_alpha - row_sigma], axis=-1))
+        rows.append(
+            np.stack([row_alpha, row_sigma, 0.5 * row_alpha - row_sigma]))
     return alpha, sigma, eta, rows
 
 
@@ -877,7 +880,9 @@ def area_scan(pdc_frames, bg_frames, pairs, cell_px: int = 1,
 @dataclass(frozen=True)
 class TypeAUncertainty:
     """One experiment's estimates and their delta-method standard
-    uncertainties, as floats, or a batched series' as (K,) arrays."""
+    uncertainties, as floats, or a batched series' as (K,) arrays: each
+    u is the square root of its own variance, as the law of propagation
+    needs no covariance between the three."""
 
     alpha: float
     sigma: float
@@ -894,25 +899,22 @@ def propagate_type_a(series: RegionPairSeries,
     K experiments.
 
     The estimates are those of ``repeat_experiment``: background-corrected
-    when the series carries a background.  Their covariance is the sum
-    over the two independent blocks of the per-frame influence rows'
-    covariance over the block's frame count; only intra-frame covariances
-    (signal with idler of the same shot) enter, as different frames are
+    when the series carries a background.  Each u^2 is the sum over the
+    independent blocks (the background is the second) of its influence
+    row's sample variance over the block's frame count; only intra-frame covariances (signal with
+    idler of the same shot) enter the rows, as different frames are
     independent.  The gradient is analytic, taken by ``_estimates`` on
-    the same formulas as the point estimates, in one pass over every
-    experiment; ``np.cov`` takes each experiment's rows on their own.
+    the same formulas as the point estimates, and every variance runs
+    along the frame axis, so each experiment's u's are those it gives
+    alone, for a 1-d series and a batched one alike.
     """
     alpha, sigma, eta, rows = _estimates(series, series.has_background,
                                          ddof=ddof, influence=True)
-    variances = np.empty(np.shape(sigma) + (3,))
-    for k in np.ndindex(np.shape(sigma)):
-        variances[k] = np.diag(sum(np.cov(block[k], rowvar=False, ddof=1)
-                                   / block.shape[-2] for block in rows))
-    u = np.sqrt(np.clip(variances, 0.0, None))
+    u = np.sqrt(sum(block.var(axis=-1, ddof=1) / block.shape[-1]
+                    for block in rows))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
-    return TypeAUncertainty(*map(_per_experiment,
-                                 (alpha, sigma, eta, *np.moveaxis(u, -1, 0))))
+    return TypeAUncertainty(*map(_per_experiment, (alpha, sigma, eta, *u)))
 
 
 @dataclass
@@ -939,13 +941,6 @@ class RepeatSummary:
     per_batch_eta: np.ndarray
 
 
-def _sem(values: np.ndarray) -> float:
-    """Standard error of the mean of Z repeated determinations."""
-    z = values.size
-    return float(np.sqrt(np.sum((values - values.mean()) ** 2)
-                         / (z * (z - 1))))
-
-
 def repeat_experiment(batches: RegionPairSeries,
                       ddof: int = 1) -> RepeatSummary:
     """Aggregate per-batch estimates and their statistical uncertainty.
@@ -954,31 +949,25 @@ def repeat_experiment(batches: RegionPairSeries,
     row per batch.  Each batch is a self-contained experiment (its own
     balancing factor); one ``propagate_type_a`` call takes every batch's
     values and delta-method uncertainties.  The aggregate is the plain
-    mean over batches, the empirical uncertainty the standard error of
-    that mean, and the propagated uncertainty combines the per-batch
-    delta-method values.
+    mean over batches; the empirical uncertainty, the standard error of
+    that mean, is sqrt(sum of squared residuals / (Z (Z - 1))), and the
+    propagated one sqrt(mean of the per-batch u^2 / Z), each taken for
+    (alpha, sigma, eta) in one reduction along the batch axis.
     """
     z = len(batches)
     if z < 2:
         raise DegenerateDataError("need Z >= 2 batches")
     p = propagate_type_a(batches, ddof=ddof)
-    alpha_b = float(p.alpha.mean())
-    sigma_ab = float(p.sigma.mean())
-    eta_s, eta_i = eta_from_sigma(alpha_b, sigma_ab)
-    # Each u squared as a Python float, by C's pow: numpy's square, x*x,
-    # differs from it in the last bit for about 1 value in 1200.
-    u_alpha, u_sigma, u_eta = (
-        float(np.sqrt(np.mean([u ** 2 for u in us.tolist()]) / z))
-        for us in (p.u_alpha, p.u_sigma, p.u_eta))
-    return RepeatSummary(
-        alpha_b=alpha_b, sigma_ab=sigma_ab, eta_s=eta_s, eta_i=eta_i,
-        u_alpha_empirical=_sem(p.alpha),
-        u_sigma_empirical=_sem(p.sigma),
-        u_eta_empirical=_sem(p.eta),
-        u_alpha_propagated=u_alpha,
-        u_sigma_propagated=u_sigma,
-        u_eta_propagated=u_eta,
-        per_batch_alpha=p.alpha, per_batch_sigma=p.sigma, per_batch_eta=p.eta)
+    values = np.stack([p.alpha, p.sigma, p.eta])
+    means = values.mean(axis=-1, keepdims=True)
+    u_empirical = np.sqrt(np.square(values - means).sum(axis=-1)
+                          / (z * (z - 1)))
+    u_propagated = np.sqrt(
+        np.square([p.u_alpha, p.u_sigma, p.u_eta]).mean(axis=-1) / z)
+    alpha_b, sigma_ab = means[:2, 0].tolist()
+    return RepeatSummary(alpha_b, sigma_ab, *eta_from_sigma(alpha_b, sigma_ab),
+                         *u_empirical.tolist(), *u_propagated.tolist(),
+                         p.alpha, p.sigma, p.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -325,9 +325,17 @@ def test_batched_pass_is_each_batch_alone(case, z):
                      ("sigma", summary.per_batch_sigma),
                      ("eta", summary.per_batch_eta)):
         assert got.tolist() == [getattr(u, key) for u in alone]
+    # each u^2 against the per-experiment np.cov diagonal it replaced
+    rows = estimate._estimates(batches, batches.has_background, ddof=ddof,
+                               influence=True)[3]
+    for k in range(z):
+        want = sum(np.diag(np.cov(block[:, k], ddof=1)) / block.shape[-1]
+                   for block in rows)
+        got = [getattr(together, key)[k] ** 2 for key in keys[3:]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for key in keys[3:]:
-        want = float(np.sqrt(np.mean([getattr(u, key) ** 2 for u in alone])
-                             / z))
+        want = float(np.sqrt(np.mean(np.square([getattr(u, key)
+                                                for u in alone])) / z))
         assert getattr(summary, f"{key}_propagated") == want
 
 
@@ -777,8 +785,17 @@ def test_refusals_and_single_workers_start_no_thread(monkeypatch):
     with pytest.raises(DomainError, match="count must be >= 1"):
         next(iter_stack(reference_experiment(1), 0))
     counts = gained_counts(20, MAP_GEOMETRY.shape, 3)
-    # a region leaving the frame is refused before any region sum is dealt
+    # a float stack or a region leaving the frame is refused before any
+    # region sum is dealt
     threads, _ = record_threads(monkeypatch, "_region_total")
+    conj = MAP_GEOMETRY.conjugate_region(MAP_REGION)
+    with pytest.raises(StackFormatError, match="<u4"):
+        build_series(floats, MAP_REGION, conj)
+    with pytest.raises(StackFormatError, match="<u4"):
+        build_series(counts, MAP_REGION, conj, floats)
+    with pytest.raises(StackFormatError, match="<u4"):
+        area_scan(floats, None,
+                  area_pairs(MAP_GEOMETRY, MAP_REGION.center, SCAN_AREAS))
     with pytest.raises(GeometryError, match="leaves the 13x30 frame"):
         build_series(counts, MAP_REGION, Region((10, 20), (5, 8)), counts)
     with pytest.raises(GeometryError, match="leaves the 13x20 frame"):
