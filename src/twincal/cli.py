@@ -291,7 +291,7 @@ def cmd_reproduce_table1(args) -> int:
         "alpha": alpha,
         "alpha_b": summary.alpha_b,
         "sigma": estimate.estimate_sigma_raw(series, ddof=ddof),
-        "sigma_alpha": estimate.estimate_sigma_alpha(series, alpha, ddof=ddof),
+        "sigma_alpha": estimate.estimate_sigma_alpha(series, ddof=ddof),
         "sigma_alpha_b": summary.sigma_ab,
         "eta_s": summary.eta_s,
     }

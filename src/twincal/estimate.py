@@ -38,18 +38,25 @@ Conventions
   jobs and every value are the same on any CPU count and whichever
   worker takes which job, and one worker runs in the calling thread
   without starting a thread.
-* Each estimator formula is written once.  ``_estimates`` evaluates
-  alpha (through ``estimate_alpha`` / ``estimate_alpha_b``), sigma and
-  eta_s together with their per-frame influence rows; the sigma
-  estimators and the delta method of ``propagate_type_a`` call it.  It
-  takes a 1-d series or a batched one, whose arrays have a leading axis
-  of K experiments, and reduces along the frame axis only, so each row's
-  values are its own, to the last bit.  ``propagate_type_a`` takes each
-  u from the variances of those rows along the same axis, and
-  ``repeat_experiment`` takes every batch's values and uncertainties
-  from one ``propagate_type_a`` call on ``RegionPairSeries.batches``'
-  (Z, frames) views and both routes of the aggregate's uncertainty in
-  one reduction each along the batch axis.  ``area_scan`` takes every
+* Each estimator formula is written once.  The balanced difference is
+  one formula over signed blocks: the illuminated series (+1) and, for
+  the background-corrected estimators, the background series (-1).
+  With E_s and E_i the signed sums of the blocks' signal and idler
+  means, alpha = E_s / E_i and sigma = sum(sign * Var(x_s - alpha*x_i))
+  / (E_s + alpha*E_i), so sigma_alpha is sigma_alpha_b without a
+  background block.  ``_estimates`` evaluates alpha, sigma and eta_s
+  together with their per-frame influence rows; the sigma estimators
+  and the delta method of ``propagate_type_a`` call it, and it and
+  ``estimate_alpha`` / ``estimate_alpha_b`` read the same block means
+  (``_signed_blocks``).  It takes a 1-d series or a batched one, whose
+  arrays have a leading axis of K experiments, and reduces along the
+  frame axis only, so each row's values are its own, to the last bit.
+  ``propagate_type_a`` takes each u from the variances of those rows
+  along the same axis, and ``repeat_experiment`` takes every batch's
+  values and uncertainties from one ``propagate_type_a`` call on
+  ``RegionPairSeries.batches``' (Z, frames) views and both routes of
+  the aggregate's uncertainty in one reduction each along the batch
+  axis.  ``area_scan`` takes every
   area's sigmas from one pass over a row per pair.
 """
 
@@ -215,19 +222,36 @@ def build_series(pdc_frames: np.ndarray, region_s: Region, region_i: Region,
 # Point estimators
 # ---------------------------------------------------------------------------
 
-def _per_experiment(value):
-    """A float for one experiment's value, else the array of a batched
-    series' values, one per experiment."""
-    return float(value) if np.ndim(value) == 0 else value
+def _signed_blocks(series: RegionPairSeries, corrected: bool):
+    """The signed blocks of the balanced difference and their signed mean
+    sums: the (x_s, x_i, sign) of the illuminated series (+1) and, when
+    ``corrected``, of the background series (-1), then E_s and E_i, the
+    signed sums of the blocks' signal and idler means along the frame
+    axis."""
+    blocks = [(series.n_s, series.n_i, 1.0)]
+    if corrected:
+        blocks.append((series.m_s, series.m_i, -1.0))
+    e_s = sum(sign * x_s.mean(axis=-1) for x_s, _, sign in blocks)
+    e_i = sum(sign * x_i.mean(axis=-1) for _, x_i, sign in blocks)
+    return blocks, e_s, e_i
+
+
+def _alpha(e_s, e_i, corrected: bool):
+    """alpha = E_s / E_i of ``_signed_blocks``' mean sums."""
+    if np.any(e_i <= 0.0):
+        raise DegenerateDataError(
+            "background-corrected idler mean is not positive" if corrected
+            else "idler mean is zero; alpha undefined")
+    if np.any(e_s < 0.0):  # only a background block can take E_s below 0
+        warnings.warn("background exceeds the signal-arm mean; alpha_b < 0",
+                      stacklevel=3)
+    return e_s / e_i
 
 
 def estimate_alpha(series: RegionPairSeries):
     """Balancing factor E[N_s]/E[N_i] over the frame set: a float, or
     one per experiment of a batched series, as every estimator gives."""
-    denom = series.n_i.mean(axis=-1)
-    if np.any(denom == 0.0):
-        raise DegenerateDataError("idler mean is zero; alpha undefined")
-    return _per_experiment(series.n_s.mean(axis=-1) / denom)
+    return _alpha(*_signed_blocks(series, False)[1:], False)
 
 
 def estimate_alpha_b(series: RegionPairSeries):
@@ -238,64 +262,50 @@ def estimate_alpha_b(series: RegionPairSeries):
     """
     if not series.has_background:
         raise DegenerateDataError("background series required for alpha_b")
-    num = series.n_s.mean(axis=-1) - series.m_s.mean(axis=-1)
-    den = series.n_i.mean(axis=-1) - series.m_i.mean(axis=-1)
-    if np.any(den <= 0.0):
-        raise DegenerateDataError("background-corrected idler mean is not positive")
-    if np.any(num < 0.0):
-        warnings.warn("background exceeds the signal-arm mean; alpha_b < 0",
-                      stacklevel=2)
-    return _per_experiment(num / den)
+    return _alpha(*_signed_blocks(series, True)[1:], True)
 
 
-def _estimates(series: RegionPairSeries, corrected: bool,
-               alpha: float | None = None, ddof: int = 1,
-               influence: bool = False):
+def _estimates(series: RegionPairSeries, corrected: bool, ddof: int = 1,
+               influence: bool = False, alpha: float | None = None):
     """(alpha, sigma, eta_s) of each experiment of ``series`` and, on
     request, their per-frame influence rows.
+
+    One formula over the signed blocks of ``_signed_blocks``: the
+    illuminated series (+1) and, when ``corrected``, the background
+    series (-1).  With E_s and E_i the signed sums of the blocks' signal
+    and idler means, alpha = E_s / E_i and
+
+        sigma = sum(sign * Var(x_s - alpha*x_i)) / (E_s + alpha*E_i),
+
+    which is sigma_alpha without a background block and sigma_alpha_b
+    with one; at the fitted alpha the denominator is 2*E_s.  A given
+    ``alpha`` (``estimate_sigma_raw``'s 1) is used for the point
+    estimates as-is; the influence rows are those of the fitted alpha.
 
     Each value is a float for a 1-d series and a (K,) array for a batched
     one.  Every reduction runs along the last, frame axis, row by row,
     so each experiment's values are, to the last bit, those it gives
-    alone.  ``corrected`` selects alpha_b and sigma_alpha_b, else alpha
-    and sigma_alpha; a given ``alpha`` is used as-is and held fixed.
-    With ``influence`` the fourth value holds, per block (the illuminated
-    series and, when corrected, the background series), a (3, ...,
-    frames) array: each frame's first-order contribution to alpha, sigma
-    and eta_s, a row each.  These are the delta method's influence
-    functions, up to an additive constant per row, which a variance
-    removes.  They are formed from the residual e = d - mean(d) of
-    d = N_s - alpha*N_i, not from raw or co-moments, whose difference
-    would cancel Var(N_s) down to the far smaller Var(d).
+    alone.  With ``influence`` the fourth value holds, per block, a
+    (3, ..., frames) array: each frame's first-order contribution to
+    alpha, sigma and eta_s, a row each.  These are the delta method's
+    influence functions, up to an additive constant per row, which a
+    variance removes.  They are formed from the residual e = d - mean(d)
+    of d = x_s - alpha*x_i, not from raw or co-moments, whose difference
+    would cancel Var(x_s) down to the far smaller Var(d).
     """
     def along(value):  # one value per experiment, against its frames
         return np.expand_dims(value, -1)
 
-    fitted = alpha is None
-    if corrected:
-        if not series.has_background:
-            raise DegenerateDataError("background series required for sigma_alpha_b")
-        if fitted:
-            alpha = estimate_alpha_b(series)
-        blocks = ((series.n_s, series.n_i, 1.0), (series.m_s, series.m_i, -1.0))
-        # sigma = (Var(N'_s - a*N'_i) - Var(M_s - a*M_i)) / D with
-        # D = 2*(E[N'_s] - E[M_s]); alpha_b = (E[N'_s] - E[M_s]) / alpha_den
-        denom = 2.0 * (series.n_s.mean(axis=-1) - series.m_s.mean(axis=-1))
-        if np.any(denom <= 0.0):
-            raise DegenerateDataError("background-corrected signal mean is not positive")
-        alpha_den = series.n_i.mean(axis=-1) - series.m_i.mean(axis=-1)
-        shot_s, shot_i, ddenom_dalpha = 2.0, 0.0, 0.0
-    else:
-        if fitted:
-            alpha = estimate_alpha(series)
-        blocks = ((series.n_s, series.n_i, 1.0),)
-        # sigma = Var(N_s - a*N_i) / D with D = E[N_s] + a*E[N_i];
-        # alpha = E[N_s] / alpha_den
-        denom = series.n_s.mean(axis=-1) + alpha * series.n_i.mean(axis=-1)
-        if np.any(denom <= 0.0):
-            raise DegenerateDataError("shot-noise denominator is not positive")
-        alpha_den = series.n_i.mean(axis=-1)
-        shot_s, shot_i, ddenom_dalpha = 1.0, alpha, alpha_den
+    if corrected and not series.has_background:
+        raise DegenerateDataError("background series required for sigma_alpha_b")
+    blocks, e_s, e_i = _signed_blocks(series, corrected)
+    if alpha is None:
+        alpha = _alpha(e_s, e_i, corrected)
+    denom = e_s + alpha * e_i
+    if np.any(denom <= 0.0):
+        raise DegenerateDataError(
+            "background-corrected signal mean is not positive" if corrected
+            else "shot-noise denominator is not positive")
 
     num, residuals = 0.0, []
     for x_s, x_i, sign in blocks:
@@ -311,50 +321,51 @@ def _estimates(series: RegionPairSeries, corrected: bool,
     if not influence:
         return alpha, sigma, eta, None
 
-    # sigma = num/denom.  A frame moves num by sign*scale*e2 and denom by
-    # sign*(shot_s*x_s + shot_i*x_i); alpha moves a block's variance by
-    # -2*scale*mean(e*(x_i - E[x_i])) and denom by ddenom_dalpha.
+    # sigma = num/denom.  A frame moves num by sign*scale*e2, denom by
+    # sign*(x_s + alpha*x_i) and alpha by sign*e/E_i; alpha moves a
+    # block's variance by -2*scale*mean(e*(x_i - E[x_i])) and denom by
+    # E_i.
     dnum_dalpha = sum(
         -2.0 * sign * scale
         * (e * (x_i - x_i.mean(axis=-1, keepdims=True))).mean(axis=-1)
         for _, x_i, sign, e, _, scale in residuals)
-    dsigma_dalpha = (dnum_dalpha - sigma * ddenom_dalpha) / denom
+    dsigma_dalpha = (dnum_dalpha - sigma * e_i) / denom
     rows = []
     for x_s, x_i, sign, e, e2, scale in residuals:
-        row_alpha = sign * e / along(alpha_den) if fitted else np.zeros_like(e)
+        row_alpha = sign * e / along(e_i)
         row_sigma = (sign * (scale * e2 - along(sigma)
-                             * (shot_s * x_s + along(shot_i) * x_i))
+                             * (x_s + along(alpha) * x_i))
                      / along(denom) + along(dsigma_dalpha) * row_alpha)
         rows.append(
             np.stack([row_alpha, row_sigma, 0.5 * row_alpha - row_sigma]))
     return alpha, sigma, eta, rows
 
 
-def estimate_sigma_alpha(series: RegionPairSeries, alpha: float | None = None,
-                         ddof: int = 1):
-    """Noise reduction factor of N_s - alpha*N_i, shot-noise normalised.
+def estimate_sigma_alpha(series: RegionPairSeries, *, ddof: int = 1):
+    """Noise reduction factor of N_s - alpha*N_i, shot-noise normalised,
+    at the fitted alpha.
 
-    Var(N_s - alpha*N_i) / (E[N_s] + alpha*E[N_i]); with alpha estimated
-    from the same set the denominator equals 2*E[N_s].
+    Var(N_s - alpha*N_i) / (E[N_s] + alpha*E[N_i]), which equals
+    Var(N_s - alpha*N_i) / (2*E[N_s]).
     """
-    return _per_experiment(_estimates(series, False, alpha, ddof)[1])
+    return _estimates(series, False, ddof)[1]
 
 
-def estimate_sigma_raw(series: RegionPairSeries, ddof: int = 1):
+def estimate_sigma_raw(series: RegionPairSeries, *, ddof: int = 1):
     """Unbalanced noise reduction factor Var(N_s - N_i)/E[N_s + N_i]."""
-    return estimate_sigma_alpha(series, 1.0, ddof)
+    return _estimates(series, False, ddof, alpha=1.0)[1]
 
 
-def estimate_sigma_alpha_b(series: RegionPairSeries,
-                           alpha_b: float | None = None,
-                           ddof: int = 1):
-    """Background-corrected balanced noise reduction factor.
+def estimate_sigma_alpha_b(series: RegionPairSeries, *, ddof: int = 1):
+    """Background-corrected balanced noise reduction factor: the
+    sigma_alpha formula with the background block subtracted.
 
-    [Var(N'_s - a*N'_i) - Var(M_s - a*M_i)] / (2*(E[N'_s] - E[M_s])) with
-    a = alpha_b.  May come out negative through sampling noise; the value
-    is reported as-is.
+    [Var(N'_s - a*N'_i) - Var(M_s - a*M_i)] / (E_s + a*E_i) with
+    E_s = E[N'_s] - E[M_s], E_i = E[N'_i] - E[M_i] and a = alpha_b =
+    E_s / E_i, so the denominator is 2*(E[N'_s] - E[M_s]).  May come out
+    negative through sampling noise; the value is reported as-is.
     """
-    return _per_experiment(_estimates(series, True, alpha_b, ddof)[1])
+    return _estimates(series, True, ddof)[1]
 
 
 def eta_from_sigma(alpha_b: float, sigma_ab: float) -> tuple[float, float]:
@@ -521,8 +532,9 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     escape the filter.
 
     ``frames`` is a (frames, rows, cols) ``COUNT_DTYPE`` array; any other
-    dtype or shape raises StackFormatError, and a region leaving the
-    frame GeometryError, before any worker starts.  The pixels are taken
+    dtype or shape raises StackFormatError, a ``mad_k`` that is not
+    finite and > 0 DomainError, and a region leaving the frame
+    GeometryError, before any worker starts.  The pixels are taken
     a block of lanes at a time, the blocks dealt out to the workers of
     ``model._run_workers`` from one shared iterator; each worker takes
     a block's medians and MADs in the count type (``_filter_lanes``),
@@ -544,6 +556,8 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     n = len(frames)
     if n < 3:
         raise DegenerateDataError("need at least 3 frames to filter")
+    if not (math.isfinite(mad_k) and mad_k > 0):
+        raise DomainError(f"mad_k must be finite and > 0, got {mad_k!r}")
     regions = list(regions)
     if not regions:
         raise DomainError("no region to filter")
@@ -860,8 +874,10 @@ def area_scan(pdc_frames, bg_frames, pairs, cell_px: int = 1,
     out to the workers in one ``_pair_series`` call, after every region
     is bounds-checked, into one batched series, a row per pair; one pass
     of each estimator over it, in the calling thread, gives every
-    point's sigma.
+    point's sigma.  A ``cell_px`` below 1 raises DomainError first.
     """
+    if cell_px < 1:
+        raise DomainError(f"cell_px must be >= 1, got {cell_px!r}")
     series = _pair_series(pairs, pdc_frames, bg_frames)
     sigma_a = _estimates(series, False, ddof=ddof)[1].tolist()
     sigma_ab = [None] * len(pairs)
@@ -914,7 +930,7 @@ def propagate_type_a(series: RegionPairSeries,
                     for block in rows))
     if not np.all(np.isfinite(u)):
         raise DegenerateDataError("uncertainty propagation produced NaN")
-    return TypeAUncertainty(*map(_per_experiment, (alpha, sigma, eta, *u)))
+    return TypeAUncertainty(alpha, sigma, eta, *u)
 
 
 @dataclass

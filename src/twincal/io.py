@@ -405,10 +405,6 @@ def run_config_from_dict(doc: dict) -> tuple[ExperimentConfig, AnalysisParams]:
             _from_doc(AnalysisParams, doc["analysis"], "analysis"))
 
 
-def save_run_config(path, cfg: ExperimentConfig, params: AnalysisParams) -> None:
-    Path(path).write_bytes(config_bytes(run_config_to_dict(cfg, params)))
-
-
 def load_run_config(path) -> tuple[ExperimentConfig, AnalysisParams]:
     try:
         doc = json.loads(Path(path).read_text())

@@ -187,10 +187,6 @@ class ModeStructure:
             raise DomainError(f"grid must be two counts >= 1, got {self.grid!r}")
 
     @property
-    def spatial_modes(self) -> int:
-        return self.grid[0] * self.grid[1]
-
-    @property
     def block_shape(self) -> tuple[int, int]:
         """Emission block extent in superpixels."""
         return (self.grid[0] * self.coherence_cell_px,

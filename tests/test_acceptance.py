@@ -10,6 +10,7 @@ systematic claim rather than a particular noise draw.
 
 import dataclasses
 import itertools
+import math
 import time
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_criterion_01_balanced_loss_identity(balanced_series):
 
 def test_criterion_02_moment_laws(balanced_series):
     cfg, series, _ = balanced_series
-    m_tot = cfg.modes.total_modes(cfg.modes.spatial_modes)
+    m_tot = cfg.modes.total_modes(math.prod(cfg.modes.grid))
     n = series.n_frames
     mean_th = m_tot * 0.6 * 0.1
     var_th = predict_variance(0.1, 0.6, m_tot)
@@ -126,10 +127,10 @@ def test_criterion_03_jitter_excess_noise():
     series = build_series(generate_stack(cfg, 2000).counts, region_s,
                           cfg.geometry.conjugate_region(region_s))
     ratio, _ = excess_noise(series,
-                            cfg.modes.total_modes(cfg.modes.spatial_modes))
+                            cfg.modes.total_modes(math.prod(cfg.modes.grid)))
     raw = estimate_sigma_raw(series)
     alpha = estimate_alpha(series)
-    balanced = estimate_sigma_alpha(series, alpha)
+    balanced = estimate_sigma_alpha(series)
     u = propagate_type_a(series).u_sigma
     predicted = 0.5 * (1.0 + alpha) - 0.72
     ok = (1e3 < ratio < 1e4
@@ -266,7 +267,7 @@ def test_criterion_08_uncertainty_model(reference_series):
         resample = RegionPairSeries(batch.n_s[kn], batch.n_i[kn],
                                     m_s=batch.m_s[km], m_i=batch.m_i[km])
         a = estimate_alpha_b(resample)
-        s = estimate_sigma_alpha_b(resample, a)
+        s = estimate_sigma_alpha_b(resample)
         boot["alpha"].append(a)
         boot["sigma"].append(s)
         boot["eta"].append(0.5 * (1 + a) - s)

@@ -16,7 +16,7 @@ import pytest
 
 from twincal.cli import main
 from twincal.errors import StackFormatError
-from twincal.io import AnalysisParams, load_run_config, read_stack, save_run_config
+from twincal.io import AnalysisParams, load_run_config, read_stack
 from twincal.model import Region
 from twincal.simulate import generate_stack
 from twincal import cli, estimate, model, presets, simulate
@@ -24,6 +24,11 @@ from twincal import io as tio
 
 from test_io import REFUSED_EDITS, edited_config_doc
 from test_simulate import concurrent_config, make_config, render_blocks
+
+
+def write_config(path, cfg, params):
+    """Write the run config document of ``cfg`` and ``params`` to ``path``."""
+    path.write_bytes(tio.config_bytes(tio.run_config_to_dict(cfg, params)))
 
 
 @pytest.fixture()
@@ -36,7 +41,7 @@ def run_dir(tmp_path):
                             cs_search_extent=(2, 2),
                             areas=((1, 1), (2, 2), (3, 4), (5, 8)))
     config = tmp_path / "run.json"
-    save_run_config(config, cfg, params)
+    write_config(config, cfg, params)
     return tmp_path, config
 
 
@@ -89,7 +94,7 @@ def test_simulate_writes_the_generated_and_the_serial_stacks(
                             frames_per_batch=max(count, 2),
                             background_frames_per_batch=max(count, 2))
     config, out = tmp_path / "run.json", tmp_path / "out"
-    save_run_config(config, cfg, params)
+    write_config(config, cfg, params)
     doc = tio.run_config_to_dict(cfg, params)
     monkeypatch.setattr(model, "_cpu_count", lambda: workers)
     if count > 1:
@@ -153,7 +158,7 @@ def test_a_worker_failing_mid_stack_keeps_the_earlier_stacks(
     monkeypatch.setattr(model, "_cpu_count", lambda: workers)
     if failure == "u32-overflow":
         cfg, params = load_run_config(config)
-        save_run_config(config, dataclasses.replace(
+        write_config(config, dataclasses.replace(
             cfg, background=dataclasses.replace(cfg.background,
                                                 straylight_mean=5e9)), params)
     else:  # 480 frames are 8 blocks: the others are written around it
@@ -245,8 +250,8 @@ def test_calibrate_reports_transmittance_corrected_efficiencies(run_dir,
     out = tmp_path / "out"
     main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
     lossy = tmp_path / "lossy.json"
-    save_run_config(lossy, cfg, dataclasses.replace(params, tau_s=0.9,
-                                                    tau_i=0.8))
+    write_config(lossy, cfg, dataclasses.replace(params, tau_s=0.9,
+                                                 tau_i=0.8))
     capsys.readouterr()
     assert main(["calibrate", "--config", str(lossy), "--out", str(out),
                  "--pdc", str(out / "pdc.tbs"),
@@ -523,7 +528,7 @@ def test_geometry_error_exit_code(run_dir, tmp_path, capsys):
     cfg, params = load_run_config(config)
     bad_params = dataclasses.replace(params, cs_search_extent=(0, 20))
     bad_config = tmp_path / "bad_geom.json"
-    save_run_config(bad_config, cfg, bad_params)
+    write_config(bad_config, cfg, bad_params)
     out = tmp_path / "out"
     main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
     code = main(["find-cs", "--config", str(bad_config), "--out", str(out),
@@ -552,7 +557,7 @@ def large_frames(tmp_path, seed, z_batches, frames_per_batch):
                             frames_per_batch=frames_per_batch,
                             background_frames_per_batch=frames_per_batch)
     config = tmp_path / f"large-{z_batches}.json"
-    save_run_config(config, cfg, params)
+    write_config(config, cfg, params)
     return cfg, params, config
 
 
@@ -607,7 +612,7 @@ def test_oversized_frame_count_is_refused_before_rendering(
                             frames_per_batch=per_batch,
                             background_frames_per_batch=bg_per_batch)
     config = tmp_path / "huge.json"
-    save_run_config(config, cfg, params)
+    write_config(config, cfg, params)
     rendered = []
     monkeypatch.setattr(simulate, "_render_block",
                         lambda *args: rendered.append(args))
@@ -630,11 +635,11 @@ def workload_run(tmp_path, workload, seed, frames_per_batch):
             presets.reference_analysis(2, frames_per_batch, frames_per_batch),
             areas=((1, 1), (2, 2), (5, 8)))
         config = tmp_path / "reference.json"
-        save_run_config(config, cfg, params)
+        write_config(config, cfg, params)
         return cfg, params, config
     cfg, params, config = large_frames(tmp_path, seed, 2, frames_per_batch)
     params = dataclasses.replace(params, areas=LARGE_FRAME_AREAS)
-    save_run_config(config, cfg, params)
+    write_config(config, cfg, params)
     return cfg, params, config
 
 
@@ -659,7 +664,7 @@ def test_box_reads_match_the_estimators_on_whole_frames(tmp_path, workload,
         # rows from the tall area, columns from the wide one: the box
         # area-scan reads is no single area's pair
         params = dataclasses.replace(params, areas=areas)
-        save_run_config(config, cfg, params)
+        write_config(config, cfg, params)
         pairs = [[r, cfg.geometry.conjugate_region(r)] for r in (
             estimate.anchored_region(params.region_s.center, a)
             for a in areas)]
@@ -757,8 +762,8 @@ def test_unsorted_areas_are_refused_before_reading(run_dir, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(data),
                  "--quiet"]) == 0
     cfg, params = load_run_config(config)
-    save_run_config(config, cfg,
-                    dataclasses.replace(params, areas=((5, 8), (1, 1))))
+    write_config(config, cfg,
+                 dataclasses.replace(params, areas=((5, 8), (1, 1))))
     with mock.patch.object(tio, "read_stack", wraps=tio.read_stack) as read:
         assert main(["area-scan", "--config", str(config), "--out",
                      str(out), "--pdc", str(data / "pdc.tbs"),
@@ -824,7 +829,7 @@ def test_region_smaller_than_a_cell_is_refused_before_reading(tmp_path,
     cfg, params, config = large_frames(tmp_path, 9, 4, 125)
     out = tmp_path / "out"
     for extent in ((1, 1), (1, 8), (8, 1)):
-        save_run_config(config, cfg, dataclasses.replace(
+        write_config(config, cfg, dataclasses.replace(
             params, region_s=Region((20, 28), extent)))
         assert main(["calibrate", "--config", str(config), "--out",
                      str(out), "--pdc", str(tmp_path / "missing.tbs"),

@@ -2,6 +2,7 @@
 simulator ground truth."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -85,11 +86,11 @@ class TestSigmaAlpha:
     def test_zero_difference(self):
         s = RegionPairSeries(np.array([3.0, 5.0, 7.0]),
                              np.array([3.0, 5.0, 7.0]))
-        assert estimate_sigma_alpha(s, alpha=1.0) == 0.0
+        assert estimate_sigma_raw(s) == 0.0
 
     def test_poisson_series_sit_at_shot_noise(self):
         s = poisson_series(seed=1)
-        sigma = estimate_sigma_alpha(s, alpha=1.0)
+        sigma = estimate_sigma_raw(s)
         u = propagate_type_a(s).u_sigma
         assert abs(sigma - 1.0) < 3 * u
 
@@ -97,14 +98,22 @@ class TestSigmaAlpha:
         rng = np.random.default_rng(2)
         s = RegionPairSeries(rng.poisson(100, 50).astype(float),
                              rng.poisson(100, 50).astype(float))
-        biased = estimate_sigma_alpha(s, alpha=1.0, ddof=0)
-        unbiased = estimate_sigma_alpha(s, alpha=1.0, ddof=1)
+        biased = estimate_sigma_raw(s, ddof=0)
+        unbiased = estimate_sigma_raw(s, ddof=1)
         assert biased == pytest.approx(unbiased * 49 / 50, rel=1e-12)
 
     def test_degenerate_denominator(self):
         s = RegionPairSeries(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
         with pytest.raises(DegenerateDataError):
-            estimate_sigma_alpha(s, alpha=1.0)
+            estimate_sigma_raw(s)
+
+    def test_ddof_is_keyword_only(self):
+        # a stale positional alpha is refused, not taken for ddof
+        s = poisson_series(seed=1, background=True)
+        for estimator in (estimate_sigma_alpha, estimate_sigma_raw,
+                          estimate_sigma_alpha_b):
+            with pytest.raises(TypeError):
+                estimator(s, 1.0)
 
 
 class TestBackgroundCorrected:
@@ -114,8 +123,7 @@ class TestBackgroundCorrected:
                              rng.poisson(500, 100).astype(float),
                              m_s=np.zeros(100), m_i=np.zeros(100))
         assert estimate_alpha_b(s) == estimate_alpha(s)
-        assert estimate_sigma_alpha_b(s) == pytest.approx(
-            estimate_sigma_alpha(s, estimate_alpha(s)), rel=1e-12)
+        assert estimate_sigma_alpha_b(s) == estimate_sigma_alpha(s)
 
     def test_negative_numerator_warns(self):
         s = RegionPairSeries(np.array([10.0, 12.0]), np.array([50.0, 52.0]),
@@ -154,7 +162,7 @@ class TestBackgroundCorrected:
         alpha_b = estimate_alpha_b(series)
         u = propagate_type_a(series).u_alpha
         assert abs(alpha_b - 1.0) < 3 * u
-        sigma = estimate_sigma_alpha_b(series, alpha_b)
+        sigma = estimate_sigma_alpha_b(series)
         u_s = propagate_type_a(series).u_sigma
         assert abs(sigma - 0.4) < 3 * u_s
 
@@ -209,7 +217,7 @@ class TestExcessNoise:
         rs = cfg.signal_region()
         series = build_series(generate_stack(cfg, 3000).counts, rs,
                               cfg.geometry.conjugate_region(rs))
-        m_tot = cfg.modes.total_modes(cfg.modes.spatial_modes)
+        m_tot = cfg.modes.total_modes(math.prod(cfg.modes.grid))
         ratio, thermal = excess_noise(series, m_tot)
         expected = 1.0 + 0.6 + 2 * 0.6 * 0.1
         se = expected * np.sqrt(2.0 / series.n_frames)
@@ -223,7 +231,7 @@ class TestExcessNoise:
         series = build_series(generate_stack(cfg, 800).counts, rs,
                               cfg.geometry.conjugate_region(rs))
         ratio, _ = excess_noise(
-            series, cfg.modes.total_modes(cfg.modes.spatial_modes))
+            series, cfg.modes.total_modes(math.prod(cfg.modes.grid)))
         assert 1e3 < ratio < 1e4
 
     def test_variance_follows_ddof(self):
@@ -246,7 +254,7 @@ class TestBalancingKillsJitter:
                               cfg.geometry.conjugate_region(rs))
         raw = estimate_sigma_raw(series)
         alpha = estimate_alpha(series)
-        balanced = estimate_sigma_alpha(series, alpha)
+        balanced = estimate_sigma_alpha(series)
         assert raw / balanced > 100.0
         u = propagate_type_a(series).u_sigma
         predicted = 0.5 * (1 + alpha) - 0.72
@@ -331,6 +339,17 @@ class TestCosmicFilter:
         assert dropped == sorted(
             k for k, x in zip(struck, values) if x > threshold)
         assert sorted([*kept, *dropped]) == list(range(n))
+
+    @pytest.mark.parametrize("mad_k", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_mad_k_not_finite_and_positive_refused(self, monkeypatch, mad_k):
+        # such a threshold would keep every frame, the struck one too
+        # (NaN, inf), or drop every frame (0, -5)
+        frames = np.full((5, 4, 6), 7, dtype=np.uint32)
+        frames[2, 1, 1] = 10_000
+        monkeypatch.setattr(model, "_run_workers",
+                            lambda *args: pytest.fail("a worker started"))
+        with pytest.raises(DomainError, match="mad_k"):
+            cosmic_ray_filter(frames, mad_k, regions=whole(frames))
 
     def test_identical_frames_not_discarded(self):
         frames = np.full((5, 4, 6), 7, dtype=np.uint32)
@@ -500,6 +519,16 @@ class TestAreaScan:
         with pytest.raises(DomainError):
             area_pairs(cfg.geometry, (6, 6), [(3, 3), (2, 2)])
 
+    @pytest.mark.parametrize("cell_px", [0, -2])
+    def test_cell_px_below_one_refused(self, monkeypatch, cell_px):
+        cfg = make_config(seed=116)
+        pairs = area_pairs(cfg.geometry, cfg.signal_region().center, [(2, 2)])
+        frames = generate_stack(cfg, 4).counts
+        monkeypatch.setattr(model, "_run_workers",
+                            lambda *args: pytest.fail("a region sum was dealt"))
+        with pytest.raises(DomainError, match="cell_px"):
+            area_scan(frames, None, pairs, cell_px=cell_px)
+
     def test_curve_shape_and_asymptote(self):
         cfg = make_config(eta_s=0.5, eta_i=0.5, mu=1.0, m_t=200, cell_px=2,
                           grid=(8, 10), rows=22, cols=52, split=26,
@@ -663,7 +692,7 @@ class TestPropagation:
             r = RegionPairSeries(s.n_s[kn], s.n_i[kn],
                                  m_s=s.m_s[km], m_i=s.m_i[km])
             a = estimate_alpha_b(r)
-            g = estimate_sigma_alpha_b(r, a)
+            g = estimate_sigma_alpha_b(r)
             boot["alpha"].append(a)
             boot["sigma"].append(g)
             boot["eta"].append(0.5 * (1 + a) - g)

@@ -36,7 +36,6 @@ from twincal.io import (
     read_stack,
     run_config_from_dict,
     run_config_to_dict,
-    save_run_config,
     sidecar_path,
     write_area_scan_csv,
     write_calibration_csv,
@@ -648,7 +647,7 @@ class TestRunConfig:
         cfg = make_config(seed=11)
         params = AnalysisParams(region_s=Region((4, 3), (5, 8)))
         path = tmp_path / "run.json"
-        save_run_config(path, cfg, params)
+        path.write_bytes(config_bytes(run_config_to_dict(cfg, params)))
         cfg2, params2 = load_run_config(path)
         assert cfg2 == cfg and params2 == params
 

@@ -6,6 +6,7 @@ moments, plain arithmetic for the multimode identities.  Monte-Carlo
 cross-checks of the same predictors live in test_simulate.py.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -168,7 +169,7 @@ class TestPredictSigmaWithJitter:
         region_s = cfg.signal_region()
         series = build_series(generate_stack(cfg, 4000).counts, region_s,
                               cfg.geometry.conjugate_region(region_s))
-        m_tot = cfg.modes.total_modes(cfg.modes.spatial_modes)
+        m_tot = cfg.modes.total_modes(math.prod(cfg.modes.grid))
         ch = ChannelEfficiencies(0.62, 0.60)
         var_mu = (0.3 * 0.1) ** 2  # linear gain map
         predicted = predict_sigma_with_jitter(ch, 0.1, var_mu, m_tot)
@@ -214,7 +215,7 @@ class TestTypes:
     def test_mode_structure(self):
         modes = ModeStructure(temporal_modes=5000, coherence_cell_px=2,
                               grid=(5, 8))
-        assert modes.spatial_modes == 40
+        assert math.prod(modes.grid) == 40
         assert modes.block_shape == (10, 16)
         assert modes.total_modes(40) == 200000
         with pytest.raises(DomainError):

@@ -339,6 +339,21 @@ def test_batched_pass_is_each_batch_alone(case, z):
         assert getattr(summary, f"{key}_propagated") == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(twin_series(), st.integers(2, 1000))
+def test_zero_background_is_no_background(case, m):
+    # an all-zero background block adds nothing: every value and u of
+    # propagate_type_a is that of the series without one, compared with ==
+    series, ddof = case
+    plain = RegionPairSeries(series.n_s, series.n_i)
+    zero = RegionPairSeries(series.n_s, series.n_i, m_s=np.zeros(m),
+                            m_i=np.zeros(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # eta_s outside (0, 1]
+        got, want = propagate_type_a(zero, ddof), propagate_type_a(plain, ddof)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
 @st.composite
 def median_rows(draw):
     """A (rows, length) u32 array, with odd and even lengths from 1 up,
