@@ -352,8 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
         "on stacks without cosmic rays or centre offset (large-frame "
         "benchmark, seed 1: the 20x32 area, region_s itself, reads "
         "sigma_alpha_b 2.634 against calibrate's 0.374).")
-    calibrate = command("calibrate", cmd_calibrate,
-                        help="full calibration chain")
+    calibrate = command(
+        "calibrate", cmd_calibrate, help="full calibration chain",
+        description="Splits the frames of each stack that the cosmic-ray "
+        "filter keeps into analysis.z_batches equal batches in frame order "
+        "and drops the last frames left over, whatever the stack's frame "
+        "count.  analysis.frames_per_batch and background_frames_per_batch "
+        "set only how many frames simulate and reproduce-table1 render.")
     for p in (scan, calibrate):
         p.add_argument("--pdc", required=True, help="illuminated stack file")
         p.add_argument("--background", default=None,

@@ -5,7 +5,7 @@ Stack file layout (little endian)::
     magic   4s   b"TBFS"
     version u16  1
     kind    u8   0 = pdc_on, 1 = background
-    flags   u8   reserved, 0
+    flags   u8   reserved, 0: ``read_stack`` refuses any other value
     rows    u32
     cols    u32
     count   u32
@@ -219,12 +219,15 @@ def read_stack(path, box: Region | None = None, kind: str | None = None,
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise CorruptHeaderError(f"{path}: file shorter than the header")
-        magic, version, kind_code, _flags, rows, cols, count, digest = \
+        magic, version, kind_code, flags, rows, cols, count, digest = \
             _HEADER.unpack(header)
         if magic != _MAGIC:
             raise CorruptHeaderError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
             raise CorruptHeaderError(f"{path}: unsupported version {version}")
+        if flags:
+            raise CorruptHeaderError(f"{path}: reserved flags byte {flags}, "
+                                     "expected 0")
         if kind_code not in _CODE_TO_KIND:
             raise CorruptHeaderError(f"{path}: unknown kind code {kind_code}")
         if kind not in (None, _CODE_TO_KIND[kind_code]):

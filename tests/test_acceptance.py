@@ -9,7 +9,6 @@ systematic claim rather than a particular noise draw.
 """
 
 import dataclasses
-import itertools
 import math
 import time
 
@@ -34,13 +33,16 @@ from twincal.estimate import (
     sigma_spatial_map,
 )
 from twincal.io import read_stack, write_stack
-from twincal.model import predict_covariance, predict_variance
+from twincal.model import COUNT_DTYPE, predict_covariance, predict_variance
 from twincal.presets import reference_experiment
 from twincal.simulate import (
+    _BLOCK_FRAMES,
     KIND_BACKGROUND,
+    KIND_PDC,
     Stack,
     generate_stack,
     iter_stack,
+    render_stack,
 )
 
 from test_simulate import make_config
@@ -196,13 +198,26 @@ def test_criterion_06_area_scan():
              (21, 21), (25, 25), (31, 31), (40, 64)]
     pairs = area_pairs(cfg.geometry, cfg.signal_region().center, areas)
     groups, per_group = 12, 1000
-    stream = (frame for block in iter_stack(cfg, groups * per_group)
-              for frame in block.counts)
+
+    def group(first):
+        # frames first .. first + per_group of the stack, rendered pooled
+        # over the blocks that hold them
+        frames = np.empty((per_group, *cfg.geometry.shape), COUNT_DTYPE)
+
+        def put(start, counts, _energy):
+            lo = max(start, first)
+            hi = min(start + len(counts), first + per_group)
+            frames[lo - first:hi - first] = counts[lo - start:hi - start]
+
+        render_stack(cfg, KIND_PDC, groups * per_group, put,
+                     range(first // _BLOCK_FRAMES,
+                           -(-(first + per_group) // _BLOCK_FRAMES)))
+        return frames
+
     curves = np.array([
-        [p.sigma_alpha for p in area_scan(
-            np.stack(list(itertools.islice(stream, per_group))),
-            None, pairs, cell_px=2)]
-        for _ in range(groups)])
+        [p.sigma_alpha for p in area_scan(group(g * per_group), None, pairs,
+                                          cell_px=2)]
+        for g in range(groups)])
     mean = curves.mean(axis=0)
 
     def se_diff(j, k):

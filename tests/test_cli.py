@@ -523,6 +523,22 @@ def test_tampered_sidecar_exit_code(run_dir, capsys):
     assert "error[StackFormatError]" in capsys.readouterr().err
 
 
+def test_reserved_flags_byte_exit_code(run_dir, capsys):
+    tmp_path, config = run_dir
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+    with open(out / "background.tbs", "r+b") as fh:
+        fh.seek(7)
+        fh.write(b"\xff")
+    code = main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"),
+                 "--background", str(out / "background.tbs"), "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error[StackFormatError]: {out / 'background.tbs'}: reserved "
+        "flags byte 255, expected 0\n")
+
+
 def test_geometry_error_exit_code(run_dir, tmp_path, capsys):
     _, config = run_dir
     cfg, params = load_run_config(config)

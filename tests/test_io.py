@@ -415,6 +415,23 @@ class TestStackErrors:
         with pytest.raises(CorruptHeaderError, match="empty stack"):
             read_stack(path)
 
+    @pytest.mark.parametrize("flags", [1, 0x80, 0xFF])
+    def test_reserved_flags_byte_is_refused_with_the_header_checks(
+            self, tmp_path, monkeypatch, flags):
+        # byte 7 is reserved, 0: any other value is a corrupt header,
+        # refused before the kind, the file size and any payload read
+        path = self.write_valid(tmp_path)  # pdc_on
+        raw = bytearray(path.read_bytes())
+        raw[7] = flags
+        monkeypatch.setattr(os, "preadv", mock.Mock(side_effect=AssertionError))
+        message = f"{path}: reserved flags byte {flags}, expected 0"
+        for data in (raw, raw[:-1]):
+            path.write_bytes(bytes(data))
+            for kind in (None, KIND_BACKGROUND):
+                with pytest.raises(CorruptHeaderError) as refused:
+                    read_stack(path, kind=kind)
+                assert str(refused.value) == message
+
     @pytest.mark.parametrize("corrupt, error", [
         (_truncate, TruncatedPayloadError),
         (_cut_header, CorruptHeaderError),
