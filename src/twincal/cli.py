@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -83,6 +84,24 @@ def _hull(regions):
     return Region(origin=(top, left), extent=(bottom - top, right - left))
 
 
+def _check_made_by(cfg, path) -> None:
+    """Raise ConfigError naming the first key of ``cfg``'s modes or
+    geometry, the experiment sections an analysis reads, whose value
+    differs from the run config that made the stack at ``path``, as its
+    verified sidecar holds it.  Other experiment keys are not compared."""
+    made = json.loads(io.sidecar_path(path).read_bytes())["experiment"]
+    for section in ("modes", "geometry"):
+        ours = getattr(cfg, section)
+        for field in dataclasses.fields(ours):
+            given = getattr(ours, field.name)
+            given = list(given) if isinstance(given, tuple) else given
+            made_with = made[section].get(field.name)
+            if given != made_with:
+                raise ConfigError(
+                    f"{path}: --config has experiment.{section}.{field.name}"
+                    f" {given!r}, but the stack was made with {made_with!r}")
+
+
 def _read_boxes(cfg, regions, pdc, background=None):
     """Read the box of every frame that holds ``regions`` (``_hull``) from
     the pdc stack file and, when given, the background one; returns the
@@ -92,15 +111,19 @@ def _read_boxes(cfg, regions, pdc, background=None):
 
     A stack of the wrong kind is a StackFormatError, and one whose frames
     do not hold the box or are not the shape of ``cfg.geometry`` a
-    GeometryError, each raised before any payload byte is read.  A stack
-    no sidecar vouched for is read with a warning.
+    GeometryError, each raised before any payload byte is read.  Then a
+    ``cfg`` whose modes or geometry differ from the run config that made
+    the stack is a ConfigError (``_check_made_by``), and a stack no
+    sidecar vouched for is read with a warning.
     """
     box = _hull(regions)
     geometry, regions = cfg.geometry.crop(box, regions)
 
     def read(path, kind):
         stack, _ = io.read_stack(path, box, kind, cfg.geometry.shape)
-        if not stack.digest_verified:
+        if stack.digest_verified:
+            _check_made_by(cfg, path)
+        else:
             print(f"warning: {path}: no sidecar {io.sidecar_path(path).name}; "
                   "the config digest was not verified", file=sys.stderr)
         return stack.counts

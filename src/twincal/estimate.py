@@ -20,7 +20,10 @@ Conventions
   is an exact integer, and casts those sums to int64 for N and P D.
   The cosmic-ray filter keeps its pixel lanes in u32 and takes only
   differences that cannot be negative: a lane's counts less the upper
-  value of its middle pair, or the lower one less its counts.
+  value of its middle pair, or the lower one less its counts.  It takes
+  them, and the MAD, only for a lane whose largest count exceeds the
+  threshold's MAD-free bound, median + mad_k * max(sqrt(median), 1);
+  the MAD can only raise a threshold, so no other lane drops a frame.
 * A Region is an origin and an extent.  The frame's geometry decides
   which half it must lie on (``FrameGeometry.validate_region``), and
   every region leaving the frame, whether a region sum, the cosmic-ray
@@ -420,20 +423,25 @@ def excess_noise(series: RegionPairSeries, m_tot: int, ddof: int = 1):
 # ---------------------------------------------------------------------------
 
 # Each cosmic-ray filter worker takes its per-superpixel statistics in
-# one u32 lane buffer of about this many elements (256 KiB), a chunk of
-# pixel lanes at a time.  Measured on the two u32 boxes of
-# 4000 x 11 x 27 (reference) and 1000 x 26 x 99 counts (large-frame)
-# that ``calibrate`` filters (2-vCPU Xeon, two sweeps of 9 interleaved
-# rounds, medians of both boxes' filters): on two workers, 2^16 per
-# worker took 8.8-14.7 / 21.7-32.6 ms, 2^15 was 1.3-1.6x slower and
-# 2^17 0.78-0.80x on the large box, level on the small one; on one
-# worker, 2^17 took 7.9-13.2 / 18.7-26.8 ms and 2^16 and 2^18
-# 0.97-1.14x that.  2^16 keeps the two-worker runs' lane blocks.  The
-# transposed copy that fills a lane block takes 46-60 % of the
-# filter's time on one CPU.  With each worker's thresholds formed after
-# its last block, one worker at 2^16 takes 1.04x (reference) and 1.07x
-# (large-frame) 2^17's time (medians of 16 alternating processes).
-_FILTER_CHUNK_ELEMENTS = 1 << 16
+# one u32 lane buffer of about this many elements (512 KiB), a chunk of
+# pixel lanes at a time.  Swept with the MAD taken only for the lanes at
+# risk (``_filter_lanes``) on the four boxes ``calibrate`` filters, pdc
+# and background of 4000 x 11 x 27 (reference) and 1000 x 26 x 99
+# counts (large-frame), seed 1: 2-vCPU Xeon, glibc's mmap threshold
+# fixed at 128 KiB, two sweeps of 30 interleaved rounds in one process,
+# each timing 2^15-2^18 and the filter that took every lane's MAD at
+# 2^16; medians, as fractions of that filter's.  Pooled on two workers,
+# reference pdc / background and large-frame pdc / background: 2^17
+# 0.90-0.93 / 0.57-0.62 and 0.90-0.92 / 0.57-0.61; 2^16 0.97 / 0.64 and
+# 1.10-1.15 / 0.63-0.65; 2^18 0.89-0.98 / 0.68 and 0.89-0.91 /
+# 0.60-0.66; 2^15 1.11-1.27 / 0.67-0.80 and 1.36-1.53 / 0.76-0.80.
+# Under ``taskset -c 0``: 2^17 0.95-0.96 / 0.59-0.62 and 0.91-0.96 /
+# 0.55-0.58; 2^16 0.84-0.89 / 0.58-0.62 and 0.99-1.03 / 0.57-0.60;
+# 2^18 0.94-0.96 / 0.68-0.71 and 0.98 / 0.63-0.66.  2^16 leaves the
+# large-frame pdc box slower than before when pooled, and 2^18 trails
+# 2^17 by 0.04-0.10 on every background box, so 2^17 is the one budget
+# on any CPU count.
+_FILTER_CHUNK_ELEMENTS = 1 << 17
 
 
 def _middle_pair(rows: np.ndarray):
@@ -459,15 +467,24 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
     u32 buffer of ``size`` elements of this worker's own.
 
     A block is the (n, k, m) u32 view of k x m pixels of a region.  Each
-    pixel's middle pair, the middle pair of its deviations from it and
-    its largest count are taken in the buffer, in the count type, and
-    kept.  After the last block the thresholds of all the worker's
-    pixels are formed in one pass, and only the pixels whose largest
-    count exceeds their threshold are compared frame by frame.  Returns
-    the n frame flags.
+    pixel's middle pair and largest count are taken in the buffer, in
+    the count type.  A pixel is at risk when its largest count exceeds
+    the MAD-free bound median + mad_k * max(sqrt(median), 1): its
+    threshold puts the larger of 1.4826 * MAD and that floor in the
+    place of the floor, so it is never below the bound, and a pixel
+    within it drops no frame whatever its MAD.  Only the pixels at risk
+    are moved to the front of the buffer (the rows beyond them fill the
+    others' rows) and take the middle pair of their deviations, and
+    their statistics are kept; a block with none is done after its
+    first selection.  After the last block the thresholds of all the
+    worker's pixels at risk are formed in one pass, and only those whose
+    largest count exceeds their threshold are compared frame by frame.
+    Beyond the buffer a block holds the rows it moves, at most half its
+    lanes.  Returns the n frame flags.
     """
     buffer = np.empty(size, COUNT_DTYPE)
     h = n // 2
+    bad = np.zeros(n, dtype=bool)
     taken, stats = [], []
     for pixels in blocks:
         _, k, m = pixels.shape
@@ -476,6 +493,26 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
         lanes = lanes.reshape(k * m, n)
         a, b = _middle_pair(lanes)
         peak = lanes[:, h:].max(axis=1)
+        # The threshold is median + mad_k * max(1.4826 * MAD, floor), and
+        # IEEE * and + round monotonically, so it is never below this
+        # bound: a lane whose peak is within it rejects no frame, whatever
+        # its MAD.  That holds only with the threshold's own float64
+        # median and floor, so both are formed as below.
+        median = (a.astype(np.float64) + b) / 2.0
+        risky = peak > median + mad_k * np.sqrt(np.maximum(median, 1.0))
+        r = np.count_nonzero(risky)
+        if not r:
+            continue
+        # The r lanes at risk take the first r rows: each one beyond them
+        # moves into a row of a lane not at risk, so a block moves no
+        # more rows than it has lanes of the smaller kind.  ``lane`` is
+        # the block's lane index of each of those rows.
+        holes = np.flatnonzero(~risky[:r])
+        moved = r + np.flatnonzero(risky[r:])
+        lanes[holes] = lanes[moved]
+        lane = np.arange(r)
+        lane[holes] = moved
+        lanes, a, b, peak = lanes[:r], a[lane], b[lane], peak[lane]
         # |x - median| is (a - x) + g for the lower half and (x - b) + g
         # for the upper one, with g = (b - a) / 2.  Neither a - x nor
         # x - b can be negative, so both are taken in place in the count
@@ -483,8 +520,10 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
         low, high = lanes[:, :h], lanes[:, h:]
         np.subtract(a[:, None], low, out=low)
         np.subtract(high, b[:, None], out=high)
-        taken.append(pixels)
+        taken.append((pixels, lane))
         stats.append((a, b, *_middle_pair(lanes), peak))
+    if not stats:
+        return bad
     a, b, dev_a, dev_b, peak = map(np.concatenate, zip(*stats))
     # Every term is a multiple of 1/2 below 2^33, so each float64 sum and
     # halving is exact: these are ``np.median``'s values.
@@ -499,16 +538,14 @@ def _filter_lanes(blocks, n: int, size: int, mad_k: float) -> np.ndarray:
     threshold = np.minimum(np.floor(threshold), np.iinfo(COUNT_DTYPE).max)
     threshold = threshold.astype(COUNT_DTYPE)
     crossed = np.flatnonzero(peak > threshold)
-    bad = np.zeros(n, dtype=bool)
     start = 0
-    for pixels in taken:  # the crossed pixels of each block, in order
-        _, k, m = pixels.shape
-        first, end = np.searchsorted(crossed, (start, start + k * m))
+    for pixels, lane in taken:  # the crossed pixels of each block, in order
+        first, end = np.searchsorted(crossed, (start, start + len(lane)))
         if end > first:
-            r, c = np.divmod(crossed[first:end] - start, m)
-            bad |= np.any(pixels[:, r, c] > threshold[crossed[first:end]],
-                          axis=1)
-        start += k * m
+            hit = crossed[first:end]
+            r, c = np.divmod(lane[hit - start], pixels.shape[2])
+            bad |= np.any(pixels[:, r, c] > threshold[hit], axis=1)
+        start += len(lane)
     return bad
 
 
@@ -537,17 +574,22 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
     GeometryError, before any worker starts.  The pixels are taken
     a block of lanes at a time, the blocks dealt out to the workers of
     ``model._run_workers`` from one shared iterator; each worker takes
-    a block's medians and MADs in the count type (``_filter_lanes``),
-    each exactly the float64 value ``np.median`` gives, and after its
-    last block forms the thresholds of all its pixels in one pass.  Only
-    the pixels whose largest count exceeds their threshold are compared
-    frame by frame, in the count type, with the same result as the
-    float64 comparison; the worker flags the frames they reject and the
-    calling thread ORs the workers' flags, in whatever order they come.
-    Per worker the memory is one u32 lane buffer of at most
-    ``_FILTER_CHUNK_ELEMENTS`` (256 KiB), five u32 statistics per pixel
-    it took, the counts of the pixels that cross their threshold and one
-    flag per frame, so the lane blocks are the same on any CPU count.
+    a block's medians in the count type (``_filter_lanes``), and the
+    MADs of only the pixels whose largest count exceeds median + mad_k
+    * max(sqrt(median), 1), a bound no threshold is below: no
+    other pixel can drop a frame.  Each median and MAD is exactly the
+    float64 value ``np.median`` gives, and after its last block the
+    worker forms the thresholds of all its pixels that took a MAD in one
+    pass.  Only the pixels whose largest count exceeds their threshold
+    are compared frame by frame, in the count type, with the same result
+    as the float64 comparison; the worker flags the frames they reject
+    and the calling thread ORs the workers' flags, in whatever order
+    they come.  Per worker the memory is one u32 lane buffer of at most
+    ``_FILTER_CHUNK_ELEMENTS`` (512 KiB), the rows one block moves to
+    bring its pixels at risk together (at most half the block), five
+    u32 statistics per pixel at risk, the counts of the pixels that
+    cross their threshold and one flag per frame, so the lane blocks are
+    the same on any CPU count.
     Returns the kept frame indices as an array, for
     ``frames[kept]`` or ``build_series``, and the discarded frame
     indices as a list; no frame is copied.
@@ -565,8 +607,9 @@ def cosmic_ray_filter(frames: np.ndarray, mad_k: float = 10.0, *, regions):
         region.check_inside(frames.shape[1:])
     # Lane blocks of a region's pixels, whole rows of it or part of one
     # row, dealt out to the workers; each worker takes the middle pair,
-    # then the deviations from it in place and their middle pair, a
-    # block at a time, and then its thresholds and comparisons at once.
+    # then, for the pixels at risk, the deviations from it in place and
+    # their middle pair, a block at a time, and then its thresholds and
+    # comparisons at once.
     # Each lane is independent, so neither the chunking nor the worker
     # count changes a value.
     chunk = max(1, _FILTER_CHUNK_ELEMENTS // n)

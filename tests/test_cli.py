@@ -882,3 +882,56 @@ def test_stack_larger_than_the_config_frame_is_a_geometry_error(run_dir,
                        "frames, expected 13x30\n")
     assert sorted(p.name for p in out.iterdir()) == [
         "background.tbs", "background.tbs.json", "pdc.tbs", "pdc.tbs.json"]
+
+
+@pytest.mark.parametrize("command, section, key, value, made_with", [
+    ("calibrate", "modes", "temporal_modes", 3, 5000),
+    ("area-scan", "modes", "coherence_cell_px", 1, 2),
+    ("find-cs", "geometry", "cs", [23.5, 62.5], [23.5, 63.5]),
+])
+def test_config_that_did_not_make_the_stack_is_refused(
+        tmp_path, capsys, command, section, key, value, made_with):
+    # the analysis reads the modes and geometry from --config: a run
+    # config other than the one that made the stack would report, say,
+    # the thermal level of 3 temporal modes (2188 where it is 1.313 on
+    # the large-frame workload) or 4x the coherence cells of an area
+    cfg, params, config = large_frames(tmp_path, 1, 2, 64)
+    params = dataclasses.replace(params, areas=((2, 4),))
+    write_config(config, cfg, params)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 0
+    changed = dataclasses.replace(cfg, **{section: dataclasses.replace(
+        getattr(cfg, section),
+        **{key: tuple(value) if isinstance(value, list) else value})})
+    write_config(config, changed, params)
+    stack = ["--stack" if command == "find-cs" else "--pdc",
+             str(out / "pdc.tbs")]
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--out", str(out / "run"),
+                 "--quiet", *stack]) == 2
+    assert capsys.readouterr().err == (
+        f"error[ConfigError]: {out / 'pdc.tbs'}: --config has "
+        f"experiment.{section}.{key} {value!r}, but the stack was made "
+        f"with {made_with!r}\n")
+    assert not (out / "run").exists()
+
+
+def test_config_differing_in_keys_the_analysis_does_not_read_runs(tmp_path,
+                                                                  capsys):
+    # the seed, the efficiencies and the straylight are not compared: a
+    # calibration estimates the efficiencies, whatever the config says
+    cfg, params, config = large_frames(tmp_path, 1, 2, 64)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--quiet"]) == 0
+    changed = dataclasses.replace(
+        cfg, master_seed=2, channel=dataclasses.replace(cfg.channel, eta_s=0.5),
+        background=dataclasses.replace(cfg.background, straylight_mean=1.0))
+    write_config(config, changed, params)
+    capsys.readouterr()
+    assert main(["calibrate", "--config", str(config), "--out", str(out),
+                 "--pdc", str(out / "pdc.tbs"),
+                 "--background", str(out / "background.tbs"),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().err == ""

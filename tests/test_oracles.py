@@ -443,10 +443,12 @@ def test_cosmic_ray_filter_matches_reference_on_regions(
 def filter_cases(draw):
     """u32 counts of 3 to 300 frames of 4 x 5 pixels, drawn from a few
     values (heavy ties), the whole u32 range, within 4 of the largest
-    count, or Poisson with spikes, and two regions inside the frame."""
+    count, Poisson with spikes, or at the filter's MAD-free bound; two
+    regions inside the frame; and a mad_k."""
     n = draw(st.one_of(st.integers(3, 40), st.integers(41, 300)))
     shape = (n, 4, 5)
-    spread = draw(st.sampled_from(["ties", "wide", "top", "spiked"]))
+    spread = draw(st.sampled_from(["ties", "wide", "top", "spiked", "edge"]))
+    mad_k = draw(st.sampled_from([0.1, 1.0, 2.0, 10.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if spread == "ties":
         counts = rng.integers(0, draw(st.integers(1, 3)) + 1, shape)
@@ -454,30 +456,46 @@ def filter_cases(draw):
         counts = rng.integers(0, 2 ** 32, shape, dtype=np.uint64)
     elif spread == "top":
         counts = 2 ** 32 - 1 - rng.integers(0, 5, shape)
-    else:
+    elif spread == "spiked":
         counts = rng.poisson(40.0 * rng.normal(1.0, 0.1, (n, 1, 1)), shape)
         spikes = rng.integers(0, counts.size, draw(st.integers(1, 5)))
         counts.reshape(-1)[spikes] += rng.integers(100, 10 ** 6, spikes.size)
+    else:
+        # Each pixel holds m but in two frames, so from 5 frames on its
+        # median is m, its MAD 0 and its threshold the bound
+        # m + mad_k * sqrt(max(m, 1)) itself.  One frame holds the
+        # bound's floor at every pixel, which no lane at it may drop;
+        # another holds the floor + 1 at some pixels, whose lanes cross.
+        # Near 2^32 - 1 the threshold clips and neither crosses.
+        m = rng.choice([0, 1, 40, 10 ** 6, 2 ** 32 - 2 ** 19, 2 ** 32 - 2],
+                       (1, 4, 5)).astype(np.float64)
+        at = np.floor(m + mad_k * np.sqrt(np.maximum(m, 1.0)))
+        counts = np.repeat(m, n, axis=0)
+        first, second = rng.choice(n, 2, replace=False)
+        counts[first] = at
+        counts[second] = np.where(rng.random((4, 5)) < 0.3, at + 1, m)
+        counts = np.minimum(counts, 2 ** 32 - 1)
     regions = []
     for _ in range(2):
         r0, c0 = draw(st.integers(0, 3)), draw(st.integers(0, 4))
         regions.append(Region((r0, c0), (draw(st.integers(1, 4 - r0)),
                                          draw(st.integers(1, 5 - c0)))))
-    return counts.astype(np.uint32), regions
+    return counts.astype(np.uint32), regions, mad_k
 
 
 @settings(max_examples=200, deadline=None)
-@given(filter_cases(), st.sampled_from([0.1, 1.0, 2.0, 10.0]),
-       st.integers(1, 3), st.integers(1, 4))
+@given(filter_cases(), st.integers(1, 3), st.integers(1, 4))
 def test_cosmic_ray_filter_matches_reference_on_any_counts(
-        case, mad_k, chunk_pixels, workers):
+        case, chunk_pixels, workers):
     # Guards the lane statistics taken in the count type, whose MAD adds
-    # (b - a) / 2 to the middle pair of the unsigned a - x and x - b, and
-    # the comparison of only the lanes whose largest count crosses their
-    # threshold: mad_k = 0.1 takes nearly every lane through it, counts
-    # near 2^32 - 1 clip their thresholds.  Lane blocks of 1-3 pixels
-    # split the regions' rows between 1-4 workers.
-    counts, regions = case
+    # (b - a) / 2 to the middle pair of the unsigned a - x and x - b, the
+    # MAD taken only for the lanes whose largest count exceeds the
+    # MAD-free bound, and the comparison of only the lanes whose largest
+    # count crosses their threshold: mad_k = 0.1 takes nearly every lane
+    # through it, counts near 2^32 - 1 clip their thresholds, and the
+    # "edge" counts sit at the bound and one above it.  Lane blocks of
+    # 1-3 pixels split the regions' rows between 1-4 workers.
+    counts, regions, mad_k = case
     mask = np.zeros(counts.shape[1:], dtype=bool)
     for region in regions:
         mask[region.row_slice, region.col_slice] = True
@@ -527,6 +545,33 @@ def test_cosmic_ray_filter_drops_exactly_the_analysed_hits(
                                      ).tolist()
     assert dropped  # there were hits to find
     assert (struck & ~analysed)[kept].any()  # and hits to keep
+
+
+def test_cosmic_ray_filter_takes_a_mad_only_for_lanes_at_risk(monkeypatch):
+    # On a clean background stack nearly every lane's largest count lies
+    # within median + mad_k * sqrt(max(median, 1)), below any threshold,
+    # and the second middle pair (the MAD's) takes only the lanes above
+    # it: the rows of every _middle_pair call are each lane once plus
+    # the lanes at risk.
+    cfg = reference_experiment(31)
+    counts = generate_stack(cfg, 4000, KIND_BACKGROUND).counts
+    region_s = Region((4, 3), (5, 8))
+    regions = [region_s, cfg.geometry.search_window(region_s, (3, 3))]
+    lanes = np.concatenate([counts[:, r.row_slice, r.col_slice].reshape(
+        len(counts), -1) for r in regions], axis=1)
+    median = np.median(lanes, axis=0)
+    at_risk = np.count_nonzero(
+        lanes.max(axis=0) > median + 10.0 * np.sqrt(np.maximum(median, 1.0)))
+    rows, middle_pair = [], estimate._middle_pair
+
+    def spied(lane_rows):
+        rows.append(len(lane_rows))
+        return middle_pair(lane_rows)
+
+    monkeypatch.setattr(estimate, "_middle_pair", spied)
+    assert cosmic_ray_filter(counts, 10.0, regions=regions)[1] == []
+    assert sum(rows) == lanes.shape[1] + at_risk
+    assert at_risk <= lanes.shape[1] // 20
 
 
 # ---------------------------------------------------------------------------
